@@ -8,11 +8,11 @@ Exit codes: 0 success, 1 validation failure, 2 solver non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import Experiment, build_experiment, default_config_text, load_config
 from .control import ConvergenceError, regularized_resolvent
-from .evolve import l1_reference, mild_solution, trajectory_to_csv
+from .evolve import l1_reference, mild_solution, trajectory_to_csv, write_csv
 from .fracops import mittag_leffler, mittag_leffler2, wright_density
 from .gramian import assemble_gramian, gramian_min_singular, gramian_to_csv, verify_gramian
 from .hvi import epsilon_sweep, free_terminal_miss, sweep_to_csv
@@ -166,14 +166,9 @@ def cmd_simulate(exp: Experiment, forcing_coeffs: str | None, control_coeffs: st
     scale = max(lp_norm(from_basis(s, model.n_theta, model.p)) for s in traj.states)
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     path = exp.output_dir / "trajectory.csv"
-    with open(path, "w", newline="") as stream:
-        for line in _header_lines(exp):
-            stream.write(f"# {line}\n")
-        writer = csv.writer(stream)
-        writer.writerow(["node", "t"] + [f"c{n}" for n in range(1, model.n_modes + 1)] + ["l1_gap"])
-        for k, t in enumerate(grid.nodes):
-            writer.writerow([k, repr(float(t))] + [repr(float(v)) for v in traj.states[k]]
-                            + [repr(gaps[k])])
+    write_csv(path, _header_lines(exp),
+              ["node", "t"] + [f"c{n}" for n in range(1, model.n_modes + 1)] + ["l1_gap"],
+              ([k, t, *traj.states[k], gaps[k]] for k, t in enumerate(grid.nodes)))
     rel = max(gaps) / max(scale, 1e-300)
     print(f"trajectory written to {path}")
     print(f"cross-solver gap: {rel:.3e} relative (sup over nodes)")
@@ -189,7 +184,7 @@ def cmd_sweep(exp: Experiment) -> int:
         strategy=exp.strategy, relaxation=exp.relaxation,
         tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
         resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter,
-        workers=exp.workers, return_results=True,
+        return_results=True,
     )
     elapsed = time.perf_counter() - started
     exp.output_dir.mkdir(parents=True, exist_ok=True)
@@ -202,14 +197,9 @@ def cmd_sweep(exp: Experiment) -> int:
             tag = f"{entry.epsilon:.0e}".replace("-0", "-")
             trajectory_to_csv(result.run.trajectory,
                               str(exp.output_dir / f"trajectory_eps_{tag}.csv"), headers)
-            with open(exp.output_dir / f"control_eps_{tag}.csv", "w", newline="") as stream:
-                for line in headers:
-                    stream.write(f"# {line}\n")
-                writer = csv.writer(stream)
-                writer.writerow(["node", "t"] + [f"u{n}" for n in range(1, model.n_modes + 1)])
-                for k, t in enumerate(grid.nodes):
-                    writer.writerow([k, repr(float(t))]
-                                    + [repr(float(v)) for v in result.run.control[k]])
+            write_csv(exp.output_dir / f"control_eps_{tag}.csv", headers,
+                      ["node", "t"] + [f"u{n}" for n in range(1, model.n_modes + 1)],
+                      ([k, t, *result.run.control[k]] for k, t in enumerate(grid.nodes)))
     free_miss = free_terminal_miss(model, grid, exp.target, exp.x0)
     if "json" in exp.formats:
         summary = {
@@ -217,21 +207,12 @@ def cmd_sweep(exp: Experiment) -> int:
             "config_sha256": exp.config.sha256,
             "free_terminal_miss": free_miss,
             "elapsed_seconds": elapsed,
-            "entries": [
-                {
-                    "epsilon": e.epsilon,
-                    "terminal_miss": e.terminal_miss,
-                    "predicted_miss": e.predicted_miss,
-                    "control_energy": e.control_energy,
-                    "iterations": e.iterations,
-                    "converged": e.converged,
-                    "identity_residual": e.identity_residual,
-                }
-                for e in entries
-            ],
+            # a failed epsilon has NaN numbers, which JSON can only write as null
+            "entries": [{k: None if isinstance(v, float) and math.isnan(v) else v
+                         for k, v in asdict(e).items()} for e in entries],
         }
         with open(exp.output_dir / "summary.json", "w") as stream:
-            json.dump(summary, stream, indent=2, sort_keys=True)
+            json.dump(summary, stream, indent=2, sort_keys=True, allow_nan=False)
     print(f"sweep outputs written to {exp.output_dir}")
     for e in entries:
         print(f"eps={e.epsilon:.1e} miss={e.terminal_miss:.6e} converged={e.converged}")

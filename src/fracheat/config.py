@@ -24,10 +24,10 @@ from .hvi import SELECTION_STRATEGIES, NonsmoothPotential, abs_potential, audit_
 __all__ = ["ExperimentConfig", "Experiment", "load_config", "build_experiment",
            "default_config_text"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCHEMA = {
-    "meta": {"schema_version": "1"},
+    "meta": {"schema_version": "2"},
     "model": {
         "modes": "8",
         "alpha": "0.75",
@@ -56,7 +56,6 @@ _SCHEMA = {
     },
     "sweep": {
         "epsilons": "1e-1, 1e-2, 1e-3, 1e-4",
-        "workers": "1",
     },
     "output": {
         "directory": "out",
@@ -203,7 +202,6 @@ class Experiment:
     strategy: str
     seed: int
     epsilons: list[float]
-    workers: int
     output_dir: Path
     formats: tuple[str, ...]
 
@@ -252,9 +250,6 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         raise ValueError("sweep epsilons must be a nonempty strictly descending list")
     if epsilons[-1] < 1e-5:
         raise ValueError("sweep epsilon below the 1e-5 desk-scale floor")
-    workers = int(sweep["workers"])
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     formats = tuple(f.strip() for f in cfg["output"]["formats"].split(",") if f.strip())
     for fmt in formats:
         if fmt not in ("csv", "json"):
@@ -276,7 +271,6 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         strategy=strategy,
         seed=int(solver["seed"]),
         epsilons=epsilons,
-        workers=workers,
         output_dir=base / cfg["output"]["directory"],
         formats=formats,
     )

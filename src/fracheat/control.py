@@ -7,7 +7,8 @@ nodes used to assemble the Gramian, which makes the terminal-state identity
 
     q(a) = z - eps * (eps I + G J)^{-1} d,   d the deficiency vector,
 
-hold at solver precision when the time grid matches the Gramian resolution.
+hold at solver precision when the time grid matches the Gramian resolution:
+the control response at t_N is then the Gramian itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fracops import TimeGrid
-from .evolve import Trajectory, _tables, mild_solution
+from .evolve import Trajectory, mild_solution, propagator
 from .gramian import GramianOperator
 from .lpspace import basis_matrix, duality_map, from_basis, lp_norm, to_basis
 from .spectral import SpectralModel
@@ -229,12 +230,8 @@ def synthesize_control(
 ) -> tuple[np.ndarray, ResolventSolve, np.ndarray]:
     """Control nodes u(t_j) = B* T*(a - t_j) J(w), with one resolvent solve
     w = (eps I + G J)^{-1} d at the deficiency vector d."""
-    d = deficiency_vector(model, grid, z, x0, forcing)
-    solve = regularized_resolvent(gram, model, epsilon, d, tol=tol, max_iter=max_iter)
-    jw = coordinate_duality_map(model, solve.result)
-    _, e_force, _ = _tables(model, grid)
-    control = (e_force[::-1] * jw) @ model.b_matrix  # row j: B^T (e(a-t_j) o Jw)
-    return control, solve, d
+    run = closed_loop_trajectory(model, gram, grid, epsilon, z, x0, forcing, tol, max_iter)
+    return run.control, run.solve, run.deficiency
 
 
 def closed_loop_trajectory(
@@ -248,13 +245,16 @@ def closed_loop_trajectory(
     tol: float = 1e-11,
     max_iter: int = 400,
 ) -> ClosedLoopRun:
-    """Run the regularized control law and integrate the controlled system."""
-    control, solve, d = synthesize_control(
-        model, gram, grid, epsilon, z, x0, forcing, tol=tol, max_iter=max_iter
-    )
-    applied = control @ model.b_matrix.T  # B u at each node
-    traj = mild_solution(model, grid, np.asarray(x0, dtype=float), forcing=forcing,
-                         control=applied)
+    """Run the regularized control law and integrate the controlled system:
+    one forced run gives the deficiency, and the control channel adds the
+    propagator's control response (B B^T o C[k]) J(w) at each node t_k."""
+    free = mild_solution(model, grid, np.asarray(x0, dtype=float), forcing=forcing)
+    d = np.asarray(z, dtype=float) - free.terminal
+    solve = regularized_resolvent(gram, model, epsilon, d, tol=tol, max_iter=max_iter)
+    jw = coordinate_duality_map(model, solve.result)
+    prop = propagator(model, grid)
+    control = (prop.e_force[::-1] * jw) @ model.b_matrix  # row j: B^T (e(a-t_j) o Jw)
+    traj = Trajectory(grid, free.states + prop.control_response(model.b_matrix) @ jw)
     return ClosedLoopRun(epsilon, traj, control, d, solve, forcing)
 
 

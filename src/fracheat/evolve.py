@@ -1,13 +1,20 @@
-"""Trajectory solvers for the mode-decoupled fractional evolution.
+"""Trajectory solvers for the mode-decoupled fractional evolution, and the
+one discretization of the Duhamel family t^(alpha-1) T_alpha(t) they share.
 
-`mild_solution` evaluates the variation-of-constants formula with
-product-integration weights that treat the weakly singular kernel exactly
-against piecewise-linear data.  The forcing channel additionally anchors the
-integrand at its right endpoint (where the closed Mittag-Leffler moment is
-available), which removes the leading endpoint error; the control channel
-keeps the plain rule so that closed-loop runs share the Gramian's quadrature
-nodes exactly.  `l1_reference` integrates the same Caputo system with an
-implicit L1 scheme and serves as an independent cross-check.
+A `Propagator` per (alpha, eigenvalues, horizon, steps) owns the
+Mittag-Leffler tables, the product-integration weights and the cross kernel
+read by the mild solution, the Gramian and the closed loop.  Row k of
+`fracops.singular_conv_weights` is w_k[j] = c[k-j] for j >= 1 plus its own
+j = 0 weight, so each weakly singular integral against node data is a
+per-mode causal convolution with kernel c[m] E_{a,a}(lam t_m^a) (Lubich's
+convolution quadrature), evaluated by real FFTs.
+
+`mild_solution` anchors the forcing channel at the right endpoint of each
+row, where the exact kernel moment is known, which removes the leading
+endpoint error; the control channel keeps the plain rule, the Gramian's own.
+`l1_reference` integrates the same Caputo system with an implicit L1 scheme
+and serves as an independent cross-check.  `write_csv` is the one format of
+every CSV output file.
 """
 
 from __future__ import annotations
@@ -16,20 +23,112 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
-from .fracops import TimeGrid, l1_coefficients, ml_multipliers, singular_conv_weights
+from .fracops import TimeGrid, l1_coefficients, ml_multipliers, pl_moment_arrays
 from .spectral import SpectralModel
 
 __all__ = [
+    "Propagator",
+    "propagator",
     "Trajectory",
     "mild_solution",
     "l1_reference",
     "trajectory_to_csv",
     "trajectory_to_json",
+    "write_csv",
 ]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class Propagator:
+    """Discretization data on the grid t_k = k horizon/steps.  Arrays are
+    read-only: one instance serves every caller with the same key."""
+
+    alpha: float
+    eigenvalues: tuple
+    horizon: float
+    steps: int
+
+    def _ml_table(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        t_alpha = np.linspace(0.0, self.horizon, self.steps + 1)[:, None] ** self.alpha
+        return t_alpha, ml_multipliers(self.alpha, beta, np.asarray(self.eigenvalues) * t_alpha)
+
+    @cached_property
+    def e_state(self) -> np.ndarray:
+        """Rows k: E_alpha(lam t_k^alpha)."""
+        return _frozen(self._ml_table(1.0)[1])
+
+    @cached_property
+    def e_force(self) -> np.ndarray:
+        """Rows k: E_{alpha,alpha}(lam t_k^alpha), the multipliers e(t_k)."""
+        return _frozen(self._ml_table(self.alpha)[1])
+
+    @cached_property
+    def e_moment(self) -> np.ndarray:
+        """Rows k: t_k^a E_{a,a+1}(lam t_k^a) = int_0^{t_k} s^(a-1) E_{a,a}(lam s^a) ds."""
+        t_alpha, values = self._ml_table(self.alpha + 1.0)
+        return _frozen(t_alpha * values)
+
+    @cached_property
+    def lag_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c, a): c[m] weights the node at lag m = k - j when j >= 1, a[k]
+        the node j = 0 of row k; m, k = 0..steps."""
+        left, right = pl_moment_arrays(self.alpha, self.steps + 1)
+        scale = (self.horizon / self.steps) ** self.alpha
+        return _frozen((left[:-1] + right[1:]) * scale), _frozen(left[:-1] * scale)
+
+    @cached_property
+    def terminal_weights(self) -> np.ndarray:
+        """Row N of the rule by lag: weights of int_0^a s^(alpha-1) phi(s) ds
+        on the nodes s = t_m."""
+        c, a = self.lag_weights
+        return _frozen(np.append(c[:-1], a[-1]))
+
+    def convolve(self, u: np.ndarray) -> np.ndarray:
+        """Rows k: sum_j w_k[j] e(t_k - t_j) u[j] per mode, for node data u of
+        shape (steps+1, n_modes, ...)."""
+        c, a = self.lag_weights
+        size = next_fast_len(2 * self.steps + 1, real=True)  # no wrap-around
+        shape = self.e_force.shape + (1,) * (u.ndim - 2)
+        tail = np.array(u, dtype=float)
+        tail[0] = 0.0  # node j = 0 carries its own weight a[k]
+        kernel = rfft((c[:, None] * self.e_force).reshape(shape), size, axis=0)
+        out = irfft(kernel * rfft(tail, size, axis=0), size, axis=0)[: self.steps + 1]
+        out[0] = 0.0  # row 0 integrates over an empty interval
+        return out + (a[:, None] * self.e_force).reshape(shape) * u[0]
+
+    @cached_property
+    def cross_kernel(self) -> np.ndarray:
+        """C[k] = sum_j w_k[j] e(t_k - t_j) e(a - t_j)^T, shape (steps+1, n, n).
+        Row N, the Gramian's quadrature, is summed directly so that it stays
+        symmetric to rounding."""
+        e = self.e_force
+        cross = self.convolve(np.broadcast_to(e[::-1, None, :], e.shape + e.shape[1:]))
+        cross[-1] = np.einsum("m,mi,mj->ij", self.terminal_weights, e, e)
+        return _frozen(cross)
+
+    def control_response(self, b_matrix: np.ndarray) -> np.ndarray:
+        """(B B^T) o C[k]: row k maps y to the control channel at t_k under the
+        law u(t_j) = B^T (e(a - t_j) o y).  Row N is the Gramian."""
+        return (b_matrix @ b_matrix.T) * self.cross_kernel
+
+
+_shared = lru_cache(maxsize=16)(Propagator)
+
+
+def propagator(model: SpectralModel, grid: TimeGrid) -> Propagator:
+    """The propagator of `model` on `grid`, shared per (alpha, eigenvalues,
+    horizon, steps)."""
+    return _shared(model.order.alpha, tuple(model.eigenvalues), grid.horizon, grid.steps)
 
 
 @dataclass(frozen=True)
@@ -52,33 +151,6 @@ class Trajectory:
     @property
     def terminal(self) -> np.ndarray:
         return self.states[-1]
-
-
-@lru_cache(maxsize=64)
-def _multiplier_tables(
-    alpha: float, eigenvalues: tuple, horizon: float, steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mittag-Leffler multiplier tables over grid lags.
-
-    Rows k = 0..steps at t = k h: E_alpha(lam t^a), E_{a,a}(lam t^a) and
-    t^a E_{a,a+1}(lam t^a) (the exact kernel moment int_0^t s^(a-1)
-    E_{a,a}(lam s^a) ds).
-    """
-    lam = np.asarray(eigenvalues)
-    t = np.linspace(0.0, horizon, steps + 1)
-    args = lam[None, :] * (t[:, None] ** alpha)
-    e_state = ml_multipliers(alpha, 1.0, args)
-    e_force = ml_multipliers(alpha, alpha, args)
-    e_moment = (t[:, None] ** alpha) * ml_multipliers(alpha, alpha + 1.0, args)
-    for arr in (e_state, e_force, e_moment):
-        arr.flags.writeable = False
-    return e_state, e_force, e_moment
-
-
-def _tables(model: SpectralModel, grid: TimeGrid):
-    return _multiplier_tables(
-        model.order.alpha, tuple(model.eigenvalues), grid.horizon, grid.steps
-    )
 
 
 def _as_node_array(data, grid: TimeGrid, n_modes: int, name: str) -> np.ndarray | None:
@@ -107,22 +179,15 @@ def mild_solution(
     forcing = _as_node_array(forcing, grid, model.n_modes, "forcing")
     control = _as_node_array(control, grid, model.n_modes, "control")
 
-    alpha = model.order.alpha
-    e_state, e_force, e_moment = _tables(model, grid)
-    states = np.empty((grid.steps + 1, model.n_modes))
-    states[0] = x0
-    weights = [singular_conv_weights(alpha, k, grid.dt) for k in range(grid.steps + 1)]
-    for k in range(1, grid.steps + 1):
-        q = e_state[k] * x0
-        ef_rev = e_force[k::-1]
-        if forcing is not None:
-            # endpoint-anchored split: w_k times the exact kernel moment plus
-            # product integration of the vanishing-at-t_k remainder
-            q += e_moment[k] * forcing[k]
-            q += np.einsum("j,jn->n", weights[k], ef_rev * (forcing[: k + 1] - forcing[k]))
-        if control is not None:
-            q += np.einsum("j,jn->n", weights[k], ef_rev * control[: k + 1])
-        states[k] = q
+    prop = propagator(model, grid)
+    states = prop.e_state * x0
+    if forcing is not None:
+        # endpoint-anchored split: the exact kernel moment times forcing[k]
+        # plus product integration of the remainder, which vanishes at t_k
+        anchor = prop.e_moment - prop.convolve(np.ones_like(forcing))
+        states = states + anchor * forcing + prop.convolve(forcing)
+    if control is not None:
+        states = states + prop.convolve(control)
     return Trajectory(grid, states)
 
 
@@ -223,23 +288,27 @@ def l1_reference(
     return Trajectory(grid, states)
 
 
+def write_csv(target, header_lines, columns: list[str], rows) -> None:
+    """Write `# ` comment lines, the column row, then the data rows to an open
+    text stream or to the file at path `target`; float cells as repr(float),
+    other cells as str."""
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="") as stream:
+            write_csv(stream, header_lines, columns, rows)
+        return
+    for line in header_lines:
+        target.write(f"# {line}\n")
+    writer = csv.writer(target)
+    writer.writerow(columns)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)
+
+
 def trajectory_to_csv(traj: Trajectory, stream, header_lines: tuple[str, ...] = ()) -> None:
     """Write rows (node, t, c1..cN); header_lines become leading comments."""
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w", newline="")
-        close = True
-    try:
-        for line in header_lines:
-            stream.write(f"# {line}\n")
-        writer = csv.writer(stream)
-        n_modes = traj.states.shape[1]
-        writer.writerow(["node", "t"] + [f"c{n}" for n in range(1, n_modes + 1)])
-        for k, t in enumerate(traj.grid.nodes):
-            writer.writerow([k, repr(float(t))] + [repr(float(v)) for v in traj.states[k]])
-    finally:
-        if close:
-            stream.close()
+    n_modes = traj.states.shape[1]
+    write_csv(stream, header_lines, ["node", "t"] + [f"c{n}" for n in range(1, n_modes + 1)],
+              ([k, t, *traj.states[k]] for k, t in enumerate(traj.grid.nodes)))
 
 
 def trajectory_to_json(traj: Trajectory) -> str:

@@ -13,8 +13,8 @@ obtained from the Hankel contour collapsed onto the cut; larger b is reduced
 with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.
 
 Quadrature weights integrate the weakly singular kernel exactly against
-piecewise-linear data (product trapezoidal); the same weight arrays back the
-fractional integral, the mild-solution convolutions and the Gramian assembly.
+piecewise-linear data (product trapezoidal); the same moment arrays back the
+fractional integral here and the lag weights of `evolve.Propagator`.
 """
 
 from __future__ import annotations
@@ -325,8 +325,7 @@ def _wright_density_mp(alpha: float, tau: float, max_env: float, rough: float) -
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _pl_moment_arrays(alpha: float, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+def pl_moment_arrays(alpha: float, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Left/right nodal weights of int_{m-1}^{m} u^(alpha-1) * (linear hat) du.
 
     A[m] multiplies the node at lag m (the left end of the lag interval),
@@ -349,7 +348,7 @@ def singular_conv_weights(alpha: float, k: int, dt: float) -> np.ndarray:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if k < 1:
         return np.zeros(1)
-    a_arr, b_arr = _pl_moment_arrays(alpha, k)
+    a_arr, b_arr = pl_moment_arrays(alpha, k)
     w = np.zeros(k + 1)
     # phi(t_j) sits at lag m = k - j: left-end weight A(m) from interval m,
     # right-end weight B(m+1) from interval m+1.

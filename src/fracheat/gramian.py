@@ -2,23 +2,24 @@
 
 The Gramian matrix in basis coordinates is the product integration of
 sigma^(alpha-1) * diag(e(sigma)) B B^T diag(e(sigma)) over the horizon, with
-e(sigma) the Duhamel-family multipliers.  Each quadrature term is symmetric
-positive semidefinite with a positive weight, so symmetry and positivity of
-the assembled matrix are structural, matching the operator's proven
-properties; the verification report re-derives them numerically anyway.
+e(sigma) the Duhamel-family multipliers (the quad grid's `evolve.Propagator`
+reads it off its cross kernel).  Each quadrature term is symmetric positive
+semidefinite with a positive weight, so symmetry and positivity of the
+assembled matrix are structural, matching the operator's proven properties;
+the verification report re-derives them numerically anyway.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import singular_conv_weights
+from .evolve import propagator, write_csv
+from .fracops import TimeGrid
 from .lpspace import from_basis, lp_norm
-from .spectral import SpectralModel, forcing_multipliers
+from .spectral import SpectralModel
 
 __all__ = [
     "GramianOperator",
@@ -49,26 +50,12 @@ class GramianOperator:
         return self.matrix.shape[0]
 
 
-def _quadrature_data(model: SpectralModel, quad_steps: int):
-    """Nodes sigma_j = j h ascending with weights for the kernel sigma^(alpha-1).
-
-    singular_conv_weights places the singular end at the last node, so the
-    array is reversed to sit on sigma = 0.
-    """
-    h = model.horizon / quad_steps
-    weights = singular_conv_weights(model.order.alpha, quad_steps, h)[::-1]
-    sigmas = np.linspace(0.0, model.horizon, quad_steps + 1)
-    mults = np.array([forcing_multipliers(model, s) for s in sigmas])
-    return weights, mults
-
-
 def assemble_gramian(model: SpectralModel, quad_steps: int = 512) -> GramianOperator:
     """Product-integration assembly of the Gramian at quad_steps resolution."""
     if quad_steps < 16:
         raise ValueError(f"quad_steps must be >= 16, got {quad_steps}")
-    weights, mults = _quadrature_data(model, quad_steps)
-    bb = model.b_matrix @ model.b_matrix.T
-    matrix = np.einsum("j,jm,mn,jn->mn", weights, mults, bb, mults, optimize=True)
+    prop = propagator(model, TimeGrid(model.horizon, quad_steps))
+    matrix = prop.control_response(model.b_matrix)[-1]
     return GramianOperator(matrix=matrix, horizon=model.horizon, quad_steps=quad_steps)
 
 
@@ -110,7 +97,8 @@ def verify_gramian(
     defect = float(np.max(np.abs(g - g.T))) if g.size else 0.0
     min_eig = float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
 
-    weights, mults = _quadrature_data(model, gram.quad_steps)
+    prop = propagator(model, TimeGrid(model.horizon, gram.quad_steps))
+    weights, mults = prop.terminal_weights, prop.e_force
     rng = np.random.default_rng(seed)
     bound = gramian_norm_bound(model)
     worst_gap = 0.0
@@ -144,18 +132,6 @@ def gramian_min_singular(gram: GramianOperator) -> float:
 
 
 def gramian_to_csv(gram: GramianOperator, stream, header_lines: tuple[str, ...] = ()) -> None:
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w", newline="")
-        close = True
-    try:
-        for line in header_lines:
-            stream.write(f"# {line}\n")
-        writer = csv.writer(stream)
-        n = gram.n_modes
-        writer.writerow(["row"] + [f"c{j}" for j in range(1, n + 1)])
-        for i in range(n):
-            writer.writerow([i + 1] + [repr(float(v)) for v in gram.matrix[i]])
-    finally:
-        if close:
-            stream.close()
+    n = gram.n_modes
+    write_csv(stream, header_lines, ["row"] + [f"c{j}" for j in range(1, n + 1)],
+              ([i + 1, *gram.matrix[i]] for i in range(n)))

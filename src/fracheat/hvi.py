@@ -11,9 +11,7 @@ fixed point is topological and the iteration is a heuristic.
 
 from __future__ import annotations
 
-import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +24,7 @@ from .control import (
     control_l2_norm,
     terminal_identity_residual,
 )
-from .evolve import Trajectory, mild_solution
+from .evolve import Trajectory, mild_solution, write_csv
 from .fracops import TimeGrid
 from .gramian import GramianOperator
 from .lpspace import basis_matrix, from_basis, lp_norm, theta_grid
@@ -348,13 +346,13 @@ def epsilon_sweep(
     max_iter: int = 80,
     resolvent_tol: float = 1e-11,
     resolvent_max_iter: int = 400,
-    workers: int = 1,
     return_results: bool = False,
 ):
     """Regularization study over a descending epsilon list (min 1e-5).
 
-    Entries are independent (no warm starts), so a worker pool may solve them
-    concurrently; per-epsilon failures are recorded and the sweep continues.
+    Entries are independent (no warm starts); per-epsilon failures are
+    recorded and the sweep continues.  An entry is converged only when its
+    fixed point converged and the final resolvent solve reached its tol.
     """
     eps = [float(e) for e in eps_list]
     if len(eps) == 0:
@@ -364,7 +362,9 @@ def epsilon_sweep(
     if eps[-1] < 1e-5:
         raise ValueError("epsilon below the 1e-5 desk-scale floor")
 
-    def solve_one(e: float) -> tuple[SweepEntry, FixedPointResult | None]:
+    entries: list[SweepEntry] = []
+    results: list[FixedPointResult | None] = []
+    for e in eps:
         try:
             fp = fixed_point_iterate(
                 model, gram, grid, e, pot, z, x0,
@@ -372,52 +372,32 @@ def epsilon_sweep(
                 resolvent_tol=resolvent_tol, resolvent_max_iter=resolvent_max_iter,
             )
         except ConvergenceError:
-            return SweepEntry(e, math.nan, math.nan, 0, False, math.nan, math.nan), None
+            entries.append(SweepEntry(e, math.nan, math.nan, 0, False, math.nan, math.nan))
+            results.append(None)
+            continue
         run = fp.run
         miss = lp_norm(
             from_basis(run.trajectory.terminal - np.asarray(z, float), model.n_theta, model.p)
         )
         predicted = lp_norm(from_basis(e * run.solve.result, model.n_theta, model.p))
-        entry = SweepEntry(
+        entries.append(SweepEntry(
             epsilon=e,
             terminal_miss=miss,
             control_energy=control_l2_norm(run.control, grid),
             iterations=fp.iterations,
-            converged=fp.converged,
+            converged=fp.converged and run.solve.converged,
             identity_residual=terminal_identity_residual(run, model, np.asarray(z, float)),
             predicted_miss=predicted,
-        )
-        return entry, fp
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_one, eps))
-    else:
-        solved = [solve_one(e) for e in eps]
-    entries = [s[0] for s in solved]
-    if return_results:
-        return entries, [s[1] for s in solved]
-    return entries
+        ))
+        results.append(fp)
+    return (entries, results) if return_results else entries
 
 
 def sweep_to_csv(entries: list[SweepEntry], stream, header_lines: tuple[str, ...] = ()) -> None:
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w", newline="")
-        close = True
-    try:
-        for line in header_lines:
-            stream.write(f"# {line}\n")
-        writer = csv.writer(stream)
-        writer.writerow(["epsilon", "terminal_miss", "control_energy", "iterations", "converged"])
-        for e in entries:
-            writer.writerow(
-                [repr(e.epsilon), repr(e.terminal_miss), repr(e.control_energy),
-                 e.iterations, e.converged]
-            )
-    finally:
-        if close:
-            stream.close()
+    write_csv(stream, header_lines,
+              ["epsilon", "terminal_miss", "control_energy", "iterations", "converged"],
+              ([e.epsilon, e.terminal_miss, e.control_energy, e.iterations, e.converged]
+               for e in entries))
 
 
 def hvi_residual(

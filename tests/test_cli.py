@@ -46,7 +46,7 @@ class TestConfig:
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text(default_config_text().replace("schema_version = 1", "schema_version = 2"))
+        path.write_text(default_config_text().replace("schema_version = 2", "schema_version = 1"))
         with pytest.raises(ValueError, match="schema_version"):
             load_config(path)
 
@@ -200,6 +200,32 @@ class TestCommands:
         assert rc == 2
         summary = json.loads((config_file.parent / "out" / "summary.json").read_text())
         assert any(not e["converged"] for e in summary["entries"])
+
+    def test_failed_entries_write_valid_json(self, config_file):
+        # one resolvent iteration cannot solve the p = 4 equation: every
+        # entry becomes a failure row without numbers
+        rc = main(["sweep", str(config_file)] + SMALL_OVERRIDES
+                  + ["--set", "model.p=4", "--set", "solver.resolvent_max_iter=1"])
+        assert rc == 2
+
+        def reject(token):
+            raise ValueError(f"{token} is not valid JSON")
+
+        text = (config_file.parent / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert all(e["terminal_miss"] is None and not e["converged"]
+                   for e in summary["entries"])
+
+    def test_unconverged_resolvent_is_reported(self, config_file):
+        # the direct p = 2 solve cannot reach a residual of 1e-30 |d|
+        rc = main(["sweep", str(config_file)] + SMALL_OVERRIDES
+                  + ["--set", "solver.resolvent_tol=1e-30"])
+        assert rc == 2
+        out = config_file.parent / "out"
+        summary = json.loads((out / "summary.json").read_text())
+        assert all(e["converged"] is False for e in summary["entries"])
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        assert len(rows) == 2 and all(row.endswith(",False") for row in rows)
 
     def test_simulate_near_classical_limit(self, config_file):
         rc = main(["simulate", str(config_file), "--set", "model.alpha=0.999",

@@ -235,15 +235,6 @@ class TestSweep:
         for fine, coarse in zip(results[256], results[128]):
             assert abs(fine - coarse) <= 0.1 * max(fine, coarse)
 
-    def test_workers_produce_identical_entries(self, problem):
-        model, gram, grid, x0, z = problem
-        serial = epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-1, 1e-2])
-        parallel = epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-1, 1e-2],
-                                 workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.terminal_miss == b.terminal_miss
-            assert a.control_energy == b.control_energy
-
     def test_guards(self, problem):
         model, gram, grid, x0, z = problem
         with pytest.raises(ValueError):

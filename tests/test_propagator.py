@@ -1,0 +1,152 @@
+"""The shared propagator against the per-node code it replaced.
+
+The references below are the earlier implementations, kept verbatim in
+substance: the mild solution as a Python loop over nodes k with one
+`singular_conv_weights` row per node, the Gramian as a per-sigma einsum over
+`forcing_multipliers`, and the closed loop as two mild solutions (free run
+for the deficiency, then forcing plus the applied control).  Agreement is
+required to 1e-12 relative to the largest entry: the FFT convolutions sum in
+another order, which moves results in the last digits only.
+"""
+
+import numpy as np
+import pytest
+
+import fracheat.control as control_module
+from fracheat.control import closed_loop_trajectory, coordinate_duality_map, \
+    regularized_resolvent
+from fracheat.evolve import mild_solution
+from fracheat.fracops import TimeGrid, ml_multipliers, singular_conv_weights
+from fracheat.gramian import assemble_gramian
+from fracheat.evolve import propagator
+from fracheat.spectral import forcing_multipliers
+
+from conftest import bump_coefficients
+
+REL_TOL = 1e-12
+
+
+def rel_gap(new: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(new - ref)) / np.max(np.abs(ref)))
+
+
+def reference_tables(model, grid):
+    lam = model.eigenvalues
+    alpha = model.order.alpha
+    t = np.linspace(0.0, grid.horizon, grid.steps + 1)
+    args = lam[None, :] * (t[:, None] ** alpha)
+    e_state = ml_multipliers(alpha, 1.0, args)
+    e_force = ml_multipliers(alpha, alpha, args)
+    e_moment = (t[:, None] ** alpha) * ml_multipliers(alpha, alpha + 1.0, args)
+    return e_state, e_force, e_moment
+
+
+def reference_mild_solution(model, grid, x0, forcing=None, control=None):
+    alpha = model.order.alpha
+    e_state, e_force, e_moment = reference_tables(model, grid)
+    states = np.empty((grid.steps + 1, model.n_modes))
+    states[0] = x0
+    weights = [singular_conv_weights(alpha, k, grid.dt) for k in range(grid.steps + 1)]
+    for k in range(1, grid.steps + 1):
+        q = e_state[k] * x0
+        ef_rev = e_force[k::-1]
+        if forcing is not None:
+            q += e_moment[k] * forcing[k]
+            q += np.einsum("j,jn->n", weights[k], ef_rev * (forcing[: k + 1] - forcing[k]))
+        if control is not None:
+            q += np.einsum("j,jn->n", weights[k], ef_rev * control[: k + 1])
+        states[k] = q
+    return states
+
+
+def reference_gramian(model, quad_steps):
+    h = model.horizon / quad_steps
+    weights = singular_conv_weights(model.order.alpha, quad_steps, h)[::-1]
+    sigmas = np.linspace(0.0, model.horizon, quad_steps + 1)
+    mults = np.array([forcing_multipliers(model, s) for s in sigmas])
+    bb = model.b_matrix @ model.b_matrix.T
+    return np.einsum("j,jm,mn,jn->mn", weights, mults, bb, mults, optimize=True)
+
+
+def reference_closed_loop(model, gram, grid, epsilon, z, x0, forcing, tol):
+    free = reference_mild_solution(model, grid, x0, forcing=forcing)
+    d = z - free[-1]
+    solve = regularized_resolvent(gram, model, epsilon, d, tol=tol)
+    jw = coordinate_duality_map(model, solve.result)
+    _, e_force, _ = reference_tables(model, grid)
+    control = (e_force[::-1] * jw) @ model.b_matrix
+    return reference_mild_solution(model, grid, x0, forcing=forcing,
+                                   control=control @ model.b_matrix.T)
+
+
+def smooth_inputs(grid, n_modes, seed):
+    rng = np.random.default_rng(seed)
+    nodes = grid.nodes[:, None]
+    forcing = np.sin(3.0 * nodes + rng.uniform(0, 3, n_modes)) * rng.standard_normal(n_modes)
+    control = np.cos(2.0 * nodes) * rng.standard_normal(n_modes)
+    return rng.standard_normal(n_modes), forcing, control
+
+
+@pytest.mark.parametrize("steps", [64, 512])
+def test_mild_solution_matches_per_node_loop(model_p2, steps):
+    grid = TimeGrid(1.0, steps)
+    x0, forcing, control = smooth_inputs(grid, model_p2.n_modes, steps)
+    cases = [dict(), dict(forcing=forcing), dict(control=control),
+             dict(forcing=forcing, control=control)]
+    for inputs in cases:
+        new = mild_solution(model_p2, grid, x0, **inputs).states
+        ref = reference_mild_solution(model_p2, grid, x0, **inputs)
+        assert rel_gap(new, ref) <= REL_TOL, sorted(inputs)
+        assert np.array_equal(new[0], x0)
+
+
+@pytest.mark.parametrize("quad_steps", [64, 512])
+def test_gramian_matches_per_sigma_einsum(model_p2, quad_steps):
+    new = assemble_gramian(model_p2, quad_steps).matrix
+    assert rel_gap(new, reference_gramian(model_p2, quad_steps)) <= REL_TOL
+
+
+@pytest.mark.parametrize("which", ["p2", "p4"])
+def test_closed_loop_matches_two_pass_reference(request, which, grid_512):
+    model = request.getfixturevalue(f"model_{which}")
+    gram = request.getfixturevalue(f"gram_{which}")
+    x0 = bump_coefficients(8)
+    z = np.zeros(8)
+    z[0], z[2] = 0.5, -0.1
+    _, forcing, _ = smooth_inputs(grid_512, 8, 3)
+    forcing = 0.1 * forcing
+    run = closed_loop_trajectory(model, gram, grid_512, 1e-2, z, x0, forcing=forcing,
+                                 tol=1e-13)
+    ref = reference_closed_loop(model, gram, grid_512, 1e-2, z, x0, forcing, tol=1e-13)
+    assert rel_gap(run.trajectory.states, ref) <= REL_TOL
+
+
+def test_lag_weights_reproduce_singular_conv_weights(model_p2):
+    grid = TimeGrid(1.0, 40)
+    c, a = propagator(model_p2, grid).lag_weights
+    for k in (1, 2, 17, 40):
+        w = singular_conv_weights(model_p2.order.alpha, k, grid.dt)
+        assert np.array_equal(w[1:], c[k - 1 :: -1])
+        assert w[0] == a[k]
+
+
+def test_control_response_at_terminal_node_is_the_gramian(model_p2):
+    grid = TimeGrid(1.0, 96)
+    response = propagator(model_p2, grid).control_response(model_p2.b_matrix)
+    gram = assemble_gramian(model_p2, grid.steps)
+    assert np.array_equal(response[-1], gram.matrix)
+    assert np.array_equal(response[0], np.zeros_like(gram.matrix))
+
+
+def test_closed_loop_runs_one_mild_solution(model_p2, gram_p2, grid_512, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return mild_solution(*args, **kwargs)
+
+    monkeypatch.setattr(control_module, "mild_solution", counted)
+    z = np.zeros(8)
+    z[1] = 0.3
+    closed_loop_trajectory(model_p2, gram_p2, grid_512, 1e-2, z, bump_coefficients(8))
+    assert len(calls) == 1
