@@ -24,7 +24,7 @@ from .evolve import l1_reference, mild_solution, trajectory_to_csv, write_csv
 from .fracops import mittag_leffler, mittag_leffler2, wright_density
 from .gramian import assemble_gramian, gramian_min_singular, gramian_to_csv, verify_gramian
 from .hvi import epsilon_sweep, free_terminal_miss, sweep_to_csv
-from .lpspace import duality_map, from_basis, lp_norm, pairing
+from .lpspace import duality_map, from_basis, lp_norm, lp_norms, pairing
 from .spectral import injectivity_diagnostic, propagate_state, propagate_forcing
 
 _EXIT_OK = 0
@@ -46,7 +46,7 @@ def _density_checks(alpha: float) -> tuple[float, float, float]:
     x, w = np.polynomial.legendre.leggauss(500)
     tau = 0.5 * tau_cut * (x + 1.0)
     wt = 0.5 * tau_cut * w
-    density = np.array([wright_density(alpha, t) for t in tau])
+    density = wright_density(alpha, tau)
     mass = float(wt @ density)
     lam = 1.0
     sub1 = float(wt @ (density * np.exp(-lam * tau))) - mittag_leffler(alpha, -lam)
@@ -78,15 +78,12 @@ def cmd_validate(exp: Experiment) -> int:
     checks.append(("duality map pairing identity", worst_pair <= 1e-8, f"defect {worst_pair:.2e}"))
     checks.append(("duality map norm identity", worst_norm <= 1e-8, f"defect {worst_norm:.2e}"))
 
-    worst_s = 0.0
-    worst_t = 0.0
     bound_t = model.m_bound / math.gamma(model.order.alpha)
-    for _ in range(200):
-        t = rng.uniform(0.0, model.horizon)
-        x = rng.standard_normal(model.n_modes)
-        nx = lp_norm(from_basis(x, model.n_theta, model.p))
-        worst_s = max(worst_s, lp_norm(from_basis(propagate_state(model, t, x), model.n_theta, model.p)) / nx)
-        worst_t = max(worst_t, lp_norm(from_basis(propagate_forcing(model, t, x), model.n_theta, model.p)) / nx)
+    samples = [(rng.uniform(0.0, model.horizon), rng.standard_normal(model.n_modes)) for _ in range(200)]
+    ts, xs = np.array([t for t, _ in samples]), np.array([x for _, x in samples])
+    nx = lp_norms(xs, model.n_theta, model.p)
+    worst_s, worst_t = (float(np.max(lp_norms(prop(model, ts, xs), model.n_theta, model.p) / nx))
+                        for prop in (propagate_state, propagate_forcing))
     checks.append(("state-family bound M", worst_s <= model.m_bound * (1 + 1e-12),
                    f"sup ratio {worst_s:.6f}"))
     checks.append(("forcing-family bound M/Gamma(alpha)", worst_t <= bound_t * (1 + 1e-12),
@@ -110,10 +107,8 @@ def cmd_validate(exp: Experiment) -> int:
             y = rng.standard_normal(model.n_modes)
             solve = regularized_resolvent(gram, model, eps, y,
                                           tol=exp.resolvent_tol, max_iter=exp.resolvent_max_iter)
-            ratio = lp_norm(from_basis(eps * solve.result, model.n_theta, model.p)) / lp_norm(
-                from_basis(y, model.n_theta, model.p)
-            )
-            worst_lemma = max(worst_lemma, ratio)
+            image, source = lp_norms([eps * solve.result, y], model.n_theta, model.p)
+            worst_lemma = max(worst_lemma, float(image / source))
     checks.append(("resolvent contraction bound", worst_lemma <= 1.0 + 1e-8,
                    f"sup ratio {worst_lemma:.9f}"))
 
@@ -159,20 +154,24 @@ def cmd_simulate(exp: Experiment, forcing_coeffs: str | None, control_coeffs: st
         control = np.tile(model.b_matrix @ uc, (shape[0], 1))
     traj = mild_solution(model, grid, exp.x0, forcing=forcing, control=control)
     ref = l1_reference(model, grid, exp.x0, forcing=forcing, control=control)
-    gaps = [
-        lp_norm(from_basis(a - b, model.n_theta, model.p))
-        for a, b in zip(traj.states, ref.states)
-    ]
-    scale = max(lp_norm(from_basis(s, model.n_theta, model.p)) for s in traj.states)
+    gaps = lp_norms(traj.states - ref.states, model.n_theta, model.p)
+    scale = float(np.max(lp_norms(traj.states, model.n_theta, model.p)))
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     path = exp.output_dir / "trajectory.csv"
     write_csv(path, _header_lines(exp),
               ["node", "t"] + [f"c{n}" for n in range(1, model.n_modes + 1)] + ["l1_gap"],
               ([k, t, *traj.states[k], gaps[k]] for k, t in enumerate(grid.nodes)))
-    rel = max(gaps) / max(scale, 1e-300)
+    rel = float(np.max(gaps)) / max(scale, 1e-300)
     print(f"trajectory written to {path}")
     print(f"cross-solver gap: {rel:.3e} relative (sup over nodes)")
     return _EXIT_OK
+
+
+def _json_value(v):
+    """NaN (a failed epsilon) and inf (a diverged residual) as strict-JSON null."""
+    if isinstance(v, list):
+        return [_json_value(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def cmd_sweep(exp: Experiment) -> int:
@@ -207,9 +206,7 @@ def cmd_sweep(exp: Experiment) -> int:
             "config_sha256": exp.config.sha256,
             "free_terminal_miss": free_miss,
             "elapsed_seconds": elapsed,
-            # a failed epsilon has NaN numbers, which JSON can only write as null
-            "entries": [{k: None if isinstance(v, float) and math.isnan(v) else v
-                         for k, v in asdict(e).items()} for e in entries],
+            "entries": [{k: _json_value(v) for k, v in asdict(e).items()} for e in entries],
         }
         with open(exp.output_dir / "summary.json", "w") as stream:
             json.dump(summary, stream, indent=2, sort_keys=True, allow_nan=False)

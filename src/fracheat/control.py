@@ -21,7 +21,7 @@ import numpy as np
 from .fracops import TimeGrid
 from .evolve import Trajectory, mild_solution, propagator
 from .gramian import GramianOperator
-from .lpspace import basis_matrix, duality_map, from_basis, lp_norm, to_basis
+from .lpspace import basis_matrix, duality_map, from_basis, lp_norm, lp_norms, to_basis
 from .spectral import SpectralModel
 
 __all__ = [
@@ -266,13 +266,9 @@ def terminal_identity_residual(
     """Relative gap between q(a) and z - eps * (eps I + G J)^{-1} d."""
     z = np.asarray(z, dtype=float)
     predicted = z - run.epsilon * run.solve.result
-    gap = lp_norm(from_basis(run.trajectory.terminal - predicted, model.n_theta, model.p))
-    scale = max(
-        lp_norm(from_basis(z, model.n_theta, model.p)),
-        lp_norm(from_basis(run.deficiency, model.n_theta, model.p)),
-        1e-30,
-    )
-    return gap / scale
+    gap, z_norm, d_norm = lp_norms([run.trajectory.terminal - predicted, z, run.deficiency],
+                                   model.n_theta, model.p)
+    return float(gap / max(z_norm, d_norm, 1e-30))
 
 
 def control_l2_norm(control: np.ndarray, grid: TimeGrid) -> float:
@@ -312,8 +308,7 @@ def theta_constant(model: SpectralModel, eta) -> float:
 def _deficiency_scale(model: SpectralModel, z: np.ndarray, x0: np.ndarray, eta) -> float:
     m = model.m_bound
     galpha = math.gamma(model.order.alpha)
-    z_norm = lp_norm(from_basis(z, model.n_theta, model.p))
-    x0_norm = lp_norm(from_basis(x0, model.n_theta, model.p))
+    z_norm, x0_norm = lp_norms([z, x0], model.n_theta, model.p)
     theta = theta_constant(model, eta)
     return z_norm + m * x0_norm + (m / galpha) * model.h_norm_bound * theta
 

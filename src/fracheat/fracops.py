@@ -1,16 +1,17 @@
 """Special functions and fractional-calculus primitives on uniform grids.
 
-Mittag-Leffler values are produced by one of three routes chosen from the
-rescaled argument s = (-z)**(1/alpha): a float Taylor sum while cancellation
-is provably mild (s <= 5), an exact integral representation on the negative
-real axis otherwise, and the closed exponential form at alpha = 1.  The
-representation used for E_{a,b}(-x), 0 < a < 1, 0 < b <= 1, x > 0 is
-
-    (1/(pi*a)) * int_0^inf exp(-u**(1/a)) * u**((1-b)/a)
-        * (u*sin(pi*b) + x*sin(pi*(b-a))) / (u**2 + 2*x*u*cos(pi*a) + x**2) du
-
-obtained from the Hankel contour collapsed onto the cut; larger b is reduced
-with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.
+Special functions take whole arrays: fixed Gauss rules and array sums, no
+adaptive quadrature or arbitrary precision, in row blocks whose float64
+temporaries stay near 256 KB.  Mittag-Leffler values for 0 < alpha < 1 take
+one of three branches chosen from s = (-z)**(1/alpha): a float Taylor sum
+while cancellation is provably mild (s <= 5, or z > 0), the truncated tail
+series once its remainder ~exp(-s) is negligible (s >= 60), and in between
+the exact integral of E_{a,b}(-x), 0 < b <= 1, on the cut of the collapsed
+Hankel contour; larger b is reduced with E_{a,b}(z) = (E_{a,b-a}(z) -
+1/Gamma(b-a)) / z, and alpha = 1 has closed forms.  The Wright density is its
+float series below tau0 and Kanter's nonnegative integral (Ann. Probab. 1975)
+above, via M_a(tau) = a^-1 tau^(-1-1/a) L_a(tau^(-1/a)) with the one-sided
+stable density L_a (Mainardi, Mura & Pagnini, Int. J. Differ. Equ. 2010).
 
 Quadrature weights integrate the weakly singular kernel exactly against
 piecewise-linear data (product trapezoidal); the same moment arrays back the
@@ -21,11 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import rgamma as _rgamma
+from scipy.special import gammaln, hyp1f1, rgamma
 
 __all__ = [
     "FracOrder",
@@ -39,13 +38,24 @@ __all__ = [
     "l1_coefficients",
 ]
 
-# Branch boundaries in the rescaled argument s = (-z)**(1/alpha).  Float
-# Taylor while cancellation is provably mild (max term exp(5) ~ 150, i.e. ~2
-# lost digits); the divergent tail expansion once its optimal-truncation
-# remainder ~exp(-s) is negligible; the integral representation in between.
+# Branch boundaries in s: Taylor below (max term exp(5) ~ 150, ~2 digits
+# lost), the tail series above, the cut integral in between.
 _TAYLOR_S_MAX = 5.0
 _ASYMPTOTIC_S_MIN = 60.0
-_QUAD_OPTS = {"epsabs": 1e-300, "epsrel": 1e-12, "limit": 200}
+_BLOCK_BYTES = 1 << 18
+# Cut integral in r = u**(1/a): 16-point Gauss panels with edges at the
+# Lorentzian peak +- multiples of its width and at fixed edges: geometric steps
+# (ratio 6) from r = 1 toward 0 grading the r^a and r^(a-b) factors (ten, or 5/a
+# so r^a is small below them), the scale of exp(-r) and the cutoff 50.
+_CUT_X, _CUT_W = np.polynomial.legendre.leggauss(16)
+_PEAK_WIDTHS = np.array([-512.0, -128.0, -32.0, -8.0, -2.0, -0.5, 0.5, 2.0, 8.0, 32.0, 128.0, 512.0])
+_CUT_EDGES = np.concatenate([6.0 ** -np.arange(10.0, -1.0, -1.0), [2.0, 5.0, 10.0, 18.0, 30.0, 50.0]])
+# Wright density: series below tau0; Kanter panels (32-point) with edges at
+# log(c A) = _KANTER_LEFT before the peak and c A = (c A)_peak + _KANTER_RIGHT after.
+_WRIGHT_TAU0 = 0.5
+_KANTER_X, _KANTER_W = np.polynomial.legendre.leggauss(32)
+_KANTER_LEFT = np.array([-25.0, -12.0, -6.0, -2.0])
+_KANTER_RIGHT = np.array([2.0, 8.0, 30.0, 740.0])
 
 
 @dataclass(frozen=True)
@@ -101,148 +111,129 @@ class TimeGrid:
 
 def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler E_alpha(z) for alpha in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    return _ml(float(alpha), 1.0, float(z))
+    return float(_ml_array(float(alpha), 1.0, np.array([float(z)]))[0])
 
 
 def mittag_leffler2(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler E_{alpha,beta}(z) for alpha in (0, 1], beta > 0."""
+    return float(_ml_array(float(alpha), float(beta), np.array([float(z)]))[0])
+
+
+def ml_multipliers(alpha: float, beta: float, arguments: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta} over an array of real arguments, same shape."""
+    return _ml_array(float(alpha), float(beta), arguments)
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices whose (rows, n_cols) float64 temporaries stay near _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (8 * n_cols))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
+def _ml_array(alpha: float, beta: float, arguments) -> np.ndarray:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    return _ml(float(alpha), float(beta), float(z))
+    z = np.asarray(arguments, dtype=float)
+    flat = z.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"z must be finite, got {flat[~np.isfinite(flat)][0]}")
+    if alpha == 1.0:  # E_{1,b}(z) = M(1, b, z) / Gamma(b), Kummer's function
+        out = np.exp(flat) if beta == 1.0 else hyp1f1(1.0, beta, flat) * rgamma(beta)
+        return out.reshape(z.shape)
+    out = np.full_like(flat, rgamma(beta))  # z = 0
+    s = np.abs(np.minimum(flat, 0.0)) ** (1.0 / alpha)
+    taylor = np.flatnonzero((flat != 0.0) & ((flat > 0.0) | (s <= _TAYLOR_S_MAX)))
+    out[taylor], too_deep = _ml_taylor(alpha, beta, flat[taylor])
+    negative = flat != 0.0
+    negative[taylor[~too_deep]] = False
+    out[negative] = _ml_negative(alpha, beta, -flat[negative])
+    return out.reshape(z.shape)
 
 
-@lru_cache(maxsize=1 << 18)
-def _ml(alpha: float, beta: float, z: float) -> float:
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    if z == 0.0:
-        return 1.0 / math.gamma(beta)
-    if alpha == 1.0:
-        return _ml_alpha_one(beta, z)
-    if z > 0.0 or (-z) ** (1.0 / alpha) <= _TAYLOR_S_MAX:
-        value = _ml_taylor(alpha, beta, z)
-        if value is not None:
-            return value
-    return _ml_negative(alpha, beta, -z)
+def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Series sums, and a mask of the negative z whose cancellation is too
+    deep for float.  All share the term count of the largest |z|: past its
+    largest term, and falling below 1e-18 of it."""
+    if z.size == 0:
+        return z.copy(), np.zeros(0, dtype=bool)
+    log_zmax = math.log(float(np.max(np.abs(z))))
+    s = math.exp(min(log_zmax / alpha, 7.6))  # terms peak near k = s / alpha; s > 2000 overflows
+    k = np.arange(64.0 + 2.0 * math.ceil((s + 10.0 * math.sqrt(s) + 45.0) / alpha))
+    log_env = k * log_zmax - gammaln(alpha * k + beta)
+    done = (k > 3) & (np.diff(log_env, prepend=math.inf) < 0.0) & (log_env < log_env.max() + math.log(1e-18))
+    if log_env.max() > 700.0 or not done.any():
+        raise OverflowError(f"E_{{{alpha},{beta}}}(z) overflows float range at z={np.max(z)}")
+    k = k[: int(np.argmax(done)) + 1]
+    log_gamma = gammaln(alpha * k + beta)
+    out, too_deep = np.empty_like(z), np.zeros(z.shape, dtype=bool)
+    for rows in _row_blocks(z.size, k.size):
+        terms = np.exp(np.log(np.abs(z[rows]))[:, None] * k - log_gamma)
+        negative = z[rows] < 0.0
+        terms[negative, 1::2] *= -1.0
+        out[rows] = terms.sum(axis=1)
+        too_deep[rows] = negative & (np.abs(terms).max(axis=1) * 5e-16 > 1e-12 * np.abs(out[rows]))
+    return out, too_deep
 
 
-def _ml_taylor(alpha: float, beta: float, z: float) -> float | None:
-    """Series sum with exact accumulation; None when cancellation is too deep."""
-    log_az = math.log(abs(z))
-    sign_z = 1.0 if z > 0.0 else -1.0
-    terms = [1.0 / math.gamma(beta)]
-    max_term = abs(terms[0])
-    prev = abs(terms[0])
-    for k in range(1, 2000):
-        log_t = k * log_az - math.lgamma(alpha * k + beta)
-        if log_t > 700.0:
-            raise OverflowError(f"E_{{{alpha},{beta}}}({z}) overflows float range")
-        t = (sign_z**k) * math.exp(log_t)
-        terms.append(t)
-        at = abs(t)
-        max_term = max(max_term, at)
-        if k > 3 and at < prev and at < 1e-18 * max_term:
-            break
-        prev = at
-    else:  # pragma: no cover - gated by _TAYLOR_S_MAX
-        raise RuntimeError("Mittag-Leffler Taylor series failed to terminate")
-    total = math.fsum(terms)
-    if z < 0.0 and max_term * 5e-16 > 1e-12 * max(abs(total), 1e-300):
-        return None
-    return total
-
-
-def _ml_alpha_one(beta: float, z: float) -> float:
-    """E_{1,beta}: exponential family, via Kummer's function in integral form."""
-    if beta == 1.0:
-        return math.exp(z)
-    if z >= -_TAYLOR_S_MAX:
-        value = _ml_taylor(1.0, beta, z)
-        if value is not None:
-            return value
-    # M(1, b, z) = (b-1) * int_0^1 exp(z t) (1-t)^(b-2) dt for b > 1; lift
-    # beta <= 1 with M(1, b, z) = 1 + (z/b) M(1, b+1, z).
-    def kummer(b: float) -> float:
-        val, _ = quad(lambda t: math.exp(z * t) * (1.0 - t) ** (b - 2.0), 0.0, 1.0, **_QUAD_OPTS)
-        return (b - 1.0) * val
-
-    if beta > 1.0:
-        m = kummer(beta)
-    else:
-        m = 1.0 + (z / beta) * kummer(beta + 1.0)
-    return m / math.gamma(beta)
-
-
-def _ml_negative(alpha: float, beta: float, x: float) -> float:
+def _ml_negative(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(-x), x > 0, for 0 < alpha < 1; beta reduced into (0, 1]."""
     if beta > 1.0:
-        inner = _ml_negative(alpha, beta - alpha, x)
-        return (1.0 / math.gamma(beta - alpha) - inner) / x
-    if x ** (1.0 / alpha) >= _ASYMPTOTIC_S_MIN:
-        return _ml_tail_series(alpha, beta, x)
-    pa = math.pi * alpha
-    cos_pa = math.cos(pa)
-    sin_pa = math.sin(pa)
-    sin_pb = math.sin(math.pi * beta)
-    sin_pba = math.sin(math.pi * (beta - alpha))
-    expo = (1.0 - beta) / alpha
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        den = u * u + 2.0 * x * u * cos_pa + x * x
-        num = u * sin_pb + x * sin_pba
-        return math.exp(-(u ** (1.0 / alpha))) * (u**expo) * num / den
-
-    # Split at the Lorentzian peak of the denominator, the mass scale of the
-    # exponential factor and (if present) the numerator's zero crossing.
-    u_peak = -x * cos_pa
-    width = x * sin_pa
-    u_mass = 45.0**alpha
-    breaks = {u_mass, u_peak, u_peak - 8.0 * width, u_peak + 8.0 * width}
-    if sin_pba < 0.0 and sin_pb > 0.0:
-        breaks.add(-x * sin_pba / sin_pb)
-    cuts = sorted(b for b in breaks if b > 0.0)
-    total = 0.0
-    lo = 0.0
-    for b in cuts:
-        if b > lo:
-            part, _ = quad(integrand, lo, b, **_QUAD_OPTS)
-            total += part
-            lo = b
-    part, _ = quad(integrand, lo, np.inf, **_QUAD_OPTS)
-    total += part
-    return total / (math.pi * alpha)
+        return (rgamma(beta - alpha) - _ml_negative(alpha, beta - alpha, x)) / x
+    out = np.empty_like(x)
+    tail = x ** (1.0 / alpha) >= _ASYMPTOTIC_S_MIN
+    out[tail] = _ml_tail_series(alpha, beta, x[tail])
+    out[~tail] = _ml_cut_integral(alpha, beta, x[~tail])
+    return out
 
 
-def _ml_tail_series(alpha: float, beta: float, x: float) -> float:
-    """Algebraic tail expansion sum_{k>=1} (-1)^(k+1) x^(-k) / Gamma(beta - a k).
+def _ml_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """The cut integral under r = u**(1/alpha),
 
-    Divergent; truncated where the sin-free magnitude envelope drops below
-    float resolution of the running sum (reached long before the envelope
-    minimum for x**(1/alpha) >= _ASYMPTOTIC_S_MIN).
-    """
-    total = 0.0
-    prev_env = math.inf
-    for k in range(1, 400):
-        total += (-1.0) ** (k + 1) * x ** (-k) * float(_rgamma(beta - alpha * k))
-        arg = alpha * k - beta + 1.0
-        env = math.exp(-k * math.log(x) + math.lgamma(arg)) / math.pi if arg > 0 else math.inf
-        if env < 1e-18 * abs(total) or env > prev_env:
-            break
-        prev_env = min(prev_env, env)
-    return total
+        (1/pi) int_0^inf exp(-r) r^(a-b) (r^a sin(pi b) + x sin(pi (b-a)))
+            / ((r^a + x cos(pi a))**2 + (x sin(pi a))**2) dr,
+
+    on Gauss panels at the fixed and the Lorentzian peak edges of each x; the
+    first panel [0, h] absorbs r^(a-b) through v = r^(1+a-b)."""
+    gam = alpha - beta  # in (-1, 0]
+    cos_pa, sin_pa = math.cos(math.pi * alpha), math.sin(math.pi * alpha)
+    sin_pb, sin_pba = math.sin(math.pi * beta), math.sin(math.pi * (beta - alpha))
+    fixed = np.concatenate([6.0 ** -np.arange(math.ceil(5.0 / alpha), 10.0, -1.0), _CUT_EDGES])
+    out = np.empty_like(x)
+    for rows in _row_blocks(x.size, (fixed.size + _PEAK_WIDTHS.size) * _CUT_X.size):
+        xx = x[rows][:, None]
+        u = xx * (_PEAK_WIDTHS * sin_pa - cos_pa)
+        # u <= 0 adds no edge (r = 1 is one); no edge lies below the fixed
+        # ones, so no panel below r = 1 spans more than a factor 6
+        peak = np.where(u > 0.0, np.clip(np.abs(u) ** (1.0 / alpha), fixed[0], fixed[-1]), 1.0)
+        edges = np.sort(np.hstack([np.broadcast_to(fixed, (len(xx), fixed.size)), peak]))
+        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+        v_max = edges[:, :1] ** (1.0 + gam)
+        start = (0.5 * v_max * (1.0 + _CUT_X)) ** (1.0 / (1.0 + gam))
+        r = np.hstack([start, (edges[:, :-1, None] + half * (1.0 + _CUT_X)).reshape(len(xx), -1)])
+        w = np.hstack([0.5 * v_max * _CUT_W / ((1.0 + gam) * start**gam), (half * _CUT_W).reshape(len(xx), -1)])
+        ra = r**alpha
+        f = np.exp(-r) * r**gam * (ra * sin_pb + xx * sin_pba) / ((ra + xx * cos_pa) ** 2 + (xx * sin_pa) ** 2)
+        out[rows] = np.sum(f * w, axis=1) / math.pi
+    return out
 
 
-def ml_multipliers(alpha: float, beta: float, arguments: np.ndarray) -> np.ndarray:
-    """Vectorized E_{alpha,beta} over an array of real arguments."""
-    flat = np.asarray(arguments, dtype=float).ravel()
-    out = np.array([_ml(alpha, beta, float(z)) for z in flat])
-    return out.reshape(np.shape(arguments))
+def _ml_tail_series(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """Algebraic tail expansion sum_{k>=1} (-1)^(k+1) x^(-k) / Gamma(beta - a k),
+    divergent: cut after its smallest sin-free envelope term x^(-k) Gamma(a k
+    - b + 1) (near k = s / a) or after 60 / a + 2 terms, where that envelope
+    is far below float resolution for any s >= 60."""
+    k = np.arange(1.0, math.ceil(_ASYMPTOTIC_S_MIN / alpha) + 3)
+    signed_rgamma = np.where(k % 2 == 1, 1.0, -1.0) * rgamma(beta - alpha * k)
+    arg = alpha * k - beta + 1.0
+    log_gamma = np.where(arg > 0.0, gammaln(np.where(arg > 0.0, arg, 1.0)), np.inf)
+    out = np.empty_like(x)
+    for rows in _row_blocks(x.size, k.size):
+        xx = x[rows][:, None]
+        last = np.argmin(log_gamma - k * np.log(xx), axis=1)
+        out[rows] = np.sum(np.where(k - 1 <= last[:, None], xx ** (-k) * signed_rgamma, 0.0), axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,74 +241,83 @@ def ml_multipliers(alpha: float, beta: float, arguments: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _wright_tail_exponent(alpha: float, tau: float) -> float:
-    # xi_alpha(tau) ~ C * exp(-B * tau**(1/(1-alpha))) with the stable-law rate B.
-    b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    return b * tau ** (1.0 / (1.0 - alpha))
-
-
-def wright_density(alpha: float, tau: float) -> float:
-    """Probability density xi_alpha on (0, inf) subordinating the heat semigroup.
-
-    Evaluated through the ascending series
-    xi_alpha(tau) = (1/(pi*alpha)) * sum_{n>=1} (-1)^(n-1) tau^(n-1)
-                    * Gamma(n*alpha+1)/n! * sin(n*pi*alpha),
-    in float arithmetic while cancellation is mild and in adaptive-precision
-    arithmetic otherwise.  Beyond the superexponential tail the value is
-    indistinguishable from zero and 0.0 is returned.
-    """
+def wright_density(alpha: float, tau):
+    """Probability density xi_alpha = M_alpha on (0, inf) subordinating the
+    heat semigroup, at a float or an array `tau`: the ascending series below
+    tau0, Kanter's integral above, 0.0 past the superexponential tail."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    ell = _wright_tail_exponent(alpha, tau)
-    if ell > 140.0:
-        return 0.0
-
-    log_tau = math.log(tau)
-    terms = []
-    max_env = 0.0
-    n_peak = max(8.0, (tau * alpha**alpha) ** (1.0 / (1.0 - alpha)))
-    for n in range(1, 200000):
-        log_mag = (n - 1) * log_tau + math.lgamma(n * alpha + 1.0) - math.lgamma(n + 1.0)
-        env = math.exp(log_mag)
-        s = math.sin(math.pi * ((n * alpha) % 2.0))
-        terms.append((-1.0) ** (n - 1) * env * s)
-        max_env = max(max_env, env)
-        # stop on the sin-free envelope: sin(n pi alpha) may be ~1e-16 on
-        # individual terms without the series having converged
-        if n > n_peak + 5 and env < 1e-18 * max_env:
-            break
-    total = math.fsum(terms) / (math.pi * alpha)
-    if max_env * 5e-16 <= 1e-12 * max(abs(total), 1e-300):
-        return max(total, 0.0)
-    return _wright_density_mp(alpha, tau, max_env, abs(total))
+    t = np.asarray(tau, dtype=float)
+    flat = t.ravel()
+    if not np.all(flat > 0.0):
+        raise ValueError(f"tau must be positive, got {flat[~(flat > 0.0)][0]}")
+    # xi_alpha(tau) ~ C * exp(-B * tau**(1/(1-alpha))) with the stable-law rate B
+    rate = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
+    live = rate * flat ** (1.0 / (1.0 - alpha)) <= 140.0
+    series = live & (flat < _WRIGHT_TAU0)
+    out = np.zeros_like(flat)
+    out[series] = _wright_series(alpha, flat[series])
+    out[live & ~series] = _wright_kanter(alpha, flat[live & ~series])
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def _wright_density_mp(alpha: float, tau: float, max_env: float, rough: float) -> float:
-    import mpmath as mp
+def _wright_series(alpha: float, tau: np.ndarray) -> np.ndarray:
+    """(1/(pi a)) sum_{n>=1} (-1)^(n-1) tau^(n-1) Gamma(n a + 1)/n! sin(n pi a),
+    cut where its sin-free envelope at tau0 (peak term n <= 8) falls below
+    1e-18 of its maximum; cancellation is mild for tau < tau0."""
+    n = np.arange(1.0, 4097.0)
+    log_mag = gammaln(n * alpha + 1.0) - gammaln(n + 1.0)
+    log_env = (n - 1.0) * math.log(_WRIGHT_TAU0) + log_mag
+    n = n[: int(np.argmax((n > 13) & (log_env < log_env.max() + math.log(1e-18)))) + 1]
+    coef = np.where(n % 2 == 1, 1.0, -1.0) * np.sin(math.pi * ((n * alpha) % 2.0)) / (math.pi * alpha)
+    out = np.empty_like(tau)
+    for rows in _row_blocks(tau.size, n.size):
+        out[rows] = np.exp(np.log(tau[rows])[:, None] * (n - 1.0) + log_mag[: n.size]) @ coef
+    return np.maximum(out, 0.0)
 
-    lost = math.log10(max_env / max(rough, 1e-300) + 1.0)
-    dps = 25 + int(lost) + int(0.45 * _wright_tail_exponent(alpha, tau))
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        t = mp.mpf(tau)
-        total = mp.mpf(0)
-        env_max = mp.mpf(0)
-        n_peak = max(8.0, (tau * alpha**alpha) ** (1.0 / (1.0 - alpha)))
-        stop = mp.mpf(10) ** (-dps)
-        tau_pow = mp.mpf(1)   # tau^(n-1), updated incrementally
-        fact = mp.mpf(1)      # n!, updated incrementally
-        for n in range(1, 500000):
-            fact *= n
-            env = tau_pow * mp.gamma(n * a + 1) / fact
-            total += (-1) ** (n - 1) * env * mp.sinpi(n * a)
-            env_max = max(env_max, env)
-            tau_pow *= t
-            if n > n_peak + 5 and env < stop * env_max:
-                break
-        value = float(total / (mp.pi * a))
-    return max(value, 0.0)
+
+def _wright_log_a(alpha: float, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """log A, A = [sin(a phi)^a sin((1-a) phi)^(1-a) / sin(phi)]^(1/(1-a)), for
+    phi + psi = pi; sines come from the smaller of the two, which is exact."""
+    near_pi = psi < phi
+    sin_phi = np.sin(np.where(near_pi, psi, phi))
+    sin_a = np.where(near_pi, np.sin((1.0 - alpha) * math.pi + alpha * psi), np.sin(alpha * phi))
+    log_a = alpha * np.log(sin_a) + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * phi)) - np.log(sin_phi)
+    return log_a / (1.0 - alpha)
+
+
+def _wright_kanter(alpha: float, tau: np.ndarray) -> np.ndarray:
+    """M_a(tau) = tau^(a/(1-a)) / (pi (1-a)) int_0^pi A exp(-c A) dphi with
+    c = tau^(1/(1-a)).  A increases on (0, pi): the integrand is one bump,
+    peaked where c A = 1 (or at phi = 0).  One vectorized bisection puts the
+    panel edges at fixed levels of log(c A); before the peak the integrand
+    falls like c A, after it like exp(-c A)."""
+    q = 1.0 / (1.0 - alpha)
+    log_a0 = q * (alpha * math.log(alpha) + (1.0 - alpha) * math.log(1.0 - alpha))
+    n_left = _KANTER_LEFT.size
+    out = np.empty_like(tau)
+    for rows in _row_blocks(tau.size, (n_left + 1 + _KANTER_RIGHT.size) * _KANTER_X.size):
+        log_tau = np.log(tau[rows])[:, None]
+        log_c = q * log_tau
+        start = np.maximum(log_c + log_a0, 0.0)
+        levels = np.hstack([np.broadcast_to(_KANTER_LEFT, (len(log_c), n_left)), start,
+                            np.log(np.exp(start) + _KANTER_RIGHT)])
+        lo, hi = np.zeros_like(levels), np.full_like(levels, math.pi)
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            below = log_c + _wright_log_a(alpha, mid, math.pi - mid) < levels
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        edges = np.hstack([np.zeros_like(log_c), lo])  # levels below c A(0) stay at 0
+        # nodes live in the variable (phi or pi - phi) that is small at the peak
+        flip = edges[:, n_left + 1, None] > 0.5 * math.pi
+        v_edges = np.where(flip, math.pi - edges, edges)
+        half = 0.5 * np.diff(v_edges, axis=1)[:, :, None]
+        v = (v_edges[:, :-1, None] + half * (1.0 + _KANTER_X)).reshape(len(log_c), -1)
+        log_a = _wright_log_a(alpha, np.maximum(np.where(flip, math.pi - v, v), 1e-300),
+                              np.maximum(np.where(flip, v, math.pi - v), 1e-300))
+        values = np.exp(alpha * q * log_tau + log_a - np.exp(np.minimum(log_c + log_a, 700.0)))
+        out[rows] = np.sum(values * (np.abs(half) * _KANTER_W).reshape(len(log_c), -1), axis=1)
+    return out / (math.pi * (1.0 - alpha))
 
 
 # ---------------------------------------------------------------------------

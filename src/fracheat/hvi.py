@@ -12,7 +12,7 @@ fixed point is topological and the iteration is a heuristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .control import (
 from .evolve import Trajectory, mild_solution, write_csv
 from .fracops import TimeGrid
 from .gramian import GramianOperator
-from .lpspace import basis_matrix, from_basis, lp_norm, theta_grid
+from .lpspace import basis_matrix, basis_values, lp_norms, theta_grid
 from .spectral import SpectralModel
 
 __all__ = [
@@ -56,9 +56,10 @@ SELECTION_STRATEGIES = ("minimal_norm", "midpoint", "sign_zero", "sticky")
 class NonsmoothPotential:
     """Scalar potential F(t, theta, r) with interval generalized derivative.
 
-    `value` and `interval` broadcast over numpy arrays in (theta, r); `eta`
-    is the pointwise bound sup |dF| <= eta(t) whose 1/alpha1-integrability the
-    surrounding hypotheses assume (constants are integrable for any alpha1).
+    `value` and `interval` broadcast over numpy arrays in (t, theta, r); a
+    whole trajectory comes as t = nodes[:, None], r of shape (nodes, n_theta).
+    `eta` is the pointwise bound sup |dF| <= eta(t) whose 1/alpha1-integrability
+    the surrounding hypotheses assume (constants are integrable for any alpha1).
     """
 
     value: Callable
@@ -190,28 +191,21 @@ def select_forcing(
     along the trajectory; shape (steps+1, n_theta)."""
     if strategy not in SELECTION_STRATEGIES:
         raise ValueError(f"strategy must be one of {SELECTION_STRATEGIES}, got {strategy!r}")
-    theta = theta_grid(model.n_theta)
     nodes = trajectory.grid.nodes
-    out = np.empty((nodes.size, model.n_theta))
-    for k, t in enumerate(nodes):
-        q_vals = from_basis(trajectory.states[k], model.n_theta, model.p).values
-        lo, hi = pot.interval(float(t), theta, q_vals)
-        if strategy == "minimal_norm":
-            g = np.clip(0.0, lo, hi)
-        elif strategy == "midpoint":
-            g = 0.5 * (lo + hi)
-        elif strategy == "sign_zero":
-            g = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, 0.5 * (lo + hi))
-        else:  # sticky
-            if previous is None:
-                g = np.clip(0.0, lo, hi)
-            else:
-                g = np.clip(previous[k], lo, hi)
-        bound = float(pot.eta(float(t)))
-        if np.max(np.abs(g)) > bound + 1e-12:
-            raise AssertionError("selection escaped the admissible bound")
-        out[k] = g
-    return out
+    lo, hi = pot.interval(nodes[:, None], theta_grid(model.n_theta),
+                          basis_values(trajectory.states, model.n_theta))
+    if strategy == "midpoint":
+        g = 0.5 * (lo + hi)
+    elif strategy == "sign_zero":
+        g = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, 0.5 * (lo + hi))
+    elif strategy == "sticky" and previous is not None:
+        g = np.clip(previous, lo, hi)
+    else:  # minimal_norm, or sticky without a previous selection
+        g = np.clip(0.0, lo, hi)
+    bound = np.array([float(pot.eta(float(t))) for t in nodes])
+    if np.any(np.max(np.abs(g), axis=1) > bound + 1e-12):
+        raise AssertionError("selection escaped the admissible bound")
+    return g
 
 
 def forcing_to_coordinates(model: SpectralModel, g: np.ndarray) -> np.ndarray:
@@ -246,10 +240,7 @@ class FixedPointResult:
 
 
 def _trajectory_gap(model: SpectralModel, a: Trajectory, b: Trajectory) -> float:
-    return max(
-        lp_norm(from_basis(sa - sb, model.n_theta, model.p))
-        for sa, sb in zip(a.states, b.states)
-    )
+    return float(np.max(lp_norms(a.states - b.states, model.n_theta, model.p)))
 
 
 def fixed_point_iterate(
@@ -316,6 +307,9 @@ def fixed_point_iterate(
 
 @dataclass
 class SweepEntry:
+    """One epsilon of a sweep.  A failed solve has NaN numbers and keeps its
+    `ConvergenceError` message and resolvent residual history."""
+
     epsilon: float
     terminal_miss: float
     control_energy: float
@@ -323,13 +317,15 @@ class SweepEntry:
     converged: bool
     identity_residual: float
     predicted_miss: float
+    failure: str | None = None
+    residual_history: list[float] = field(default_factory=list)
 
 
 def free_terminal_miss(model: SpectralModel, grid: TimeGrid, z: np.ndarray,
                        x0: np.ndarray) -> float:
     """Miss of the uncontrolled, unforced dynamics: ||z - S(a) x0||."""
     free = mild_solution(model, grid, np.asarray(x0, dtype=float))
-    return lp_norm(from_basis(np.asarray(z, float) - free.terminal, model.n_theta, model.p))
+    return float(lp_norms(np.asarray(z, float) - free.terminal, model.n_theta, model.p)[0])
 
 
 def epsilon_sweep(
@@ -371,23 +367,23 @@ def epsilon_sweep(
                 strategy=strategy, relaxation=relaxation, tol=tol, max_iter=max_iter,
                 resolvent_tol=resolvent_tol, resolvent_max_iter=resolvent_max_iter,
             )
-        except ConvergenceError:
-            entries.append(SweepEntry(e, math.nan, math.nan, 0, False, math.nan, math.nan))
+        except ConvergenceError as exc:
+            entries.append(SweepEntry(e, math.nan, math.nan, 0, False, math.nan, math.nan,
+                                      failure=str(exc),
+                                      residual_history=[float(r) for r in exc.residual_history]))
             results.append(None)
             continue
         run = fp.run
-        miss = lp_norm(
-            from_basis(run.trajectory.terminal - np.asarray(z, float), model.n_theta, model.p)
-        )
-        predicted = lp_norm(from_basis(e * run.solve.result, model.n_theta, model.p))
+        miss, predicted = lp_norms([run.trajectory.terminal - np.asarray(z, float),
+                                    e * run.solve.result], model.n_theta, model.p)
         entries.append(SweepEntry(
             epsilon=e,
-            terminal_miss=miss,
+            terminal_miss=float(miss),
             control_energy=control_l2_norm(run.control, grid),
             iterations=fp.iterations,
             converged=fp.converged and run.solve.converged,
             identity_residual=terminal_identity_residual(run, model, np.asarray(z, float)),
-            predicted_miss=predicted,
+            predicted_miss=float(predicted),
         ))
         results.append(fp)
     return (entries, results) if return_results else entries
@@ -406,31 +402,22 @@ def hvi_residual(
     g: np.ndarray,
     pot: NonsmoothPotential,
     test_directions: np.ndarray,
-    node_stride: int = 16,
+    node_stride: int = 1,
 ) -> float:
     """Worst signed violation of <H g(t), v*> <= integral of the directional
-    derivative along H* v*, over sampled nodes and test directions.
-
-    Nonpositive (up to roundoff) when g is a true pointwise selection; a
-    synthetic non-member forcing produces a positive violation for some
-    direction.
-    """
+    derivative along H* v*, over the nodes 0, node_stride, ... and the test
+    directions: nonpositive (up to roundoff) when g is a true pointwise
+    selection, positive for some direction on a non-member forcing."""
     test_directions = np.asarray(test_directions, dtype=float)
     if test_directions.ndim != 2 or test_directions.shape[1] != model.n_modes:
         raise ValueError("test_directions must be (m, n_modes) coefficient rows")
-    theta = theta_grid(model.n_theta)
     h = math.pi / model.n_theta
     w = basis_matrix(model.n_modes, model.n_theta)
-    worst = -math.inf
-    nodes = trajectory.grid.nodes
-    for k in range(0, nodes.size, max(1, node_stride)):
-        t = float(nodes[k])
-        ghat = (g[k] @ w) * h
-        q_vals = (w @ trajectory.states[k])
-        lo, hi = pot.interval(t, theta, q_vals)
-        for vstar in test_directions:
-            lhs = float((model.h_matrix @ ghat) @ vstar)
-            direction = w @ (model.h_matrix.T @ vstar)
-            rhs = float(np.sum(np.maximum(lo * direction, hi * direction)) * h)
-            worst = max(worst, lhs - rhs)
-    return worst
+    ks = np.arange(0, trajectory.grid.steps + 1, max(1, node_stride))
+    lo, hi = pot.interval(trajectory.grid.nodes[ks, None], theta_grid(model.n_theta),
+                          basis_values(trajectory.states[ks], model.n_theta))
+    lhs = ((g[ks] @ w) * h) @ model.h_matrix.T @ test_directions.T
+    # support function of [lo, hi] along d: hi d where d > 0, lo d where d < 0
+    direction = test_directions @ model.h_matrix @ w.T
+    rhs = (hi @ np.maximum(direction, 0.0).T + lo @ np.minimum(direction, 0.0).T) * h
+    return float(np.max(lhs - rhs))

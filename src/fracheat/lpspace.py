@@ -25,6 +25,8 @@ __all__ = [
     "basis_matrix",
     "to_basis",
     "from_basis",
+    "basis_values",
+    "lp_norms",
 ]
 
 
@@ -153,3 +155,19 @@ def from_basis(coeffs: np.ndarray, n_theta: int, p: float = 2.0) -> GridFunction
     coeffs = np.asarray(coeffs, dtype=float)
     w = basis_matrix(coeffs.size, n_theta)
     return GridFunction(w @ coeffs, p)
+
+
+def basis_values(coeff_rows: np.ndarray, n_theta: int) -> np.ndarray:
+    """Grid values (rows @ W^T) of each row of basis coefficients; like a
+    `GridFunction`, refuses non-finite values."""
+    rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
+    values = rows @ basis_matrix(rows.shape[1], n_theta).T
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    return values
+
+
+def lp_norms(coeff_rows: np.ndarray, n_theta: int, p: float) -> np.ndarray:
+    """Midpoint-rule L^p norm of the reconstruction of each coefficient row."""
+    power = np.sum(np.abs(basis_values(coeff_rows, n_theta)) ** p, axis=1)
+    return (power * (math.pi / n_theta)) ** (1.0 / p)

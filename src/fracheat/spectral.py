@@ -227,28 +227,31 @@ def build_model(
     )
 
 
-def _check_time(model: SpectralModel, t: float) -> float:
-    if not -1e-12 <= t <= model.horizon * (1.0 + 1e-12):
+def _check_time(model: SpectralModel, t) -> np.ndarray:
+    """t (a float or an array) clipped to [0, horizon], with a trailing mode axis."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((-1e-12 <= t) & (t <= model.horizon * (1.0 + 1e-12))):
         raise ValueError(f"t={t} outside [0, {model.horizon}]")
-    return min(max(t, 0.0), model.horizon)
+    return np.clip(t, 0.0, model.horizon)[..., None]
 
 
 def _check_state(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_modes,):
-        raise ValueError(f"state must have shape ({model.n_modes},), got {x.shape}")
+    if x.shape[-1:] != (model.n_modes,):
+        raise ValueError(f"state must have shape (..., {model.n_modes}), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("state coefficients must be finite")
     return x
 
 
-def state_multipliers(model: SpectralModel, t: float) -> np.ndarray:
-    """Diagonal multipliers E_alpha(lambda_n t^alpha) of the homogeneous family."""
+def state_multipliers(model: SpectralModel, t) -> np.ndarray:
+    """Diagonal multipliers E_alpha(lambda_n t^alpha) of the homogeneous family;
+    an array of times gives one row per time."""
     t = _check_time(model, t)
     return ml_multipliers(model.order.alpha, 1.0, model.eigenvalues * t**model.order.alpha)
 
 
-def forcing_multipliers(model: SpectralModel, t: float) -> np.ndarray:
+def forcing_multipliers(model: SpectralModel, t) -> np.ndarray:
     """Diagonal multipliers E_{alpha,alpha}(lambda_n t^alpha) of the Duhamel family."""
     t = _check_time(model, t)
     a = model.order.alpha

@@ -63,7 +63,7 @@ def density_on_gauss_grid(alpha: float, n_nodes: int = 500):
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     tau = 0.5 * tau_cut * (x + 1.0)
     weights = 0.5 * tau_cut * w
-    values = np.array([wright_density(alpha, t) for t in tau])
+    values = wright_density(alpha, tau)
     return tau, weights, values
 
 

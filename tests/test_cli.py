@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracheat
 from fracheat.cli import main
 from fracheat.config import build_experiment, default_config_text, load_config
 
@@ -215,6 +220,22 @@ class TestCommands:
         summary = json.loads(text, parse_constant=reject)
         assert all(e["terminal_miss"] is None and not e["converged"]
                    for e in summary["entries"])
+        # the ConvergenceError reason and its residual history survive
+        assert all(e["failure"] and len(e["residual_history"]) >= 1
+                   for e in summary["entries"])
+
+    def test_validate_runs_without_mpmath(self, config_file):
+        # mpmath is a test-only oracle: a p = 4 validate run must not import it
+        src = Path(fracheat.__file__).resolve().parents[1]
+        code = ("import sys; from fracheat.cli import main; "
+                f"rc = main(['validate', {str(config_file)!r}, '--set', 'model.p=4']); "
+                "assert 'mpmath' not in sys.modules, 'mpmath imported'; sys.exit(rc)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "[FAIL]" not in done.stdout
 
     def test_unconverged_resolvent_is_reported(self, config_file):
         # the direct p = 2 solve cannot reach a residual of 1e-30 |d|

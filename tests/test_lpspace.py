@@ -6,10 +6,12 @@ import pytest
 from fracheat.lpspace import (
     GridFunction,
     basis_matrix,
+    basis_values,
     conjugate_exponent,
     duality_map,
     from_basis,
     lp_norm,
+    lp_norms,
     pairing,
     theta_grid,
     to_basis,
@@ -47,6 +49,21 @@ class TestNorm:
             GridFunction(np.full(N_THETA, np.nan), 2.0)
         with pytest.raises(ValueError):
             GridFunction(np.ones(N_THETA), 1.0)
+
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_row_norms_match_per_row_reconstruction(self, p):
+        rows = np.random.default_rng(3).standard_normal((7, 12))
+        want = [lp_norm(from_basis(row, N_THETA, p)) for row in rows]
+        np.testing.assert_allclose(lp_norms(rows, N_THETA, p), want, rtol=1e-13)
+        np.testing.assert_allclose(basis_values(rows, N_THETA)[2],
+                                   from_basis(rows[2], N_THETA).values, rtol=1e-13, atol=1e-15)
+
+    def test_row_values_refuse_non_finite(self):
+        rows = np.zeros((3, 4))
+        rows[1, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            basis_values(rows, N_THETA)
 
 
 class TestPairing:

@@ -1,0 +1,194 @@
+"""The array special functions against the scalar evaluators they replaced.
+
+The references below are the earlier implementations, kept in substance:
+Mittag-Leffler one argument at a time (a math.fsum Taylor sum, adaptive
+`quad` on the cut integral, a scalar loop over the tail series), and the
+Wright density as its float ascending series with an mpmath fallback where
+cancellation is deep.  Both are test-only now.  The arbitrary-precision
+`ml_oracle` of conftest is the independent check.
+
+Tolerances: 1e-10 relative, the accuracy contract of `test_fracops`; for the
+Wright density 1e-10 relative wherever it is at least 1e-12 of its maximum
+and 1e-13 absolute below that, where relative error is meaningless.
+"""
+
+import math
+import tracemalloc
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+from fracheat.fracops import _TAYLOR_S_MAX, _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, \
+    ml_multipliers, wright_density
+
+from conftest import ml_oracle
+
+REL_TOL = 1e-10
+QUAD_OPTS = {"epsabs": 1e-300, "epsrel": 1e-12, "limit": 200}
+
+
+def reference_ml(alpha: float, beta: float, z: float) -> float:
+    """Scalar E_{alpha,beta}(z), 0 < alpha < 1, z <= 0."""
+    if z == 0.0:
+        return 1.0 / math.gamma(beta)
+    if (-z) ** (1.0 / alpha) <= _TAYLOR_S_MAX:
+        terms = [(-1.0) ** k * math.exp(k * math.log(-z) - math.lgamma(alpha * k + beta))
+                 for k in range(1, 400)]
+        return math.fsum([1.0 / math.gamma(beta)] + terms)
+    return reference_ml_negative(alpha, beta, -z)
+
+
+def reference_ml_negative(alpha: float, beta: float, x: float) -> float:
+    if beta > 1.0:
+        return (1.0 / math.gamma(beta - alpha) - reference_ml_negative(alpha, beta - alpha, x)) / x
+    if x ** (1.0 / alpha) >= _ASYMPTOTIC_S_MIN:
+        total, prev_env = 0.0, math.inf
+        for k in range(1, 400):
+            arg = beta - alpha * k
+            rg = 0.0 if arg <= 0 and arg == int(arg) else 1.0 / math.gamma(arg)
+            total += (-1.0) ** (k + 1) * x ** (-k) * rg
+            arg = alpha * k - beta + 1.0
+            env = math.exp(-k * math.log(x) + math.lgamma(arg)) / math.pi if arg > 0 else math.inf
+            if env < 1e-18 * abs(total) or env > prev_env:
+                break
+            prev_env = min(prev_env, env)
+        return total
+    cos_pa, sin_pa = math.cos(math.pi * alpha), math.sin(math.pi * alpha)
+    sin_pb, sin_pba = math.sin(math.pi * beta), math.sin(math.pi * (beta - alpha))
+    expo = (1.0 - beta) / alpha
+
+    def integrand(u: float) -> float:
+        if u <= 0.0:
+            return 0.0
+        den = u * u + 2.0 * x * u * cos_pa + x * x
+        return math.exp(-(u ** (1.0 / alpha))) * u**expo * (u * sin_pb + x * sin_pba) / den
+
+    u_peak, width = -x * cos_pa, x * sin_pa
+    breaks = {45.0**alpha, u_peak, u_peak - 8.0 * width, u_peak + 8.0 * width}
+    if sin_pba < 0.0 < sin_pb:
+        breaks.add(-x * sin_pba / sin_pb)
+    total, lo = 0.0, 0.0
+    for b in sorted(b for b in breaks if b > 0.0):
+        total += quad(integrand, lo, b, **QUAD_OPTS)[0]
+        lo = b
+    total += quad(integrand, lo, np.inf, **QUAD_OPTS)[0]
+    return total / (math.pi * alpha)
+
+
+def reference_wright(alpha: float, tau: float) -> float:
+    """Float ascending series; mpmath where its cancellation is deep."""
+    ell = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha)) * tau ** (1.0 / (1.0 - alpha))
+    if ell > 140.0:
+        return 0.0
+    n_peak = max(8.0, (tau * alpha**alpha) ** (1.0 / (1.0 - alpha)))
+    terms, max_env = [], 0.0
+    for n in range(1, 200000):
+        env = math.exp((n - 1) * math.log(tau) + math.lgamma(n * alpha + 1.0) - math.lgamma(n + 1.0))
+        terms.append((-1.0) ** (n - 1) * env * math.sin(math.pi * ((n * alpha) % 2.0)))
+        max_env = max(max_env, env)
+        if n > n_peak + 5 and env < 1e-18 * max_env:
+            break
+    total = math.fsum(terms) / (math.pi * alpha)
+    if max_env * 5e-16 <= 1e-12 * max(abs(total), 1e-300):
+        return max(total, 0.0)
+    lost = math.log10(max_env / max(abs(total), 1e-300) + 1.0)
+    dps = 25 + int(lost) + int(0.45 * ell)
+    with mp.workdps(dps):
+        a, t = mp.mpf(alpha), mp.mpf(tau)
+        total, env_max, fact, tau_pow = mp.mpf(0), mp.mpf(0), mp.mpf(1), mp.mpf(1)
+        for n in range(1, 500000):
+            fact *= n
+            env = tau_pow * mp.gamma(n * a + 1) / fact
+            total += (-1) ** (n - 1) * env * mp.sinpi(n * a)
+            env_max = max(env_max, env)
+            tau_pow *= t
+            if n > n_peak + 5 and env < mp.mpf(10) ** (-dps) * env_max:
+                break
+        return max(float(total / (mp.pi * a)), 0.0)
+
+
+BETA = {"alpha": lambda a: a, "one": lambda a: 1.0, "alpha+1": lambda a: a + 1.0}
+
+
+def seam_arguments(alpha: float) -> np.ndarray:
+    s = np.concatenate([np.geomspace(0.05, 400.0, 14),
+                        [_TAYLOR_S_MAX * (1 - 1e-9), _TAYLOR_S_MAX * (1 + 1e-9),
+                         _ASYMPTOTIC_S_MIN * (1 - 1e-9), _ASYMPTOTIC_S_MIN * (1 + 1e-9)]])
+    return -(s**alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("beta_kind", sorted(BETA))
+def test_mittag_leffler_table_against_oracle_and_scalar_reference(alpha, beta_kind):
+    beta = BETA[beta_kind](alpha)
+    z = seam_arguments(alpha)
+    got = ml_multipliers(alpha, beta, z)
+    oracle = np.array([ml_oracle(alpha, beta, float(v)) for v in z])
+    scalar = np.array([reference_ml(alpha, beta, float(v)) for v in z])
+    assert np.max(np.abs(got - oracle) / np.abs(oracle)) <= REL_TOL
+    assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= REL_TOL
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.3])
+def test_mittag_leffler_below_one_half(alpha, beta):
+    # outside FracOrder but inside mittag_leffler2's domain: the cut integral
+    # then needs more geometric panels toward r = 0 (r^alpha decays slowly)
+    z = -(np.geomspace(5.01, 59.9, 8) ** alpha)
+    got = ml_multipliers(alpha, beta, z)
+    want = np.array([ml_oracle(alpha, beta, float(v)) for v in z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= REL_TOL
+
+
+@given(alpha=st.floats(0.51, 0.999), beta_kind=st.sampled_from(sorted(BETA)),
+       seam=st.sampled_from([_TAYLOR_S_MAX, _ASYMPTOTIC_S_MIN]), side=st.sampled_from([-1, 1]))
+@settings(max_examples=30, deadline=None)
+def test_mittag_leffler_across_branch_seams(alpha, beta_kind, seam, side):
+    beta = BETA[beta_kind](alpha)
+    z = -((seam * (1.0 + side * 1e-9)) ** alpha)
+    got = float(ml_multipliers(alpha, beta, np.array([z]))[0])
+    want = ml_oracle(alpha, beta, z)
+    assert abs(got - want) <= REL_TOL * abs(want)
+
+
+def assert_density_close(got: np.ndarray, want: np.ndarray) -> None:
+    big = want >= 1e-12 * np.max(want)
+    assert np.all(np.abs(got - want)[big] <= REL_TOL * want[big])
+    assert np.all(np.abs(got - want)[~big] <= 1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.51, 0.6, 0.75, 0.9])
+def test_wright_density_against_scalar_reference(alpha):
+    rate = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
+    tau_cut = (28.0 / rate) ** (1.0 - alpha)
+    x, _ = np.polynomial.legendre.leggauss(500)
+    tau = np.concatenate([0.5 * tau_cut * (x[::10] + 1.0),
+                          [_WRIGHT_TAU0 * (1 - 1e-9), _WRIGHT_TAU0 * (1 + 1e-9), 1.2 * tau_cut]])
+    want = np.array([reference_wright(alpha, float(t)) for t in tau])
+    assert_density_close(wright_density(alpha, tau), want)
+
+
+@given(alpha=st.floats(0.51, 0.999), side=st.sampled_from([-1, 1]))
+@settings(max_examples=40, deadline=None)
+def test_wright_density_across_series_seam(alpha, side):
+    tau = _WRIGHT_TAU0 * (1.0 + side * 1e-9)
+    want = reference_wright(alpha, tau)
+    assert abs(wright_density(alpha, tau) - want) <= REL_TOL * want + 1e-13
+
+
+def test_table_evaluation_is_blocked():
+    # the bundled model's table: 513 nodes x 8 modes, ~44 % on the cut
+    # integral; evaluated in one block its temporaries peak near 48 MB
+    z = -(np.arange(1.0, 9.0) ** 2) * np.linspace(0.0, 1.0, 513)[:, None] ** 0.75
+    tracemalloc.start()
+    try:
+        table = ml_multipliers(0.75, 0.75, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == z.shape
+    assert peak <= 4e6

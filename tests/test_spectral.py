@@ -131,6 +131,17 @@ class TestOperatorFamilies:
             assert np.all((s > 0.0) & (s <= 1.0))
             assert np.all((f > 0.0) & (f <= 1.0 / math.gamma(0.75) + 1e-15))
 
+    def test_array_of_times_gives_one_row_per_time(self, model_p2):
+        ts = np.linspace(0.0, 1.0, 9)
+        xs = np.random.default_rng(5).standard_normal((9, model_p2.n_modes))
+        rows = state_multipliers(model_p2, ts)
+        assert rows.shape == (9, model_p2.n_modes)
+        for t, x, row, out in zip(ts, xs, rows, propagate_forcing(model_p2, ts, xs)):
+            np.testing.assert_allclose(row, state_multipliers(model_p2, t), rtol=1e-13)
+            np.testing.assert_allclose(out, propagate_forcing(model_p2, t, x), rtol=1e-13)
+        with pytest.raises(ValueError):
+            state_multipliers(model_p2, np.array([0.5, 1.5]))
+
     def test_multiplier_continuity_under_refinement(self, model_p2):
         t0 = 0.437
         gaps = []
