@@ -21,7 +21,7 @@ import numpy as np
 from .fracops import TimeGrid
 from .evolve import Trajectory, mild_solution, propagator
 from .gramian import GramianOperator
-from .lpspace import basis_matrix, duality_map, from_basis, lp_norm, lp_norms, to_basis
+from .lpspace import basis_matrix, from_basis, lp_norm, lp_norms
 from .spectral import SpectralModel
 
 __all__ = [
@@ -51,12 +51,22 @@ class ConvergenceError(RuntimeError):
         self.residual_history = residual_history
 
 
+def _grid_values(model: SpectralModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The basis matrix W, the grid values u = W x and their L^p norm."""
+    w = basis_matrix(model.n_modes, model.n_theta)
+    u = w @ np.asarray(x, dtype=float)
+    return w, u, float((np.sum(np.abs(u) ** model.p) * (math.pi / model.n_theta)) ** (1.0 / model.p))
+
+
 def coordinate_duality_map(model: SpectralModel, x: np.ndarray) -> np.ndarray:
-    """Duality map in basis coordinates: reconstruct, map pointwise, project."""
+    """Duality map in basis coordinates: h W^T (||u||^(2-p) |u|^(p-1) sign u), u = W x."""
     if model.p == 2.0:
         return np.asarray(x, dtype=float)
-    f = from_basis(x, model.n_theta, model.p)
-    return to_basis(duality_map(f), model.n_modes)
+    w, u, norm = _grid_values(model, x)
+    if norm == 0.0:
+        return np.zeros(model.n_modes)
+    p = model.p
+    return w.T @ (norm ** (2.0 - p) * np.abs(u) ** (p - 1.0) * np.sign(u)) * (math.pi / model.n_theta)
 
 
 def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
@@ -64,10 +74,8 @@ def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     if model.p == 2.0:
         return np.eye(model.n_modes)
     p = model.p
-    w = basis_matrix(model.n_modes, model.n_theta)
     h = math.pi / model.n_theta
-    u = w @ np.asarray(x, dtype=float)
-    norm = float((np.sum(np.abs(u) ** p) * h) ** (1.0 / p))
+    w, u, norm = _grid_values(model, x)
     if norm == 0.0:
         return np.zeros((model.n_modes, model.n_modes))
     v = np.abs(u) ** (p - 1.0) * np.sign(u)
@@ -285,10 +293,8 @@ def _eta_lp_norm(eta, horizon: float, alpha1: float) -> float:
     """|| eta ||_{L^{1/alpha1}(0, horizon)} by 64-point Gauss-Legendre."""
     x, w = np.polynomial.legendre.leggauss(64)
     t = 0.5 * horizon * (x + 1.0)
-    wt = 0.5 * horizon * w
-    vals = np.array([float(eta(ti)) for ti in t])
-    q = 1.0 / alpha1
-    return float((np.sum(wt * vals**q)) ** alpha1)
+    vals = np.broadcast_to(eta(t), t.shape)
+    return float((np.sum(0.5 * horizon * w * vals ** (1.0 / alpha1))) ** alpha1)
 
 
 def theta_constant(model: SpectralModel, eta) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .fracops import TimeGrid, l1_coefficients, ml_multipliers, pl_moment_arrays
 from .spectral import SpectralModel
@@ -41,6 +41,18 @@ __all__ = [
     "trajectory_to_json",
     "write_csv",
 ]
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the real FFT factors fully."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -97,7 +109,7 @@ class Propagator:
         """Rows k: sum_j w_k[j] e(t_k - t_j) u[j] per mode, for node data u of
         shape (steps+1, n_modes, ...)."""
         c, a = self.lag_weights
-        size = next_fast_len(2 * self.steps + 1, real=True)  # no wrap-around
+        size = _fast_len(2 * self.steps + 1)  # no wrap-around
         shape = self.e_force.shape + (1,) * (u.ndim - 2)
         tail = np.array(u, dtype=float)
         tail[0] = 0.0  # node j = 0 carries its own weight a[k]

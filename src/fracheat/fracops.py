@@ -1,17 +1,19 @@
 """Special functions and fractional-calculus primitives on uniform grids.
 
-Special functions take whole arrays: fixed Gauss rules and array sums, no
-adaptive quadrature or arbitrary precision, in row blocks whose float64
-temporaries stay near 256 KB.  Mittag-Leffler values for 0 < alpha < 1 take
-one of three branches chosen from s = (-z)**(1/alpha): a float Taylor sum
-while cancellation is provably mild (s <= 5, or z > 0), the truncated tail
-series once its remainder ~exp(-s) is negligible (s >= 60), and in between
-the exact integral of E_{a,b}(-x), 0 < b <= 1, on the cut of the collapsed
-Hankel contour; larger b is reduced with E_{a,b}(z) = (E_{a,b-a}(z) -
-1/Gamma(b-a)) / z, and alpha = 1 has closed forms.  The Wright density is its
-float series below tau0 and Kanter's nonnegative integral (Ann. Probab. 1975)
-above, via M_a(tau) = a^-1 tau^(-1-1/a) L_a(tau^(-1/a)) with the one-sided
-stable density L_a (Mainardi, Mura & Pagnini, Int. J. Differ. Equ. 2010).
+Special functions take whole arrays: fixed Gauss rules and array sums over
+Gamma values from `math`, with no adaptive quadrature or arbitrary precision,
+in row blocks whose float64 temporaries stay near 256 KB.  Mittag-Leffler
+values for 0 < alpha < 1 take one of three branches chosen from
+s = (-z)**(1/alpha): a float Taylor sum while cancellation is provably mild
+(s <= 5, or z > 0), the truncated tail series once its remainder ~exp(-s) is
+negligible (s >= 60), and in between the exact integral of E_{a,b}(-x),
+0 < b <= 1, on the cut of the collapsed Hankel contour; larger b is reduced
+with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.  alpha = 1 has closed
+forms, exp and, for b != 1, scipy's hyp1f1 (the one scipy import, made there).
+The Wright density is its float series below tau0 and Kanter's nonnegative
+integral (Ann. Probab. 1975) above, via M_a(tau) = a^-1 tau^(-1-1/a)
+L_a(tau^(-1/a)) with the one-sided stable density L_a (Mainardi, Mura &
+Pagnini, Int. J. Differ. Equ. 2010).
 
 Quadrature weights integrate the weakly singular kernel exactly against
 piecewise-linear data (product trapezoidal); the same moment arrays back the
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1, rgamma
 
 __all__ = [
     "FracOrder",
@@ -130,6 +131,22 @@ def _row_blocks(n_rows: int, n_cols: int):
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x), x > 0, over a 1-d array through math.lgamma."""
+    return np.fromiter(map(math.lgamma, x), float, len(x))
+
+
+def _rgamma(v: float) -> float:
+    """1/Gamma(v): exactly 0 at the poles, 1/math.gamma while Gamma is a
+    normal float, sign(Gamma) exp(-lgamma) past that."""
+    if v <= 0.0 and v == math.floor(v):
+        return 0.0
+    if abs(v) < 170.0:
+        return 1.0 / math.gamma(v)
+    sign = -1.0 if v < 0.0 and math.floor(v) % 2 else 1.0
+    return sign * math.exp(-math.lgamma(v)) if math.lgamma(v) > -709.78 else sign * math.inf
+
+
 def _ml_array(alpha: float, beta: float, arguments) -> np.ndarray:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -140,9 +157,11 @@ def _ml_array(alpha: float, beta: float, arguments) -> np.ndarray:
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"z must be finite, got {flat[~np.isfinite(flat)][0]}")
     if alpha == 1.0:  # E_{1,b}(z) = M(1, b, z) / Gamma(b), Kummer's function
-        out = np.exp(flat) if beta == 1.0 else hyp1f1(1.0, beta, flat) * rgamma(beta)
-        return out.reshape(z.shape)
-    out = np.full_like(flat, rgamma(beta))  # z = 0
+        if beta == 1.0:
+            return np.exp(flat).reshape(z.shape)
+        from scipy.special import hyp1f1  # FracOrder (alpha < 1) never gets here
+        return (hyp1f1(1.0, beta, flat) * _rgamma(beta)).reshape(z.shape)
+    out = np.full_like(flat, _rgamma(beta))  # z = 0
     s = np.abs(np.minimum(flat, 0.0)) ** (1.0 / alpha)
     taylor = np.flatnonzero((flat != 0.0) & ((flat > 0.0) | (s <= _TAYLOR_S_MAX)))
     out[taylor], too_deep = _ml_taylor(alpha, beta, flat[taylor])
@@ -161,15 +180,15 @@ def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np
     log_zmax = math.log(float(np.max(np.abs(z))))
     s = math.exp(min(log_zmax / alpha, 7.6))  # terms peak near k = s / alpha; s > 2000 overflows
     k = np.arange(64.0 + 2.0 * math.ceil((s + 10.0 * math.sqrt(s) + 45.0) / alpha))
-    log_env = k * log_zmax - gammaln(alpha * k + beta)
+    log_gamma = _lgamma(alpha * k + beta)
+    log_env = k * log_zmax - log_gamma
     done = (k > 3) & (np.diff(log_env, prepend=math.inf) < 0.0) & (log_env < log_env.max() + math.log(1e-18))
     if log_env.max() > 700.0 or not done.any():
         raise OverflowError(f"E_{{{alpha},{beta}}}(z) overflows float range at z={np.max(z)}")
     k = k[: int(np.argmax(done)) + 1]
-    log_gamma = gammaln(alpha * k + beta)
     out, too_deep = np.empty_like(z), np.zeros(z.shape, dtype=bool)
     for rows in _row_blocks(z.size, k.size):
-        terms = np.exp(np.log(np.abs(z[rows]))[:, None] * k - log_gamma)
+        terms = np.exp(np.log(np.abs(z[rows]))[:, None] * k - log_gamma[: k.size])
         negative = z[rows] < 0.0
         terms[negative, 1::2] *= -1.0
         out[rows] = terms.sum(axis=1)
@@ -180,7 +199,7 @@ def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np
 def _ml_negative(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(-x), x > 0, for 0 < alpha < 1; beta reduced into (0, 1]."""
     if beta > 1.0:
-        return (rgamma(beta - alpha) - _ml_negative(alpha, beta - alpha, x)) / x
+        return (_rgamma(beta - alpha) - _ml_negative(alpha, beta - alpha, x)) / x
     out = np.empty_like(x)
     tail = x ** (1.0 / alpha) >= _ASYMPTOTIC_S_MIN
     out[tail] = _ml_tail_series(alpha, beta, x[tail])
@@ -225,9 +244,9 @@ def _ml_tail_series(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     - b + 1) (near k = s / a) or after 60 / a + 2 terms, where that envelope
     is far below float resolution for any s >= 60."""
     k = np.arange(1.0, math.ceil(_ASYMPTOTIC_S_MIN / alpha) + 3)
-    signed_rgamma = np.where(k % 2 == 1, 1.0, -1.0) * rgamma(beta - alpha * k)
+    signed_rgamma = np.where(k % 2 == 1, 1.0, -1.0) * np.fromiter(map(_rgamma, beta - alpha * k), float)
     arg = alpha * k - beta + 1.0
-    log_gamma = np.where(arg > 0.0, gammaln(np.where(arg > 0.0, arg, 1.0)), np.inf)
+    log_gamma = np.where(arg > 0.0, _lgamma(np.where(arg > 0.0, arg, 1.0)), np.inf)
     out = np.empty_like(x)
     for rows in _row_blocks(x.size, k.size):
         xx = x[rows][:, None]
@@ -266,7 +285,7 @@ def _wright_series(alpha: float, tau: np.ndarray) -> np.ndarray:
     cut where its sin-free envelope at tau0 (peak term n <= 8) falls below
     1e-18 of its maximum; cancellation is mild for tau < tau0."""
     n = np.arange(1.0, 4097.0)
-    log_mag = gammaln(n * alpha + 1.0) - gammaln(n + 1.0)
+    log_mag = _lgamma(n * alpha + 1.0) - _lgamma(n + 1.0)
     log_env = (n - 1.0) * math.log(_WRIGHT_TAU0) + log_mag
     n = n[: int(np.argmax((n > 13) & (log_env < log_env.max() + math.log(1e-18)))) + 1]
     coef = np.where(n % 2 == 1, 1.0, -1.0) * np.sin(math.pi * ((n * alpha) % 2.0)) / (math.pi * alpha)

@@ -59,7 +59,9 @@ class NonsmoothPotential:
     `value` and `interval` broadcast over numpy arrays in (t, theta, r); a
     whole trajectory comes as t = nodes[:, None], r of shape (nodes, n_theta).
     `eta` is the pointwise bound sup |dF| <= eta(t) whose 1/alpha1-integrability
-    the surrounding hypotheses assume (constants are integrable for any alpha1).
+    the surrounding hypotheses assume (constants are integrable for any alpha1);
+    it broadcasts in t too: an array of times gives an array of that shape, or
+    a scalar that broadcasts to it.
     """
 
     value: Callable
@@ -89,12 +91,7 @@ def abs_potential(c: float) -> NonsmoothPotential:
 
     def ival(t, theta, r):
         r = np.asarray(r, dtype=float)
-        lo = np.where(r > 0.0, c, -c) * np.ones_like(r)
-        hi = lo.copy()
-        kink = r == 0.0
-        lo = np.where(kink, -c, lo)
-        hi = np.where(kink, c, hi)
-        return lo, hi
+        return np.where(r > 0.0, c, -c), np.where(r >= 0.0, c, -c)
 
     return NonsmoothPotential(val, ival, lambda t: c, f"abs:{c}")
 
@@ -109,14 +106,8 @@ def saturating_potential(c: float, cap: float = 1.0) -> NonsmoothPotential:
 
     def ival(t, theta, r):
         r = np.asarray(r, dtype=float)
-        slope = np.where(np.abs(r) < cap, np.where(r > 0.0, c, -c), 0.0)
-        lo = np.where(r == 0.0, -c, slope)
-        hi = np.where(r == 0.0, c, slope)
-        lo = np.where(r == cap, 0.0, lo)
-        hi = np.where(r == cap, c, hi)
-        lo = np.where(r == -cap, -c, lo)
-        hi = np.where(r == -cap, 0.0, hi)
-        return lo, hi
+        return (np.where((r > 0.0) & (r < cap), c, np.where((r >= -cap) & (r <= 0.0), -c, 0.0)),
+                np.where((r >= 0.0) & (r <= cap), c, np.where((r > -cap) & (r < 0.0), -c, 0.0)))
 
     return NonsmoothPotential(val, ival, lambda t: c, f"sat:{c}:{cap}")
 
@@ -139,17 +130,9 @@ def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPote
     def ival(t, theta, r):
         r = np.asarray(r, dtype=float)
         idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
-        lo = slopes[idx]
-        hi = lo.copy()
         # interval at interior break points spans the adjacent slopes
-        at_break = np.isin(r, breaks[1:-1])
-        if np.any(at_break):
-            jdx = np.clip(np.searchsorted(breaks, r) - 1, 0, slopes.size - 1)
-            left = slopes[np.clip(jdx, 0, slopes.size - 1)]
-            right = slopes[np.clip(jdx + 1, 0, slopes.size - 1)]
-            lo = np.where(at_break, np.minimum(left, right), lo)
-            hi = np.where(at_break, np.maximum(left, right), hi)
-        return lo, hi
+        left = slopes[np.where(np.isin(r, breaks[1:-1]), idx - 1, idx)]
+        return np.minimum(left, slopes[idx]), np.maximum(left, slopes[idx])
 
     return NonsmoothPotential(val, ival, lambda t: eta_max, "table")
 
@@ -162,8 +145,8 @@ def audit_potential(
 ) -> None:
     """Runtime admissibility audit: lo <= hi and |lo|, |hi| <= eta(t)."""
     theta_samples = theta_samples if theta_samples is not None else np.array([math.pi / 2])
-    for t in np.asarray(t_samples, dtype=float):
-        bound = float(pot.eta(t))
+    t_samples = np.asarray(t_samples, dtype=float)
+    for t, bound in zip(t_samples, np.broadcast_to(pot.eta(t_samples), t_samples.shape)):
         for theta in theta_samples:
             lo, hi = pot.interval(t, theta, r_samples)
             if np.any(lo > hi + 1e-14):
@@ -202,7 +185,7 @@ def select_forcing(
         g = np.clip(previous, lo, hi)
     else:  # minimal_norm, or sticky without a previous selection
         g = np.clip(0.0, lo, hi)
-    bound = np.array([float(pot.eta(float(t))) for t in nodes])
+    bound = np.broadcast_to(pot.eta(nodes), nodes.shape)
     if np.any(np.max(np.abs(g), axis=1) > bound + 1e-12):
         raise AssertionError("selection escaped the admissible bound")
     return g

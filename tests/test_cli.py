@@ -237,6 +237,23 @@ class TestCommands:
         assert done.returncode == 0, done.stderr
         assert "[FAIL]" not in done.stdout
 
+    def test_commands_run_without_scipy(self, config_file):
+        # scipy serves only E_{1,b} with b != 1 and the tests: neither a p = 4
+        # validate nor a sweep may import any of it
+        src = Path(fracheat.__file__).resolve().parents[1]
+        cfg = str(config_file)
+        code = ("import sys; from fracheat.cli import main; "
+                f"assert main(['validate', {cfg!r}, '--set', 'model.p=4']) == 0; "
+                f"assert main(['sweep', {cfg!r}, '--set', 'solver.steps=64']) == 0; "
+                "loaded = sorted(m for m in sys.modules if m.startswith('scipy')); "
+                "assert not loaded, loaded")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300, cwd=config_file.parent)
+        assert done.returncode == 0, done.stderr
+        assert "[FAIL]" not in done.stdout
+
     def test_unconverged_resolvent_is_reported(self, config_file):
         # the direct p = 2 solve cannot reach a residual of 1e-30 |d|
         rc = main(["sweep", str(config_file)] + SMALL_OVERRIDES

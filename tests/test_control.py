@@ -243,3 +243,16 @@ class TestTerminalIdentity:
         miss = lp_norm(from_basis(run.trajectory.terminal - z, 256, 2.0))
         predicted = lp_norm(from_basis(5e-3 * run.solve.result, 256, 2.0))
         assert miss == pytest.approx(predicted, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+def test_coordinate_duality_map_matches_grid_function_route(p):
+    # the earlier route through a GridFunction: reconstruct, map, project
+    from fracheat.lpspace import duality_map, to_basis
+
+    model = build_model(8, ORDER, 1.0, None, None, p, 256)
+    rng = np.random.default_rng(int(p))
+    for x in [np.zeros(8), bump_coefficients(8), *rng.standard_normal((20, 8))]:
+        old = to_basis(duality_map(from_basis(x, model.n_theta, p)), model.n_modes)
+        new = coordinate_duality_map(model, x)
+        assert np.max(np.abs(new - old)) <= 1e-15 * np.max(np.abs(old))  # x = 0: exact zeros

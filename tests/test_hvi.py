@@ -6,8 +6,10 @@ import pytest
 from fracheat.evolve import Trajectory, mild_solution
 from fracheat.fracops import TimeGrid
 from fracheat.gramian import assemble_gramian
-from fracheat.lpspace import from_basis, lp_norm, theta_grid
+from fracheat.lpspace import basis_values, from_basis, lp_norm, theta_grid
 from fracheat.hvi import (
+    SELECTION_STRATEGIES,
+    NonsmoothPotential,
     abs_potential,
     audit_potential,
     clarke_directional,
@@ -150,6 +152,108 @@ class TestSelection:
         traj = Trajectory(grid, np.zeros((9, 8)))
         with pytest.raises(ValueError):
             select_forcing(abs_potential(0.1), "greedy", traj, model_p2)
+
+
+def reference_abs_interval(c):
+    """The earlier abs_potential interval, five full temporaries."""
+    def ival(t, theta, r):
+        r = np.asarray(r, dtype=float)
+        lo = np.where(r > 0.0, c, -c) * np.ones_like(r)
+        hi = lo.copy()
+        kink = r == 0.0
+        lo = np.where(kink, -c, lo)
+        hi = np.where(kink, c, hi)
+        return lo, hi
+    return ival
+
+
+def reference_saturating_interval(c, cap):
+    """The earlier saturating_potential interval, one where per kink."""
+    def ival(t, theta, r):
+        r = np.asarray(r, dtype=float)
+        slope = np.where(np.abs(r) < cap, np.where(r > 0.0, c, -c), 0.0)
+        lo = np.where(r == 0.0, -c, slope)
+        hi = np.where(r == 0.0, c, slope)
+        lo = np.where(r == cap, 0.0, lo)
+        hi = np.where(r == cap, c, hi)
+        lo = np.where(r == -cap, -c, lo)
+        hi = np.where(r == -cap, 0.0, hi)
+        return lo, hi
+    return ival
+
+
+def reference_tabulated_interval(breaks, values):
+    """The earlier tabulated_potential interval, with a second search at breaks."""
+    breaks, values = np.asarray(breaks, dtype=float), np.asarray(values, dtype=float)
+    slopes = np.diff(values) / np.diff(breaks)
+
+    def ival(t, theta, r):
+        r = np.asarray(r, dtype=float)
+        idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
+        lo = slopes[idx]
+        hi = lo.copy()
+        at_break = np.isin(r, breaks[1:-1])
+        if np.any(at_break):
+            jdx = np.clip(np.searchsorted(breaks, r) - 1, 0, slopes.size - 1)
+            left = slopes[np.clip(jdx, 0, slopes.size - 1)]
+            right = slopes[np.clip(jdx + 1, 0, slopes.size - 1)]
+            lo = np.where(at_break, np.minimum(left, right), lo)
+            hi = np.where(at_break, np.maximum(left, right), hi)
+        return lo, hi
+    return ival
+
+
+BREAKS, VALUES = [-1.0, 0.0, 0.5, 1.0], [1.0, 0.0, 0.75, 2.0]
+REFERENCE_INTERVALS = [
+    (abs_potential(0.3), reference_abs_interval(0.3)),
+    (saturating_potential(0.8, cap=0.9), reference_saturating_interval(0.8, 0.9)),
+    (tabulated_potential(BREAKS, VALUES), reference_tabulated_interval(BREAKS, VALUES)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE_INTERVALS)))
+def test_interval_matches_reference(case):
+    pot, ref = REFERENCE_INTERVALS[case]
+    r = np.array([-np.inf, -2.0, -1.0, -0.9, -0.3, -1e-300, -0.0, 0.0, 1e-300, 0.5, 0.9, 1.0,
+                  3.0, np.inf, np.nan])
+    for arg in (r, r.reshape(3, 5), 0.0, 0.9, -1.0):
+        for new, old in zip(pot.interval(0.0, 1.0, arg), ref(0.0, 1.0, arg)):
+            assert np.shape(new) == np.shape(old) and np.result_type(new) == np.result_type(old)
+            assert np.array_equal(new, old, equal_nan=True)
+
+
+def reference_select(pot, strategy, trajectory, model, previous=None):
+    """The earlier select_forcing, with eta called once per node."""
+    nodes = trajectory.grid.nodes
+    lo, hi = pot.interval(nodes[:, None], theta_grid(model.n_theta),
+                          basis_values(trajectory.states, model.n_theta))
+    if strategy == "midpoint":
+        g = 0.5 * (lo + hi)
+    elif strategy == "sign_zero":
+        g = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, 0.5 * (lo + hi))
+    elif strategy == "sticky" and previous is not None:
+        g = np.clip(previous, lo, hi)
+    else:
+        g = np.clip(0.0, lo, hi)
+    bound = np.array([float(pot.eta(float(t))) for t in nodes])
+    assert not np.any(np.max(np.abs(g), axis=1) > bound + 1e-12)
+    return g
+
+
+@pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
+def test_selection_matches_reference(model_p2, strategy):
+    rng = np.random.default_rng(17)
+    grid = TimeGrid(1.0, 32)
+    states = rng.standard_normal((33, 8))
+    states[0] = 0.0  # a zero row puts every grid point on the kink r = 0
+    traj = Trajectory(grid, states)
+    previous = rng.uniform(-1.0, 1.0, (33, model_p2.n_theta))
+    cases = [(pot, NonsmoothPotential(pot.value, ref, pot.eta)) for pot, ref in REFERENCE_INTERVALS]
+    for pot, ref in cases + [(zero_potential(), zero_potential())]:
+        for prev in (None, previous):
+            new = select_forcing(pot, strategy, traj, model_p2, previous=prev)
+            old = reference_select(ref, strategy, traj, model_p2, previous=prev)
+            assert new.dtype == old.dtype and np.array_equal(new, old)
 
 
 class TestFixedPoint:
