@@ -70,7 +70,9 @@ def coordinate_duality_map(model: SpectralModel, x: np.ndarray) -> np.ndarray:
 
 
 def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
-    """Jacobian of coordinate_duality_map at x (dense n_modes x n_modes)."""
+    """Jacobian of coordinate_duality_map at x (dense n_modes x n_modes): the
+    grid Jacobian diag + rank1 v v^T projected as h W^T diag W + h rank1
+    (W^T v)(W^T v)^T, never formed on the grid."""
     if model.p == 2.0:
         return np.eye(model.n_modes)
     p = model.p
@@ -78,11 +80,10 @@ def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     w, u, norm = _grid_values(model, x)
     if norm == 0.0:
         return np.zeros((model.n_modes, model.n_modes))
-    v = np.abs(u) ** (p - 1.0) * np.sign(u)
+    wv = w.T @ (np.abs(u) ** (p - 1.0) * np.sign(u))
     diag = (p - 1.0) * norm ** (2.0 - p) * np.abs(u) ** (p - 2.0)
     rank1 = (2.0 - p) * norm ** (2.0 - 2.0 * p) * h
-    dj_grid = diag[:, None] * np.eye(u.size) + rank1 * np.outer(v, v)
-    return h * w.T @ dj_grid @ w
+    return h * (w.T * diag) @ w + (h * rank1) * np.outer(wv, wv)
 
 
 @dataclass

@@ -105,18 +105,36 @@ class Propagator:
         c, a = self.lag_weights
         return _frozen(np.append(c[:-1], a[-1]))
 
+    @cached_property
+    def fft_size(self) -> int:
+        """Real-FFT length of `convolve`: 5-smooth and >= 2 steps + 1, so the
+        circular product has no wrap-around."""
+        return _fast_len(2 * self.steps + 1)
+
+    @cached_property
+    def kernel_spectrum(self) -> np.ndarray:
+        """rfft of the lag kernel c[m] e(t_m) at length `fft_size`, per mode."""
+        c, _ = self.lag_weights
+        return _frozen(rfft(c[:, None] * self.e_force, self.fft_size, axis=0))
+
     def convolve(self, u: np.ndarray) -> np.ndarray:
         """Rows k: sum_j w_k[j] e(t_k - t_j) u[j] per mode, for node data u of
         shape (steps+1, n_modes, ...)."""
-        c, a = self.lag_weights
-        size = _fast_len(2 * self.steps + 1)  # no wrap-around
+        _, a = self.lag_weights
         shape = self.e_force.shape + (1,) * (u.ndim - 2)
         tail = np.array(u, dtype=float)
         tail[0] = 0.0  # node j = 0 carries its own weight a[k]
-        kernel = rfft((c[:, None] * self.e_force).reshape(shape), size, axis=0)
-        out = irfft(kernel * rfft(tail, size, axis=0), size, axis=0)[: self.steps + 1]
+        kernel = self.kernel_spectrum.reshape(self.kernel_spectrum.shape + shape[2:])
+        out = irfft(kernel * rfft(tail, self.fft_size, axis=0), self.fft_size,
+                    axis=0)[: self.steps + 1]
         out[0] = 0.0  # row 0 integrates over an empty interval
         return out + (a[:, None] * self.e_force).reshape(shape) * u[0]
+
+    @cached_property
+    def forcing_anchor(self) -> np.ndarray:
+        """Rows k: e_moment[k] - sum_j w_k[j] e(t_k - t_j), the exact kernel
+        moment less the rule's, which multiplies forcing[k] in `mild_solution`."""
+        return _frozen(self.e_moment - self.convolve(np.ones(self.e_force.shape)))
 
     @cached_property
     def cross_kernel(self) -> np.ndarray:
@@ -196,8 +214,7 @@ def mild_solution(
     if forcing is not None:
         # endpoint-anchored split: the exact kernel moment times forcing[k]
         # plus product integration of the remainder, which vanishes at t_k
-        anchor = prop.e_moment - prop.convolve(np.ones_like(forcing))
-        states = states + anchor * forcing + prop.convolve(forcing)
+        states = states + prop.forcing_anchor * forcing + prop.convolve(forcing)
     if control is not None:
         states = states + prop.convolve(control)
     return Trajectory(grid, states)

@@ -3,10 +3,12 @@
 A potential is scalar and locally Lipschitz in the state variable with an
 interval-valued generalized derivative; selections turn the interval into a
 single forcing value per (node, grid point).  The composite map
-g -> selection(closed-loop trajectory of g) is iterated with Krasnoselskii
-averaging in forcing space, where convex combinations stay admissible.
-Non-convergence is a reported outcome, not an exception: existence of the
-fixed point is topological and the iteration is a heuristic.
+g -> selection(closed-loop trajectory of g) is iterated with full steps
+while the trajectory gap shrinks and with Krasnoselskii averaging in forcing
+space, where convex combinations stay admissible, from the first step that
+fails to shrink it.  Non-convergence is a reported outcome, not an
+exception: existence of the fixed point is topological and the iteration is
+a heuristic.
 """
 
 from __future__ import annotations
@@ -205,10 +207,12 @@ class FixedPointResult:
     """Fixed point at tolerance.
 
     `g` is an exact pointwise selection along `run.trajectory` (so membership
-    checks hold at machine precision); `g_relaxed` is the averaged iterate the
-    trajectory was integrated from, and `fixed_point_residual` the sup-norm
-    trajectory change under one more unrelaxed application of the composite
-    map -- the dynamics-vs-membership gap inherent to stopping at tolerance.
+    checks hold at machine precision); `g_relaxed` is the iterate the
+    trajectory was integrated from (the previous selection after a full step,
+    an average after the back-off), `residuals` the trajectory gap of each
+    iteration, and `fixed_point_residual` the sup-norm trajectory change
+    under one more unrelaxed application of the composite map -- the
+    dynamics-vs-membership gap inherent to stopping at tolerance.
     """
 
     g: np.ndarray
@@ -241,11 +245,16 @@ def fixed_point_iterate(
     resolvent_tol: float = 1e-11,
     resolvent_max_iter: int = 400,
 ) -> FixedPointResult:
-    """Damped iteration of g -> selection(closed-loop trajectory of g).
+    """Safeguarded iteration of g -> selection(closed-loop trajectory of g).
 
+    Full steps (g <- selection) come first: once the selection settles, the
+    next full step lands on the fixed point itself.  From the first step
+    whose trajectory gap fails to shrink, the rest of the solve averages,
+    g <- (1 - relaxation) g + relaxation selection (Krasnoselskii), so
+    `relaxation` is the damping used once full steps stop contracting.
     Stops when successive trajectories differ by at most tol in the sup (over
-    nodes) state norm; exhaustion of max_iter returns the best iterate flagged
-    as non-converged.
+    nodes) state norm; exhaustion of max_iter returns the last iterate
+    flagged as non-converged.
     """
     if not 0.0 < relaxation <= 1.0:
         raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
@@ -262,11 +271,14 @@ def fixed_point_iterate(
     residuals: list[float] = []
     converged = False
     iterations = 0
+    omega = 1.0
     for iterations in range(1, max_iter + 1):
         g_sel = select_forcing(pot, strategy, run.trajectory, model, previous=g)
-        g_new = (1.0 - relaxation) * g + relaxation * g_sel
+        g_new = (1.0 - omega) * g + omega * g_sel
         run_new = run_for(g_new)
         gap = _trajectory_gap(model, run_new.trajectory, run.trajectory)
+        if residuals and gap >= residuals[-1]:
+            omega = relaxation  # full steps stopped contracting: average from here on
         residuals.append(gap)
         g, run = g_new, run_new
         if gap <= tol:
@@ -291,7 +303,9 @@ def fixed_point_iterate(
 @dataclass
 class SweepEntry:
     """One epsilon of a sweep.  A failed solve has NaN numbers and keeps its
-    `ConvergenceError` message and resolvent residual history."""
+    `ConvergenceError` message and resolvent residual history; a solved one
+    keeps the fixed point's trajectory gap per iteration and its
+    `fixed_point_residual`."""
 
     epsilon: float
     terminal_miss: float
@@ -302,6 +316,8 @@ class SweepEntry:
     predicted_miss: float
     failure: str | None = None
     residual_history: list[float] = field(default_factory=list)
+    fixed_point_residual: float = math.nan
+    fixed_point_history: list[float] = field(default_factory=list)
 
 
 def free_terminal_miss(model: SpectralModel, grid: TimeGrid, z: np.ndarray,
@@ -367,6 +383,8 @@ def epsilon_sweep(
             converged=fp.converged and run.solve.converged,
             identity_residual=terminal_identity_residual(run, model, np.asarray(z, float)),
             predicted_miss=float(predicted),
+            fixed_point_residual=fp.fixed_point_residual,
+            fixed_point_history=list(fp.residuals),
         ))
         results.append(fp)
     return (entries, results) if return_results else entries

@@ -224,6 +224,22 @@ class TestCommands:
         assert all(e["failure"] and len(e["residual_history"]) >= 1
                    for e in summary["entries"])
 
+    def test_summary_reports_fixed_point_history(self, config_file):
+        rc = main(["sweep", str(config_file)] + SMALL_OVERRIDES)
+        assert rc == 0
+        summary = json.loads((config_file.parent / "out" / "summary.json").read_text())
+        for e in summary["entries"]:
+            assert len(e["fixed_point_history"]) == e["iterations"]
+            assert e["fixed_point_history"][-1] <= 1e-8
+            assert 0.0 <= e["fixed_point_residual"] <= 1e-8
+        # a failed solve has no fixed point: null residual, empty history
+        rc = main(["sweep", str(config_file)] + SMALL_OVERRIDES
+                  + ["--set", "model.p=4", "--set", "solver.resolvent_max_iter=1"])
+        assert rc == 2
+        summary = json.loads((config_file.parent / "out" / "summary.json").read_text())
+        assert all(e["fixed_point_residual"] is None and e["fixed_point_history"] == []
+                   for e in summary["entries"])
+
     def test_validate_runs_without_mpmath(self, config_file):
         # mpmath is a test-only oracle: a p = 4 validate run must not import it
         src = Path(fracheat.__file__).resolve().parents[1]

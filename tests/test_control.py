@@ -18,7 +18,7 @@ from fracheat.control import (
 from fracheat.evolve import mild_solution
 from fracheat.fracops import TimeGrid
 from fracheat.gramian import GramianOperator, assemble_gramian
-from fracheat.lpspace import from_basis, lp_norm
+from fracheat.lpspace import basis_matrix, from_basis, lp_norm
 from fracheat.spectral import build_model, forcing_multipliers
 
 from conftest import ORDER, bump_coefficients
@@ -256,3 +256,30 @@ def test_coordinate_duality_map_matches_grid_function_route(p):
         old = to_basis(duality_map(from_basis(x, model.n_theta, p)), model.n_modes)
         new = coordinate_duality_map(model, x)
         assert np.max(np.abs(new - old)) <= 1e-15 * np.max(np.abs(old))  # x = 0: exact zeros
+
+
+def grid_matrix_jacobian(model, x):
+    """The duality-map Jacobian as it was first written: the dense
+    (n_theta, n_theta) grid matrix diag I + rank1 v v^T, projected on the modes."""
+    p, h = model.p, math.pi / model.n_theta
+    w = basis_matrix(model.n_modes, model.n_theta)
+    u = w @ x
+    norm = float((np.sum(np.abs(u) ** p) * h) ** (1.0 / p))
+    if norm == 0.0:
+        return np.zeros((model.n_modes, model.n_modes))
+    v = np.abs(u) ** (p - 1.0) * np.sign(u)
+    diag = (p - 1.0) * norm ** (2.0 - p) * np.abs(u) ** (p - 2.0)
+    rank1 = (2.0 - p) * norm ** (2.0 - 2.0 * p) * h
+    return h * w.T @ (diag[:, None] * np.eye(u.size) + rank1 * np.outer(v, v)) @ w
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+def test_duality_map_jacobian_matches_grid_matrix(p):
+    from fracheat.control import _duality_map_jacobian
+
+    model = build_model(8, ORDER, 1.0, None, None, p, 256)
+    rng = np.random.default_rng(int(p))
+    for x in [np.zeros(8), bump_coefficients(8), *rng.standard_normal((20, 8))]:
+        old = grid_matrix_jacobian(model, x)
+        new = _duality_map_jacobian(model, x)
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))  # x = 0: exact zeros

@@ -150,3 +150,35 @@ def test_closed_loop_runs_one_mild_solution(model_p2, gram_p2, grid_512, monkeyp
     z[1] = 0.3
     closed_loop_trajectory(model_p2, gram_p2, grid_512, 1e-2, z, bump_coefficients(8))
     assert len(calls) == 1
+
+
+def uncached_convolve(prop, u):
+    """`Propagator.convolve` as it was before the kernel spectrum was cached:
+    the kernel transformed again on every call."""
+    from numpy.fft import irfft, rfft
+
+    c, a = prop.lag_weights
+    size = prop.fft_size
+    shape = prop.e_force.shape + (1,) * (u.ndim - 2)
+    tail = np.array(u, dtype=float)
+    tail[0] = 0.0
+    kernel = rfft((c[:, None] * prop.e_force).reshape(shape), size, axis=0)
+    out = irfft(kernel * rfft(tail, size, axis=0), size, axis=0)[: prop.steps + 1]
+    out[0] = 0.0
+    return out + (a[:, None] * prop.e_force).reshape(shape) * u[0]
+
+
+@pytest.mark.parametrize("steps", [64, 512])
+def test_cached_kernel_data_is_bitwise_the_uncached_formula(model_p2, steps):
+    grid = TimeGrid(1.0, steps)
+    prop = propagator(model_p2, grid)
+    x0, forcing, control = smooth_inputs(grid, model_p2.n_modes, steps)
+    e = prop.e_force
+    for u in (forcing, control, np.broadcast_to(e[::-1, None, :], e.shape + e.shape[1:])):
+        assert np.array_equal(prop.convolve(u), uncached_convolve(prop, u))
+    anchor = prop.e_moment - uncached_convolve(prop, np.ones_like(forcing))
+    assert np.array_equal(prop.forcing_anchor, anchor)
+    states = prop.e_state * x0 + anchor * forcing + uncached_convolve(prop, forcing) \
+        + uncached_convolve(prop, control)
+    new = mild_solution(model_p2, grid, x0, forcing=forcing, control=control).states
+    assert np.array_equal(new, states)
