@@ -319,8 +319,13 @@ def l1_reference(
 
 def write_csv(target, header_lines, columns: list[str], rows) -> None:
     """Write `# ` comment lines, the column row, then the data rows to an open
-    text stream or to the file at path `target`; float cells as repr(float),
-    other cells as str."""
+    text stream or to the file at path `target`.
+
+    Cells must be Python scalars, as `ndarray.tolist()` gives them: the csv
+    module writes a float as its repr (shortest round-trip digits, `nan`,
+    `-0.0`) and any other cell as str.  A numpy scalar would be written as its
+    own repr, `np.float64(...)`, so rows never carry one.
+    """
     if not hasattr(target, "write"):
         with open(target, "w", newline="") as stream:
             write_csv(stream, header_lines, columns, rows)
@@ -329,15 +334,15 @@ def write_csv(target, header_lines, columns: list[str], rows) -> None:
         target.write(f"# {line}\n")
     writer = csv.writer(target)
     writer.writerow(columns)
-    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
-                     for row in rows)
+    writer.writerows(rows)
 
 
 def trajectory_to_csv(traj: Trajectory, stream, header_lines: tuple[str, ...] = ()) -> None:
     """Write rows (node, t, c1..cN); header_lines become leading comments."""
     n_modes = traj.states.shape[1]
+    table = np.column_stack([traj.grid.nodes, traj.states]).tolist()
     write_csv(stream, header_lines, ["node", "t"] + [f"c{n}" for n in range(1, n_modes + 1)],
-              ([k, t, *traj.states[k]] for k, t in enumerate(traj.grid.nodes)))
+              ([k, *row] for k, row in enumerate(table)))
 
 
 def trajectory_to_json(traj: Trajectory) -> str:

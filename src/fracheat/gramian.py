@@ -134,4 +134,4 @@ def gramian_min_singular(gram: GramianOperator) -> float:
 def gramian_to_csv(gram: GramianOperator, stream, header_lines: tuple[str, ...] = ()) -> None:
     n = gram.n_modes
     write_csv(stream, header_lines, ["row"] + [f"c{j}" for j in range(1, n + 1)],
-              ([i + 1, *gram.matrix[i]] for i in range(n)))
+              ([i, *row] for i, row in enumerate(gram.matrix.tolist(), start=1)))

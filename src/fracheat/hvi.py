@@ -29,7 +29,7 @@ from .control import (
 from .evolve import Trajectory, mild_solution, write_csv
 from .fracops import TimeGrid
 from .gramian import GramianOperator
-from .lpspace import basis_matrix, basis_values, lp_norms, theta_grid
+from .lpspace import basis_coefficients, basis_values, lp_norms, theta_grid
 from .spectral import SpectralModel
 
 __all__ = [
@@ -196,10 +196,7 @@ def select_forcing(
 def forcing_to_coordinates(model: SpectralModel, g: np.ndarray) -> np.ndarray:
     """Project grid-valued dual forcing onto the basis and apply the coupling
     operator: rows H ghat(t_k)."""
-    w_scale = math.pi / model.n_theta
-    w = basis_matrix(model.n_modes, model.n_theta)
-    coeffs = g @ w * w_scale
-    return coeffs @ model.h_matrix.T
+    return basis_coefficients(g, model.n_modes) @ model.h_matrix.T
 
 
 @dataclass
@@ -285,8 +282,10 @@ def fixed_point_iterate(
             converged = True
             break
     g_select = select_forcing(pot, strategy, run.trajectory, model, previous=g)
-    run_audit = run_for(g_select)
-    fp_residual = _trajectory_gap(model, run_audit.trajectory, run.trajectory)
+    if np.array_equal(g_select, g):
+        fp_residual = 0.0  # the audit run would be `run` itself, bit for bit
+    else:
+        fp_residual = _trajectory_gap(model, run_for(g_select).trajectory, run.trajectory)
     return FixedPointResult(
         g=g_select,
         g_relaxed=g,
@@ -393,8 +392,8 @@ def epsilon_sweep(
 def sweep_to_csv(entries: list[SweepEntry], stream, header_lines: tuple[str, ...] = ()) -> None:
     write_csv(stream, header_lines,
               ["epsilon", "terminal_miss", "control_energy", "iterations", "converged"],
-              ([e.epsilon, e.terminal_miss, e.control_energy, e.iterations, e.converged]
-               for e in entries))
+              ([float(e.epsilon), float(e.terminal_miss), float(e.control_energy),
+                int(e.iterations), bool(e.converged)] for e in entries))
 
 
 def hvi_residual(
@@ -413,12 +412,11 @@ def hvi_residual(
     if test_directions.ndim != 2 or test_directions.shape[1] != model.n_modes:
         raise ValueError("test_directions must be (m, n_modes) coefficient rows")
     h = math.pi / model.n_theta
-    w = basis_matrix(model.n_modes, model.n_theta)
     ks = np.arange(0, trajectory.grid.steps + 1, max(1, node_stride))
     lo, hi = pot.interval(trajectory.grid.nodes[ks, None], theta_grid(model.n_theta),
                           basis_values(trajectory.states[ks], model.n_theta))
-    lhs = ((g[ks] @ w) * h) @ model.h_matrix.T @ test_directions.T
+    lhs = basis_coefficients(g[ks], model.n_modes) @ model.h_matrix.T @ test_directions.T
     # support function of [lo, hi] along d: hi d where d > 0, lo d where d < 0
-    direction = test_directions @ model.h_matrix @ w.T
+    direction = basis_values(test_directions @ model.h_matrix, model.n_theta)
     rhs = (hi @ np.maximum(direction, 0.0).T + lo @ np.minimum(direction, 0.0).T) * h
     return float(np.max(lhs - rhs))

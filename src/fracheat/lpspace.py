@@ -26,6 +26,7 @@ __all__ = [
     "to_basis",
     "from_basis",
     "basis_values",
+    "basis_coefficients",
     "lp_norms",
 ]
 
@@ -161,10 +162,26 @@ def basis_values(coeff_rows: np.ndarray, n_theta: int) -> np.ndarray:
     """Grid values (rows @ W^T) of each row of basis coefficients; like a
     `GridFunction`, refuses non-finite values."""
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
-    values = rows @ basis_matrix(rows.shape[1], n_theta).T
+    wt = np.ascontiguousarray(basis_matrix(rows.shape[1], n_theta).T)
+    values = np.einsum("ik,kj->ij", rows, wt)
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     return values
+
+
+def basis_coefficients(values: np.ndarray, n_modes: int) -> np.ndarray:
+    """Coefficients h * values @ W of each row of grid values: the rows of
+    `to_basis`, and the inverse of `basis_values` on the first n_modes modes.
+
+    Both grid transforms are numpy contractions rather than BLAS products: at
+    trajectory size, (513, 8) against (8, 256), OpenBLAS hands the product to
+    its thread pool, whose worker then spins for ~0.1 s of CPU after every
+    call, while numpy's own loop takes a fraction of a millisecond.
+    """
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    n_theta = values.shape[1]
+    wt = np.ascontiguousarray(basis_matrix(n_modes, n_theta).T)
+    return np.einsum("ij,kj->ik", values, wt) * (math.pi / n_theta)
 
 
 def lp_norms(coeff_rows: np.ndarray, n_theta: int, p: float) -> np.ndarray:

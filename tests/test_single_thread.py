@@ -1,0 +1,291 @@
+"""The grid transforms as numpy contractions, the panel density rule, the
+skipped audit run and the tolist CSV rows, against the code they replaced.
+
+`lpspace.basis_values` and `basis_coefficients` used to be BLAS products
+(`rows @ W.T`, `values @ W * h`); at trajectory size OpenBLAS ran them on its
+thread pool, whose worker kept spinning after each call.  The old formulas,
+the old 500-node density rule and the old per-cell CSV writer are kept here
+as references, and the last test pins the worker threads' CPU during the two
+benchmarked commands.
+"""
+
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fracheat
+import fracheat.hvi as hvi_module
+from fracheat.cli import _density_checks, main
+from fracheat.config import build_experiment, load_config
+from fracheat.evolve import Trajectory, mild_solution, trajectory_to_csv
+from fracheat.fracops import mittag_leffler, mittag_leffler2, wright_density
+from fracheat.gramian import assemble_gramian, gramian_to_csv
+from fracheat.hvi import (
+    SweepEntry,
+    abs_potential,
+    epsilon_sweep,
+    fixed_point_iterate,
+    forcing_to_coordinates,
+    sweep_to_csv,
+)
+from fracheat.lpspace import basis_coefficients, basis_matrix, basis_values
+
+from conftest import bump_coefficients
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(fracheat.__file__).resolve().parents[1]
+
+
+def assert_rows_close(new, old, bound=1e-14):
+    """|new - old| <= bound * max |old| of the same row."""
+    scale = np.max(np.abs(old), axis=1, keepdims=True)
+    assert new.shape == old.shape
+    assert np.all(np.abs(new - old) <= bound * scale)
+
+
+@pytest.fixture(scope="module")
+def problem_p2(model_p2, gram_p2, grid_512):
+    return model_p2, gram_p2, grid_512, bump_coefficients(8), \
+        np.array([0.6, 0.2, -0.1, 0, 0, 0, 0, 0])
+
+
+class TestGridTransforms:
+    @pytest.mark.parametrize("n_rows", [1, 200, 513, 4097])
+    @pytest.mark.parametrize("n_modes,n_theta", [(8, 256), (128, 256)])
+    def test_basis_values_match_blas_product(self, n_rows, n_modes, n_theta):
+        rng = np.random.default_rng(n_rows + n_modes)
+        rows = rng.standard_normal((n_rows, n_modes))
+        old = rows @ basis_matrix(n_modes, n_theta).T
+        assert_rows_close(basis_values(rows, n_theta), old)
+
+    @pytest.mark.parametrize("n_rows", [1, 200, 513, 4097])
+    @pytest.mark.parametrize("n_modes,n_theta", [(8, 256), (128, 256)])
+    def test_basis_coefficients_match_blas_product(self, n_rows, n_modes, n_theta):
+        rng = np.random.default_rng(n_rows + n_theta)
+        values = rng.standard_normal((n_rows, n_theta))
+        old = values @ basis_matrix(n_modes, n_theta) * (math.pi / n_theta)
+        assert_rows_close(basis_coefficients(values, n_modes), old)
+
+    def test_coefficients_invert_values(self):
+        rows = np.random.default_rng(1).standard_normal((33, 8))
+        back = basis_coefficients(basis_values(rows, 256), 8)
+        assert np.max(np.abs(back - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+    def test_forcing_to_coordinates_matches_blas_product(self, problem_p2):
+        model, gram, grid, x0, z = problem_p2
+        w = basis_matrix(model.n_modes, model.n_theta)
+        h = math.pi / model.n_theta
+        selection = fixed_point_iterate(model, gram, grid, 1e-2, abs_potential(0.3), z, x0).g
+        noise = 0.3 * np.sign(np.random.default_rng(2).standard_normal(selection.shape))
+        for g in (selection, noise):
+            old = g @ w * h @ model.h_matrix.T
+            new = forcing_to_coordinates(model, g)
+            # against the sum of the magnitudes of the terms: random signs
+            # cancel, so the row maximum of `noise` sits ~sqrt(n_theta) lower
+            scale = np.abs(g) @ np.abs(w) * h @ np.abs(model.h_matrix).T
+            assert np.all(np.abs(new - old) <= 1e-14 * scale)
+        assert_rows_close(forcing_to_coordinates(model, selection),
+                          selection @ w * h @ model.h_matrix.T)
+
+
+def old_density_checks(alpha):
+    """The previous rule: one 500-node Gauss-Legendre rule on [0, tau_cut]."""
+    b_rate = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
+    tau_cut = (28.0 / b_rate) ** (1.0 - alpha)
+    x, w = np.polynomial.legendre.leggauss(500)
+    tau = 0.5 * tau_cut * (x + 1.0)
+    wt = 0.5 * tau_cut * w
+    density = wright_density(alpha, tau)
+    sub1 = float(wt @ (density * np.exp(-tau))) - mittag_leffler(alpha, -1.0)
+    sub2 = alpha * float(wt @ (tau * density * np.exp(-tau))) - mittag_leffler2(alpha, alpha, -1.0)
+    return float(wt @ density) - 1.0, sub1, sub2
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+def test_panel_density_rule_matches_single_rule(alpha):
+    new, old = _density_checks(alpha), old_density_checks(alpha)
+    assert max(abs(v) for v in new) <= 1e-12
+    assert max(abs(a - b) for a, b in zip(new, old)) <= 2e-13
+
+
+class TestAuditRun:
+    def test_skipped_exactly_when_the_selection_repeats_the_iterate(self, problem_p2, monkeypatch):
+        model, gram, grid, x0, z = problem_p2
+        calls = []
+        original = hvi_module.closed_loop_trajectory
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hvi_module, "closed_loop_trajectory", counting)
+        skipped = []
+        # converged full steps at each bundled epsilon, then a solve cut after
+        # one step at 1e-3, whose selection still moves
+        cases = [(eps, 80) for eps in (1e-1, 1e-2, 1e-3, 1e-4)] + [(1e-3, 1)]
+        for eps, max_iter in cases:
+            calls.clear()
+            fp = fixed_point_iterate(model, gram, grid, eps, abs_potential(0.3), z, x0,
+                                     max_iter=max_iter)
+            repeat = np.array_equal(fp.g, fp.g_relaxed)
+            assert len(calls) == 1 + fp.iterations + (0 if repeat else 1)
+            skipped.append(repeat)
+            if repeat:
+                assert fp.fixed_point_residual == 0.0
+                # the skipped run would have reproduced `run` bit for bit
+                again = original(model, gram, grid, eps, z, x0,
+                                 forcing=forcing_to_coordinates(model, fp.g))
+                assert np.array_equal(again.trajectory.states, fp.run.trajectory.states)
+            else:
+                assert fp.fixed_point_residual > 0.0
+        assert skipped == [True, True, True, True, False]
+
+
+def old_write_csv(target, header_lines, columns, rows):
+    """The previous writer: every cell checked and formatted in Python."""
+    for line in header_lines:
+        target.write(f"# {line}\n")
+    writer = csv.writer(target)
+    writer.writerow(columns)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                     for row in rows)
+
+
+def old_bytes(columns, rows, headers=("h",)):
+    buf = io.StringIO(newline="")
+    old_write_csv(buf, headers, columns, rows)
+    return buf.getvalue()
+
+
+class TestCsvBytes:
+    SMALL = ["model.modes=4", "solver.steps=96", "solver.n_theta=64",
+             "sweep.epsilons=1e-1, 1e-2"]
+
+    def test_sweep_outputs_match_old_writer(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text((ROOT / "configs" / "heat_default.cfg").read_text())
+        args = []
+        for item in self.SMALL:
+            args += ["--set", item]
+        assert main(["sweep", str(path)] + args) == 0
+        exp = build_experiment(load_config(str(path), self.SMALL), tmp_path)
+        entries, results = epsilon_sweep(
+            exp.model, assemble_gramian(exp.model, exp.quad_steps), exp.grid, exp.potential,
+            exp.target, exp.x0, exp.epsilons, strategy=exp.strategy, relaxation=exp.relaxation,
+            tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
+            resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter,
+            return_results=True)
+        out = tmp_path / "out"
+        header = (out / "sweep.csv").read_text().splitlines()[0][2:]
+        n = exp.model.n_modes
+        assert (out / "sweep.csv").read_bytes().decode() == old_bytes(
+            ["epsilon", "terminal_miss", "control_energy", "iterations", "converged"],
+            ([e.epsilon, e.terminal_miss, e.control_energy, e.iterations, e.converged]
+             for e in entries), (header,))
+        for tag, fp in zip(("1e-1", "1e-2"), results):
+            nodes = exp.grid.nodes
+            states, control = fp.run.trajectory.states, fp.run.control
+            assert (out / f"trajectory_eps_{tag}.csv").read_bytes().decode() == old_bytes(
+                ["node", "t"] + [f"c{i}" for i in range(1, n + 1)],
+                ([k, t, *states[k]] for k, t in enumerate(nodes)), (header,))
+            assert (out / f"control_eps_{tag}.csv").read_bytes().decode() == old_bytes(
+                ["node", "t"] + [f"u{i}" for i in range(1, n + 1)],
+                ([k, t, *control[k]] for k, t in enumerate(nodes)), (header,))
+
+    def test_failed_entry_and_signed_zero(self):
+        entries = [
+            SweepEntry(1e-1, 0.25, -0.0, 3, True, 0.0, 0.25),
+            SweepEntry(1e-3, math.nan, math.nan, 0, False, math.nan, math.nan,
+                       failure="resolvent stalled"),
+            SweepEntry(np.float64(1e-4), np.float64(1 / 3), 1e-300, np.int64(2), np.bool_(True),
+                       0.0, 0.0),
+        ]
+        buf = io.StringIO(newline="")
+        sweep_to_csv(entries, buf, ("h",))
+        want = old_bytes(["epsilon", "terminal_miss", "control_energy", "iterations", "converged"],
+                         ([e.epsilon, e.terminal_miss, e.control_energy, e.iterations,
+                           e.converged] for e in entries))
+        assert buf.getvalue() == want
+        assert "0.001,nan,nan,0,False\r\n" in want and ",-0.0," in want
+
+    def test_trajectory_and_gramian_match_old_writer(self, model_p2, gram_p2, grid_512):
+        states = mild_solution(model_p2, grid_512, bump_coefficients(8)).states.copy()
+        states[5, 1], states[6, 1] = -0.0, 0.0
+        traj = Trajectory(grid_512, states)
+        buf = io.StringIO(newline="")
+        trajectory_to_csv(traj, buf, ("h",))
+        assert ",-0.0," in buf.getvalue()
+        assert buf.getvalue() == old_bytes(
+            ["node", "t"] + [f"c{i}" for i in range(1, 9)],
+            ([k, t, *traj.states[k]] for k, t in enumerate(grid_512.nodes)))
+        buf = io.StringIO(newline="")
+        gramian_to_csv(gram_p2, buf, ("h",))
+        assert buf.getvalue() == old_bytes(
+            ["row"] + [f"c{j}" for j in range(1, 9)],
+            ([i + 1, *gram_p2.matrix[i]] for i in range(8)))
+
+
+WORKER_PROBE = textwrap.dedent("""
+    import contextlib, io, json, os, sys, threading, time
+    from pathlib import Path
+    from fracheat.cli import cmd_sweep, cmd_validate
+    from fracheat.config import build_experiment, load_config
+
+    main_tid = threading.get_native_id()
+    tick = os.sysconf("SC_CLK_TCK")
+
+    def worker_cpu():
+        total = 0
+        for tid in os.listdir("/proc/self/task"):
+            if int(tid) != main_tid:
+                with open(f"/proc/self/task/{tid}/stat") as stream:
+                    fields = stream.read().rsplit(")", 1)[1].split()
+                total += int(fields[11]) + int(fields[12])  # utime + stime
+        return total / tick
+
+    cfg_path, out = sys.argv[1], sys.argv[2]
+    sweep = build_experiment(load_config(cfg_path, [f"output.directory={out}",
+                                                    "solver.steps=512"]), Path(out))
+    validate = build_experiment(load_config(cfg_path, ["model.p=4"]), Path(out))
+    last, waited = worker_cpu(), 0.0
+    while waited < 3.0:
+        time.sleep(0.1)
+        waited += 0.1
+        now = worker_cpu()
+        if now == last:
+            break
+        last = now
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cmd_sweep(sweep), cmd_validate(validate)]
+    time.sleep(0.3)
+    print(json.dumps({"threads": len(os.listdir("/proc/self/task")), "codes": codes,
+                      "worker_cpu": worker_cpu() - last}))
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not os.path.isdir("/proc/self/task"),
+                    reason="reads per-thread CPU from /proc")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: no BLAS worker threads")
+def test_commands_leave_blas_workers_idle(tmp_path):
+    """`sweep` at 512 steps and `validate` at p = 4 give the BLAS worker
+    threads no work: their CPU grows by less than 30 ms (at the earlier code
+    each threaded product or leggauss(500) cost them 120-130 ms)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER_PROBE, str(ROOT / "configs" / "heat_default.cfg"),
+         str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    if report["threads"] < 2:
+        pytest.skip("no worker thread in this numpy build")
+    assert report["codes"] == [0, 0]
+    assert report["worker_cpu"] < 0.030
