@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .fracops import TimeGrid, l1_coefficients, ml_multipliers, pl_moment_arrays
+from .fracops import TimeGrid, l1_coefficients, ml_family, ml_multipliers, pl_moment_arrays
 from .spectral import SpectralModel
 
 __all__ = [
@@ -63,32 +63,47 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Propagator:
     """Discretization data on the grid t_k = k horizon/steps.  Arrays are
-    read-only: one instance serves every caller with the same key."""
+    read-only: one instance serves every caller with the same key.
+
+    Each table is built on first use.  `e_state` (beta = 1) and `e_moment`
+    (beta = alpha + 1) come from one `fracops.ml_family` call, as both reduce
+    to the base beta = 1 and share its cut integral; `e_force` (beta = alpha)
+    is built alone, so the Gramian, which reads only it, never pays for the
+    other two."""
 
     alpha: float
     eigenvalues: tuple
     horizon: float
     steps: int
 
-    def _ml_table(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        t_alpha = np.linspace(0.0, self.horizon, self.steps + 1)[:, None] ** self.alpha
-        return t_alpha, ml_multipliers(self.alpha, beta, np.asarray(self.eigenvalues) * t_alpha)
+    @cached_property
+    def _t_alpha(self) -> np.ndarray:
+        """Column of t_k^alpha."""
+        return np.linspace(0.0, self.horizon, self.steps + 1)[:, None] ** self.alpha
+
+    @cached_property
+    def _state_and_moment(self) -> tuple[np.ndarray, np.ndarray]:
+        # beta = 1 and alpha + 1 share the base 1 wherever (1 + alpha) - alpha
+        # rounds to 1 (alpha = 0.75 does, 0.9 does not): then one cut integral
+        e_state, e_ratio = ml_family(self.alpha, (1.0, self.alpha + 1.0),
+                                     np.asarray(self.eigenvalues) * self._t_alpha)
+        return _frozen(e_state), _frozen(self._t_alpha * e_ratio)
 
     @cached_property
     def e_state(self) -> np.ndarray:
         """Rows k: E_alpha(lam t_k^alpha)."""
-        return _frozen(self._ml_table(1.0)[1])
+        return self._state_and_moment[0]
 
     @cached_property
     def e_force(self) -> np.ndarray:
         """Rows k: E_{alpha,alpha}(lam t_k^alpha), the multipliers e(t_k)."""
-        return _frozen(self._ml_table(self.alpha)[1])
+        arguments = np.asarray(self.eigenvalues) * self._t_alpha
+        return _frozen(ml_multipliers(self.alpha, self.alpha, arguments))
 
     @cached_property
     def e_moment(self) -> np.ndarray:
         """Rows k: t_k^a E_{a,a+1}(lam t_k^a) = int_0^{t_k} s^(a-1) E_{a,a}(lam s^a) ds."""
-        t_alpha, values = self._ml_table(self.alpha + 1.0)
-        return _frozen(t_alpha * values)
+        return self._state_and_moment[1]
 
     @cached_property
     def lag_weights(self) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,13 @@ values for 0 < alpha < 1 take one of three branches chosen from
 s = (-z)**(1/alpha): a float Taylor sum while cancellation is provably mild
 (s <= 5, or z > 0), the truncated tail series once its remainder ~exp(-s) is
 negligible (s >= 60), and in between the exact integral of E_{a,b}(-x),
-0 < b <= 1, on the cut of the collapsed Hankel contour; larger b is reduced
-with E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.  alpha = 1 has closed
-forms, exp and, for b != 1, scipy's hyp1f1 (the one scipy import, made there).
+0 < b <= 1, on the cut of the collapsed Hankel contour, whose Gauss panels
+leave out the zero-width ones a degenerate peak edge would add.  Larger b
+is reduced to a base in (0, 1] with E_{a,b}(z) = (E_{a,b-a}(z) -
+1/Gamma(b-a)) / z; `ml_family` evaluates a family of b over one argument
+array with one tail series and one cut integral per distinct base, as the
+propagator's E_{a,1} and E_{a,a+1} tables need.  alpha = 1 has closed forms,
+exp and, for b != 1, scipy's hyp1f1 (the one scipy import, made there).
 The Wright density is its float series below tau0 and Kanter's nonnegative
 integral (Ann. Probab. 1975) above, via M_a(tau) = a^-1 tau^(-1-1/a)
 L_a(tau^(-1/a)) with the one-sided stable density L_a (Mainardi, Mura &
@@ -112,17 +116,72 @@ class TimeGrid:
 
 def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler E_alpha(z) for alpha in (0, 1]."""
-    return float(_ml_array(float(alpha), 1.0, np.array([float(z)]))[0])
+    return float(ml_family(alpha, (1.0,), np.array([float(z)]))[0][0])
 
 
 def mittag_leffler2(alpha: float, beta: float, z: float) -> float:
     """Two-parameter Mittag-Leffler E_{alpha,beta}(z) for alpha in (0, 1], beta > 0."""
-    return float(_ml_array(float(alpha), float(beta), np.array([float(z)]))[0])
+    return float(ml_family(alpha, (beta,), np.array([float(z)]))[0][0])
 
 
 def ml_multipliers(alpha: float, beta: float, arguments: np.ndarray) -> np.ndarray:
     """E_{alpha,beta} over an array of real arguments, same shape."""
-    return _ml_array(float(alpha), float(beta), arguments)
+    return ml_family(alpha, (beta,), arguments)[0]
+
+
+def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
+    """E_{alpha,beta} over one array of real arguments for each beta of
+    `betas`: a list of arrays of the arguments' shape, in the order of `betas`.
+
+    Each beta > 1 reduces to a base in (0, 1] through the chain beta, beta - a,
+    ...; the tail series and the cut integral of each distinct base run once,
+    on the union of the arguments that need them.  Every value depends on its
+    own argument, alpha and beta only (the Taylor branch aside, which runs per
+    beta on all of `arguments`), so each array is bitwise the one
+    `ml_multipliers` gives for its beta alone."""
+    alpha = float(alpha)
+    betas = [float(beta) for beta in betas]
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    for beta in betas:
+        if not beta > 0.0:
+            raise ValueError(f"beta must be positive, got {beta}")
+    z = np.asarray(arguments, dtype=float)
+    flat = z.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"z must be finite, got {flat[~np.isfinite(flat)][0]}")
+    if alpha == 1.0:
+        return [_ml_alpha_one(beta, flat).reshape(z.shape) for beta in betas]
+    s = np.abs(np.minimum(flat, 0.0)) ** (1.0 / alpha)
+    taylor = np.flatnonzero((flat != 0.0) & ((flat > 0.0) | (s <= _TAYLOR_S_MAX)))
+    outs, negatives, chains = [], [], []
+    for beta in betas:
+        out = np.full_like(flat, _rgamma(beta))  # z = 0
+        out[taylor], too_deep = _ml_taylor(alpha, beta, flat[taylor])
+        negative = flat != 0.0
+        negative[taylor[~too_deep]] = False
+        chain = [beta]
+        while chain[-1] > 1.0:
+            chain.append(chain[-1] - alpha)
+        outs.append(out)
+        negatives.append(negative)
+        chains.append(chain)
+    for base in dict.fromkeys(chain[-1] for chain in chains):
+        members = [k for k, chain in enumerate(chains) if chain[-1] == base]
+        need = np.logical_or.reduce([negatives[k] for k in members])
+        values = np.empty(np.count_nonzero(need))
+        tail = s[need] >= _ASYMPTOTIC_S_MIN
+        x = -flat[need]
+        values[tail] = _ml_tail_series(alpha, base, x[tail])
+        values[~tail] = _ml_cut_integral(alpha, base, x[~tail])
+        slot = np.cumsum(need) - 1
+        for k in members:  # unroll the chain: E_{a,b}(-x) = (1/Gamma(b-a) - E_{a,b-a}(-x)) / x
+            x = -flat[negatives[k]]
+            v = values[slot[negatives[k]]]
+            for beta in reversed(chains[k][:-1]):
+                v = (_rgamma(beta - alpha) - v) / x
+            outs[k][negatives[k]] = v
+    return [out.reshape(z.shape) for out in outs]
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -147,28 +206,12 @@ def _rgamma(v: float) -> float:
     return sign * math.exp(-math.lgamma(v)) if math.lgamma(v) > -709.78 else sign * math.inf
 
 
-def _ml_array(alpha: float, beta: float, arguments) -> np.ndarray:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    z = np.asarray(arguments, dtype=float)
-    flat = z.ravel()
-    if not np.all(np.isfinite(flat)):
-        raise ValueError(f"z must be finite, got {flat[~np.isfinite(flat)][0]}")
-    if alpha == 1.0:  # E_{1,b}(z) = M(1, b, z) / Gamma(b), Kummer's function
-        if beta == 1.0:
-            return np.exp(flat).reshape(z.shape)
-        from scipy.special import hyp1f1  # FracOrder (alpha < 1) never gets here
-        return (hyp1f1(1.0, beta, flat) * _rgamma(beta)).reshape(z.shape)
-    out = np.full_like(flat, _rgamma(beta))  # z = 0
-    s = np.abs(np.minimum(flat, 0.0)) ** (1.0 / alpha)
-    taylor = np.flatnonzero((flat != 0.0) & ((flat > 0.0) | (s <= _TAYLOR_S_MAX)))
-    out[taylor], too_deep = _ml_taylor(alpha, beta, flat[taylor])
-    negative = flat != 0.0
-    negative[taylor[~too_deep]] = False
-    out[negative] = _ml_negative(alpha, beta, -flat[negative])
-    return out.reshape(z.shape)
+def _ml_alpha_one(beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{1,b}(z) = M(1, b, z) / Gamma(b), Kummer's function; exp for b = 1."""
+    if beta == 1.0:
+        return np.exp(z)
+    from scipy.special import hyp1f1  # FracOrder (alpha < 1) never gets here
+    return hyp1f1(1.0, beta, z) * _rgamma(beta)
 
 
 def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,17 +239,6 @@ def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np
     return out, too_deep
 
 
-def _ml_negative(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(-x), x > 0, for 0 < alpha < 1; beta reduced into (0, 1]."""
-    if beta > 1.0:
-        return (_rgamma(beta - alpha) - _ml_negative(alpha, beta - alpha, x)) / x
-    out = np.empty_like(x)
-    tail = x ** (1.0 / alpha) >= _ASYMPTOTIC_S_MIN
-    out[tail] = _ml_tail_series(alpha, beta, x[tail])
-    out[~tail] = _ml_cut_integral(alpha, beta, x[~tail])
-    return out
-
-
 def _ml_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """The cut integral under r = u**(1/alpha),
 
@@ -214,27 +246,60 @@ def _ml_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             / ((r^a + x cos(pi a))**2 + (x sin(pi a))**2) dr,
 
     on Gauss panels at the fixed and the Lorentzian peak edges of each x; the
-    first panel [0, h] absorbs r^(a-b) through v = r^(1+a-b)."""
+    first panel [0, h] absorbs r^(a-b) through v = r^(1+a-b), so its nodes and
+    weights are the same for every x.
+
+    A peak edge is degenerate where u <= 0 (it would land on r = 1) or where
+    it falls outside (fixed[0], fixed[-1]) (it would be clipped onto an end):
+    it only adds a zero-width panel, so it is dropped.  Arguments are grouped
+    by their live peak edges, which keeps each value a function of its own
+    argument alone."""
     gam = alpha - beta  # in (-1, 0]
     cos_pa, sin_pa = math.cos(math.pi * alpha), math.sin(math.pi * alpha)
     sin_pb, sin_pba = math.sin(math.pi * beta), math.sin(math.pi * (beta - alpha))
     fixed = np.concatenate([6.0 ** -np.arange(math.ceil(5.0 / alpha), 10.0, -1.0), _CUT_EDGES])
+    v_max = fixed[0] ** (1.0 + gam)
+    r_first = (0.5 * v_max * (1.0 + _CUT_X)) ** (1.0 / (1.0 + gam))
+    w_first = 0.5 * v_max * _CUT_W / (1.0 + gam)  # r^-gam cancels the integrand's r^gam
+    u = x[:, None] * (_PEAK_WIDTHS * sin_pa - cos_pa)
+    peak = np.abs(u) ** (1.0 / alpha)
+    live = (u > 0.0) & (peak > fixed[0]) & (peak < fixed[-1])
+    codes = live @ (1 << np.arange(_PEAK_WIDTHS.size))
     out = np.empty_like(x)
-    for rows in _row_blocks(x.size, (fixed.size + _PEAK_WIDTHS.size) * _CUT_X.size):
-        xx = x[rows][:, None]
-        u = xx * (_PEAK_WIDTHS * sin_pa - cos_pa)
-        # u <= 0 adds no edge (r = 1 is one); no edge lies below the fixed
-        # ones, so no panel below r = 1 spans more than a factor 6
-        peak = np.where(u > 0.0, np.clip(np.abs(u) ** (1.0 / alpha), fixed[0], fixed[-1]), 1.0)
-        edges = np.sort(np.hstack([np.broadcast_to(fixed, (len(xx), fixed.size)), peak]))
-        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
-        v_max = edges[:, :1] ** (1.0 + gam)
-        start = (0.5 * v_max * (1.0 + _CUT_X)) ** (1.0 / (1.0 + gam))
-        r = np.hstack([start, (edges[:, :-1, None] + half * (1.0 + _CUT_X)).reshape(len(xx), -1)])
-        w = np.hstack([0.5 * v_max * _CUT_W / ((1.0 + gam) * start**gam), (half * _CUT_W).reshape(len(xx), -1)])
-        ra = r**alpha
-        f = np.exp(-r) * r**gam * (ra * sin_pb + xx * sin_pba) / ((ra + xx * cos_pa) ** 2 + (xx * sin_pa) ** 2)
-        out[rows] = np.sum(f * w, axis=1) / math.pi
+    for code in np.flatnonzero(np.bincount(codes)):  # not np.unique, which imports numpy.ma
+        group = np.flatnonzero(codes == code)
+        kept = live[group[0]]
+        n_panels = fixed.size + np.count_nonzero(kept)  # with the first panel
+        # the power of r in the integrand per column: none on the first panel
+        gam_col = np.repeat(np.append(0.0, np.full(n_panels - 1, gam)), _CUT_X.size)
+        for rows in _row_blocks(group.size, n_panels * _CUT_X.size):
+            sel = group[rows]
+            xx = x[sel][:, None]
+            edges = np.sort(np.hstack([np.broadcast_to(fixed, (sel.size, fixed.size)), peak[sel][:, kept]]))
+            half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+            r = np.empty((sel.size, n_panels, _CUT_X.size))
+            w = np.empty_like(r)
+            r[:, 0], w[:, 0] = r_first, w_first
+            np.add(edges[:, :-1, None], half * (1.0 + _CUT_X), out=r[:, 1:])
+            np.multiply(half, _CUT_W, out=w[:, 1:])
+            r, w = r.reshape(sel.size, -1), w.reshape(sel.size, -1)
+            # the integrand, in place: exp(gam log r - r) (r^a sin(pi b) + x sin(pi (b-a)))
+            # / ((r^a + x cos(pi a))^2 + (x sin(pi a))^2) with r^a = exp(a log r)
+            f = np.log(r)
+            ra = np.multiply(f, alpha)
+            np.exp(ra, out=ra)
+            f *= gam_col
+            f -= r
+            np.exp(f, out=f)
+            num = np.multiply(ra, sin_pb)
+            num += xx * sin_pba
+            f *= num
+            ra += xx * cos_pa
+            ra *= ra
+            ra += (xx * sin_pa) ** 2
+            f /= ra
+            f *= w
+            out[sel] = np.sum(f, axis=1) / math.pi
     return out
 
 

@@ -92,8 +92,11 @@ def abs_potential(c: float) -> NonsmoothPotential:
         return c * np.abs(np.asarray(r, dtype=float))
 
     def ival(t, theta, r):
+        # (r > 0) 2c - c is where(r > 0, c, -c) bit for bit when c > 0 (2c - c
+        # = c exactly; NaN r gives -c in both), without np.where's slower
+        # broadcast of two scalars; at c = 0 only the sign of zero can differ
         r = np.asarray(r, dtype=float)
-        return np.where(r > 0.0, c, -c), np.where(r >= 0.0, c, -c)
+        return (r > 0.0) * (2.0 * c) - c, (r >= 0.0) * (2.0 * c) - c
 
     return NonsmoothPotential(val, ival, lambda t: c, f"abs:{c}")
 
@@ -188,7 +191,7 @@ def select_forcing(
     else:  # minimal_norm, or sticky without a previous selection
         g = np.clip(0.0, lo, hi)
     bound = np.broadcast_to(pot.eta(nodes), nodes.shape)
-    if np.any(np.max(np.abs(g), axis=1) > bound + 1e-12):
+    if np.any(np.maximum(g.max(axis=1), -g.min(axis=1)) > bound + 1e-12):  # max |g| per node
         raise AssertionError("selection escaped the admissible bound")
     return g
 
@@ -271,13 +274,16 @@ def fixed_point_iterate(
     omega = 1.0
     for iterations in range(1, max_iter + 1):
         g_sel = select_forcing(pot, strategy, run.trajectory, model, previous=g)
-        g_new = (1.0 - omega) * g + omega * g_sel
-        run_new = run_for(g_new)
+        # g <- (1 - omega) g + omega g_sel, in place: both arrays are this loop's own
+        g *= 1.0 - omega
+        g_sel *= omega
+        g += g_sel
+        run_new = run_for(g)
         gap = _trajectory_gap(model, run_new.trajectory, run.trajectory)
         if residuals and gap >= residuals[-1]:
             omega = relaxation  # full steps stopped contracting: average from here on
         residuals.append(gap)
-        g, run = g_new, run_new
+        run = run_new
         if gap <= tol:
             converged = True
             break
@@ -418,5 +424,8 @@ def hvi_residual(
     lhs = basis_coefficients(g[ks], model.n_modes) @ model.h_matrix.T @ test_directions.T
     # support function of [lo, hi] along d: hi d where d > 0, lo d where d < 0
     direction = basis_values(test_directions @ model.h_matrix, model.n_theta)
-    rhs = (hi @ np.maximum(direction, 0.0).T + lo @ np.minimum(direction, 0.0).T) * h
+    # contractions over the grid axis: as `@` products OpenBLAS would run them
+    # on its thread pool (see `lpspace.basis_coefficients`)
+    rhs = (np.einsum("kj,mj->km", hi, np.maximum(direction, 0.0))
+           + np.einsum("kj,mj->km", lo, np.minimum(direction, 0.0))) * h
     return float(np.max(lhs - rhs))

@@ -186,5 +186,7 @@ def basis_coefficients(values: np.ndarray, n_modes: int) -> np.ndarray:
 
 def lp_norms(coeff_rows: np.ndarray, n_theta: int, p: float) -> np.ndarray:
     """Midpoint-rule L^p norm of the reconstruction of each coefficient row."""
-    power = np.sum(np.abs(basis_values(coeff_rows, n_theta)) ** p, axis=1)
-    return (power * (math.pi / n_theta)) ** (1.0 / p)
+    values = basis_values(coeff_rows, n_theta)
+    np.abs(values, out=values)
+    np.power(values, p, out=values)
+    return (np.sum(values, axis=1) * (math.pi / n_theta)) ** (1.0 / p)

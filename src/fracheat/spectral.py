@@ -157,20 +157,16 @@ def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> n
         x, gw = np.polynomial.legendre.leggauss(ng)
         mode = np.arange(1, n_modes + 1)
         scale = math.sqrt(2.0 / math.pi)
-        mat = np.zeros((n_modes, n_modes))
-        # outer nodes on [0, pi]
+        # outer nodes t on [0, pi]; inner panels [0, t] and [t, pi], each with
+        # the same Gauss rule: arrays (outer node, panel, inner node)
         t_out = 0.5 * math.pi * (x + 1.0)
         w_out = 0.5 * math.pi * gw
-        for ti, wi in zip(t_out, w_out):
-            inner = np.zeros(n_modes)
-            for lo, hi in ((0.0, ti), (ti, math.pi)):
-                if hi - lo < 1e-14:
-                    continue
-                u = 0.5 * (hi - lo) * (x + 1.0) + lo
-                wu = 0.5 * (hi - lo) * gw
-                kv = kernel.values(np.full_like(u, ti), u)
-                inner += (wu * kv) @ (scale * np.sin(np.outer(u, mode)))
-            mat += wi * np.outer(scale * np.sin(mode * ti), inner)
+        lo = np.stack([np.zeros(ng), t_out], axis=1)[:, :, None]
+        half = 0.5 * (np.stack([t_out, np.full(ng, math.pi)], axis=1)[:, :, None] - lo)
+        u = half * (x + 1.0) + lo
+        kv = kernel.values(np.broadcast_to(t_out[:, None, None], u.shape), u)
+        inner = np.einsum("ipq,ipq,ipqn->in", half * gw, kv, scale * np.sin(u[..., None] * mode))
+        mat = np.einsum("i,im,in->mn", w_out, scale * np.sin(np.outer(t_out, mode)), inner)
     defect = float(np.max(np.abs(mat - mat.T)))
     scale_ref = max(float(np.max(np.abs(mat))), 1e-30)
     if defect > 1e-8 * scale_ref:
@@ -193,6 +189,13 @@ def _kernel_norm_bounds(kernel: KernelSpec, p: float, n_theta: int) -> tuple[flo
     return float(bound_l2_lp) * (1.0 + 1e-9), float(bound_lq_lp) * (1.0 + 1e-9)
 
 
+def _same_kernel(a: KernelSpec, b: KernelSpec) -> bool:
+    """Whether two specs describe the same kernel (tables compared by value)."""
+    if a.kind != b.kind:
+        return False
+    return a.kind != "custom" or np.array_equal(a.table, b.table)
+
+
 def build_model(
     n_modes: int,
     order: FracOrder,
@@ -209,9 +212,12 @@ def build_model(
         raise ValueError(f"resolution guard: n_modes={n_modes} exceeds n_theta/2={n_theta // 2}")
     eigenvalues = -np.arange(1, n_modes + 1, dtype=float) ** 2
     b_matrix = _assemble_kernel_matrix(kernel_b, n_modes, n_theta)
-    h_matrix = _assemble_kernel_matrix(kernel_h, n_modes, n_theta)
-    b_norm, _ = _kernel_norm_bounds(kernel_b, p, n_theta)
-    _, h_norm = _kernel_norm_bounds(kernel_h, p, n_theta)
+    b_norm, h_norm = _kernel_norm_bounds(kernel_b, p, n_theta)
+    if _same_kernel(kernel_b, kernel_h):  # the bundled config: both green
+        h_matrix = b_matrix
+    else:
+        h_matrix = _assemble_kernel_matrix(kernel_h, n_modes, n_theta)
+        _, h_norm = _kernel_norm_bounds(kernel_h, p, n_theta)
     return SpectralModel(
         n_modes=n_modes,
         order=order,

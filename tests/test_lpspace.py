@@ -59,6 +59,14 @@ class TestNorm:
         np.testing.assert_allclose(basis_values(rows, N_THETA)[2],
                                    from_basis(rows[2], N_THETA).values, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 2.5])
+    def test_row_norms_in_place_are_bitwise_the_expression(self, p):
+        # abs and power now overwrite the values array: same operations
+        rows = np.random.default_rng(4).standard_normal((513, 8))
+        want = (np.sum(np.abs(basis_values(rows, N_THETA)) ** p, axis=1)
+                * (math.pi / N_THETA)) ** (1.0 / p)
+        assert np.array_equal(lp_norms(rows, N_THETA, p), want)
+
     def test_row_values_refuse_non_finite(self):
         rows = np.zeros((3, 4))
         rows[1, 2] = np.inf

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import fracheat.control as control_module
+import fracheat.fracops as fracops
 from fracheat.control import closed_loop_trajectory, coordinate_duality_map, \
     regularized_resolvent
-from fracheat.evolve import mild_solution
+from fracheat.evolve import Propagator, mild_solution
 from fracheat.fracops import TimeGrid, ml_multipliers, singular_conv_weights
 from fracheat.gramian import assemble_gramian
 from fracheat.evolve import propagator
@@ -182,3 +183,26 @@ def test_cached_kernel_data_is_bitwise_the_uncached_formula(model_p2, steps):
         + uncached_convolve(prop, control)
     new = mild_solution(model_p2, grid, x0, forcing=forcing, control=control).states
     assert np.array_equal(new, states)
+
+
+def test_state_and_moment_tables_share_one_cut_integral(model_p2, monkeypatch):
+    """`e_state` (beta = 1) and `e_moment` (beta = alpha + 1) reduce to the
+    same base and come from one family call: one cut integral, not two.
+    `e_force` stays its own, built only when read."""
+    calls = []
+    original = fracops._ml_cut_integral
+
+    def counting(alpha, beta, x):
+        calls.append(beta)
+        return original(alpha, beta, x)
+
+    monkeypatch.setattr(fracops, "_ml_cut_integral", counting)
+    alpha = model_p2.order.alpha
+    prop = Propagator(alpha, tuple(model_p2.eigenvalues), 1.0, 512)  # not the shared one
+    e_state, e_moment = prop.e_state, prop.e_moment
+    assert calls == [1.0]
+    e_force = prop.e_force
+    assert calls == [1.0, alpha]
+    want = reference_tables(model_p2, TimeGrid(1.0, 512))
+    for got, ref in zip((e_state, e_force, e_moment), want):
+        assert np.array_equal(got, ref) and not got.flags.writeable

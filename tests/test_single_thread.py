@@ -16,7 +16,6 @@ import math
 import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +34,10 @@ from fracheat.hvi import (
     epsilon_sweep,
     fixed_point_iterate,
     forcing_to_coordinates,
+    hvi_residual,
     sweep_to_csv,
 )
-from fracheat.lpspace import basis_coefficients, basis_matrix, basis_values
+from fracheat.lpspace import basis_coefficients, basis_matrix, basis_values, theta_grid
 
 from conftest import bump_coefficients
 
@@ -234,28 +234,28 @@ class TestCsvBytes:
             ([i + 1, *gram_p2.matrix[i]] for i in range(8)))
 
 
-WORKER_PROBE = textwrap.dedent("""
-    import contextlib, io, json, os, sys, threading, time
-    from pathlib import Path
-    from fracheat.cli import cmd_sweep, cmd_validate
-    from fracheat.config import build_experiment, load_config
+# probe scripts run in a fresh interpreter: argv = (config path, output dir);
+# `settle()` waits until the workers' CPU stops growing and returns it,
+# `report()` prints the exit codes and the workers' CPU since then
+PROBE_PREFIX = """
+import contextlib, io, json, os, sys, threading, time
+from pathlib import Path
+from fracheat.config import build_experiment, load_config
 
-    main_tid = threading.get_native_id()
-    tick = os.sysconf("SC_CLK_TCK")
+main_tid = threading.get_native_id()
+tick = os.sysconf("SC_CLK_TCK")
+cfg_path, out = sys.argv[1], sys.argv[2]
 
-    def worker_cpu():
-        total = 0
-        for tid in os.listdir("/proc/self/task"):
-            if int(tid) != main_tid:
-                with open(f"/proc/self/task/{tid}/stat") as stream:
-                    fields = stream.read().rsplit(")", 1)[1].split()
-                total += int(fields[11]) + int(fields[12])  # utime + stime
-        return total / tick
+def worker_cpu():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != main_tid:
+            with open(f"/proc/self/task/{tid}/stat") as stream:
+                fields = stream.read().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])  # utime + stime
+    return total / tick
 
-    cfg_path, out = sys.argv[1], sys.argv[2]
-    sweep = build_experiment(load_config(cfg_path, [f"output.directory={out}",
-                                                    "solver.steps=512"]), Path(out))
-    validate = build_experiment(load_config(cfg_path, ["model.p=4"]), Path(out))
+def settle():
     last, waited = worker_cpu(), 0.0
     while waited < 3.0:
         time.sleep(0.1)
@@ -264,28 +264,98 @@ WORKER_PROBE = textwrap.dedent("""
         if now == last:
             break
         last = now
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes = [cmd_sweep(sweep), cmd_validate(validate)]
-    time.sleep(0.3)
+    return last
+
+def report(codes, since):
+    time.sleep(0.3)  # let the workers' spin after the last call show
     print(json.dumps({"threads": len(os.listdir("/proc/self/task")), "codes": codes,
-                      "worker_cpu": worker_cpu() - last}))
-""")
+                      "worker_cpu": worker_cpu() - since}))
+"""
+
+WORKER_PROBE = PROBE_PREFIX + """
+from fracheat.cli import cmd_sweep, cmd_validate
+
+sweep = build_experiment(load_config(cfg_path, [f"output.directory={out}",
+                                                "solver.steps=512"]), Path(out))
+validate = build_experiment(load_config(cfg_path, ["model.p=4"]), Path(out))
+last = settle()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cmd_sweep(sweep), cmd_validate(validate)]
+report(codes, last)
+"""
+
+HVI_RESIDUAL_PROBE = PROBE_PREFIX + """
+import numpy as np
+from fracheat.gramian import assemble_gramian
+from fracheat.hvi import fixed_point_iterate, hvi_residual
+
+exp = build_experiment(load_config(cfg_path, []), Path(out))
+model = exp.model
+fp = fixed_point_iterate(model, assemble_gramian(model, exp.quad_steps), exp.grid, 1e-2,
+                         exp.potential, exp.target, exp.x0)
+dirs = np.random.default_rng(9).standard_normal((16, model.n_modes))
+last = settle()
+worst = hvi_residual(model, fp.run.trajectory, fp.g, exp.potential, dirs)
+report([int(worst <= 1e-8)], last)
+"""
+
+on_linux = pytest.mark.skipif(not sys.platform.startswith("linux")
+                              or not os.path.isdir("/proc/self/task"),
+                              reason="reads per-thread CPU from /proc")
+two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: no BLAS worker threads")
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or not os.path.isdir("/proc/self/task"),
-                    reason="reads per-thread CPU from /proc")
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: no BLAS worker threads")
-def test_commands_leave_blas_workers_idle(tmp_path):
-    """`sweep` at 512 steps and `validate` at p = 4 give the BLAS worker
-    threads no work: their CPU grows by less than 30 ms (at the earlier code
-    each threaded product or leggauss(500) cost them 120-130 ms)."""
+def run_probe(probe, tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", WORKER_PROBE, str(ROOT / "configs" / "heat_default.cfg"),
-         str(tmp_path)],
+        [sys.executable, "-c", probe, str(ROOT / "configs" / "heat_default.cfg"), str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     if report["threads"] < 2:
         pytest.skip("no worker thread in this numpy build")
+    return report
+
+
+@on_linux
+@two_cpus
+def test_commands_leave_blas_workers_idle(tmp_path):
+    """`sweep` at 512 steps and `validate` at p = 4 give the BLAS worker
+    threads no work: their CPU grows by less than 30 ms (at the earlier code
+    each threaded product or leggauss(500) cost them 120-130 ms)."""
+    report = run_probe(WORKER_PROBE, tmp_path)
     assert report["codes"] == [0, 0]
     assert report["worker_cpu"] < 0.030
+
+
+@on_linux
+@two_cpus
+def test_hvi_residual_leaves_blas_workers_idle(tmp_path):
+    """Criterion 9's support-function products run as einsum over the grid
+    axis: 16 test directions on the bundled fixed point leave the worker
+    threads idle (as `@` products, ~0.13 s of worker CPU per call)."""
+    report = run_probe(HVI_RESIDUAL_PROBE, tmp_path)
+    assert report["codes"] == [1]
+    assert report["worker_cpu"] < 0.030
+
+
+def old_hvi_rhs(model, trajectory, pot, directions):
+    """The support-function side of `hvi_residual` as BLAS products."""
+    lo, hi = pot.interval(trajectory.grid.nodes[:, None], theta_grid(model.n_theta),
+                          basis_values(trajectory.states, model.n_theta))
+    direction = basis_values(directions @ model.h_matrix, model.n_theta)
+    h = math.pi / model.n_theta
+    return (hi @ np.maximum(direction, 0.0).T + lo @ np.minimum(direction, 0.0).T) * h, \
+        (np.abs(hi) @ np.abs(direction).T) * h
+
+
+def test_hvi_residual_matches_blas_products(problem_p2):
+    model, gram, grid, x0, z = problem_p2
+    pot = abs_potential(0.3)
+    fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
+    dirs = np.random.default_rng(9).standard_normal((16, model.n_modes))
+    rhs, scale = old_hvi_rhs(model, fp.run.trajectory, pot, dirs)
+    lhs = basis_coefficients(fp.g, model.n_modes) @ model.h_matrix.T @ dirs.T
+    got = hvi_residual(model, fp.run.trajectory, fp.g, pot, dirs)
+    # the einsum sums the grid axis in another order: 1e-14 of the sum of
+    # the terms' magnitudes
+    assert abs(got - np.max(lhs - rhs)) <= 1e-14 * np.max(scale)

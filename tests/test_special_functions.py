@@ -5,7 +5,11 @@ Mittag-Leffler one argument at a time (a math.fsum Taylor sum, adaptive
 `quad` on the cut integral, a scalar loop over the tail series), and the
 Wright density as its float ascending series with an mpmath fallback where
 cancellation is deep.  Both are test-only now.  The arbitrary-precision
-`ml_oracle` of conftest is the independent check.
+`ml_oracle` of conftest is the independent check.  The array cut integral as
+it was before zero-width panels were dropped (every peak width on every
+argument, r^a and r^(a-b) as powers) is kept too: the pruned one may differ
+from it in summation order and last-bit rounding only, so it must agree to
+1e-13 relative.
 
 Tolerances: 1e-10 relative, the accuracy contract of `test_fracops`; for the
 Wright density 1e-10 relative wherever it is at least 1e-12 of its maximum
@@ -14,6 +18,7 @@ and 1e-13 absolute below that, where relative error is meaningless.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracheat.fracops import _TAYLOR_S_MAX, _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, \
+import fracheat.fracops as fracops
+from fracheat.fracops import _CUT_EDGES, _CUT_W, _CUT_X, _PEAK_WIDTHS, _TAYLOR_S_MAX, \
+    _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, _ml_cut_integral, _row_blocks, ml_family, \
     ml_multipliers, wright_density
 
 from conftest import ml_oracle
@@ -111,7 +118,37 @@ def reference_wright(alpha: float, tau: float) -> float:
         return max(float(total / (mp.pi * a)), 0.0)
 
 
+def reference_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """The array cut integral with all twelve peak widths on every argument
+    (degenerate ones clipped onto r = 1 or a fixed end, so zero-width
+    panels), the integrand as exp(-r) r**(a-b) with r**a."""
+    gam = alpha - beta
+    cos_pa, sin_pa = math.cos(math.pi * alpha), math.sin(math.pi * alpha)
+    sin_pb, sin_pba = math.sin(math.pi * beta), math.sin(math.pi * (beta - alpha))
+    fixed = np.concatenate([6.0 ** -np.arange(math.ceil(5.0 / alpha), 10.0, -1.0), _CUT_EDGES])
+    out = np.empty_like(x)
+    for rows in _row_blocks(x.size, (fixed.size + _PEAK_WIDTHS.size) * _CUT_X.size):
+        xx = x[rows][:, None]
+        u = xx * (_PEAK_WIDTHS * sin_pa - cos_pa)
+        peak = np.where(u > 0.0, np.clip(np.abs(u) ** (1.0 / alpha), fixed[0], fixed[-1]), 1.0)
+        edges = np.sort(np.hstack([np.broadcast_to(fixed, (len(xx), fixed.size)), peak]))
+        half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+        v_max = edges[:, :1] ** (1.0 + gam)
+        start = (0.5 * v_max * (1.0 + _CUT_X)) ** (1.0 / (1.0 + gam))
+        r = np.hstack([start, (edges[:, :-1, None] + half * (1.0 + _CUT_X)).reshape(len(xx), -1)])
+        w = np.hstack([0.5 * v_max * _CUT_W / ((1.0 + gam) * start**gam),
+                       (half * _CUT_W).reshape(len(xx), -1)])
+        ra = r**alpha
+        f = np.exp(-r) * r**gam * (ra * sin_pb + xx * sin_pba) / ((ra + xx * cos_pa) ** 2 + (xx * sin_pa) ** 2)
+        out[rows] = np.sum(f * w, axis=1) / math.pi
+    return out
+
+
 BETA = {"alpha": lambda a: a, "one": lambda a: 1.0, "alpha+1": lambda a: a + 1.0}
+# bases in (0, 1] and reduction chains of length 1 (alpha + 1), 2 (2) and 3 (alpha + 2)
+CUT_BETA = {**BETA, "alpha+2": lambda a: a + 2.0, "two": lambda a: 2.0}
+BASES = {"0.3": lambda a: 0.3, "alpha": lambda a: a, "one": lambda a: 1.0}
+FRAC_ALPHAS = [0.51, 0.6, 0.75, 0.9, 0.99, 0.999]
 
 
 def seam_arguments(alpha: float) -> np.ndarray:
@@ -192,3 +229,82 @@ def test_table_evaluation_is_blocked():
         tracemalloc.stop()
     assert table.shape == z.shape
     assert peak <= 4e6
+
+
+def chain_length(alpha: float, beta: float) -> int:
+    """Reductions beta -> beta - alpha until beta <= 1, as `ml_family` counts."""
+    n = 0
+    while beta > 1.0:
+        beta, n = beta - alpha, n + 1
+    return n
+
+
+@pytest.mark.parametrize("alpha", FRAC_ALPHAS)
+@pytest.mark.parametrize("beta_kind", sorted(CUT_BETA))
+def test_pruned_cut_integral_matches_full_panel_reference(alpha, beta_kind, monkeypatch):
+    beta = CUT_BETA[beta_kind](alpha)
+    z = seam_arguments(alpha)
+    got = ml_multipliers(alpha, beta, z)
+    monkeypatch.setattr(fracops, "_ml_cut_integral", reference_cut_integral)
+    want = ml_multipliers(alpha, beta, z)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", FRAC_ALPHAS)
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_pruned_cut_integral_across_its_whole_range(alpha, base):
+    # every argument the cut integral serves, 5 < s < 60, densely
+    beta = BASES[base](alpha)
+    x = np.geomspace(_TAYLOR_S_MAX, _ASYMPTOTIC_S_MIN, 400) ** alpha
+    got, want = _ml_cut_integral(alpha, beta, x), reference_cut_integral(alpha, beta, x)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.999])
+def test_cut_value_depends_on_its_own_argument_only(alpha):
+    # arguments are grouped by their live peak edges, so a value does not
+    # depend on what else is in the call: what makes `ml_family` exact
+    x = np.geomspace(_TAYLOR_S_MAX, _ASYMPTOTIC_S_MIN, 40) ** alpha
+    whole = _ml_cut_integral(alpha, 1.0, x)
+    alone = np.array([_ml_cut_integral(alpha, 1.0, x[i:i + 1])[0] for i in range(x.size)])
+    assert np.array_equal(whole, alone)
+    assert np.array_equal(_ml_cut_integral(alpha, 1.0, x[::-1]), whole[::-1])
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.51, 0.75, 0.9, 0.999])
+def test_pruning_raises_no_runtime_warning(alpha):
+    # u <= 0 for the widths left of the peak at alpha > 1/2: no power of a
+    # negative base may be taken
+    x = np.geomspace(_TAYLOR_S_MAX, _ASYMPTOTIC_S_MIN, 64) ** alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (0.3, alpha, 1.0):
+            assert np.all(np.isfinite(_ml_cut_integral(alpha, beta, x)))
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 0.9, 0.999])
+def test_family_is_bitwise_separate_calls(alpha):
+    betas = (alpha, 1.0, alpha + 1.0, 2.0, alpha + 2.0, 0.5)
+    assert {chain_length(alpha, b) for b in betas} >= {0, 1, 2}
+    table = -(np.arange(1.0, 9.0) ** 2) * np.linspace(0.0, 1.0, 129)[:, None] ** alpha
+    spread = np.concatenate([seam_arguments(alpha), -np.geomspace(1e-3, 1e3, 200), [0.0, 0.7]])
+    for z in (table, spread):
+        family = ml_family(alpha, betas, z)
+        assert len(family) == len(betas)
+        for beta, got in zip(betas, family):
+            assert got.shape == z.shape
+            assert np.array_equal(got, ml_multipliers(alpha, beta, z))
+
+
+def test_family_shares_one_cut_integral_per_base(monkeypatch):
+    calls = []
+    original = fracops._ml_cut_integral
+
+    def counting(alpha, beta, x):
+        calls.append(beta)
+        return original(alpha, beta, x)
+
+    monkeypatch.setattr(fracops, "_ml_cut_integral", counting)
+    # bases: 1 (from 1 and 1.75), 0.5 (from 2 and 0.5) and 0.75
+    ml_family(0.75, (1.0, 1.75, 2.0, 0.5, 0.75), -np.geomspace(0.1, 30.0, 50))
+    assert calls == [1.0, 0.5, 0.75]

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import fracheat.spectral as spectral_module
 from fracheat.spectral import (
     KernelSpec,
+    _assemble_kernel_matrix,
+    _kernel_norm_bounds,
     apply_b,
     apply_bstar,
     apply_h,
@@ -39,7 +42,59 @@ def brute_force_entry(kernel, m, n):
     return scale * val
 
 
+def reference_kernel_matrix(kernel, n_modes):
+    """The earlier assembly of a named kernel: a Python loop over the outer
+    Gauss nodes, the inner integral split at the node into two panels."""
+    ng = max(64, 4 * n_modes)
+    x, gw = np.polynomial.legendre.leggauss(ng)
+    mode = np.arange(1, n_modes + 1)
+    scale = math.sqrt(2.0 / math.pi)
+    mat = np.zeros((n_modes, n_modes))
+    for ti, wi in zip(0.5 * math.pi * (x + 1.0), 0.5 * math.pi * gw):
+        inner = np.zeros(n_modes)
+        for lo, hi in ((0.0, ti), (ti, math.pi)):
+            u = 0.5 * (hi - lo) * (x + 1.0) + lo
+            kv = kernel.values(np.full_like(u, ti), u)
+            inner += (0.5 * (hi - lo) * gw * kv) @ (scale * np.sin(np.outer(u, mode)))
+        mat += wi * np.outer(scale * np.sin(mode * ti), inner)
+    return 0.5 * (mat + mat.T)
+
+
 class TestKernelAssembly:
+    @pytest.mark.parametrize("kind", ["green", "min"])
+    @pytest.mark.parametrize("n_modes", [1, 8, 16, 40])
+    def test_einsum_assembly_matches_node_loop(self, kind, n_modes):
+        # one einsum sums in another order than the loop: 1e-14 relative to
+        # the largest entry (about 3e-16 observed)
+        want = reference_kernel_matrix(KernelSpec(kind), n_modes)
+        got = _assemble_kernel_matrix(KernelSpec(kind), n_modes, 256)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_each_distinct_kernel_is_built_once(self, monkeypatch):
+        calls = []
+        for name in ("_assemble_kernel_matrix", "_kernel_norm_bounds"):
+            original = getattr(spectral_module, name)
+            monkeypatch.setattr(spectral_module, name,
+                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        same = build_model(8, ORDER, 1.0, KernelSpec("green"), KernelSpec("green"), 4.0, 256)
+        assert calls == ["_assemble_kernel_matrix", "_kernel_norm_bounds"]
+        calls.clear()
+        table = np.minimum.outer(np.arange(32.0), np.arange(32.0))
+        tabled = build_model(4, ORDER, 1.0, KernelSpec("custom", table),
+                             KernelSpec("custom", table.copy()), 4.0, 256)
+        assert len(calls) == 2
+        calls.clear()
+        mixed = build_model(8, ORDER, 1.0, KernelSpec("green"), KernelSpec("min"), 4.0, 256)
+        assert len(calls) == 4
+        # the shared build gives what two separate builds give
+        for model, kb, kh in ((same, KernelSpec("green"), KernelSpec("green")),
+                              (mixed, KernelSpec("green"), KernelSpec("min")),
+                              (tabled, KernelSpec("custom", table), KernelSpec("custom", table))):
+            assert np.array_equal(model.b_matrix, _assemble_kernel_matrix(kb, model.n_modes, 256))
+            assert np.array_equal(model.h_matrix, _assemble_kernel_matrix(kh, model.n_modes, 256))
+            assert model.b_norm_bound == _kernel_norm_bounds(kb, 4.0, 256)[0]
+            assert model.h_norm_bound == _kernel_norm_bounds(kh, 4.0, 256)[1]
+
     def test_green_diagonal_against_oracle(self, model_p2):
         b = model_p2.b_matrix
         for n in range(1, 9):
