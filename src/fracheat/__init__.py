@@ -12,13 +12,10 @@ from .fracops import (
     rl_integral,
     wright_density,
 )
-from .lpspace import GridFunction, duality_map, from_basis, lp_norm, pairing, to_basis
+from .lpspace import duality_map, lp_norm
 from .spectral import (
     KernelSpec,
     SpectralModel,
-    apply_b,
-    apply_bstar,
-    apply_h,
     build_model,
     injectivity_diagnostic,
     propagate_forcing,
@@ -37,13 +34,11 @@ from .control import (
     ResolventSolve,
     closed_loop_trajectory,
     regularized_resolvent,
-    synthesize_control,
     terminal_identity_residual,
 )
 from .hvi import (
     NonsmoothPotential,
     abs_potential,
-    clarke_directional,
     epsilon_sweep,
     fixed_point_iterate,
     hvi_residual,
@@ -61,20 +56,13 @@ __all__ = [
     "wright_density",
     "rl_integral",
     "caputo_derivative",
-    "GridFunction",
     "lp_norm",
-    "pairing",
     "duality_map",
-    "to_basis",
-    "from_basis",
     "KernelSpec",
     "SpectralModel",
     "build_model",
     "propagate_state",
     "propagate_forcing",
-    "apply_b",
-    "apply_bstar",
-    "apply_h",
     "injectivity_diagnostic",
     "Trajectory",
     "mild_solution",
@@ -87,14 +75,12 @@ __all__ = [
     "ClosedLoopRun",
     "ConvergenceError",
     "regularized_resolvent",
-    "synthesize_control",
     "closed_loop_trajectory",
     "terminal_identity_residual",
     "NonsmoothPotential",
     "zero_potential",
     "abs_potential",
     "saturating_potential",
-    "clarke_directional",
     "select_forcing",
     "fixed_point_iterate",
     "epsilon_sweep",

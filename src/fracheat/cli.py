@@ -24,7 +24,7 @@ from .evolve import l1_reference, mild_solution, trajectory_to_csv, write_csv
 from .fracops import mittag_leffler, mittag_leffler2, wright_density
 from .gramian import assemble_gramian, gramian_min_singular, gramian_to_csv, verify_gramian
 from .hvi import epsilon_sweep, free_terminal_miss, sweep_to_csv
-from .lpspace import duality_map, from_basis, lp_norm, lp_norms, pairing
+from .lpspace import basis_values, duality_map, lp_norm, lp_norms
 from .spectral import injectivity_diagnostic, propagate_state, propagate_forcing
 
 _EXIT_OK = 0
@@ -73,13 +73,13 @@ def cmd_validate(exp: Experiment) -> int:
 
     worst_pair = 0.0
     worst_norm = 0.0
-    for _ in range(20):
-        f = from_basis(rng.standard_normal(model.n_modes), model.n_theta, model.p)
-        jf = duality_map(f)
-        nf = lp_norm(f)
-        worst_pair = max(worst_pair, abs(pairing(f, jf) - nf**2) / max(nf**2, 1e-300))
-        worst_norm = max(worst_norm, abs(lp_norm(jf) - nf) / max(nf, 1e-300))
-    checks.append(("duality map pairing identity", worst_pair <= 1e-8, f"defect {worst_pair:.2e}"))
+    for f in basis_values(rng.standard_normal((20, model.n_modes)), model.n_theta):
+        jf = duality_map(f, model.p)
+        nf = lp_norm(f, model.p)
+        pair = float(f @ jf) * (math.pi / model.n_theta)
+        worst_pair = max(worst_pair, abs(pair - nf**2) / max(nf**2, 1e-300))
+        worst_norm = max(worst_norm, abs(lp_norm(jf, model.dual_p) - nf) / max(nf, 1e-300))
+    checks.append(("duality map <f, Jf> identity", worst_pair <= 1e-8, f"defect {worst_pair:.2e}"))
     checks.append(("duality map norm identity", worst_norm <= 1e-8, f"defect {worst_norm:.2e}"))
 
     bound_t = model.m_bound / math.gamma(model.order.alpha)
@@ -188,7 +188,6 @@ def cmd_sweep(exp: Experiment) -> int:
         strategy=exp.strategy, relaxation=exp.relaxation,
         tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
         resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter,
-        return_results=True,
     )
     elapsed = time.perf_counter() - started
     exp.output_dir.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,12 @@
 """Experiment configuration: INI-style file with nested blocks, strict keys.
 
-Every numeric guard of the owning modules is re-validated at load, unknown
-sections or keys are rejected, and the canonical key-value dump is hashed so
-output files can embed the exact configuration they came from.
+Unknown sections or keys are rejected at load, and the canonical key-value
+dump is hashed so output files can embed the exact configuration they came
+from.  `build_experiment` constructs the model and problem data, whose
+constructors check their own inputs, and checks the solver settings a command
+would otherwise reject only mid-run (quad_steps, strategy, relaxation, and the
+epsilon list through `hvi.check_epsilons`), so a bad config fails before any
+work starts.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .fracops import FracOrder, TimeGrid
-from .lpspace import GridFunction, theta_grid, to_basis
+from .lpspace import basis_matrix, theta_grid
 from .spectral import KernelSpec, SpectralModel, build_model
 from .hvi import SELECTION_STRATEGIES, NonsmoothPotential, abs_potential, audit_potential, \
-    saturating_potential, tabulated_potential, zero_potential
+    check_epsilons, saturating_potential, tabulated_potential, zero_potential
 
 __all__ = ["ExperimentConfig", "Experiment", "load_config", "build_experiment",
            "default_config_text"]
@@ -145,7 +149,7 @@ def _parse_state(spec: str, n_modes: int, n_theta: int) -> np.ndarray:
         return np.zeros(n_modes)
     if spec == "bump":
         theta = theta_grid(n_theta)
-        return to_basis(GridFunction(theta * (math.pi - theta), 2.0), n_modes)
+        return basis_matrix(n_modes, n_theta).T @ (theta * (math.pi - theta)) * (math.pi / n_theta)
     if spec.startswith("coeffs:"):
         vals = [float(v) for v in spec[len("coeffs:"):].split(",") if v.strip()]
         if len(vals) > n_modes:
@@ -214,7 +218,7 @@ class Experiment:
 
 
 def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experiment:
-    """Instantiate the model and problem data, re-validating every guard."""
+    """Instantiate the model and problem data and check the solver settings."""
     base = base if base is not None else Path.cwd()
     model_cfg = cfg["model"]
     solver = cfg["solver"]
@@ -245,11 +249,7 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
     relaxation = float(solver["relaxation"])
     if not 0.0 < relaxation <= 1.0:
         raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
-    epsilons = [float(v) for v in sweep["epsilons"].split(",") if v.strip()]
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])) or not epsilons:
-        raise ValueError("sweep epsilons must be a nonempty strictly descending list")
-    if epsilons[-1] < 1e-5:
-        raise ValueError("sweep epsilon below the 1e-5 desk-scale floor")
+    epsilons = check_epsilons(v for v in sweep["epsilons"].split(",") if v.strip())
     formats = tuple(f.strip() for f in cfg["output"]["formats"].split(",") if f.strip())
     for fmt in formats:
         if fmt not in ("csv", "json"):

@@ -21,7 +21,7 @@ import numpy as np
 from .fracops import TimeGrid
 from .evolve import Trajectory, mild_solution, propagator
 from .gramian import GramianOperator
-from .lpspace import basis_matrix, from_basis, lp_norm, lp_norms
+from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "coordinate_duality_map",
     "regularized_resolvent",
     "deficiency_vector",
-    "synthesize_control",
     "closed_loop_trajectory",
     "terminal_identity_residual",
     "control_l2_norm",
@@ -51,22 +50,12 @@ class ConvergenceError(RuntimeError):
         self.residual_history = residual_history
 
 
-def _grid_values(model: SpectralModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The basis matrix W, the grid values u = W x and their L^p norm."""
-    w = basis_matrix(model.n_modes, model.n_theta)
-    u = w @ np.asarray(x, dtype=float)
-    return w, u, float((np.sum(np.abs(u) ** model.p) * (math.pi / model.n_theta)) ** (1.0 / model.p))
-
-
 def coordinate_duality_map(model: SpectralModel, x: np.ndarray) -> np.ndarray:
-    """Duality map in basis coordinates: h W^T (||u||^(2-p) |u|^(p-1) sign u), u = W x."""
+    """Duality map in basis coordinates: h W^T J(W x)."""
     if model.p == 2.0:
         return np.asarray(x, dtype=float)
-    w, u, norm = _grid_values(model, x)
-    if norm == 0.0:
-        return np.zeros(model.n_modes)
-    p = model.p
-    return w.T @ (norm ** (2.0 - p) * np.abs(u) ** (p - 1.0) * np.sign(u)) * (math.pi / model.n_theta)
+    w = basis_matrix(model.n_modes, model.n_theta)
+    return w.T @ duality_map(w @ np.asarray(x, dtype=float), model.p) * (math.pi / model.n_theta)
 
 
 def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
@@ -77,7 +66,9 @@ def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
         return np.eye(model.n_modes)
     p = model.p
     h = math.pi / model.n_theta
-    w, u, norm = _grid_values(model, x)
+    w = basis_matrix(model.n_modes, model.n_theta)
+    u = w @ np.asarray(x, dtype=float)
+    norm = lp_norm(u, p)
     if norm == 0.0:
         return np.zeros((model.n_modes, model.n_modes))
     wv = w.T @ (np.abs(u) ** (p - 1.0) * np.sign(u))
@@ -226,23 +217,6 @@ class ClosedLoopRun:
     forcing: np.ndarray | None    # H-applied forcing nodes, as supplied
 
 
-def synthesize_control(
-    model: SpectralModel,
-    gram: GramianOperator,
-    grid: TimeGrid,
-    epsilon: float,
-    z: np.ndarray,
-    x0: np.ndarray,
-    forcing: np.ndarray | None = None,
-    tol: float = 1e-11,
-    max_iter: int = 400,
-) -> tuple[np.ndarray, ResolventSolve, np.ndarray]:
-    """Control nodes u(t_j) = B* T*(a - t_j) J(w), with one resolvent solve
-    w = (eps I + G J)^{-1} d at the deficiency vector d."""
-    run = closed_loop_trajectory(model, gram, grid, epsilon, z, x0, forcing, tol, max_iter)
-    return run.control, run.solve, run.deficiency
-
-
 def closed_loop_trajectory(
     model: SpectralModel,
     gram: GramianOperator,
@@ -312,12 +286,13 @@ def theta_constant(model: SpectralModel, eta) -> float:
     return (a**expo / expo) ** (1.0 - alpha1) * _eta_lp_norm(eta, a, alpha1)
 
 
-def _deficiency_scale(model: SpectralModel, z: np.ndarray, x0: np.ndarray, eta) -> float:
+def _bound_terms(model: SpectralModel, z: np.ndarray, x0: np.ndarray, eta) -> tuple[float, float]:
+    """The free part M||x0|| + (M/Gamma(alpha)) ||H|| Theta of both bounds, and
+    the deficiency scale ||z|| + M||x0|| + (M/Gamma(alpha)) ||H|| Theta."""
     m = model.m_bound
-    galpha = math.gamma(model.order.alpha)
     z_norm, x0_norm = lp_norms([z, x0], model.n_theta, model.p)
-    theta = theta_constant(model, eta)
-    return z_norm + m * x0_norm + (m / galpha) * model.h_norm_bound * theta
+    forced = (m / math.gamma(model.order.alpha)) * model.h_norm_bound * theta_constant(model, eta)
+    return m * x0_norm + forced, z_norm + m * x0_norm + forced
 
 
 def a_priori_state_bound(
@@ -332,12 +307,9 @@ def a_priori_state_bound(
     + (1/eps) (M ||B|| / Gamma(alpha))^2 (a^alpha / alpha) * deficiency scale."""
     m = model.m_bound
     alpha = model.order.alpha
-    galpha = math.gamma(alpha)
-    x0_norm = lp_norm(from_basis(np.asarray(x0, float), model.n_theta, model.p))
-    theta = theta_constant(model, eta)
-    base = m * x0_norm + (m / galpha) * model.h_norm_bound * theta
-    gain = (m * model.b_norm_bound / galpha) ** 2 * model.horizon**alpha / alpha
-    return base + gain * _deficiency_scale(model, np.asarray(z, float), np.asarray(x0, float), eta) / epsilon
+    base, scale = _bound_terms(model, z, x0, eta)
+    gain = (m * model.b_norm_bound / math.gamma(alpha)) ** 2 * model.horizon**alpha / alpha
+    return base + gain * scale / epsilon
 
 
 def control_norm_bound(
@@ -351,5 +323,5 @@ def control_norm_bound(
     (1/eps)(M/Gamma(alpha)) ||B|| * deficiency scale * sqrt(a)."""
     m = model.m_bound
     galpha = math.gamma(model.order.alpha)
-    scale = _deficiency_scale(model, np.asarray(z, float), np.asarray(x0, float), eta)
+    _, scale = _bound_terms(model, z, x0, eta)
     return (m / galpha) * model.b_norm_bound * scale * math.sqrt(model.horizon) / epsilon

@@ -20,7 +20,6 @@ every CSV output file.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -38,7 +37,6 @@ __all__ = [
     "mild_solution",
     "l1_reference",
     "trajectory_to_csv",
-    "trajectory_to_json",
     "write_csv",
 ]
 
@@ -359,11 +357,3 @@ def trajectory_to_csv(traj: Trajectory, stream, header_lines: tuple[str, ...] = 
     write_csv(stream, header_lines, ["node", "t"] + [f"c{n}" for n in range(1, n_modes + 1)],
               ([k, *row] for k, row in enumerate(table)))
 
-
-def trajectory_to_json(traj: Trajectory) -> str:
-    payload = {
-        "horizon": traj.grid.horizon,
-        "steps": traj.grid.steps,
-        "states": [[float(v) for v in row] for row in traj.states],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

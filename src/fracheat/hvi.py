@@ -39,12 +39,12 @@ __all__ = [
     "saturating_potential",
     "tabulated_potential",
     "audit_potential",
-    "clarke_directional",
     "select_forcing",
     "SELECTION_STRATEGIES",
     "FixedPointResult",
     "fixed_point_iterate",
     "SweepEntry",
+    "check_epsilons",
     "epsilon_sweep",
     "sweep_to_csv",
     "free_terminal_miss",
@@ -158,14 +158,6 @@ def audit_potential(
                 raise ValueError(f"potential interval inverted at t={t}")
             if np.max(np.abs(lo)) > bound + 1e-12 or np.max(np.abs(hi)) > bound + 1e-12:
                 raise ValueError(f"potential bound eta(t)={bound} violated at t={t}")
-
-
-def clarke_directional(pot: NonsmoothPotential, t: float, theta, r, v):
-    """Generalized directional derivative: support function of the interval,
-    max(lo*v, hi*v)."""
-    lo, hi = pot.interval(t, theta, np.asarray(r, dtype=float))
-    v = np.asarray(v, dtype=float)
-    return np.maximum(lo * v, hi * v)
 
 
 def select_forcing(
@@ -332,6 +324,17 @@ def free_terminal_miss(model: SpectralModel, grid: TimeGrid, z: np.ndarray,
     return float(lp_norms(np.asarray(z, float) - free.terminal, model.n_theta, model.p)[0])
 
 
+def check_epsilons(values) -> list[float]:
+    """The epsilon list as floats: nonempty, strictly descending, and no value
+    below the 1e-5 desk-scale floor."""
+    eps = [float(e) for e in values]
+    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilon list must be a nonempty strictly descending list")
+    if eps[-1] < 1e-5:
+        raise ValueError("epsilon below the 1e-5 desk-scale floor")
+    return eps
+
+
 def epsilon_sweep(
     model: SpectralModel,
     gram: GramianOperator,
@@ -346,22 +349,16 @@ def epsilon_sweep(
     max_iter: int = 80,
     resolvent_tol: float = 1e-11,
     resolvent_max_iter: int = 400,
-    return_results: bool = False,
-):
+) -> tuple[list[SweepEntry], list[FixedPointResult | None]]:
     """Regularization study over a descending epsilon list (min 1e-5).
 
     Entries are independent (no warm starts); per-epsilon failures are
     recorded and the sweep continues.  An entry is converged only when its
     fixed point converged and the final resolvent solve reached its tol.
+    Returns the entries and, aligned with them, each fixed point (None where
+    the solve failed).
     """
-    eps = [float(e) for e in eps_list]
-    if len(eps) == 0:
-        raise ValueError("epsilon list must be nonempty")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon list must be strictly descending")
-    if eps[-1] < 1e-5:
-        raise ValueError("epsilon below the 1e-5 desk-scale floor")
-
+    eps = check_epsilons(eps_list)
     entries: list[SweepEntry] = []
     results: list[FixedPointResult | None] = []
     for e in eps:
@@ -392,7 +389,7 @@ def epsilon_sweep(
             fixed_point_history=list(fp.residuals),
         ))
         results.append(fp)
-    return (entries, results) if return_results else entries
+    return entries, results
 
 
 def sweep_to_csv(entries: list[SweepEntry], stream, header_lines: tuple[str, ...] = ()) -> None:

@@ -1,30 +1,26 @@
-"""Discrete L^p([0, pi]) functions: norms, duality pairing, the duality map,
-and transforms to the orthonormal sine basis.
+"""Discrete L^p([0, pi]) functions: norms, the duality map, and transforms to
+the orthonormal sine basis.
 
 Functions live on a uniform midpoint grid, so Dirichlet boundary values never
 enter a quadrature sum and the first n_theta - 1 sine modes are exactly
-orthogonal under the discrete pairing.  Dual-space elements reuse the same
-representation tagged with the conjugate exponent.
+orthogonal under the discrete inner product.  A function is the plain array
+of its n_theta grid values (a batch of them: one row each), a state or a dual
+element alike; the exponent of its space is passed to each function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "GridFunction",
     "conjugate_exponent",
     "theta_grid",
     "lp_norm",
-    "pairing",
     "duality_map",
     "basis_matrix",
-    "to_basis",
-    "from_basis",
     "basis_values",
     "basis_coefficients",
     "lp_norms",
@@ -33,54 +29,6 @@ __all__ = [
 
 def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Real function sampled at the n_theta midpoints of [0, pi], tagged with
-    the exponent of the L^p space it belongs to."""
-
-    values: np.ndarray
-    p: float = 2.0
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 8:
-            raise ValueError(f"values must be a 1-d array of size >= 8, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        # state-space functions use p >= 2; dual elements carry the conjugate
-        # exponent p' in (1, 2], so anything above 1 is representable
-        if not self.p > 1.0:
-            raise ValueError(f"exponent p={self.p} out of range (need p > 1)")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_theta(self) -> int:
-        return self.values.size
-
-    def _compatible(self, other: "GridFunction") -> None:
-        if self.n_theta != other.n_theta:
-            raise ValueError(f"grid mismatch: {self.n_theta} vs {other.n_theta}")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._compatible(other)
-        if abs(self.p - other.p) > 1e-12:
-            raise ValueError(f"exponent mismatch: {self.p} vs {other.p}")
-        return GridFunction(self.values + other.values, self.p)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._compatible(other)
-        if abs(self.p - other.p) > 1e-12:
-            raise ValueError(f"exponent mismatch: {self.p} vs {other.p}")
-        return GridFunction(self.values - other.values, self.p)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.values * float(scalar), self.p)
-
-    __rmul__ = __mul__
 
 
 @lru_cache(maxsize=64)
@@ -94,40 +42,26 @@ def theta_grid(n_theta: int) -> np.ndarray:
     return grid
 
 
-def lp_norm(f: GridFunction) -> float:
-    """Midpoint-rule L^p norm on [0, pi]."""
-    h = math.pi / f.n_theta
-    return float((np.sum(np.abs(f.values) ** f.p) * h) ** (1.0 / f.p))
+def lp_norm(values: np.ndarray, p: float) -> float:
+    """Midpoint-rule L^p norm on [0, pi] of one grid function's values."""
+    values = np.asarray(values, dtype=float)
+    return float((np.sum(np.abs(values) ** p) * (math.pi / values.size)) ** (1.0 / p))
 
 
-def pairing(v: GridFunction, vstar: GridFunction) -> float:
-    """Duality product int_0^pi v(theta) vstar(theta) dtheta by midpoint rule.
-
-    The two arguments must live on the same grid and carry conjugate
-    exponents (1/p + 1/p' = 1); the Hilbert case p = 2 is self-conjugate.
-    """
-    v._compatible(vstar)
-    if abs(1.0 / v.p + 1.0 / vstar.p - 1.0) > 1e-9:
-        raise ValueError(f"non-conjugate exponents in pairing: {v.p} and {vstar.p}")
-    h = math.pi / v.n_theta
-    return float(v.values @ vstar.values * h)
-
-
-def duality_map(f: GridFunction) -> GridFunction:
-    """Normalized duality map J: L^p -> L^p'.
+def duality_map(values: np.ndarray, p: float) -> np.ndarray:
+    """Normalized duality map J: L^p -> L^p' on one grid function's values.
 
     J(f) = ||f||_p^(2-p) |f|^(p-1) sign(f) pointwise, so that
     <f, J f> = ||f||_p^2 = ||J f||_p'^2; zero maps to zero and p = 2 is the
-    identity.
+    identity.  The norm is a Python float, so ||f||^(2-p) is a scalar power.
     """
-    q = conjugate_exponent(f.p)
-    if f.p == 2.0:
-        return GridFunction(f.values, q)
-    norm = lp_norm(f)
+    values = np.asarray(values, dtype=float)
+    if p == 2.0:
+        return values.copy()
+    norm = lp_norm(values, p)
     if norm == 0.0:
-        return GridFunction(np.zeros(f.n_theta), q)
-    scaled = norm ** (2.0 - f.p) * np.abs(f.values) ** (f.p - 1.0) * np.sign(f.values)
-    return GridFunction(scaled, q)
+        return np.zeros(values.size)
+    return norm ** (2.0 - p) * np.abs(values) ** (p - 1.0) * np.sign(values)
 
 
 @lru_cache(maxsize=64)
@@ -144,23 +78,9 @@ def basis_matrix(n_modes: int, n_theta: int) -> np.ndarray:
     return w
 
 
-def to_basis(f: GridFunction, n_modes: int) -> np.ndarray:
-    """Coefficients c_n = pairing(f, w_n) against the orthonormal sine basis."""
-    w = basis_matrix(n_modes, f.n_theta)
-    h = math.pi / f.n_theta
-    return w.T @ f.values * h
-
-
-def from_basis(coeffs: np.ndarray, n_theta: int, p: float = 2.0) -> GridFunction:
-    """Reconstruction sum_n c_n w_n as a grid function with exponent p."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    w = basis_matrix(coeffs.size, n_theta)
-    return GridFunction(w @ coeffs, p)
-
-
 def basis_values(coeff_rows: np.ndarray, n_theta: int) -> np.ndarray:
-    """Grid values (rows @ W^T) of each row of basis coefficients; like a
-    `GridFunction`, refuses non-finite values."""
+    """Grid values (rows @ W^T) of each row of basis coefficients; refuses
+    non-finite values."""
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
     wt = np.ascontiguousarray(basis_matrix(rows.shape[1], n_theta).T)
     values = np.einsum("ik,kj->ij", rows, wt)
@@ -170,8 +90,9 @@ def basis_values(coeff_rows: np.ndarray, n_theta: int) -> np.ndarray:
 
 
 def basis_coefficients(values: np.ndarray, n_modes: int) -> np.ndarray:
-    """Coefficients h * values @ W of each row of grid values: the rows of
-    `to_basis`, and the inverse of `basis_values` on the first n_modes modes.
+    """Coefficients h * values @ W of each row of grid values: its inner
+    products with the basis, and the inverse of `basis_values` on the first
+    n_modes modes.
 
     Both grid transforms are numpy contractions rather than BLAS products: at
     trajectory size, (513, 8) against (8, 256), OpenBLAS hands the product to

@@ -25,9 +25,6 @@ __all__ = [
     "build_model",
     "propagate_state",
     "propagate_forcing",
-    "apply_b",
-    "apply_bstar",
-    "apply_h",
     "injectivity_diagnostic",
 ]
 
@@ -275,18 +272,6 @@ def propagate_forcing(model: SpectralModel, t: float, x: np.ndarray) -> np.ndarr
     The family is diagonal with real entries, so its adjoint acts identically.
     """
     return forcing_multipliers(model, t) * _check_state(model, x)
-
-
-def apply_b(model: SpectralModel, u: np.ndarray) -> np.ndarray:
-    return model.b_matrix @ _check_state(model, u)
-
-
-def apply_bstar(model: SpectralModel, xstar: np.ndarray) -> np.ndarray:
-    return model.b_matrix.T @ _check_state(model, xstar)
-
-
-def apply_h(model: SpectralModel, xstar: np.ndarray) -> np.ndarray:
-    return model.h_matrix @ _check_state(model, xstar)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 
 from fracheat.fracops import FracOrder, TimeGrid, wright_density
 from fracheat.gramian import assemble_gramian
-from fracheat.lpspace import GridFunction, theta_grid, to_basis
+from fracheat.lpspace import basis_matrix, theta_grid
 from fracheat.spectral import build_model
 
 
@@ -69,7 +69,7 @@ def density_on_gauss_grid(alpha: float, n_nodes: int = 500):
 
 def bump_coefficients(n_modes: int, n_theta: int = 256) -> np.ndarray:
     theta = theta_grid(n_theta)
-    return to_basis(GridFunction(theta * (math.pi - theta), 2.0), n_modes)
+    return basis_matrix(n_modes, n_theta).T @ (theta * (math.pi - theta)) * (math.pi / n_theta)
 
 
 ORDER = FracOrder(0.75, 0.4)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import fracheat
 from fracheat.cli import main
 from fracheat.config import build_experiment, default_config_text, load_config
+from fracheat.lpspace import basis_matrix, theta_grid
 
 
 SMALL_OVERRIDES = [
@@ -60,10 +62,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"alpha must lie in \(1/2, 1\)"):
             build_experiment(cfg, config_file.parent)
 
-    def test_epsilon_floor(self, config_file):
+    def test_epsilon_floor(self, config_file, capsys):
         cfg = load_config(config_file, ["sweep.epsilons=1e-1, 1e-6"])
         with pytest.raises(ValueError, match="1e-5"):
             build_experiment(cfg, config_file.parent)
+        assert main(["sweep", str(config_file), "--set", "sweep.epsilons=1e-1, 1e-6"]) == 1
+        assert "1e-5" in capsys.readouterr().err
 
     def test_hash_tracks_content(self, config_file):
         a = load_config(config_file)
@@ -80,6 +84,14 @@ class TestConfig:
         cfg = load_config(config_file, ["problem.x0=pyramid"])
         with pytest.raises(ValueError):
             build_experiment(cfg, config_file.parent)
+
+    def test_bump_state_is_the_sine_basis_product(self, config_file):
+        # h W^T theta (pi - theta) as one BLAS product: a row contraction
+        # moves x0 in the last bit, and every output file with it
+        exp = build_experiment(load_config(config_file), config_file.parent)
+        theta = theta_grid(256)
+        want = basis_matrix(8, 256).T @ (theta * (math.pi - theta)) * (math.pi / 256)
+        assert np.array_equal(exp.x0, want)
 
 
 class TestCommands:
@@ -179,7 +191,7 @@ class TestCommands:
     def test_zero_potential_sweep_matches_linear_formula(self, config_file):
         from fracheat.gramian import assemble_gramian
         from fracheat.evolve import mild_solution
-        from fracheat.lpspace import from_basis, lp_norm
+        from fracheat.lpspace import lp_norms
 
         rc = main(["sweep", str(config_file)] + SMALL_OVERRIDES
                   + ["--set", "problem.potential=zero"])
@@ -195,7 +207,7 @@ class TestCommands:
         d = exp.target - free.terminal
         for entry in summary["entries"]:
             w = np.linalg.solve(entry["epsilon"] * np.eye(4) + gram.matrix, d)
-            want = lp_norm(from_basis(entry["epsilon"] * w, 64, 2.0))
+            want, = lp_norms(entry["epsilon"] * w, 64, 2.0)
             assert entry["terminal_miss"] == pytest.approx(want, rel=1e-8)
 
     def test_sweep_nonconvergence_exit_code(self, config_file):

@@ -11,14 +11,13 @@ from fracheat.control import (
     control_norm_bound,
     coordinate_duality_map,
     regularized_resolvent,
-    synthesize_control,
     terminal_identity_residual,
     theta_constant,
 )
 from fracheat.evolve import mild_solution
 from fracheat.fracops import TimeGrid
 from fracheat.gramian import GramianOperator, assemble_gramian
-from fracheat.lpspace import basis_matrix, from_basis, lp_norm
+from fracheat.lpspace import basis_matrix, duality_map, lp_norms
 from fracheat.spectral import build_model, forcing_multipliers
 
 from conftest import ORDER, bump_coefficients
@@ -70,8 +69,7 @@ class TestResolvent:
             for _ in range(25):
                 y = rng.standard_normal(8)
                 solve = regularized_resolvent(gram, model, eps, y)
-                num = lp_norm(from_basis(eps * solve.result, 256, model.p))
-                den = lp_norm(from_basis(y, 256, model.p))
+                num, den = lp_norms([eps * solve.result, y], 256, model.p)
                 assert num <= den * (1.0 + 1e-8)
 
     def test_hilbert_equivalence(self, gram_p2, model_p2):
@@ -100,8 +98,7 @@ class TestResolvent:
             start = np.random.default_rng(seed).standard_normal(2)
             oracle = fd_newton_oracle(gram, model, 0.1, y, start)
             assert np.max(np.abs(solve.result - oracle)) <= 1e-8
-        norm_out = lp_norm(from_basis(0.1 * solve.result, 256, 4.0))
-        norm_in = lp_norm(from_basis(y, 256, 4.0))
+        norm_out, norm_in = lp_norms([0.1 * solve.result, y], 256, 4.0)
         assert norm_out <= norm_in * (1.0 + 1e-8)
 
     def test_nonconvergence_carries_history(self, gram_p4, model_p4):
@@ -123,11 +120,9 @@ class TestControlSynthesis:
     def test_reached_target_needs_no_control(self, model_p2, gram_p2, grid_512):
         x0 = bump_coefficients(8)
         free = mild_solution(model_p2, grid_512, x0)
-        control, solve, d = synthesize_control(
-            model_p2, gram_p2, grid_512, 0.1, free.terminal, x0
-        )
-        assert np.max(np.abs(d)) <= 1e-12
-        assert np.max(np.abs(control)) <= 1e-10
+        run = closed_loop_trajectory(model_p2, gram_p2, grid_512, 0.1, free.terminal, x0)
+        assert np.max(np.abs(run.deficiency)) <= 1e-12
+        assert np.max(np.abs(run.control)) <= 1e-10
 
     def test_scalar_chain_oracle(self):
         model = build_model(1, ORDER, 1.0, None, None, 2.0, 256)
@@ -136,7 +131,8 @@ class TestControlSynthesis:
         eps = 0.05
         x0 = np.array([0.4])
         z = np.array([1.1])
-        control, solve, d = synthesize_control(model, gram, grid, eps, z, x0)
+        run = closed_loop_trajectory(model, gram, grid, eps, z, x0)
+        control, d = run.control, run.deficiency
         g11 = gram.matrix[0, 0]
         b11 = model.b_matrix[0, 0]
         for j in (0, 128, 511):
@@ -181,7 +177,7 @@ class TestClosedLoop:
         for eps in (1e-2, 1e-1):
             run = closed_loop_trajectory(model_p2, gram_p2, grid_512, eps, z, x0)
             n0 = a_priori_state_bound(model_p2, eps, z, x0, eta)
-            sup = max(lp_norm(from_basis(s, 256, 2.0)) for s in run.trajectory.states)
+            sup = np.max(lp_norms(run.trajectory.states, 256, 2.0))
             assert sup <= n0
 
     def test_forcing_continuity(self, model_p2, gram_p2, grid_512):
@@ -197,10 +193,7 @@ class TestClosedLoop:
             run = closed_loop_trajectory(
                 model_p2, gram_p2, grid_512, 1e-2, z, x0, forcing=delta * phi
             )
-            gap = max(
-                lp_norm(from_basis(a - b, 256, 2.0))
-                for a, b in zip(run.trajectory.states, base.trajectory.states)
-            )
+            gap = np.max(lp_norms(run.trajectory.states - base.trajectory.states, 256, 2.0))
             ratios.append(gap / delta)
         assert max(ratios) / min(ratios) <= 1.5  # first-order response
 
@@ -240,22 +233,40 @@ class TestTerminalIdentity:
         z = np.zeros(8)
         z[1] = 0.4
         run = closed_loop_trajectory(model_p2, gram_p2, grid_512, 5e-3, z, x0)
-        miss = lp_norm(from_basis(run.trajectory.terminal - z, 256, 2.0))
-        predicted = lp_norm(from_basis(5e-3 * run.solve.result, 256, 2.0))
+        miss, predicted = lp_norms([run.trajectory.terminal - z, 5e-3 * run.solve.result],
+                                   256, 2.0)
         assert miss == pytest.approx(predicted, rel=1e-10)
+
+
+def duality_inputs(p):
+    rng = np.random.default_rng(int(p))
+    return [np.zeros(8), bump_coefficients(8), *rng.standard_normal((20, 8))]
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
 def test_coordinate_duality_map_matches_grid_function_route(p):
-    # the earlier route through a GridFunction: reconstruct, map, project
-    from fracheat.lpspace import duality_map, to_basis
-
+    # the earlier route through a grid function: reconstruct, map, project
     model = build_model(8, ORDER, 1.0, None, None, p, 256)
-    rng = np.random.default_rng(int(p))
-    for x in [np.zeros(8), bump_coefficients(8), *rng.standard_normal((20, 8))]:
-        old = to_basis(duality_map(from_basis(x, model.n_theta, p)), model.n_modes)
+    w = basis_matrix(model.n_modes, model.n_theta)
+    for x in duality_inputs(p):
+        old = w.T @ duality_map(w @ x, p) * (math.pi / model.n_theta)
         new = coordinate_duality_map(model, x)
         assert np.max(np.abs(new - old)) <= 1e-15 * np.max(np.abs(old))  # x = 0: exact zeros
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+def test_coordinate_duality_map_is_bitwise_the_coordinate_formula(p):
+    # the formula coordinate_duality_map carried before lpspace.duality_map
+    # owned it: the norm a Python float, so norm ** (2 - p) is a scalar power
+    model = build_model(8, ORDER, 1.0, None, None, p, 256)
+    w = basis_matrix(model.n_modes, model.n_theta)
+    h = math.pi / model.n_theta
+    for x in duality_inputs(p):
+        u = w @ x
+        norm = float((np.sum(np.abs(u) ** p) * h) ** (1.0 / p))
+        want = (np.zeros(8) if norm == 0.0
+                else w.T @ (norm ** (2.0 - p) * np.abs(u) ** (p - 1.0) * np.sign(u)) * h)
+        assert np.array_equal(coordinate_duality_map(model, x), want)
 
 
 def grid_matrix_jacobian(model, x):
@@ -278,8 +289,7 @@ def test_duality_map_jacobian_matches_grid_matrix(p):
     from fracheat.control import _duality_map_jacobian
 
     model = build_model(8, ORDER, 1.0, None, None, p, 256)
-    rng = np.random.default_rng(int(p))
-    for x in [np.zeros(8), bump_coefficients(8), *rng.standard_normal((20, 8))]:
+    for x in duality_inputs(p):
         old = grid_matrix_jacobian(model, x)
         new = _duality_map_jacobian(model, x)
         assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))  # x = 0: exact zeros

@@ -1,13 +1,11 @@
 import io
-import json
 import math
 
 import numpy as np
 import pytest
 
 from fracheat.fracops import FracOrder, TimeGrid, mittag_leffler, mittag_leffler2
-from fracheat.evolve import Trajectory, l1_reference, mild_solution, trajectory_to_csv, \
-    trajectory_to_json
+from fracheat.evolve import Trajectory, l1_reference, mild_solution, trajectory_to_csv
 from fracheat.spectral import SpectralModel, build_model
 
 from conftest import ORDER
@@ -157,7 +155,7 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError):
             Trajectory(grid, np.zeros((5, 4)))
 
-    def test_csv_and_json(self, model4):
+    def test_csv(self, model4):
         grid = TimeGrid(1.0, 8)
         traj = mild_solution(model4, grid, np.array([1.0, 0.0, 0.0, 0.0]))
         buf = io.StringIO()
@@ -165,6 +163,3 @@ class TestTrajectoryIO:
         text = buf.getvalue()
         assert text.startswith("# origin=test")
         assert text.count("\n") == 2 + grid.steps + 1
-        payload = json.loads(trajectory_to_json(traj))
-        assert payload["steps"] == 8
-        assert len(payload["states"]) == 9

@@ -11,7 +11,7 @@ from fracheat.gramian import (
     gramian_to_csv,
     verify_gramian,
 )
-from fracheat.lpspace import from_basis, lp_norm
+from fracheat.lpspace import lp_norms
 from fracheat.spectral import build_model
 
 from conftest import ORDER
@@ -86,8 +86,8 @@ class TestVerification:
         rng = np.random.default_rng(2)
         for _ in range(100):
             x = rng.standard_normal(8)
-            img = lp_norm(from_basis(gram_p2.matrix @ x, 256, 2.0))
-            src = lp_norm(from_basis(x, 256, model_p2.dual_p))
+            img, = lp_norms(gram_p2.matrix @ x, 256, 2.0)
+            src, = lp_norms(x, 256, model_p2.dual_p)
             assert img <= bound * src
 
 

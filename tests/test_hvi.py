@@ -6,13 +6,13 @@ import pytest
 from fracheat.evolve import Trajectory, mild_solution
 from fracheat.fracops import TimeGrid
 from fracheat.gramian import assemble_gramian
-from fracheat.lpspace import basis_values, from_basis, lp_norm, lp_norms, theta_grid
+from fracheat.lpspace import basis_matrix, basis_values, lp_norm, lp_norms, theta_grid
 from fracheat.hvi import (
     SELECTION_STRATEGIES,
     NonsmoothPotential,
     abs_potential,
     audit_potential,
-    clarke_directional,
+    check_epsilons,
     epsilon_sweep,
     fixed_point_iterate,
     free_terminal_miss,
@@ -72,16 +72,23 @@ class TestPotentials:
             tabulated_potential([0.0, 0.0], [1.0, 1.0])
 
 
+def clarke_directional(pot, r, v):
+    """Generalized directional derivative at r along v: the support function
+    max(lo*v, hi*v) of the derivative interval [lo, hi]."""
+    lo, hi = pot.interval(0.0, 0.0, np.asarray(r, dtype=float))
+    return np.maximum(lo * v, hi * v)
+
+
 class TestClarkeDirectional:
     def test_abs_kink_support_function(self):
         pot = abs_potential(1.0)
-        assert clarke_directional(pot, 0.0, 0.0, 0.0, 1.0) == pytest.approx(1.0)
-        assert clarke_directional(pot, 0.0, 0.0, 0.0, -2.0) == pytest.approx(2.0)
+        assert clarke_directional(pot, 0.0, 1.0) == pytest.approx(1.0)
+        assert clarke_directional(pot, 0.0, -2.0) == pytest.approx(2.0)
 
     def test_smooth_region_singleton(self):
         pot = abs_potential(1.0)
         for v in (-3.0, 0.5):
-            assert clarke_directional(pot, 0.0, 0.0, 2.0, v) == pytest.approx(v)
+            assert clarke_directional(pot, 2.0, v) == pytest.approx(v)
 
     def test_piecewise_linear_against_difference_quotient(self):
         rng = np.random.default_rng(6)
@@ -101,7 +108,7 @@ class TestClarkeDirectional:
 
         for r in (-0.3, 0.4):  # interior kinks
             for v in (1.0, -1.0, 2.5):
-                got = float(clarke_directional(pot, 0.0, 0.0, r, v))
+                got = float(clarke_directional(pot, r, v))
                 assert got == pytest.approx(limsup_quotient(r, v), abs=1e-3)
 
 
@@ -131,20 +138,18 @@ class TestSelection:
             prev = rng.standard_normal((17, model_p2.n_theta))
             g = select_forcing(pot, strategy, traj, model_p2, previous=prev)
             for k, t in enumerate(grid.nodes):
-                q_vals = from_basis(traj.states[k], model_p2.n_theta, 2.0).values
+                q_vals = basis_matrix(8, model_p2.n_theta) @ traj.states[k]
                 lo, hi = pot.interval(float(t), theta, q_vals)
                 assert np.all(g[k] >= lo - 1e-14)
                 assert np.all(g[k] <= hi + 1e-14)
 
     def test_dual_norm_stays_in_admissible_set(self, problem):
-        from fracheat.lpspace import GridFunction
-
         model, gram, grid, x0, z = problem
         pot = abs_potential(0.3)
         fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
         bound = math.pi ** (1.0 / model.dual_p) * 0.3
         for k in range(0, grid.steps + 1, 64):
-            g_norm = lp_norm(GridFunction(fp.g[k], model.dual_p))
+            g_norm = lp_norm(fp.g[k], model.dual_p)
             assert g_norm <= bound * (1.0 + 1e-12)
 
     def test_unknown_strategy(self, model_p2):
@@ -294,7 +299,7 @@ class TestFixedPoint:
         fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
         eta_dual = lambda t: math.pi ** (1.0 / model.dual_p) * pot.eta(t)
         n0 = a_priori_state_bound(model, 1e-2, z, x0, eta_dual)
-        sup = max(lp_norm(from_basis(s, 256, 2.0)) for s in fp.run.trajectory.states)
+        sup = np.max(lp_norms(fp.run.trajectory.states, 256, 2.0))
         assert sup <= n0
 
 
@@ -380,20 +385,20 @@ class TestSafeguardedFixedPoint:
 class TestSweep:
     def test_zero_potential_matches_linear_formula(self, problem):
         model, gram, grid, x0, z = problem
-        entries = epsilon_sweep(model, gram, grid, zero_potential(), z, x0,
-                                [1e-1, 1e-2, 1e-3])
+        entries, _ = epsilon_sweep(model, gram, grid, zero_potential(), z, x0,
+                                   [1e-1, 1e-2, 1e-3])
         free = mild_solution(model, grid, x0)
         d = z - free.terminal
         for entry in entries:
             w = np.linalg.solve(entry.epsilon * np.eye(8) + gram.matrix, d)
-            closed_form = lp_norm(from_basis(entry.epsilon * w, 256, 2.0))
+            closed_form, = lp_norms(entry.epsilon * w, 256, 2.0)
             assert entry.terminal_miss == pytest.approx(closed_form, rel=1e-8)
             assert entry.identity_residual <= 1e-10
 
     def test_epsilon_halving_decreases_miss(self, problem):
         model, gram, grid, x0, z = problem
         eps = [0.1 * 0.5**j for j in range(6)]
-        entries = epsilon_sweep(model, gram, grid, zero_potential(), z, x0, eps)
+        entries, _ = epsilon_sweep(model, gram, grid, zero_potential(), z, x0, eps)
         misses = [e.terminal_miss for e in entries]
         assert all(a > b for a, b in zip(misses, misses[1:]))
 
@@ -409,8 +414,8 @@ class TestSweep:
             model = build_model(4, ORDER, 1.0, None, None, 2.0, n_theta)
             grid = TimeGrid(1.0, steps)
             gram = assemble_gramian(model, steps)
-            entries = epsilon_sweep(model, gram, grid, pot, z, bump_coefficients(4, n_theta),
-                                    [1e-1, 1e-2, 1e-3])
+            entries, _ = epsilon_sweep(model, gram, grid, pot, z, bump_coefficients(4, n_theta),
+                                       [1e-1, 1e-2, 1e-3])
             misses = [e.terminal_miss for e in entries]
             assert all(e.converged for e in entries)
             assert all(a > b for a, b in zip(misses, misses[1:]))
@@ -426,10 +431,13 @@ class TestSweep:
             epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-1, 1e-6])
         with pytest.raises(ValueError):
             epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [])
+        assert check_epsilons(["1e-1", 1e-5]) == [0.1, 1e-5]
+        with pytest.raises(ValueError, match="1e-5"):
+            check_epsilons([1e-1, 1e-6])
 
     def test_csv_shape(self, tmp_path, problem):
         model, gram, grid, x0, z = problem
-        entries = epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-1, 1e-2])
+        entries, _ = epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-1, 1e-2])
         path = tmp_path / "sweep.csv"
         sweep_to_csv(entries, str(path), ("tag=test",))
         lines = path.read_text().splitlines()
@@ -466,7 +474,7 @@ class TestHviResidual:
 def test_free_terminal_miss(problem):
     model, gram, grid, x0, z = problem
     free = mild_solution(model, grid, x0)
-    want = lp_norm(from_basis(z - free.terminal, 256, 2.0))
+    want = lp_norm(basis_matrix(8, 256) @ (z - free.terminal), 2.0)
     assert free_terminal_miss(model, grid, z, x0) == pytest.approx(want, rel=1e-12)
 
 
@@ -487,5 +495,5 @@ def test_pipeline_away_from_reference_order(alpha, p):
     from fracheat.control import terminal_identity_residual
 
     assert terminal_identity_residual(fp.run, model, z) <= 1e-6
-    miss = lp_norm(from_basis(fp.run.trajectory.terminal - z, 64, p))
+    miss, = lp_norms(fp.run.trajectory.terminal - z, 64, p)
     assert miss < free_terminal_miss(model, grid, z, x0)

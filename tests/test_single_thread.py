@@ -182,8 +182,7 @@ class TestCsvBytes:
             exp.model, assemble_gramian(exp.model, exp.quad_steps), exp.grid, exp.potential,
             exp.target, exp.x0, exp.epsilons, strategy=exp.strategy, relaxation=exp.relaxation,
             tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
-            resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter,
-            return_results=True)
+            resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter)
         out = tmp_path / "out"
         header = (out / "sweep.csv").read_text().splitlines()[0][2:]
         n = exp.model.n_modes

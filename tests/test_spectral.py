@@ -10,9 +10,6 @@ from fracheat.spectral import (
     KernelSpec,
     _assemble_kernel_matrix,
     _kernel_norm_bounds,
-    apply_b,
-    apply_bstar,
-    apply_h,
     build_model,
     forcing_multipliers,
     green_kernel,
@@ -21,7 +18,7 @@ from fracheat.spectral import (
     propagate_state,
     state_multipliers,
 )
-from fracheat.lpspace import from_basis, lp_norm
+from fracheat.lpspace import lp_norms
 
 from conftest import ORDER, density_on_gauss_grid
 
@@ -157,8 +154,7 @@ class TestOperatorFamilies:
         for _ in range(200):
             t = rng.uniform(0.0, 1.0)
             x = rng.standard_normal(8)
-            nx = lp_norm(from_basis(x, 256, 2.0))
-            ns = lp_norm(from_basis(propagate_state(model_p2, t, x), 256, 2.0))
+            nx, ns = lp_norms([x, propagate_state(model_p2, t, x)], 256, 2.0)
             assert ns <= model_p2.m_bound * nx * (1.0 + 1e-12)
 
     def test_forcing_bound(self, model_p2):
@@ -167,8 +163,7 @@ class TestOperatorFamilies:
         for _ in range(200):
             t = rng.uniform(0.0, 1.0)
             x = rng.standard_normal(8)
-            nx = lp_norm(from_basis(x, 256, 2.0))
-            nt = lp_norm(from_basis(propagate_forcing(model_p2, t, x), 256, 2.0))
+            nx, nt = lp_norms([x, propagate_forcing(model_p2, t, x)], 256, 2.0)
             assert nt <= bound * nx * (1.0 + 1e-12)
 
     def test_multiplier_against_subordination_quadrature(self, model_p2):
@@ -228,24 +223,14 @@ class TestKernelOperators:
     def test_green_action_is_diagonal(self, model_p2):
         u = np.zeros(8)
         u[2] = 1.0
-        out = apply_b(model_p2, u)
+        out = model_p2.b_matrix @ u
         want = np.zeros(8)
         want[2] = math.pi / 9.0
         assert np.allclose(out, want, atol=1e-9)
 
-    def test_zero_maps_to_zero(self, model_p2):
-        assert np.all(apply_h(model_p2, np.zeros(8)) == 0.0)
-
-    def test_adjoint_identity(self, model_p2):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            u = rng.standard_normal(8)
-            v = rng.standard_normal(8)
-            assert apply_b(model_p2, u) @ v == pytest.approx(u @ apply_bstar(model_p2, v), rel=1e-10)
-
     def test_dimension_mismatch(self, model_p2):
         with pytest.raises(ValueError):
-            apply_b(model_p2, np.zeros(5))
+            propagate_state(model_p2, 0.5, np.zeros(5))
 
 
 class TestInjectivityDiagnostic:
