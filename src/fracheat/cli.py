@@ -3,6 +3,10 @@
 Commands: validate (invariant suite), simulate (trajectory + cross-solver
 gap), gramian (assembly + audit + CSV export), sweep (regularization study).
 Exit codes: 0 success, 1 validation failure, 2 solver non-convergence.
+
+Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 unless the
+variable is already set, so a CLI process starts no BLAS worker thread; a
+process that loaded numpy first keeps its pool and its environment.
 """
 
 from __future__ import annotations
@@ -10,10 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    # OpenBLAS reads this once, when numpy first loads it; its worker thread
+    # spins ~60 ms of CPU at start-up, and no product here uses the pool
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

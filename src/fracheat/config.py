@@ -3,10 +3,10 @@
 Unknown sections or keys are rejected at load, and the canonical key-value
 dump is hashed so output files can embed the exact configuration they came
 from.  `build_experiment` constructs the model and problem data, whose
-constructors check their own inputs, and checks the solver settings a command
-would otherwise reject only mid-run (quad_steps, strategy, relaxation, and the
-epsilon list through `hvi.check_epsilons`), so a bad config fails before any
-work starts.
+constructors check their own inputs, and runs the checks of the solver
+settings that a command would otherwise make only mid-run
+(`gramian.check_quad_steps`, `hvi.check_strategy`, `hvi.check_relaxation`,
+`hvi.check_epsilons`), so a bad config fails before any work starts.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import numpy as np
 from .fracops import FracOrder, TimeGrid
 from .lpspace import basis_matrix, theta_grid
 from .spectral import KernelSpec, SpectralModel, build_model
-from .hvi import SELECTION_STRATEGIES, NonsmoothPotential, abs_potential, audit_potential, \
-    check_epsilons, saturating_potential, tabulated_potential, zero_potential
+from .gramian import check_quad_steps
+from .hvi import NonsmoothPotential, abs_potential, audit_potential, check_epsilons, \
+    check_relaxation, check_strategy, saturating_potential, tabulated_potential, zero_potential
 
 __all__ = ["ExperimentConfig", "Experiment", "load_config", "build_experiment",
            "default_config_text"]
@@ -239,16 +240,9 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         n_theta,
     )
     grid = TimeGrid(horizon, steps)
-    quad_raw = solver["quad_steps"]
-    quad_steps = int(quad_raw) if quad_raw else steps
-    if quad_steps < 16:
-        raise ValueError(f"quad_steps must be >= 16, got {quad_steps}")
-    strategy = solver["strategy"]
-    if strategy not in SELECTION_STRATEGIES:
-        raise ValueError(f"strategy must be one of {SELECTION_STRATEGIES}, got {strategy!r}")
-    relaxation = float(solver["relaxation"])
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
+    quad_steps = check_quad_steps(solver["quad_steps"] or steps)
+    strategy = check_strategy(solver["strategy"])
+    relaxation = check_relaxation(solver["relaxation"])
     epsilons = check_epsilons(v for v in sweep["epsilons"].split(",") if v.strip())
     formats = tuple(f.strip() for f in cfg["output"]["formats"].split(",") if f.strip())
     for fmt in formats:

@@ -81,8 +81,7 @@ class Propagator:
 
     @cached_property
     def _state_and_moment(self) -> tuple[np.ndarray, np.ndarray]:
-        # beta = 1 and alpha + 1 share the base 1 wherever (1 + alpha) - alpha
-        # rounds to 1 (alpha = 0.75 does, 0.9 does not): then one cut integral
+        # beta = 1 and alpha + 1 share the base 1: one cut integral
         e_state, e_ratio = ml_family(self.alpha, (1.0, self.alpha + 1.0),
                                      np.asarray(self.eigenvalues) * self._t_alpha)
         return _frozen(e_state), _frozen(self._t_alpha * e_ratio)

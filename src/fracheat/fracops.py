@@ -135,10 +135,12 @@ def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
 
     Each beta > 1 reduces to a base in (0, 1] through the chain beta, beta - a,
     ...; the tail series and the cut integral of each distinct base run once,
-    on the union of the arguments that need them.  Every value depends on its
-    own argument, alpha and beta only (the Taylor branch aside, which runs per
-    beta on all of `arguments`), so each array is bitwise the one
-    `ml_multipliers` gives for its beta alone."""
+    on the union of the arguments that need them.  A base within a few ulps of
+    a 12-decimal value is taken as that value, so that 1 and (1 + a) - a are
+    one base at every a.  Every value depends on its own argument, alpha and
+    beta only (the Taylor branch aside, which runs per beta on all of
+    `arguments`), so each array is bitwise the one `ml_multipliers` gives for
+    its beta alone."""
     alpha = float(alpha)
     betas = [float(beta) for beta in betas]
     if not 0.0 < alpha <= 1.0:
@@ -161,8 +163,9 @@ def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
         negative = flat != 0.0
         negative[taylor[~too_deep]] = False
         chain = [beta]
-        while chain[-1] > 1.0:
+        while (base := _canonical_base(chain[-1])) > 1.0:
             chain.append(chain[-1] - alpha)
+        chain[-1] = base
         outs.append(out)
         negatives.append(negative)
         chains.append(chain)
@@ -182,6 +185,13 @@ def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
                 v = (_rgamma(beta - alpha) - v) / x
             outs[k][negatives[k]] = v
     return [out.reshape(z.shape) for out in outs]
+
+
+def _canonical_base(base: float) -> float:
+    """`base` rounded to 12 decimals where that moves it by at most 4 ulps,
+    else `base` itself: float reduction error aside, bases stay exact."""
+    near = round(base, 12)
+    return near if abs(near - base) <= 4.0 * math.ulp(base) else base
 
 
 def _row_blocks(n_rows: int, n_cols: int):

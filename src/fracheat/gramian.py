@@ -24,6 +24,7 @@ from .spectral import SpectralModel
 __all__ = [
     "GramianOperator",
     "GramianReport",
+    "check_quad_steps",
     "assemble_gramian",
     "verify_gramian",
     "gramian_min_singular",
@@ -50,10 +51,17 @@ class GramianOperator:
         return self.matrix.shape[0]
 
 
-def assemble_gramian(model: SpectralModel, quad_steps: int = 512) -> GramianOperator:
-    """Product-integration assembly of the Gramian at quad_steps resolution."""
+def check_quad_steps(quad_steps) -> int:
+    """The Gramian's quadrature step count as an int, at least 16."""
+    quad_steps = int(quad_steps)
     if quad_steps < 16:
         raise ValueError(f"quad_steps must be >= 16, got {quad_steps}")
+    return quad_steps
+
+
+def assemble_gramian(model: SpectralModel, quad_steps: int = 512) -> GramianOperator:
+    """Product-integration assembly of the Gramian at quad_steps resolution."""
+    quad_steps = check_quad_steps(quad_steps)
     prop = propagator(model, TimeGrid(model.horizon, quad_steps))
     matrix = prop.control_response(model.b_matrix)[-1]
     return GramianOperator(matrix=matrix, horizon=model.horizon, quad_steps=quad_steps)

@@ -41,7 +41,9 @@ __all__ = [
     "audit_potential",
     "select_forcing",
     "SELECTION_STRATEGIES",
+    "check_strategy",
     "FixedPointResult",
+    "check_relaxation",
     "fixed_point_iterate",
     "SweepEntry",
     "check_epsilons",
@@ -160,6 +162,13 @@ def audit_potential(
                 raise ValueError(f"potential bound eta(t)={bound} violated at t={t}")
 
 
+def check_strategy(strategy: str) -> str:
+    """`strategy` if it names one of SELECTION_STRATEGIES."""
+    if strategy not in SELECTION_STRATEGIES:
+        raise ValueError(f"strategy must be one of {SELECTION_STRATEGIES}, got {strategy!r}")
+    return strategy
+
+
 def select_forcing(
     pot: NonsmoothPotential,
     strategy: str,
@@ -169,8 +178,7 @@ def select_forcing(
 ) -> np.ndarray:
     """Pointwise admissible forcing g(t_k, theta_j) in the derivative interval
     along the trajectory; shape (steps+1, n_theta)."""
-    if strategy not in SELECTION_STRATEGIES:
-        raise ValueError(f"strategy must be one of {SELECTION_STRATEGIES}, got {strategy!r}")
+    check_strategy(strategy)
     nodes = trajectory.grid.nodes
     lo, hi = pot.interval(nodes[:, None], theta_grid(model.n_theta),
                           basis_values(trajectory.states, model.n_theta))
@@ -222,6 +230,14 @@ def _trajectory_gap(model: SpectralModel, a: Trajectory, b: Trajectory) -> float
     return float(np.max(lp_norms(a.states - b.states, model.n_theta, model.p)))
 
 
+def check_relaxation(relaxation) -> float:
+    """The fixed point's back-off damping as a float in (0, 1]."""
+    relaxation = float(relaxation)
+    if not 0.0 < relaxation <= 1.0:
+        raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
+    return relaxation
+
+
 def fixed_point_iterate(
     model: SpectralModel,
     gram: GramianOperator,
@@ -248,8 +264,7 @@ def fixed_point_iterate(
     nodes) state norm; exhaustion of max_iter returns the last iterate
     flagged as non-converged.
     """
-    if not 0.0 < relaxation <= 1.0:
-        raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
+    relaxation = check_relaxation(relaxation)
 
     def run_for(g: np.ndarray) -> ClosedLoopRun:
         return closed_loop_trajectory(

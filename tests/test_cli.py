@@ -11,6 +11,8 @@ import pytest
 import fracheat
 from fracheat.cli import main
 from fracheat.config import build_experiment, default_config_text, load_config
+from fracheat.gramian import check_quad_steps
+from fracheat.hvi import check_relaxation, check_strategy
 from fracheat.lpspace import basis_matrix, theta_grid
 
 
@@ -68,6 +70,23 @@ class TestConfig:
             build_experiment(cfg, config_file.parent)
         assert main(["sweep", str(config_file), "--set", "sweep.epsilons=1e-1, 1e-6"]) == 1
         assert "1e-5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,owner,message", [
+        ("solver.quad_steps=8", check_quad_steps, "quad_steps must be >= 16, got 8"),
+        ("solver.strategy=greedy", check_strategy,
+         "strategy must be one of ('minimal_norm', 'midpoint', 'sign_zero', 'sticky'), "
+         "got 'greedy'"),
+        ("solver.relaxation=1.5", check_relaxation, "relaxation must lie in (0, 1], got 1.5"),
+    ])
+    def test_solver_guard_exits_1_with_its_owners_message(self, config_file, capsys, setting,
+                                                          owner, message):
+        """A bad solver setting fails before any work, through the check of
+        the module that uses it."""
+        with pytest.raises(ValueError) as raised:
+            owner(setting.split("=")[1])
+        assert str(raised.value) == message
+        assert main(["sweep", str(config_file), "--set", setting]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_hash_tracks_content(self, config_file):
         a = load_config(config_file)

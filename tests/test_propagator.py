@@ -185,24 +185,33 @@ def test_cached_kernel_data_is_bitwise_the_uncached_formula(model_p2, steps):
     assert np.array_equal(new, states)
 
 
-def test_state_and_moment_tables_share_one_cut_integral(model_p2, monkeypatch):
+@pytest.mark.parametrize("alpha", [0.57, 0.75, 0.9, 0.99])
+def test_state_and_moment_tables_share_one_cut_integral(alpha, model_p2, monkeypatch):
     """`e_state` (beta = 1) and `e_moment` (beta = alpha + 1) reduce to the
-    same base and come from one family call: one cut integral, not two.
-    `e_force` stays its own, built only when read."""
+    same base and come from one family call: one tail series and one cut
+    integral, not two, also where (1 + alpha) - alpha is 1 - 1 ulp in float
+    (alpha = 0.57, 0.9).  `e_force` stays its own, built only when read."""
     calls = []
-    original = fracops._ml_cut_integral
 
-    def counting(alpha, beta, x):
-        calls.append(beta)
-        return original(alpha, beta, x)
+    def counting(name):
+        original = getattr(fracops, name)
 
-    monkeypatch.setattr(fracops, "_ml_cut_integral", counting)
-    alpha = model_p2.order.alpha
-    prop = Propagator(alpha, tuple(model_p2.eigenvalues), 1.0, 512)  # not the shared one
+        def count(a, beta, x):
+            calls.append((name, beta))
+            return original(a, beta, x)
+        return count
+
+    for name in ("_ml_tail_series", "_ml_cut_integral"):
+        monkeypatch.setattr(fracops, name, counting(name))
+    lam = tuple(model_p2.eigenvalues)
+    prop = Propagator(alpha, lam, 1.0, 512)  # not the shared one
     e_state, e_moment = prop.e_state, prop.e_moment
-    assert calls == [1.0]
+    assert calls == [("_ml_tail_series", 1.0), ("_ml_cut_integral", 1.0)]
     e_force = prop.e_force
-    assert calls == [1.0, alpha]
-    want = reference_tables(model_p2, TimeGrid(1.0, 512))
+    assert calls[2:] == [("_ml_tail_series", alpha), ("_ml_cut_integral", alpha)]
+    t_alpha = np.linspace(0.0, 1.0, 513)[:, None] ** alpha
+    args = np.asarray(lam) * t_alpha
+    want = (ml_multipliers(alpha, 1.0, args), ml_multipliers(alpha, alpha, args),
+            t_alpha * ml_multipliers(alpha, alpha + 1.0, args))
     for got, ref in zip((e_state, e_force, e_moment), want):
         assert np.array_equal(got, ref) and not got.flags.writeable

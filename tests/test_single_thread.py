@@ -5,8 +5,10 @@ skipped audit run and the tolist CSV rows, against the code they replaced.
 (`rows @ W.T`, `values @ W * h`); at trajectory size OpenBLAS ran them on its
 thread pool, whose worker kept spinning after each call.  The old formulas,
 the old 500-node density rule and the old per-cell CSV writer are kept here
-as references, and the last test pins the worker threads' CPU during the two
-benchmarked commands.
+as references, and two probes pin the worker threads' CPU during the two
+benchmarked commands and criterion 9's residual.  In a fresh interpreter,
+`import fracheat` loads no numpy, and `fracheat.cli` pins OpenBLAS to one
+thread only where it loads numpy itself and the variable is unset.
 """
 
 import csv
@@ -305,9 +307,12 @@ two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: no BLA
 
 
 def run_probe(probe, tmp_path):
+    # a full pool whatever the caller's environment sets: the probes measure
+    # the workers, so they need them
     proc = subprocess.run(
         [sys.executable, "-c", probe, str(ROOT / "configs" / "heat_default.cfg"), str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(os.cpu_count())},
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     if report["threads"] < 2:
@@ -335,6 +340,43 @@ def test_hvi_residual_leaves_blas_workers_idle(tmp_path):
     report = run_probe(HVI_RESIDUAL_PROBE, tmp_path)
     assert report["codes"] == [1]
     assert report["worker_cpu"] < 0.030
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_interpreter(code, **env):
+    """Run `code` in a new interpreter with no thread-count variable but
+    `env`; returns the JSON its last line of output prints."""
+    clean = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    proc = subprocess.run([sys.executable, "-c", code], env={**clean, "PYTHONPATH": str(SRC), **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+REPORT_BLAS = """
+import json, os, sys
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"),
+                  len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None]))
+"""
+
+
+def test_package_import_loads_no_numpy():
+    code = "import json, sys, fracheat\nprint(json.dumps('numpy' in sys.modules))"
+    assert fresh_interpreter(code) is False
+
+
+@pytest.mark.parametrize("prelude,env,want", [
+    ("", {}, "1"),  # the pin: OpenBLAS starts no worker, one thread in all
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, "2"),  # a value the user set wins
+    ("import numpy\n", {}, None),  # a session that loaded numpy first keeps its pool
+])
+def test_cli_pins_one_blas_thread_only_before_numpy(prelude, env, want):
+    value, threads = fresh_interpreter(prelude + "from fracheat import cli\n" + REPORT_BLAS, **env)
+    assert value == want
+    if want == "1" and threads is not None:
+        assert threads == 1
 
 
 def old_hvi_rhs(model, trajectory, pot, directions):
