@@ -2,13 +2,13 @@
 
 The regularized equation eps*x + G J(x) = y is solved directly in the Hilbert
 case and by damped fixed-point iteration with a Newton fallback otherwise.
-The synthesized control feeds the trajectory through the same quadrature
-nodes used to assemble the Gramian, which makes the terminal-state identity
+The synthesized control is one more input of the mild solution, on the
+quadrature nodes used to assemble the Gramian, which makes the identity
 
     q(a) = z - eps * (eps I + G J)^{-1} d,   d the deficiency vector,
 
-hold at solver precision when the time grid matches the Gramian resolution:
-the control response at t_N is then the Gramian itself.
+hold to the solver's tolerance plus rounding (~1e-15) when the time grid
+matches the Gramian resolution.
 """
 
 from __future__ import annotations
@@ -199,10 +199,13 @@ def deficiency_vector(
     forcing: np.ndarray | None = None,
 ) -> np.ndarray:
     """d = z - S(a) x0 - int_0^a (a-s)^(alpha-1) T(a-s) [H g](s) ds, with the
-    forcing already H-applied and node-sampled."""
-    z = np.asarray(z, dtype=float)
-    free = mild_solution(model, grid, np.asarray(x0, dtype=float), forcing=forcing)
-    return z - free.terminal
+    forcing already H-applied and node-sampled: row N of the forced free run,
+    from the propagator's terminal sum, with no full trajectory."""
+    prop = propagator(model, grid)
+    free = prop.e_state[-1] * np.asarray(x0, dtype=float)
+    if forcing is not None:
+        free = free + prop.forcing_anchor[-1] * forcing[-1] + prop.terminal(forcing)
+    return np.asarray(z, dtype=float) - free
 
 
 @dataclass
@@ -214,7 +217,6 @@ class ClosedLoopRun:
     control: np.ndarray           # (steps+1, n_modes) coordinates in U
     deficiency: np.ndarray
     solve: ResolventSolve
-    forcing: np.ndarray | None    # H-applied forcing nodes, as supplied
 
 
 def closed_loop_trajectory(
@@ -229,16 +231,15 @@ def closed_loop_trajectory(
     max_iter: int = 400,
 ) -> ClosedLoopRun:
     """Run the regularized control law and integrate the controlled system:
-    one forced run gives the deficiency, and the control channel adds the
-    propagator's control response (B B^T o C[k]) J(w) at each node t_k."""
-    free = mild_solution(model, grid, np.asarray(x0, dtype=float), forcing=forcing)
-    d = np.asarray(z, dtype=float) - free.terminal
+    the terminal sum gives the deficiency d, the resolvent gives w, and one
+    mild solution carries the forcing and the control B u(t_j), with
+    u(t_j) = B^T (e(a - t_j) o J(w))."""
+    d = deficiency_vector(model, grid, z, x0, forcing)
     solve = regularized_resolvent(gram, model, epsilon, d, tol=tol, max_iter=max_iter)
     jw = coordinate_duality_map(model, solve.result)
-    prop = propagator(model, grid)
-    control = (prop.e_force[::-1] * jw) @ model.b_matrix  # row j: B^T (e(a-t_j) o Jw)
-    traj = Trajectory(grid, free.states + prop.control_response(model.b_matrix) @ jw)
-    return ClosedLoopRun(epsilon, traj, control, d, solve, forcing)
+    control = (propagator(model, grid).e_force[::-1] * jw) @ model.b_matrix
+    traj = mild_solution(model, grid, x0, forcing=forcing, control=control @ model.b_matrix.T)
+    return ClosedLoopRun(epsilon, traj, control, d, solve)
 
 
 def terminal_identity_residual(

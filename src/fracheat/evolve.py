@@ -2,19 +2,19 @@
 one discretization of the Duhamel family t^(alpha-1) T_alpha(t) they share.
 
 A `Propagator` per (alpha, eigenvalues, horizon, steps) owns the
-Mittag-Leffler tables, the product-integration weights and the cross kernel
-read by the mild solution, the Gramian and the closed loop.  Row k of
+Mittag-Leffler tables and the product-integration weights read by the mild
+solution, the Gramian and the closed loop.  Row k of
 `fracops.singular_conv_weights` is w_k[j] = c[k-j] for j >= 1 plus its own
 j = 0 weight, so each weakly singular integral against node data is a
 per-mode causal convolution with kernel c[m] E_{a,a}(lam t_m^a) (Lubich's
-convolution quadrature), evaluated by real FFTs.
+convolution quadrature) by real FFTs, and `terminal` sums row N directly.
 
 `mild_solution` anchors the forcing channel at the right endpoint of each
 row, where the exact kernel moment is known, which removes the leading
-endpoint error; the control channel keeps the plain rule, the Gramian's own.
-`l1_reference` integrates the same Caputo system with an implicit L1 scheme
-and serves as an independent cross-check.  `write_csv` is the one format of
-every CSV output file.
+endpoint error; the control channel keeps the plain rule, the Gramian's own,
+and both channels share one convolution.  `l1_reference` integrates the same
+Caputo system with an implicit L1 scheme and serves as an independent
+cross-check.  `write_csv` is the one format of every CSV output file.
 """
 
 from __future__ import annotations
@@ -131,16 +131,14 @@ class Propagator:
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
         """Rows k: sum_j w_k[j] e(t_k - t_j) u[j] per mode, for node data u of
-        shape (steps+1, n_modes, ...)."""
+        shape (steps+1, n_modes)."""
         _, a = self.lag_weights
-        shape = self.e_force.shape + (1,) * (u.ndim - 2)
         tail = np.array(u, dtype=float)
         tail[0] = 0.0  # node j = 0 carries its own weight a[k]
-        kernel = self.kernel_spectrum.reshape(self.kernel_spectrum.shape + shape[2:])
-        out = irfft(kernel * rfft(tail, self.fft_size, axis=0), self.fft_size,
+        out = irfft(self.kernel_spectrum * rfft(tail, self.fft_size, axis=0), self.fft_size,
                     axis=0)[: self.steps + 1]
         out[0] = 0.0  # row 0 integrates over an empty interval
-        return out + (a[:, None] * self.e_force).reshape(shape) * u[0]
+        return out + a[:, None] * self.e_force * u[0]
 
     @cached_property
     def forcing_anchor(self) -> np.ndarray:
@@ -148,20 +146,9 @@ class Propagator:
         moment less the rule's, which multiplies forcing[k] in `mild_solution`."""
         return _frozen(self.e_moment - self.convolve(np.ones(self.e_force.shape)))
 
-    @cached_property
-    def cross_kernel(self) -> np.ndarray:
-        """C[k] = sum_j w_k[j] e(t_k - t_j) e(a - t_j)^T, shape (steps+1, n, n).
-        Row N, the Gramian's quadrature, is summed directly so that it stays
-        symmetric to rounding."""
-        e = self.e_force
-        cross = self.convolve(np.broadcast_to(e[::-1, None, :], e.shape + e.shape[1:]))
-        cross[-1] = np.einsum("m,mi,mj->ij", self.terminal_weights, e, e)
-        return _frozen(cross)
-
-    def control_response(self, b_matrix: np.ndarray) -> np.ndarray:
-        """(B B^T) o C[k]: row k maps y to the control channel at t_k under the
-        law u(t_j) = B^T (e(a - t_j) o y).  Row N is the Gramian."""
-        return (b_matrix @ b_matrix.T) * self.cross_kernel
+    def terminal(self, u: np.ndarray) -> np.ndarray:
+        """Row N of `convolve`, summed directly: sum_m tw_m e(t_m) u[N - m]."""
+        return np.einsum("m,mn,mn->n", self.terminal_weights, self.e_force, u[::-1])
 
 
 _shared = lru_cache(maxsize=16)(Propagator)
@@ -223,12 +210,14 @@ def mild_solution(
 
     prop = propagator(model, grid)
     states = prop.e_state * x0
+    channel = control  # forcing and control share one convolution
     if forcing is not None:
         # endpoint-anchored split: the exact kernel moment times forcing[k]
         # plus product integration of the remainder, which vanishes at t_k
-        states = states + prop.forcing_anchor * forcing + prop.convolve(forcing)
-    if control is not None:
-        states = states + prop.convolve(control)
+        states = states + prop.forcing_anchor * forcing
+        channel = forcing if control is None else forcing + control
+    if channel is not None:
+        states = states + prop.convolve(channel)
     return Trajectory(grid, states)
 
 

@@ -2,11 +2,12 @@
 
 The Gramian matrix in basis coordinates is the product integration of
 sigma^(alpha-1) * diag(e(sigma)) B B^T diag(e(sigma)) over the horizon, with
-e(sigma) the Duhamel-family multipliers (the quad grid's `evolve.Propagator`
-reads it off its cross kernel).  Each quadrature term is symmetric positive
-semidefinite with a positive weight, so symmetry and positivity of the
-assembled matrix are structural, matching the operator's proven properties;
-the verification report re-derives them numerically anyway.
+e(sigma) the Duhamel-family multipliers, summed on the nodes of the quad
+grid's `evolve.Propagator` with its terminal weights.  Each quadrature term
+is symmetric positive semidefinite with a positive weight, so symmetry and
+positivity of the assembled matrix are structural, matching the operator's
+proven properties; the verification report re-derives them numerically
+anyway.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def assemble_gramian(model: SpectralModel, quad_steps: int = 512) -> GramianOper
     """Product-integration assembly of the Gramian at quad_steps resolution."""
     quad_steps = check_quad_steps(quad_steps)
     prop = propagator(model, TimeGrid(model.horizon, quad_steps))
-    matrix = prop.control_response(model.b_matrix)[-1]
+    e, bb = prop.e_force, model.b_matrix @ model.b_matrix.T
+    matrix = bb * np.einsum("m,mi,mj->ij", prop.terminal_weights, e, e)
     return GramianOperator(matrix=matrix, horizon=model.horizon, quad_steps=quad_steps)
 
 

@@ -46,7 +46,6 @@ UNREFERENCED_ALLOWED = {
     "rl_integral": "checked by tests/test_acceptance.py",
     "caputo_derivative": "checked by tests/test_acceptance.py",
     "hvi_residual": "acceptance criterion 9, the variational-inequality residual",
-    "deficiency_vector": "perfbench's span test traces it",
     "a_priori_state_bound": "the paper's state estimate, due in summary.json (ROADMAP item 4)",
     "control_norm_bound": "the paper's control estimate, due in summary.json (ROADMAP item 4)",
 }

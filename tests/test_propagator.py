@@ -3,10 +3,13 @@
 The references below are the earlier implementations, kept verbatim in
 substance: the mild solution as a Python loop over nodes k with one
 `singular_conv_weights` row per node, the Gramian as a per-sigma einsum over
-`forcing_multipliers`, and the closed loop as two mild solutions (free run
-for the deficiency, then forcing plus the applied control).  Agreement is
-required to 1e-12 relative to the largest entry: the FFT convolutions sum in
-another order, which moves results in the last digits only.
+`forcing_multipliers`, the closed loop as two mild solutions (free run
+for the deficiency, then forcing plus the applied control), and the closed
+loop's control channel as the dense cross-kernel tensor
+C[k] = sum_j w_k[j] e(t_k - t_j) e(a - t_j)^T.  Agreement is required to
+1e-12 relative to the largest entry (1e-14 against the tensor route): the FFT
+convolutions sum in another order, which moves results in the last digits
+only.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 import fracheat.control as control_module
 import fracheat.fracops as fracops
 from fracheat.control import closed_loop_trajectory, coordinate_duality_map, \
-    regularized_resolvent
+    deficiency_vector, regularized_resolvent
 from fracheat.evolve import Propagator, mild_solution
 from fracheat.fracops import TimeGrid, ml_multipliers, singular_conv_weights
 from fracheat.gramian import assemble_gramian
@@ -25,6 +28,7 @@ from fracheat.spectral import forcing_multipliers
 from conftest import bump_coefficients
 
 REL_TOL = 1e-12
+TENSOR_TOL = 1e-14
 
 
 def rel_gap(new: np.ndarray, ref: np.ndarray) -> float:
@@ -131,14 +135,6 @@ def test_lag_weights_reproduce_singular_conv_weights(model_p2):
         assert w[0] == a[k]
 
 
-def test_control_response_at_terminal_node_is_the_gramian(model_p2):
-    grid = TimeGrid(1.0, 96)
-    response = propagator(model_p2, grid).control_response(model_p2.b_matrix)
-    gram = assemble_gramian(model_p2, grid.steps)
-    assert np.array_equal(response[-1], gram.matrix)
-    assert np.array_equal(response[0], np.zeros_like(gram.matrix))
-
-
 def test_closed_loop_runs_one_mild_solution(model_p2, gram_p2, grid_512, monkeypatch):
     calls = []
 
@@ -169,20 +165,92 @@ def uncached_convolve(prop, u):
     return out + (a[:, None] * prop.e_force).reshape(shape) * u[0]
 
 
+def reference_cross_kernel(prop):
+    """`Propagator.cross_kernel` as it was: the (steps+1, n, n) tensor
+    C[k] = sum_j w_k[j] e(t_k - t_j) e(a - t_j)^T by an n^2-channel
+    convolution, with row N summed directly."""
+    e = prop.e_force
+    cross = uncached_convolve(prop, np.broadcast_to(e[::-1, None, :], e.shape + e.shape[1:]))
+    cross[-1] = np.einsum("m,mi,mj->ij", prop.terminal_weights, e, e)
+    return cross
+
+
+def reference_tensor_closed_loop(model, gram, grid, epsilon, z, x0, forcing, tol):
+    """The closed loop as it was: one forced run for the deficiency, then the
+    control channel added as ((B B^T) o C[k]) J(w) at each node."""
+    free = mild_solution(model, grid, x0, forcing=forcing)
+    solve = regularized_resolvent(gram, model, epsilon, z - free.terminal, tol=tol)
+    jw = coordinate_duality_map(model, solve.result)
+    response = (model.b_matrix @ model.b_matrix.T) * reference_cross_kernel(
+        propagator(model, grid))
+    return free.states + response @ jw
+
+
+@pytest.mark.parametrize("which", ["p2", "p4"])
+def test_closed_loop_matches_cross_kernel_route(request, which, grid_512):
+    model = request.getfixturevalue(f"model_{which}")
+    gram = request.getfixturevalue(f"gram_{which}")
+    x0 = bump_coefficients(8)
+    z = np.zeros(8)
+    z[0], z[2] = 0.5, -0.1
+    _, forcing, _ = smooth_inputs(grid_512, 8, 3)
+    forcing = 0.1 * forcing
+    run = closed_loop_trajectory(model, gram, grid_512, 1e-2, z, x0, forcing=forcing,
+                                 tol=1e-13)
+    ref = reference_tensor_closed_loop(model, gram, grid_512, 1e-2, z, x0, forcing,
+                                       tol=1e-13)
+    assert rel_gap(run.trajectory.states, ref) <= TENSOR_TOL
+
+
+@pytest.mark.parametrize("steps", [96, 512])
+def test_gramian_is_the_cross_kernel_terminal_row(model_p2, steps):
+    cross = reference_cross_kernel(propagator(model_p2, TimeGrid(1.0, steps)))
+    gram = assemble_gramian(model_p2, steps).matrix
+    bb = model_p2.b_matrix @ model_p2.b_matrix.T
+    assert np.array_equal(gram, bb * cross[-1])
+    assert rel_gap(gram.T, gram) <= TENSOR_TOL  # symmetric to rounding
+    assert np.array_equal(cross[0], np.zeros_like(gram))
+
+
+@pytest.mark.parametrize("steps", [64, 512])
+def test_terminal_is_the_last_convolve_row(model_p2, steps):
+    grid = TimeGrid(1.0, steps)
+    prop = propagator(model_p2, grid)
+    _, forcing, control = smooth_inputs(grid, model_p2.n_modes, steps)
+    for u in (forcing, control, np.ones_like(forcing)):
+        row = prop.convolve(u)[-1]
+        assert rel_gap(prop.terminal(u), row) <= TENSOR_TOL
+
+
+@pytest.mark.parametrize("steps", [64, 512])
+def test_deficiency_vector_is_the_forced_run_terminal(model_p2, steps):
+    grid = TimeGrid(1.0, steps)
+    x0, forcing, _ = smooth_inputs(grid, model_p2.n_modes, steps)
+    z = np.linspace(-0.3, 0.4, model_p2.n_modes)
+    for inputs in (dict(), dict(forcing=forcing)):
+        d = deficiency_vector(model_p2, grid, z, x0, **inputs)
+        ref = z - mild_solution(model_p2, grid, x0, **inputs).terminal
+        assert rel_gap(d, ref) <= TENSOR_TOL, sorted(inputs)
+
+
 @pytest.mark.parametrize("steps", [64, 512])
 def test_cached_kernel_data_is_bitwise_the_uncached_formula(model_p2, steps):
     grid = TimeGrid(1.0, steps)
     prop = propagator(model_p2, grid)
     x0, forcing, control = smooth_inputs(grid, model_p2.n_modes, steps)
-    e = prop.e_force
-    for u in (forcing, control, np.broadcast_to(e[::-1, None, :], e.shape + e.shape[1:])):
+    for u in (forcing, control, forcing + control):
         assert np.array_equal(prop.convolve(u), uncached_convolve(prop, u))
     anchor = prop.e_moment - uncached_convolve(prop, np.ones_like(forcing))
     assert np.array_equal(prop.forcing_anchor, anchor)
-    states = prop.e_state * x0 + anchor * forcing + uncached_convolve(prop, forcing) \
-        + uncached_convolve(prop, control)
+    # forcing and control share one convolution of their sum
+    states = prop.e_state * x0 + anchor * forcing + uncached_convolve(prop, forcing + control)
     new = mild_solution(model_p2, grid, x0, forcing=forcing, control=control).states
     assert np.array_equal(new, states)
+    # with one input it is the two-channel formula term for term
+    forced = prop.e_state * x0 + anchor * forcing + uncached_convolve(prop, forcing)
+    assert np.array_equal(mild_solution(model_p2, grid, x0, forcing=forcing).states, forced)
+    controlled = prop.e_state * x0 + uncached_convolve(prop, control)
+    assert np.array_equal(mild_solution(model_p2, grid, x0, control=control).states, controlled)
 
 
 @pytest.mark.parametrize("alpha", [0.57, 0.75, 0.9, 0.99])
