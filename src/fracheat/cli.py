@@ -192,21 +192,20 @@ def _json_value(v):
 def cmd_sweep(exp: Experiment) -> int:
     model, grid = exp.model, exp.grid
     gram = assemble_gramian(model, exp.quad_steps)
+    exp.output_dir.mkdir(parents=True, exist_ok=True)
+    headers = _header_lines(exp)
+    entries = []
+    elapsed = 0.0  # fixed-point time only, without the file writing
     started = time.perf_counter()
-    entries, results = epsilon_sweep(
+    for entry, result in epsilon_sweep(
         model, gram, grid, exp.potential, exp.target, exp.x0, exp.epsilons,
         strategy=exp.strategy, relaxation=exp.relaxation,
         tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
         resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter,
-    )
-    elapsed = time.perf_counter() - started
-    exp.output_dir.mkdir(parents=True, exist_ok=True)
-    headers = _header_lines(exp)
-    if "csv" in exp.formats:
-        sweep_to_csv(entries, str(exp.output_dir / "sweep.csv"), headers)
-        for entry, result in zip(entries, results):
-            if result is None:
-                continue
+    ):
+        elapsed += time.perf_counter() - started
+        entries.append(entry)
+        if result is not None and "csv" in exp.formats:
             tag = f"{entry.epsilon:.0e}".replace("-0", "-")
             trajectory_to_csv(result.run.trajectory,
                               str(exp.output_dir / f"trajectory_eps_{tag}.csv"), headers)
@@ -214,6 +213,10 @@ def cmd_sweep(exp: Experiment) -> int:
                       ["node", "t"] + [f"u{n}" for n in range(1, model.n_modes + 1)],
                       ([k, *row] for k, row in
                        enumerate(np.column_stack([grid.nodes, result.run.control]).tolist())))
+        del result  # its grid arrays go before the next epsilon is solved
+        started = time.perf_counter()
+    if "csv" in exp.formats:
+        sweep_to_csv(entries, str(exp.output_dir / "sweep.csv"), headers)
     free_miss = free_terminal_miss(model, grid, exp.target, exp.x0)
     if "json" in exp.formats:
         summary = {

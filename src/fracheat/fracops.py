@@ -41,6 +41,7 @@ __all__ = [
     "caputo_derivative",
     "singular_conv_weights",
     "l1_coefficients",
+    "row_blocks",
 ]
 
 # Branch boundaries in s: Taylor below (max term exp(5) ~ 150, ~2 digits
@@ -194,8 +195,8 @@ def _canonical_base(base: float) -> float:
     return near if abs(near - base) <= 4.0 * math.ulp(base) else base
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """Row slices whose (rows, n_cols) float64 temporaries stay near _BLOCK_BYTES."""
+def row_blocks(n_rows: int, n_cols: int):
+    """Row slices whose (rows, n_cols) float64 temporaries stay near _BLOCK_BYTES (256 KB)."""
     step = max(1, _BLOCK_BYTES // (8 * n_cols))
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
@@ -240,7 +241,7 @@ def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np
         raise OverflowError(f"E_{{{alpha},{beta}}}(z) overflows float range at z={np.max(z)}")
     k = k[: int(np.argmax(done)) + 1]
     out, too_deep = np.empty_like(z), np.zeros(z.shape, dtype=bool)
-    for rows in _row_blocks(z.size, k.size):
+    for rows in row_blocks(z.size, k.size):
         terms = np.exp(np.log(np.abs(z[rows]))[:, None] * k - log_gamma[: k.size])
         negative = z[rows] < 0.0
         terms[negative, 1::2] *= -1.0
@@ -282,7 +283,7 @@ def _ml_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         n_panels = fixed.size + np.count_nonzero(kept)  # with the first panel
         # the power of r in the integrand per column: none on the first panel
         gam_col = np.repeat(np.append(0.0, np.full(n_panels - 1, gam)), _CUT_X.size)
-        for rows in _row_blocks(group.size, n_panels * _CUT_X.size):
+        for rows in row_blocks(group.size, n_panels * _CUT_X.size):
             sel = group[rows]
             xx = x[sel][:, None]
             edges = np.sort(np.hstack([np.broadcast_to(fixed, (sel.size, fixed.size)), peak[sel][:, kept]]))
@@ -323,7 +324,7 @@ def _ml_tail_series(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     arg = alpha * k - beta + 1.0
     log_gamma = np.where(arg > 0.0, _lgamma(np.where(arg > 0.0, arg, 1.0)), np.inf)
     out = np.empty_like(x)
-    for rows in _row_blocks(x.size, k.size):
+    for rows in row_blocks(x.size, k.size):
         xx = x[rows][:, None]
         last = np.argmin(log_gamma - k * np.log(xx), axis=1)
         out[rows] = np.sum(np.where(k - 1 <= last[:, None], xx ** (-k) * signed_rgamma, 0.0), axis=1)
@@ -365,7 +366,7 @@ def _wright_series(alpha: float, tau: np.ndarray) -> np.ndarray:
     n = n[: int(np.argmax((n > 13) & (log_env < log_env.max() + math.log(1e-18)))) + 1]
     coef = np.where(n % 2 == 1, 1.0, -1.0) * np.sin(math.pi * ((n * alpha) % 2.0)) / (math.pi * alpha)
     out = np.empty_like(tau)
-    for rows in _row_blocks(tau.size, n.size):
+    for rows in row_blocks(tau.size, n.size):
         out[rows] = np.exp(np.log(tau[rows])[:, None] * (n - 1.0) + log_mag[: n.size]) @ coef
     return np.maximum(out, 0.0)
 
@@ -390,7 +391,7 @@ def _wright_kanter(alpha: float, tau: np.ndarray) -> np.ndarray:
     log_a0 = q * (alpha * math.log(alpha) + (1.0 - alpha) * math.log(1.0 - alpha))
     n_left = _KANTER_LEFT.size
     out = np.empty_like(tau)
-    for rows in _row_blocks(tau.size, (n_left + 1 + _KANTER_RIGHT.size) * _KANTER_X.size):
+    for rows in row_blocks(tau.size, (n_left + 1 + _KANTER_RIGHT.size) * _KANTER_X.size):
         log_tau = np.log(tau[rows])[:, None]
         log_c = q * log_tau
         start = np.maximum(log_c + log_a0, 0.0)

@@ -8,14 +8,16 @@ while the trajectory gap shrinks and with Krasnoselskii averaging in forcing
 space, where convex combinations stay admissible, from the first step that
 fails to shrink it.  Non-convergence is a reported outcome, not an
 exception: existence of the fixed point is topological and the iteration is
-a heuristic.
+a heuristic.  A solve holds two (steps+1, n_theta) arrays, the iterate and
+the new selection (built in row blocks); `epsilon_sweep` yields one epsilon
+at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .control import (
     terminal_identity_residual,
 )
 from .evolve import Trajectory, mild_solution, write_csv
-from .fracops import TimeGrid
+from .fracops import TimeGrid, row_blocks
 from .gramian import GramianOperator
 from .lpspace import basis_coefficients, basis_values, lp_norms, theta_grid
 from .spectral import SpectralModel
@@ -175,24 +177,30 @@ def select_forcing(
     trajectory: Trajectory,
     model: SpectralModel,
     previous: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pointwise admissible forcing g(t_k, theta_j) in the derivative interval
-    along the trajectory; shape (steps+1, n_theta)."""
+    along the trajectory, shape (steps+1, n_theta), written into `out` if given;
+    nodes go in row blocks (`fracops.row_blocks`) of ~256 KB temporaries."""
     check_strategy(strategy)
     nodes = trajectory.grid.nodes
-    lo, hi = pot.interval(nodes[:, None], theta_grid(model.n_theta),
-                          basis_values(trajectory.states, model.n_theta))
-    if strategy == "midpoint":
-        g = 0.5 * (lo + hi)
-    elif strategy == "sign_zero":
-        g = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, 0.5 * (lo + hi))
-    elif strategy == "sticky" and previous is not None:
-        g = np.clip(previous, lo, hi)
-    else:  # minimal_norm, or sticky without a previous selection
-        g = np.clip(0.0, lo, hi)
+    theta = theta_grid(model.n_theta)
     bound = np.broadcast_to(pot.eta(nodes), nodes.shape)
-    if np.any(np.maximum(g.max(axis=1), -g.min(axis=1)) > bound + 1e-12):  # max |g| per node
-        raise AssertionError("selection escaped the admissible bound")
+    g = np.empty((nodes.size, model.n_theta)) if out is None else out
+    for rows in row_blocks(nodes.size, model.n_theta):
+        lo, hi = pot.interval(nodes[rows, None], theta,
+                              basis_values(trajectory.states[rows], model.n_theta))
+        block = g[rows]
+        if strategy == "midpoint":
+            np.multiply(0.5, lo + hi, out=block)
+        elif strategy == "sign_zero":
+            block[...] = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, 0.5 * (lo + hi))
+        elif strategy == "sticky" and previous is not None:
+            np.clip(previous[rows], lo, hi, out=block)
+        else:  # minimal_norm, or sticky without a previous selection
+            np.clip(0.0, lo, hi, out=block)
+        if np.any(np.maximum(block.max(axis=1), -block.min(axis=1)) > bound[rows] + 1e-12):  # max |g|
+            raise AssertionError("selection escaped the admissible bound")
     return g
 
 
@@ -212,7 +220,9 @@ class FixedPointResult:
     an average after the back-off), `residuals` the trajectory gap of each
     iteration, and `fixed_point_residual` the sup-norm trajectory change
     under one more unrelaxed application of the composite map -- the
-    dynamics-vs-membership gap inherent to stopping at tolerance.
+    dynamics-vs-membership gap inherent to stopping at tolerance.  When the
+    selection equals the iterate bit for bit (the audit run is skipped), `g`
+    and `g_relaxed` are the same array.
     """
 
     g: np.ndarray
@@ -274,13 +284,15 @@ def fixed_point_iterate(
         )
 
     g = np.zeros((grid.steps + 1, model.n_theta))
+    # one selection buffer per solve: a fresh grid array re-faults its pages
+    g_sel = np.empty_like(g)
     run = run_for(g)
     residuals: list[float] = []
     converged = False
     iterations = 0
     omega = 1.0
     for iterations in range(1, max_iter + 1):
-        g_sel = select_forcing(pot, strategy, run.trajectory, model, previous=g)
+        select_forcing(pot, strategy, run.trajectory, model, previous=g, out=g_sel)
         # g <- (1 - omega) g + omega g_sel, in place: both arrays are this loop's own
         g *= 1.0 - omega
         g_sel *= omega
@@ -294,8 +306,9 @@ def fixed_point_iterate(
         if gap <= tol:
             converged = True
             break
-    g_select = select_forcing(pot, strategy, run.trajectory, model, previous=g)
+    g_select = select_forcing(pot, strategy, run.trajectory, model, previous=g, out=g_sel)
     if np.array_equal(g_select, g):
+        g_select = g  # one array for both fields
         fp_residual = 0.0  # the audit run would be `run` itself, bit for bit
     else:
         fp_residual = _trajectory_gap(model, run_for(g_select).trajectory, run.trajectory)
@@ -364,19 +377,18 @@ def epsilon_sweep(
     max_iter: int = 80,
     resolvent_tol: float = 1e-11,
     resolvent_max_iter: int = 400,
-) -> tuple[list[SweepEntry], list[FixedPointResult | None]]:
+) -> Iterator[tuple[SweepEntry, FixedPointResult | None]]:
     """Regularization study over a descending epsilon list (min 1e-5).
 
     Entries are independent (no warm starts); per-epsilon failures are
     recorded and the sweep continues.  An entry is converged only when its
     fixed point converged and the final resolvent solve reached its tol.
-    Returns the entries and, aligned with them, each fixed point (None where
-    the solve failed).
+    The list is checked on the call; each epsilon is solved as the caller
+    iterates, yielding its entry and fixed point (None where the solve failed).
     """
     eps = check_epsilons(eps_list)
-    entries: list[SweepEntry] = []
-    results: list[FixedPointResult | None] = []
-    for e in eps:
+
+    def solve(e: float) -> tuple[SweepEntry, FixedPointResult | None]:
         try:
             fp = fixed_point_iterate(
                 model, gram, grid, e, pot, z, x0,
@@ -384,15 +396,13 @@ def epsilon_sweep(
                 resolvent_tol=resolvent_tol, resolvent_max_iter=resolvent_max_iter,
             )
         except ConvergenceError as exc:
-            entries.append(SweepEntry(e, math.nan, math.nan, 0, False, math.nan, math.nan,
-                                      failure=str(exc),
-                                      residual_history=[float(r) for r in exc.residual_history]))
-            results.append(None)
-            continue
+            return SweepEntry(e, math.nan, math.nan, 0, False, math.nan, math.nan,
+                              failure=str(exc),
+                              residual_history=[float(r) for r in exc.residual_history]), None
         run = fp.run
         miss, predicted = lp_norms([run.trajectory.terminal - np.asarray(z, float),
                                     e * run.solve.result], model.n_theta, model.p)
-        entries.append(SweepEntry(
+        return SweepEntry(
             epsilon=e,
             terminal_miss=float(miss),
             control_energy=control_l2_norm(run.control, grid),
@@ -402,9 +412,9 @@ def epsilon_sweep(
             predicted_miss=float(predicted),
             fixed_point_residual=fp.fixed_point_residual,
             fixed_point_history=list(fp.residuals),
-        ))
-        results.append(fp)
-    return entries, results
+        ), fp
+
+    return map(solve, eps)
 
 
 def sweep_to_csv(entries: list[SweepEntry], stream, header_lines: tuple[str, ...] = ()) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import FracOrder, ml_multipliers
+from .fracops import FracOrder, ml_multipliers, row_blocks
 from .lpspace import basis_matrix, conjugate_exponent, theta_grid
 
 __all__ = [
@@ -162,7 +162,13 @@ def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> n
         half = 0.5 * (np.stack([t_out, np.full(ng, math.pi)], axis=1)[:, :, None] - lo)
         u = half * (x + 1.0) + lo
         kv = kernel.values(np.broadcast_to(t_out[:, None, None], u.shape), u)
-        inner = np.einsum("ipq,ipq,ipqn->in", half * gw, kv, scale * np.sin(u[..., None] * mode))
+        weights = half * gw
+        # sin(u n) in row blocks of outer nodes: whole, it and its scaled copy
+        # are (ng, 2, ng, n_modes) tensors of 67 MB each at 64 modes
+        inner = np.empty((ng, n_modes))
+        for rows in row_blocks(ng, 2 * ng * n_modes):
+            inner[rows] = np.einsum("ipq,ipq,ipqn->in", weights[rows], kv[rows],
+                                    scale * np.sin(u[rows, :, :, None] * mode))
         mat = np.einsum("i,im,in->mn", w_out, scale * np.sin(np.outer(t_out, mode)), inner)
     defect = float(np.max(np.abs(mat - mat.T)))
     scale_ref = max(float(np.max(np.abs(mat))), 1e-30)

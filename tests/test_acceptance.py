@@ -44,13 +44,13 @@ def bundled_sweeps():
             ])
             exp = build_experiment(cfg, CONFIG_PATH.parent)
             gram = assemble_gramian(exp.model, exp.quad_steps)
-            entries, results = epsilon_sweep(
+            entries, results = map(list, zip(*epsilon_sweep(
                 exp.model, gram, exp.grid, exp.potential, exp.target, exp.x0,
                 exp.epsilons, strategy=exp.strategy, relaxation=exp.relaxation,
                 tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
                 resolvent_tol=exp.resolvent_tol,
                 resolvent_max_iter=exp.resolvent_max_iter,
-            )
+            )))
             free = free_terminal_miss(exp.model, exp.grid, exp.target, exp.x0)
             out[(p, steps)] = {
                 "experiment": exp,

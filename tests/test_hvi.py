@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fracheat.config import build_experiment, load_config
 from fracheat.evolve import Trajectory, mild_solution
 from fracheat.fracops import TimeGrid
 from fracheat.gramian import assemble_gramian
@@ -25,6 +28,8 @@ from fracheat.hvi import (
 )
 
 from conftest import ORDER, bump_coefficients
+
+CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "heat_default.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -246,19 +251,24 @@ def reference_select(pot, strategy, trajectory, model, previous=None):
 
 
 @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
-def test_selection_matches_reference(model_p2, strategy):
+# 257 nodes at 256 grid points: row blocks of 128, 128 and 1 nodes
+@pytest.mark.parametrize("steps", [32, 256])
+def test_selection_matches_reference(model_p2, strategy, steps):
     rng = np.random.default_rng(17)
-    grid = TimeGrid(1.0, 32)
-    states = rng.standard_normal((33, 8))
+    grid = TimeGrid(1.0, steps)
+    states = rng.standard_normal((steps + 1, 8))
     states[0] = 0.0  # a zero row puts every grid point on the kink r = 0
     traj = Trajectory(grid, states)
-    previous = rng.uniform(-1.0, 1.0, (33, model_p2.n_theta))
+    previous = rng.uniform(-1.0, 1.0, (steps + 1, model_p2.n_theta))
     cases = [(pot, NonsmoothPotential(pot.value, ref, pot.eta)) for pot, ref in REFERENCE_INTERVALS]
     for pot, ref in cases + [(zero_potential(), zero_potential())]:
         for prev in (None, previous):
             new = select_forcing(pot, strategy, traj, model_p2, previous=prev)
             old = reference_select(ref, strategy, traj, model_p2, previous=prev)
             assert new.dtype == old.dtype and np.array_equal(new, old)
+            out = np.full_like(old, np.nan)
+            assert select_forcing(pot, strategy, traj, model_p2, prev, out=out) is out
+            assert np.array_equal(out, old)
 
 
 class TestFixedPoint:
@@ -385,8 +395,8 @@ class TestSafeguardedFixedPoint:
 class TestSweep:
     def test_zero_potential_matches_linear_formula(self, problem):
         model, gram, grid, x0, z = problem
-        entries, _ = epsilon_sweep(model, gram, grid, zero_potential(), z, x0,
-                                   [1e-1, 1e-2, 1e-3])
+        entries = [e for e, _ in epsilon_sweep(model, gram, grid, zero_potential(), z, x0,
+                                               [1e-1, 1e-2, 1e-3])]
         free = mild_solution(model, grid, x0)
         d = z - free.terminal
         for entry in entries:
@@ -398,7 +408,7 @@ class TestSweep:
     def test_epsilon_halving_decreases_miss(self, problem):
         model, gram, grid, x0, z = problem
         eps = [0.1 * 0.5**j for j in range(6)]
-        entries, _ = epsilon_sweep(model, gram, grid, zero_potential(), z, x0, eps)
+        entries = [e for e, _ in epsilon_sweep(model, gram, grid, zero_potential(), z, x0, eps)]
         misses = [e.terminal_miss for e in entries]
         assert all(a > b for a, b in zip(misses, misses[1:]))
 
@@ -414,8 +424,9 @@ class TestSweep:
             model = build_model(4, ORDER, 1.0, None, None, 2.0, n_theta)
             grid = TimeGrid(1.0, steps)
             gram = assemble_gramian(model, steps)
-            entries, _ = epsilon_sweep(model, gram, grid, pot, z, bump_coefficients(4, n_theta),
-                                       [1e-1, 1e-2, 1e-3])
+            entries = [e for e, _ in epsilon_sweep(model, gram, grid, pot, z,
+                                                   bump_coefficients(4, n_theta),
+                                                   [1e-1, 1e-2, 1e-3])]
             misses = [e.terminal_miss for e in entries]
             assert all(e.converged for e in entries)
             assert all(a > b for a, b in zip(misses, misses[1:]))
@@ -423,8 +434,30 @@ class TestSweep:
         for fine, coarse in zip(results[256], results[128]):
             assert abs(fine - coarse) <= 0.1 * max(fine, coarse)
 
+    def test_holds_one_epsilon_at_a_time(self):
+        # each fixed point dropped before the next epsilon, as `cli.cmd_sweep`
+        # drops it: about 4 MB, against 12 MB while every epsilon's
+        # selection and iterate stayed alive
+        exp = build_experiment(load_config(CONFIG_PATH), CONFIG_PATH.parent)
+        gram = assemble_gramian(exp.model, exp.quad_steps)
+        tracemalloc.start()
+        try:
+            for entry, result in epsilon_sweep(
+                    exp.model, gram, exp.grid, exp.potential, exp.target, exp.x0,
+                    exp.epsilons, strategy=exp.strategy, relaxation=exp.relaxation,
+                    tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
+                    resolvent_tol=exp.resolvent_tol,
+                    resolvent_max_iter=exp.resolvent_max_iter):
+                assert entry.converged and result is not None
+                del result
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+
     def test_guards(self, problem):
         model, gram, grid, x0, z = problem
+        # the list is checked on the call, before anything iterates the sweep
         with pytest.raises(ValueError):
             epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-2, 1e-1])
         with pytest.raises(ValueError):
@@ -437,7 +470,8 @@ class TestSweep:
 
     def test_csv_shape(self, tmp_path, problem):
         model, gram, grid, x0, z = problem
-        entries, _ = epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-1, 1e-2])
+        entries = [e for e, _ in epsilon_sweep(model, gram, grid, zero_potential(), z, x0,
+                                               [1e-1, 1e-2])]
         path = tmp_path / "sweep.csv"
         sweep_to_csv(entries, str(path), ("tag=test",))
         lines = path.read_text().splitlines()

@@ -142,6 +142,7 @@ class TestAuditRun:
             assert len(calls) == 1 + fp.iterations + (0 if repeat else 1)
             skipped.append(repeat)
             if repeat:
+                assert fp.g is fp.g_relaxed
                 assert fp.fixed_point_residual == 0.0
                 # the skipped run would have reproduced `run` bit for bit
                 again = original(model, gram, grid, eps, z, x0,
@@ -180,11 +181,11 @@ class TestCsvBytes:
             args += ["--set", item]
         assert main(["sweep", str(path)] + args) == 0
         exp = build_experiment(load_config(str(path), self.SMALL), tmp_path)
-        entries, results = epsilon_sweep(
+        entries, results = map(list, zip(*epsilon_sweep(
             exp.model, assemble_gramian(exp.model, exp.quad_steps), exp.grid, exp.potential,
             exp.target, exp.x0, exp.epsilons, strategy=exp.strategy, relaxation=exp.relaxation,
             tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
-            resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter)
+            resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter)))
         out = tmp_path / "out"
         header = (out / "sweep.csv").read_text().splitlines()[0][2:]
         n = exp.model.n_modes

@@ -29,8 +29,8 @@ from scipy.integrate import quad
 
 import fracheat.fracops as fracops
 from fracheat.fracops import _CUT_EDGES, _CUT_W, _CUT_X, _PEAK_WIDTHS, _TAYLOR_S_MAX, \
-    _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, _ml_cut_integral, _row_blocks, ml_family, \
-    ml_multipliers, wright_density
+    _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, _ml_cut_integral, ml_family, \
+    ml_multipliers, row_blocks, wright_density
 
 from conftest import ml_oracle
 
@@ -127,7 +127,7 @@ def reference_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarr
     sin_pb, sin_pba = math.sin(math.pi * beta), math.sin(math.pi * (beta - alpha))
     fixed = np.concatenate([6.0 ** -np.arange(math.ceil(5.0 / alpha), 10.0, -1.0), _CUT_EDGES])
     out = np.empty_like(x)
-    for rows in _row_blocks(x.size, (fixed.size + _PEAK_WIDTHS.size) * _CUT_X.size):
+    for rows in row_blocks(x.size, (fixed.size + _PEAK_WIDTHS.size) * _CUT_X.size):
         xx = x[rows][:, None]
         u = xx * (_PEAK_WIDTHS * sin_pa - cos_pa)
         peak = np.where(u > 0.0, np.clip(np.abs(u) ** (1.0 / alpha), fixed[0], fixed[-1]), 1.0)
