@@ -1,7 +1,8 @@
 """Regularized control synthesis and the closed-loop trajectory map.
 
 The regularized equation eps*x + G J(x) = y is solved directly in the Hilbert
-case and by damped fixed-point iteration with a Newton fallback otherwise.
+case and otherwise by Newton's method on the strictly convex objective whose
+optimality condition it is, with an Armijo line search on that objective.
 The synthesized control is one more input of the mild solution, on the
 quadrature nodes used to assemble the Gramian, which makes the identity
 
@@ -41,9 +42,8 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the resolvent iteration exhausts max_iter; carries the
-    residual history so callers can diagnose (typically eps too small for the
-    configured grid)."""
+    """Raised when a resolvent solve exhausts max_iter; the message states the
+    last residual and step length, `residual_history` ||r|| per iteration."""
 
     def __init__(self, message: str, residual_history: list[float]):
         super().__init__(message)
@@ -79,12 +79,11 @@ def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ResolventSolve:
-    """Outcome of solving eps*x + G J(x) = y."""
+    """Outcome of solving eps*x + G J(x) = y; method direct, newton or trivial."""
 
     epsilon: float
     tol: float
     max_iter: int
-    relaxation: float
     result: np.ndarray
     residual_history: list[float] = field(default_factory=list)
     iterations: int = 0
@@ -97,6 +96,18 @@ def _residual(gram: GramianOperator, model: SpectralModel, epsilon: float,
     return epsilon * x + gram.matrix @ coordinate_duality_map(model, x) - y
 
 
+def _objective_change(gram: GramianOperator, model: SpectralModel, epsilon: float,
+                      x: np.ndarray, y: np.ndarray, step: np.ndarray):
+    """lam -> Phi(x + lam s) - Phi(x), and u = G^-1 s.  Phi's two quadratic
+    terms are closed form in lam, so a trial costs one L^p norm."""
+    u = np.linalg.solve(gram.matrix, step)
+    w = basis_matrix(model.n_modes, model.n_theta)
+    linear, quadratic = float(u @ (epsilon * x - y)), 0.5 * epsilon * float(u @ step)
+    start = 0.5 * lp_norm(w @ x, model.p) ** 2
+    return (lambda lam: lam * linear + lam * lam * quadratic
+            + (0.5 * lp_norm(w @ (x + lam * step), model.p) ** 2 - start)), u
+
+
 def regularized_resolvent(
     gram: GramianOperator,
     model: SpectralModel,
@@ -104,91 +115,53 @@ def regularized_resolvent(
     y: np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 400,
-    relaxation: float | None = None,
-    method: str = "auto",
 ) -> ResolventSolve:
-    """Solve (eps I + G J) x = y in basis coordinates.
+    """Solve (eps I + G J) x = y in basis coordinates to ||r|| <= tol ||y||.
 
-    Hilbert case: one dense linear solve.  p > 2: damped fixed-point
-    x <- (1-w) x + w (y - G J x)/eps with the step adapted to residual
-    decrease, switching to damped Newton once progress stalls.  method
-    "iterative" forces the fixed-point machinery (from a zero start) even at
-    p = 2, which is how the Hilbert-case equivalence is audited.
+    Hilbert case: one dense linear solve.  p > 2: Newton from the Hilbert
+    solution on the strictly convex Phi(x) = (eps/2) x^T G^-1 x
+    + 1/2 ||W x||_{p,h}^2 - x^T G^-1 y, whose gradient is G^-1 r.  The step
+    solves (eps I + G DJ(x)) s = -r (DJ is the Hessian of 1/2 ||W x||^2, so the
+    matrix is nonsingular) and is taken whole if it halves ||r||; else lam halves
+    until Phi(x + lam s) - Phi(x) <= 1e-4 lam (G^-1 r)^T s (Armijo).
     """
-    if method not in ("auto", "direct", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "direct" and model.p != 2.0:
-        raise ValueError("direct solve requires p = 2")
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     y = np.asarray(y, dtype=float)
     if y.shape != (model.n_modes,):
-        raise ValueError(f"y must have shape ({model.n_modes},), got {y.shape}")
+        raise ValueError(f"rhs must have shape ({model.n_modes},), got {y.shape}")
     g = gram.matrix
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
-        return ResolventSolve(epsilon, tol, max_iter, 1.0, np.zeros(model.n_modes),
-                              [0.0], 0, True, "trivial")
+        return ResolventSolve(epsilon, tol, max_iter, np.zeros_like(y), [0.0], 0, True, "trivial")
     identity = np.eye(model.n_modes)
-    if model.p == 2.0 and method != "iterative":
-        x = np.linalg.solve(epsilon * identity + g, y)
-        res = float(np.linalg.norm(_residual(gram, model, epsilon, x, y)))
-        return ResolventSolve(epsilon, tol, max_iter, 1.0, x, [res], 1, res <= tol * y_norm,
-                              "direct")
-
-    sigma_max = float(np.linalg.norm(g, 2))
-    omega = relaxation if relaxation is not None else min(1.0, epsilon / (epsilon + sigma_max))
-    if method == "iterative":
-        x = np.zeros(model.n_modes)
-    else:
-        x = np.linalg.solve(epsilon * identity + g, y)  # Hilbert solution as warm start
-    history: list[float] = []
+    x = np.linalg.solve(epsilon * identity + g, y)
     res_vec = _residual(gram, model, epsilon, x, y)
     res = float(np.linalg.norm(res_vec))
-    history.append(res)
-    newton = False
-    stall = 0
-    for it in range(1, max_iter + 1):
+    if model.p == 2.0:
+        return ResolventSolve(epsilon, tol, max_iter, x, [res], 1, res <= tol * y_norm,
+                              "direct")
+
+    history, lam = [res], 0.0  # lam: the last step length, 0 before any step
+    for it in range(max_iter + 1):
         if res <= tol * y_norm:
-            return ResolventSolve(epsilon, tol, max_iter, omega, x, history, it - 1, True,
-                                  "picard+newton" if newton else "picard")
-        if newton:
-            jac = epsilon * identity + g @ _duality_map_jacobian(model, x)
-            try:
-                step = np.linalg.solve(jac, -res_vec)
-            except np.linalg.LinAlgError:
-                step = -res_vec / epsilon
-            lam = 1.0
-            while lam > 1e-6:
-                cand = x + lam * step
-                cand_vec = _residual(gram, model, epsilon, cand, y)
-                cand_res = float(np.linalg.norm(cand_vec))
-                if cand_res < res:
-                    break
+            return ResolventSolve(epsilon, tol, max_iter, x, history, it, True, "newton")
+        if it == max_iter:
+            break
+        step = np.linalg.solve(epsilon * identity + g @ _duality_map_jacobian(model, x), -res_vec)
+        lam = 1.0
+        cand_vec = _residual(gram, model, epsilon, x + step, y)
+        if not np.linalg.norm(cand_vec) <= 0.5 * res:
+            change, u = _objective_change(gram, model, epsilon, x, y, step)
+            while change(lam) > 1e-4 * lam * float(u @ res_vec) and lam > 1e-10:
                 lam *= 0.5
-            x, res_vec, res = cand, cand_vec, cand_res
-        else:
-            cand = (1.0 - omega) * x + omega * (y - g @ coordinate_duality_map(model, x)) / epsilon
-            cand_vec = _residual(gram, model, epsilon, cand, y)
-            cand_res = float(np.linalg.norm(cand_vec))
-            if cand_res < res:
-                x, res_vec, res = cand, cand_vec, cand_res
-                if cand_res > 0.9 * history[-1]:
-                    stall += 1
-                else:
-                    stall = 0
-                omega = min(1.0, omega * 1.2)
-            else:
-                omega *= 0.5
-                stall += 1
-            if stall >= 3 or omega < 1e-8:
-                newton = True
+            cand_vec = _residual(gram, model, epsilon, x + lam * step, y)
+        x, res_vec = x + lam * step, cand_vec
+        res = float(np.linalg.norm(res_vec))
         history.append(res)
     raise ConvergenceError(
-        f"resolvent did not reach tol={tol} within {max_iter} iterations "
-        f"(eps={epsilon}, last residual {res:.3e}); eps may be too small for the grid",
-        history,
-    )
+        f"resolvent did not reach tol={tol} within {max_iter} Newton iterations "
+        f"(eps={epsilon}, last residual {res:.3e}, last step length lam={lam:.3e})", history)
 
 
 def deficiency_vector(

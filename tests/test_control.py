@@ -1,15 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fracheat.cli import cmd_validate
+from fracheat.config import build_experiment, load_config
 from fracheat.control import (
     ConvergenceError,
+    _duality_map_jacobian,
     a_priori_state_bound,
     closed_loop_trajectory,
     control_l2_norm,
     control_norm_bound,
     coordinate_duality_map,
+    deficiency_vector,
     regularized_resolvent,
     terminal_identity_residual,
     theta_constant,
@@ -21,6 +26,8 @@ from fracheat.lpspace import basis_matrix, duality_map, lp_norms
 from fracheat.spectral import build_model, forcing_multipliers
 
 from conftest import ORDER, bump_coefficients
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fd_newton_oracle(gram, model, eps, y, x_init, iters=60):
@@ -45,6 +52,79 @@ def fd_newton_oracle(gram, model, eps, y, x_init, iters=60):
             jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * d)
         x = x - np.linalg.solve(jac, f)
     return x
+
+
+def reference_resolvent(gram, model, eps, y, tol=1e-11, max_iter=400):
+    """The p > 2 solver the Newton loop on Phi replaced, kept as an oracle:
+    damped Picard steps x <- (1-w) x + w (y - G J x)/eps from the Hilbert
+    solution, w adapted to residual decrease, then damped Newton backtracking
+    on ||r|| once progress stalls.  Returns (solution, final ||r||)."""
+    g = gram.matrix
+    identity = np.eye(model.n_modes)
+
+    def residual(v):
+        return eps * v + g @ coordinate_duality_map(model, v) - y
+
+    omega = min(1.0, eps / (eps + float(np.linalg.norm(g, 2))))
+    x = np.linalg.solve(eps * identity + g, y)
+    res_vec = residual(x)
+    res = last = float(np.linalg.norm(res_vec))
+    newton, stall = False, 0
+    for _ in range(max_iter):
+        if res <= tol * float(np.linalg.norm(y)):
+            return x, res
+        if newton:
+            step = np.linalg.solve(eps * identity + g @ _duality_map_jacobian(model, x), -res_vec)
+            lam = 1.0
+            while lam > 1e-6:
+                cand = x + lam * step
+                cand_vec = residual(cand)
+                if np.linalg.norm(cand_vec) < res:
+                    break
+                lam *= 0.5
+            x, res_vec, res = cand, cand_vec, float(np.linalg.norm(cand_vec))
+        else:
+            cand = (1.0 - omega) * x + omega * (y - g @ coordinate_duality_map(model, x)) / eps
+            cand_vec = residual(cand)
+            cand_res = float(np.linalg.norm(cand_vec))
+            if cand_res < res:
+                x, res_vec, res = cand, cand_vec, cand_res
+                stall = stall + 1 if cand_res > 0.9 * last else 0
+                omega = min(1.0, omega * 1.2)
+            else:
+                omega *= 0.5
+                stall += 1
+            newton = stall >= 3 or omega < 1e-8
+        last = res
+    raise ConvergenceError("reference resolvent did not converge", [res])
+
+
+def conjugate_gradient_resolvent(gram, eps, y, tol=1e-13, max_iter=2000):
+    """Independent p = 2 solver: conjugate gradients on (eps I + G) x = y from
+    zero, at most max_iter iterations, to ||r|| <= tol ||y||."""
+    matrix = eps * np.eye(y.size) + gram.matrix
+    x, r, d = np.zeros_like(y), y.copy(), y.copy()
+    res = [float(np.linalg.norm(r))]
+    while res[-1] > tol * res[0]:
+        if len(res) > max_iter:
+            raise ConvergenceError("CG did not converge", res)
+        ad = matrix @ d
+        alpha = res[-1] ** 2 / float(d @ ad)
+        x, r = x + alpha * d, r - alpha * ad
+        res.append(float(np.linalg.norm(r)))
+        d = r + (res[-1] / res[-2]) ** 2 * d
+    return x
+
+
+def gap_over_residual_bound(gram, model, eps, y):
+    """||x_new - x_ref|| over the bound ||(eps I + G DJ(x))^-1|| (||r_new|| + ||r_ref||)
+    that the two residuals allow to first order; at most 1 when both solves
+    solve the same equation."""
+    new = regularized_resolvent(gram, model, eps, y)
+    ref, ref_res = reference_resolvent(gram, model, eps, y)
+    jac = eps * np.eye(model.n_modes) + gram.matrix @ _duality_map_jacobian(model, new.result)
+    bound = np.linalg.norm(np.linalg.inv(jac), 2) * (new.residual_history[-1] + ref_res)
+    return float(np.linalg.norm(new.result - ref)) / bound
 
 
 class TestResolvent:
@@ -76,11 +156,10 @@ class TestResolvent:
         rng = np.random.default_rng(17)
         for eps in (1e-2, 1e-1):
             y = rng.standard_normal(8)
-            direct = regularized_resolvent(gram_p2, model_p2, eps, y, method="direct")
-            iterative = regularized_resolvent(
-                gram_p2, model_p2, eps, y, method="iterative", tol=1e-13, max_iter=2000
-            )
-            assert np.max(np.abs(direct.result - iterative.result)) <= 1e-10
+            direct = regularized_resolvent(gram_p2, model_p2, eps, y)
+            assert direct.method == "direct"
+            iterative = conjugate_gradient_resolvent(gram_p2, eps, y)
+            assert np.max(np.abs(direct.result - iterative)) <= 1e-10
 
     def test_p4_against_newton_oracle(self, model_p4):
         # synthetic 2x2 operator: keep it small so the oracle is cheap
@@ -105,15 +184,66 @@ class TestResolvent:
         y = np.ones(8)
         with pytest.raises(ConvergenceError) as err:
             regularized_resolvent(gram_p4, model_p4, 1e-4, y, tol=1e-14, max_iter=2)
-        assert len(err.value.residual_history) >= 1
+        assert len(err.value.residual_history) == 3
+        # the message names the last residual and step length
+        assert "last residual" in str(err.value) and "lam=" in str(err.value)
+        with pytest.raises(ConvergenceError) as err:
+            regularized_resolvent(gram_p4, model_p4, 1e-4, y, max_iter=0)
+        assert len(err.value.residual_history) == 1
 
-    def test_guards(self, gram_p2, model_p2, model_p4, gram_p4):
+    def test_guards(self, gram_p2, model_p2):
         with pytest.raises(ValueError):
             regularized_resolvent(gram_p2, model_p2, 0.0, np.zeros(8))
         with pytest.raises(ValueError):
             regularized_resolvent(gram_p2, model_p2, 0.1, np.zeros(5))
-        with pytest.raises(ValueError):
-            regularized_resolvent(gram_p4, model_p4, 0.1, np.zeros(8), method="direct")
+
+
+class TestNewtonOnPhi:
+    """The Newton loop against the Picard + Newton solver it replaced, and at
+    the mode counts where that solver needed hundreds of iterations or failed."""
+
+    def test_matches_reference_on_validate_p4_solves(self, monkeypatch, capsys):
+        # the 30 solves of `validate` at p = 4, seed 0 (eps in 1e-2, 1e-1, 1);
+        # observed: gap / bound <= 0.81, relative gap <= 1.1e-11 at tol 1e-11
+        import fracheat.cli
+
+        solves = []
+
+        def record(gram, model, eps, y, **kwargs):
+            solves.append((gram, model, eps, np.array(y)))
+            return regularized_resolvent(gram, model, eps, y, **kwargs)
+
+        monkeypatch.setattr(fracheat.cli, "regularized_resolvent", record)
+        exp = build_experiment(load_config(str(ROOT / "configs" / "heat_default.cfg"),
+                                           ["model.p=4"]), ROOT)
+        assert cmd_validate(exp) == 0
+        assert len(solves) == 30 and {eps for _, _, eps, _ in solves} == {1e-2, 1e-1, 1.0}
+        for gram, model, eps, y in solves:
+            assert gap_over_residual_bound(gram, model, eps, y) <= 1.0
+
+    def test_matches_reference_on_model_p4(self, gram_p4, model_p4):
+        # the contraction-bound inputs; observed: gap / bound <= 0.95 (at eps = 1)
+        for eps in (1e-3, 1e-2, 1e-1, 1.0):
+            rng = np.random.default_rng(int(eps * 1e5))
+            for _ in range(25):
+                y = rng.standard_normal(8)
+                assert gap_over_residual_bound(gram_p4, model_p4, eps, y) <= 1.0
+
+    @pytest.mark.parametrize("n_modes", [16, 32, 64])
+    def test_bump_target_converges_in_few_steps(self, n_modes):
+        # p = 4, bump target from the bump state at 512 steps: the replaced
+        # solver took 182-278 iterations at eps = 1e-4 and 1e-5 and raised
+        # ConvergenceError at 64 modes, eps = 1e-5; Newton on Phi takes 5-11
+        model = build_model(n_modes, ORDER, 1.0, None, None, 4.0, 256)
+        grid = TimeGrid(1.0, 512)
+        gram = assemble_gramian(model, grid.steps)
+        bump = bump_coefficients(n_modes)
+        d = deficiency_vector(model, grid, bump, bump)
+        for eps in (1e-4, 1e-5, 1e-6):
+            solve = regularized_resolvent(gram, model, eps, d)
+            assert solve.converged and solve.method == "newton"
+            assert solve.iterations <= 50
+            assert solve.residual_history[-1] <= 1e-11 * np.linalg.norm(d)
 
 
 class TestControlSynthesis:
