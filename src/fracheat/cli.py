@@ -32,7 +32,7 @@ from .config import Experiment, build_experiment, default_config_text, load_conf
 from .control import ConvergenceError, regularized_resolvent
 from .evolve import l1_reference, mild_solution, trajectory_to_csv, write_csv
 from .fracops import mittag_leffler, mittag_leffler2, wright_density
-from .gramian import assemble_gramian, gramian_min_singular, gramian_to_csv, verify_gramian
+from .gramian import assemble_gramian, gramian_to_csv, verify_gramian
 from .hvi import epsilon_sweep, free_terminal_miss, sweep_to_csv
 from .lpspace import basis_values, duality_map, lp_norm, lp_norms
 from .spectral import injectivity_diagnostic, propagate_state, propagate_forcing
@@ -103,15 +103,15 @@ def cmd_validate(exp: Experiment) -> int:
     checks.append(("forcing-family bound M/Gamma(alpha)", worst_t <= bound_t * (1 + 1e-12),
                    f"sup ratio {worst_t:.6f} vs {bound_t:.6f}"))
 
-    gram = assemble_gramian(model, exp.quad_steps)
-    report = verify_gramian(gram, model, n_samples=50, seed=exp.seed)
+    gram = assemble_gramian(model, exp.grid)
+    report = verify_gramian(gram, model, exp.grid, n_samples=50, seed=exp.seed)
     checks.append(("gramian symmetry", report.symmetric, f"defect {report.symmetry_defect:.2e}"))
     checks.append(("gramian positivity", report.positive, f"min eig {report.min_eigenvalue:.2e}"))
     checks.append(("gramian quadratic-form identity", report.quadratic_form_ok,
                    f"gap {report.quadratic_form_gap:.2e}"))
     checks.append(("gramian norm bound", report.norm_bound_ok, f"slack {report.norm_bound_slack:.3f}"))
 
-    inj = injectivity_diagnostic(model, gram.matrix)
+    inj = injectivity_diagnostic(model, gram)
     checks.append((f"injectivity: {inj.verdict}", inj.controllable,
                    f"sigma_min(B)={inj.sigma_min_b:.3e} sigma_min(G)={inj.sigma_min_gramian:.3e}"))
 
@@ -134,15 +134,15 @@ def cmd_validate(exp: Experiment) -> int:
 
 
 def cmd_gramian(exp: Experiment) -> int:
-    gram = assemble_gramian(exp.model, exp.quad_steps)
-    report = verify_gramian(gram, exp.model, seed=exp.seed)
+    gram = assemble_gramian(exp.model, exp.grid)
+    report = verify_gramian(gram, exp.model, exp.grid, seed=exp.seed)
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     path = exp.output_dir / "gramian.csv"
     gramian_to_csv(gram, str(path), _header_lines(exp))
     print(f"gramian written to {path}")
     print(f"symmetry defect: {report.symmetry_defect:.3e}")
     print(f"min eigenvalue : {report.min_eigenvalue:.3e}")
-    print(f"min singular   : {gramian_min_singular(gram):.3e}")
+    print(f"min singular   : {injectivity_diagnostic(exp.model, gram).sigma_min_gramian:.3e}")
     print(f"norm bound     : {report.norm_bound:.3e} (slack {report.norm_bound_slack:.3f})")
     return _EXIT_OK if report.all_ok else _EXIT_VALIDATION
 
@@ -191,7 +191,7 @@ def _json_value(v):
 
 def cmd_sweep(exp: Experiment) -> int:
     model, grid = exp.model, exp.grid
-    gram = assemble_gramian(model, exp.quad_steps)
+    gram = assemble_gramian(model, grid)
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     headers = _header_lines(exp)
     entries = []

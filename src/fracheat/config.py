@@ -3,10 +3,11 @@
 Unknown sections or keys are rejected at load, and the canonical key-value
 dump is hashed so output files can embed the exact configuration they came
 from.  `build_experiment` constructs the model and problem data, whose
-constructors check their own inputs, and runs the checks of the solver
-settings that a command would otherwise make only mid-run
-(`gramian.check_quad_steps`, `hvi.check_strategy`, `hvi.check_relaxation`,
-`hvi.check_epsilons`), so a bad config fails before any work starts.
+constructors check their own inputs, and runs the `check_*` of each solver
+setting, owned by the module that uses it (`gramian`, `control`, `hvi`), so
+a bad config fails before any work starts.  `solver.steps` sets the one
+`TimeGrid` of the experiment, which the Gramian, control synthesis and both
+trajectory channels share.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ import numpy as np
 from .fracops import FracOrder, TimeGrid
 from .lpspace import basis_matrix, theta_grid
 from .spectral import KernelSpec, SpectralModel, build_model
-from .gramian import check_quad_steps
+from .control import check_resolvent_max_iter, check_resolvent_tol
+from .gramian import check_steps
 from .hvi import NonsmoothPotential, abs_potential, audit_potential, check_epsilons, \
-    check_relaxation, check_strategy, saturating_potential, tabulated_potential, zero_potential
+    check_fixed_point_max_iter, check_fixed_point_tol, check_relaxation, check_strategy, \
+    saturating_potential, tabulated_potential, zero_potential
 
 __all__ = ["ExperimentConfig", "Experiment", "load_config", "build_experiment",
            "default_config_text"]
@@ -50,7 +53,6 @@ _SCHEMA = {
     "solver": {
         "steps": "512",
         "n_theta": "256",
-        "quad_steps": "",
         "resolvent_tol": "1e-11",
         "resolvent_max_iter": "400",
         "fixed_point_tol": "1e-8",
@@ -84,9 +86,7 @@ def default_config_text() -> str:
     lines = []
     for section, items in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, value in items.items():
-            if value != "":
-                lines.append(f"{key} = {value}")
+        lines.extend(f"{key} = {value}" for key, value in items.items())
         lines.append("")
     return "\n".join(lines)
 
@@ -195,7 +195,6 @@ class Experiment:
     config: ExperimentConfig
     model: SpectralModel
     grid: TimeGrid
-    quad_steps: int
     x0: np.ndarray
     target: np.ndarray
     potential: NonsmoothPotential
@@ -210,40 +209,25 @@ class Experiment:
     output_dir: Path
     formats: tuple[str, ...]
 
-    @property
-    def eta_dual(self):
-        """Dual-space bound for the selection set: pi^(1/p') * eta(t)."""
-        factor = math.pi ** (1.0 / self.model.dual_p)
-        eta = self.potential.eta
-        return lambda t: factor * eta(t)
-
 
 def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experiment:
     """Instantiate the model and problem data and check the solver settings."""
     base = base if base is not None else Path.cwd()
     model_cfg = cfg["model"]
     solver = cfg["solver"]
-    sweep = cfg["sweep"]
 
-    order = FracOrder(float(model_cfg["alpha"]), float(model_cfg["alpha1"]))
     n_modes = int(model_cfg["modes"])
     horizon = float(model_cfg["horizon"])
     n_theta = int(solver["n_theta"])
-    steps = int(solver["steps"])
     model = build_model(
         n_modes,
-        order,
+        FracOrder(float(model_cfg["alpha"]), float(model_cfg["alpha1"])),
         horizon,
         _parse_kernel(model_cfg["kernel_b"], base),
         _parse_kernel(model_cfg["kernel_h"], base),
         float(model_cfg["p"]),
         n_theta,
     )
-    grid = TimeGrid(horizon, steps)
-    quad_steps = check_quad_steps(solver["quad_steps"] or steps)
-    strategy = check_strategy(solver["strategy"])
-    relaxation = check_relaxation(solver["relaxation"])
-    epsilons = check_epsilons(v for v in sweep["epsilons"].split(",") if v.strip())
     formats = tuple(f.strip() for f in cfg["output"]["formats"].split(",") if f.strip())
     for fmt in formats:
         if fmt not in ("csv", "json"):
@@ -252,19 +236,18 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
     return Experiment(
         config=cfg,
         model=model,
-        grid=grid,
-        quad_steps=quad_steps,
+        grid=TimeGrid(horizon, check_steps(solver["steps"])),
         x0=_parse_state(cfg["problem"]["x0"], n_modes, n_theta),
         target=_parse_state(cfg["problem"]["target"], n_modes, n_theta),
         potential=_parse_potential(cfg["problem"]["potential"], base, horizon),
-        resolvent_tol=float(solver["resolvent_tol"]),
-        resolvent_max_iter=int(solver["resolvent_max_iter"]),
-        fixed_point_tol=float(solver["fixed_point_tol"]),
-        fixed_point_max_iter=int(solver["fixed_point_max_iter"]),
-        relaxation=relaxation,
-        strategy=strategy,
+        resolvent_tol=check_resolvent_tol(solver["resolvent_tol"]),
+        resolvent_max_iter=check_resolvent_max_iter(solver["resolvent_max_iter"]),
+        fixed_point_tol=check_fixed_point_tol(solver["fixed_point_tol"]),
+        fixed_point_max_iter=check_fixed_point_max_iter(solver["fixed_point_max_iter"]),
+        relaxation=check_relaxation(solver["relaxation"]),
+        strategy=check_strategy(solver["strategy"]),
         seed=int(solver["seed"]),
-        epsilons=epsilons,
+        epsilons=check_epsilons(v for v in cfg["sweep"]["epsilons"].split(",") if v.strip()),
         output_dir=base / cfg["output"]["directory"],
         formats=formats,
     )

@@ -3,13 +3,13 @@
 The regularized equation eps*x + G J(x) = y is solved directly in the Hilbert
 case and otherwise by Newton's method on the strictly convex objective whose
 optimality condition it is, with an Armijo line search on that objective.
-The synthesized control is one more input of the mild solution, on the
-quadrature nodes used to assemble the Gramian, which makes the identity
+The synthesized control is one more input of the mild solution, and the
+closed loop's control channel reads the same `evolve.Propagator` as the
+Gramian assembled on its grid, which makes the identity
 
     q(a) = z - eps * (eps I + G J)^{-1} d,   d the deficiency vector,
 
-hold to the solver's tolerance plus rounding (~1e-15) when the time grid
-matches the Gramian resolution.
+hold to the solver's tolerance plus rounding (~1e-15).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .fracops import TimeGrid
 from .evolve import Trajectory, mild_solution, propagator
-from .gramian import GramianOperator
 from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
 
@@ -30,6 +29,8 @@ __all__ = [
     "ResolventSolve",
     "ClosedLoopRun",
     "coordinate_duality_map",
+    "check_resolvent_tol",
+    "check_resolvent_max_iter",
     "regularized_resolvent",
     "deficiency_vector",
     "closed_loop_trajectory",
@@ -91,16 +92,16 @@ class ResolventSolve:
     method: str = "direct"
 
 
-def _residual(gram: GramianOperator, model: SpectralModel, epsilon: float,
+def _residual(gram: np.ndarray, model: SpectralModel, epsilon: float,
               x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return epsilon * x + gram.matrix @ coordinate_duality_map(model, x) - y
+    return epsilon * x + gram @ coordinate_duality_map(model, x) - y
 
 
-def _objective_change(gram: GramianOperator, model: SpectralModel, epsilon: float,
+def _objective_change(gram: np.ndarray, model: SpectralModel, epsilon: float,
                       x: np.ndarray, y: np.ndarray, step: np.ndarray):
     """lam -> Phi(x + lam s) - Phi(x), and u = G^-1 s.  Phi's two quadratic
     terms are closed form in lam, so a trial costs one L^p norm."""
-    u = np.linalg.solve(gram.matrix, step)
+    u = np.linalg.solve(gram, step)
     w = basis_matrix(model.n_modes, model.n_theta)
     linear, quadratic = float(u @ (epsilon * x - y)), 0.5 * epsilon * float(u @ step)
     start = 0.5 * lp_norm(w @ x, model.p) ** 2
@@ -108,8 +109,24 @@ def _objective_change(gram: GramianOperator, model: SpectralModel, epsilon: floa
             + (0.5 * lp_norm(w @ (x + lam * step), model.p) ** 2 - start)), u
 
 
+def check_resolvent_tol(tol) -> float:
+    """The resolvent's relative tolerance as a finite float >= 0."""
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"resolvent_tol must be finite and >= 0, got {tol}")
+    return tol
+
+
+def check_resolvent_max_iter(max_iter) -> int:
+    """The resolvent's Newton iteration cap as an int >= 1."""
+    max_iter = int(max_iter)
+    if max_iter < 1:
+        raise ValueError(f"resolvent_max_iter must be an integer >= 1, got {max_iter}")
+    return max_iter
+
+
 def regularized_resolvent(
-    gram: GramianOperator,
+    gram: np.ndarray,
     model: SpectralModel,
     epsilon: float,
     y: np.ndarray,
@@ -130,12 +147,11 @@ def regularized_resolvent(
     y = np.asarray(y, dtype=float)
     if y.shape != (model.n_modes,):
         raise ValueError(f"rhs must have shape ({model.n_modes},), got {y.shape}")
-    g = gram.matrix
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
         return ResolventSolve(epsilon, tol, max_iter, np.zeros_like(y), [0.0], 0, True, "trivial")
     identity = np.eye(model.n_modes)
-    x = np.linalg.solve(epsilon * identity + g, y)
+    x = np.linalg.solve(epsilon * identity + gram, y)
     res_vec = _residual(gram, model, epsilon, x, y)
     res = float(np.linalg.norm(res_vec))
     if model.p == 2.0:
@@ -148,7 +164,7 @@ def regularized_resolvent(
             return ResolventSolve(epsilon, tol, max_iter, x, history, it, True, "newton")
         if it == max_iter:
             break
-        step = np.linalg.solve(epsilon * identity + g @ _duality_map_jacobian(model, x), -res_vec)
+        step = np.linalg.solve(epsilon * identity + gram @ _duality_map_jacobian(model, x), -res_vec)
         lam = 1.0
         cand_vec = _residual(gram, model, epsilon, x + step, y)
         if not np.linalg.norm(cand_vec) <= 0.5 * res:
@@ -194,7 +210,7 @@ class ClosedLoopRun:
 
 def closed_loop_trajectory(
     model: SpectralModel,
-    gram: GramianOperator,
+    gram: np.ndarray,
     grid: TimeGrid,
     epsilon: float,
     z: np.ndarray,

@@ -1,13 +1,13 @@
 """Controllability Gramian over [0, horizon]: assembly and structural checks.
 
-The Gramian matrix in basis coordinates is the product integration of
-sigma^(alpha-1) * diag(e(sigma)) B B^T diag(e(sigma)) over the horizon, with
-e(sigma) the Duhamel-family multipliers, summed on the nodes of the quad
-grid's `evolve.Propagator` with its terminal weights.  Each quadrature term
-is symmetric positive semidefinite with a positive weight, so symmetry and
-positivity of the assembled matrix are structural, matching the operator's
-proven properties; the verification report re-derives them numerically
-anyway.
+The Gramian is a plain read-only (n_modes, n_modes) array in basis
+coordinates: the product integration of sigma^(alpha-1) * diag(e(sigma)) B B^T
+diag(e(sigma)) over the horizon, e(sigma) the Duhamel-family multipliers, on
+the nodes and terminal weights of the time grid's `evolve.Propagator`, the
+instance the closed loop reads on that grid.  Each quadrature term is
+symmetric positive semidefinite with a positive weight, so symmetry and
+positivity are structural, matching the operator's proven properties; the
+verification report re-derives them numerically anyway.
 """
 
 from __future__ import annotations
@@ -23,50 +23,31 @@ from .lpspace import lp_norms
 from .spectral import SpectralModel
 
 __all__ = [
-    "GramianOperator",
     "GramianReport",
-    "check_quad_steps",
+    "check_steps",
     "assemble_gramian",
     "verify_gramian",
-    "gramian_min_singular",
     "gramian_norm_bound",
     "gramian_to_csv",
 ]
 
 
-@dataclass(frozen=True)
-class GramianOperator:
-    matrix: np.ndarray
-    horizon: float
-    quad_steps: int
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float).copy()
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
+def check_steps(steps) -> int:
+    """The time grid's step count, the Gramian's quadrature too, as an int >= 16."""
+    steps = int(steps)
+    if steps < 16:
+        raise ValueError(f"steps must be >= 16, got {steps}")
+    return steps
 
 
-def check_quad_steps(quad_steps) -> int:
-    """The Gramian's quadrature step count as an int, at least 16."""
-    quad_steps = int(quad_steps)
-    if quad_steps < 16:
-        raise ValueError(f"quad_steps must be >= 16, got {quad_steps}")
-    return quad_steps
-
-
-def assemble_gramian(model: SpectralModel, quad_steps: int = 512) -> GramianOperator:
-    """Product-integration assembly of the Gramian at quad_steps resolution."""
-    quad_steps = check_quad_steps(quad_steps)
-    prop = propagator(model, TimeGrid(model.horizon, quad_steps))
+def assemble_gramian(model: SpectralModel, grid: TimeGrid) -> np.ndarray:
+    """Product-integration assembly of the Gramian on the nodes of `grid`."""
+    check_steps(grid.steps)
+    prop = propagator(model, grid)
     e, bb = prop.e_force, model.b_matrix @ model.b_matrix.T
     matrix = bb * np.einsum("m,mi,mj->ij", prop.terminal_weights, e, e)
-    return GramianOperator(matrix=matrix, horizon=model.horizon, quad_steps=quad_steps)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def gramian_norm_bound(model: SpectralModel) -> float:
@@ -95,32 +76,33 @@ class GramianReport:
 
 
 def verify_gramian(
-    gram: GramianOperator,
+    gram: np.ndarray,
     model: SpectralModel,
+    grid: TimeGrid,
     n_samples: int = 100,
     seed: int = 0,
 ) -> GramianReport:
     """Numerical audit: symmetry, positivity, the quadratic-form identity
     <x*, G x*> = int sigma^(alpha-1) ||B* T*(sigma) x*||^2 dsigma (computed on
-    the assembly nodes through an independent code path), and the norm bound."""
-    g = gram.matrix
-    defect = float(np.max(np.abs(g - g.T))) if g.size else 0.0
-    min_eig = float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
+    the nodes of `grid`, the Gramian's own, through an independent code path),
+    and the norm bound."""
+    defect = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
+    min_eig = float(np.linalg.eigvalsh(0.5 * (gram + gram.T)).min())
 
-    prop = propagator(model, TimeGrid(model.horizon, gram.quad_steps))
+    prop = propagator(model, grid)
     weights, mults = prop.terminal_weights, prop.e_force
     rng = np.random.default_rng(seed)
     bound = gramian_norm_bound(model)
     xstars = rng.standard_normal((n_samples, model.n_modes))
     worst_gap = 0.0
     for xstar in xstars:
-        lhs = float(xstar @ g @ xstar)
+        lhs = float(xstar @ gram @ xstar)
         # ||B* T_alpha*(sigma) x*||_U^2 at each node, U = L^2 coordinates
         images = (mults * xstar) @ model.b_matrix
         rhs = float(weights @ np.sum(images * images, axis=1))
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         worst_gap = max(worst_gap, gap)
-    slack = (lp_norms(xstars @ g.T, model.n_theta, model.p)
+    slack = (lp_norms(xstars @ gram.T, model.n_theta, model.p)
              / (bound * lp_norms(xstars, model.n_theta, model.dual_p)))
     worst_slack = float(np.max(slack, initial=0.0))
     return GramianReport(
@@ -136,11 +118,6 @@ def verify_gramian(
     )
 
 
-def gramian_min_singular(gram: GramianOperator) -> float:
-    return float(np.linalg.svd(gram.matrix, compute_uv=False)[-1])
-
-
-def gramian_to_csv(gram: GramianOperator, stream, header_lines: tuple[str, ...] = ()) -> None:
-    n = gram.n_modes
-    write_csv(stream, header_lines, ["row"] + [f"c{j}" for j in range(1, n + 1)],
-              ([i, *row] for i, row in enumerate(gram.matrix.tolist(), start=1)))
+def gramian_to_csv(gram: np.ndarray, stream, header_lines: tuple[str, ...] = ()) -> None:
+    write_csv(stream, header_lines, ["row"] + [f"c{j}" for j in range(1, len(gram) + 1)],
+              ([i, *row] for i, row in enumerate(gram.tolist(), start=1)))

@@ -30,7 +30,6 @@ from .control import (
 )
 from .evolve import Trajectory, mild_solution, write_csv
 from .fracops import TimeGrid, row_blocks
-from .gramian import GramianOperator
 from .lpspace import basis_coefficients, basis_values, lp_norms, theta_grid
 from .spectral import SpectralModel
 
@@ -46,6 +45,8 @@ __all__ = [
     "check_strategy",
     "FixedPointResult",
     "check_relaxation",
+    "check_fixed_point_tol",
+    "check_fixed_point_max_iter",
     "fixed_point_iterate",
     "SweepEntry",
     "check_epsilons",
@@ -248,9 +249,25 @@ def check_relaxation(relaxation) -> float:
     return relaxation
 
 
+def check_fixed_point_tol(tol) -> float:
+    """The fixed point's trajectory-gap tolerance as a finite float >= 0."""
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"fixed_point_tol must be finite and >= 0, got {tol}")
+    return tol
+
+
+def check_fixed_point_max_iter(max_iter) -> int:
+    """The fixed point's iteration cap as an int >= 1."""
+    max_iter = int(max_iter)
+    if max_iter < 1:
+        raise ValueError(f"fixed_point_max_iter must be an integer >= 1, got {max_iter}")
+    return max_iter
+
+
 def fixed_point_iterate(
     model: SpectralModel,
-    gram: GramianOperator,
+    gram: np.ndarray,
     grid: TimeGrid,
     epsilon: float,
     pot: NonsmoothPotential,
@@ -365,7 +382,7 @@ def check_epsilons(values) -> list[float]:
 
 def epsilon_sweep(
     model: SpectralModel,
-    gram: GramianOperator,
+    gram: np.ndarray,
     grid: TimeGrid,
     pot: NonsmoothPotential,
     z: np.ndarray,

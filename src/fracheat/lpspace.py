@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fracops import row_blocks
+
 __all__ = [
     "conjugate_exponent",
     "theta_grid",
@@ -106,8 +108,11 @@ def basis_coefficients(values: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def lp_norms(coeff_rows: np.ndarray, n_theta: int, p: float) -> np.ndarray:
-    """Midpoint-rule L^p norm of the reconstruction of each coefficient row."""
-    values = basis_values(coeff_rows, n_theta)
-    np.abs(values, out=values)
-    np.power(values, p, out=values)
-    return (np.sum(values, axis=1) * (math.pi / n_theta)) ** (1.0 / p)
+    """Midpoint-rule L^p norm of the reconstruction of each coefficient row;
+    rows go in row blocks (`fracops.row_blocks`) of ~256 KB grid values."""
+    rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
+    sums = np.empty(rows.shape[0])
+    for block in row_blocks(rows.shape[0], n_theta):
+        values = basis_values(rows[block], n_theta)
+        sums[block] = np.sum(np.power(np.abs(values, out=values), p, out=values), axis=1)
+    return (sums * (math.pi / n_theta)) ** (1.0 / p)

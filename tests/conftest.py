@@ -87,12 +87,12 @@ def model_p4():
 
 @pytest.fixture(scope="session")
 def gram_p2(model_p2):
-    return assemble_gramian(model_p2, 512)
+    return assemble_gramian(model_p2, TimeGrid(1.0, 512))
 
 
 @pytest.fixture(scope="session")
 def gram_p4(model_p4):
-    return assemble_gramian(model_p4, 512)
+    return assemble_gramian(model_p4, TimeGrid(1.0, 512))
 
 
 @pytest.fixture(scope="session")

@@ -43,7 +43,7 @@ def bundled_sweeps():
                 f"model.p={p}", f"solver.steps={steps}", f"solver.n_theta={n_theta}",
             ])
             exp = build_experiment(cfg, CONFIG_PATH.parent)
-            gram = assemble_gramian(exp.model, exp.quad_steps)
+            gram = assemble_gramian(exp.model, exp.grid)
             entries, results = map(list, zip(*epsilon_sweep(
                 exp.model, gram, exp.grid, exp.potential, exp.target, exp.x0,
                 exp.epsilons, strategy=exp.strategy, relaxation=exp.relaxation,
@@ -138,8 +138,8 @@ def test_criterion_3_operator_families(model_p2):
            f"kernel defect {diag_defect:.2e}")
 
 
-def test_criterion_4_gramian(model_p2, gram_p2):
-    rep = verify_gramian(gram_p2, model_p2, n_samples=100, seed=7)
+def test_criterion_4_gramian(model_p2, gram_p2, grid_512):
+    rep = verify_gramian(gram_p2, model_p2, grid_512, n_samples=100, seed=7)
     ok = (
         rep.symmetry_defect <= 1e-10
         and rep.min_eigenvalue >= -1e-10

@@ -11,8 +11,10 @@ import pytest
 import fracheat
 from fracheat.cli import main
 from fracheat.config import build_experiment, default_config_text, load_config
-from fracheat.gramian import check_quad_steps
-from fracheat.hvi import check_relaxation, check_strategy
+from fracheat.control import check_resolvent_max_iter, check_resolvent_tol
+from fracheat.gramian import check_steps
+from fracheat.hvi import check_fixed_point_max_iter, check_fixed_point_tol, check_relaxation, \
+    check_strategy
 from fracheat.lpspace import basis_matrix, theta_grid
 
 
@@ -37,7 +39,6 @@ class TestConfig:
         exp = build_experiment(cfg, config_file.parent)
         assert exp.model.n_modes == 8
         assert exp.grid.steps == 512
-        assert exp.quad_steps == 512
         assert exp.epsilons == [0.1, 0.01, 0.001, 0.0001]
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -71,8 +72,24 @@ class TestConfig:
         assert main(["sweep", str(config_file), "--set", "sweep.epsilons=1e-1, 1e-6"]) == 1
         assert "1e-5" in capsys.readouterr().err
 
+    def test_quad_steps_key_rejected(self, config_file, capsys):
+        # the grid's steps are the one time resolution, the Gramian's too
+        assert main(["gramian", str(config_file), "--set", "solver.quad_steps=1024"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: unknown key 'quad_steps' in section [solver]\n")
+
     @pytest.mark.parametrize("setting,owner,message", [
-        ("solver.quad_steps=8", check_quad_steps, "quad_steps must be >= 16, got 8"),
+        ("solver.steps=8", check_steps, "steps must be >= 16, got 8"),
+        ("solver.resolvent_tol=-1", check_resolvent_tol,
+         "resolvent_tol must be finite and >= 0, got -1.0"),
+        ("solver.resolvent_tol=nan", check_resolvent_tol,
+         "resolvent_tol must be finite and >= 0, got nan"),
+        ("solver.resolvent_max_iter=-1", check_resolvent_max_iter,
+         "resolvent_max_iter must be an integer >= 1, got -1"),
+        ("solver.fixed_point_tol=inf", check_fixed_point_tol,
+         "fixed_point_tol must be finite and >= 0, got inf"),
+        ("solver.fixed_point_max_iter=0", check_fixed_point_max_iter,
+         "fixed_point_max_iter must be an integer >= 1, got 0"),
         ("solver.strategy=greedy", check_strategy,
          "strategy must be one of ('minimal_norm', 'midpoint', 'sign_zero', 'sticky'), "
          "got 'greedy'"),
@@ -87,6 +104,14 @@ class TestConfig:
         assert str(raised.value) == message
         assert main(["sweep", str(config_file), "--set", setting]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_zero_fixed_point_tol_still_converges(self, config_file, capsys):
+        # a tolerance of 0 asks for a bitwise-settled selection, which the
+        # sticky strategy reaches
+        assert check_fixed_point_tol("0") == 0.0 and check_resolvent_tol("0") == 0.0
+        assert main(["sweep", str(config_file)] + SMALL_OVERRIDES
+                    + ["--set", "solver.fixed_point_tol=0"]) == 0
+        assert capsys.readouterr().out.count("converged=True") == 2
 
     def test_hash_tracks_content(self, config_file):
         a = load_config(config_file)
@@ -114,6 +139,22 @@ class TestConfig:
 
 
 class TestCommands:
+    def test_sweep_gramian_and_closed_loop_share_one_propagator(self, config_file, monkeypatch):
+        from fracheat import control, evolve, gramian
+
+        seen = []
+        for module in (gramian, control, evolve):
+            def record(model, grid, _module=module.__name__, _original=module.propagator):
+                prop = _original(model, grid)
+                seen.append((_module, prop))
+                return prop
+            monkeypatch.setattr(module, "propagator", record)
+        assert main(["sweep", str(config_file)] + SMALL_OVERRIDES) == 0
+        # Gramian assembly, deficiency and control synthesis, mild solutions
+        assert {module for module, _ in seen} == {"fracheat.gramian", "fracheat.control",
+                                                  "fracheat.evolve"}
+        assert all(prop is seen[0][1] for _, prop in seen)
+
     def test_validate_passes_on_default(self, config_file, capsys):
         rc = main(["validate", str(config_file)] + SMALL_OVERRIDES)
         out = capsys.readouterr().out
@@ -221,11 +262,11 @@ class TestCommands:
             "sweep.epsilons=1e-1, 1e-2", "problem.potential=zero",
         ])
         exp = build_experiment(cfg, config_file.parent)
-        gram = assemble_gramian(exp.model, exp.quad_steps)
+        gram = assemble_gramian(exp.model, exp.grid)
         free = mild_solution(exp.model, exp.grid, exp.x0)
         d = exp.target - free.terminal
         for entry in summary["entries"]:
-            w = np.linalg.solve(entry["epsilon"] * np.eye(4) + gram.matrix, d)
+            w = np.linalg.solve(entry["epsilon"] * np.eye(4) + gram, d)
             want, = lp_norms(entry["epsilon"] * w, 64, 2.0)
             assert entry["terminal_miss"] == pytest.approx(want, rel=1e-8)
 

@@ -21,7 +21,7 @@ from fracheat.control import (
 )
 from fracheat.evolve import mild_solution
 from fracheat.fracops import TimeGrid
-from fracheat.gramian import GramianOperator, assemble_gramian
+from fracheat.gramian import assemble_gramian
 from fracheat.lpspace import basis_matrix, duality_map, lp_norms
 from fracheat.spectral import build_model, forcing_multipliers
 
@@ -36,7 +36,7 @@ def fd_newton_oracle(gram, model, eps, y, x_init, iters=60):
     n = y.size
 
     def residual(v):
-        return eps * v + gram.matrix @ coordinate_duality_map(model, v) - y
+        return eps * v + gram @ coordinate_duality_map(model, v) - y
 
     for _ in range(iters):
         f = residual(x)
@@ -54,12 +54,11 @@ def fd_newton_oracle(gram, model, eps, y, x_init, iters=60):
     return x
 
 
-def reference_resolvent(gram, model, eps, y, tol=1e-11, max_iter=400):
+def reference_resolvent(g, model, eps, y, tol=1e-11, max_iter=400):
     """The p > 2 solver the Newton loop on Phi replaced, kept as an oracle:
     damped Picard steps x <- (1-w) x + w (y - G J x)/eps from the Hilbert
     solution, w adapted to residual decrease, then damped Newton backtracking
     on ||r|| once progress stalls.  Returns (solution, final ||r||)."""
-    g = gram.matrix
     identity = np.eye(model.n_modes)
 
     def residual(v):
@@ -102,7 +101,7 @@ def reference_resolvent(gram, model, eps, y, tol=1e-11, max_iter=400):
 def conjugate_gradient_resolvent(gram, eps, y, tol=1e-13, max_iter=2000):
     """Independent p = 2 solver: conjugate gradients on (eps I + G) x = y from
     zero, at most max_iter iterations, to ||r|| <= tol ||y||."""
-    matrix = eps * np.eye(y.size) + gram.matrix
+    matrix = eps * np.eye(y.size) + gram
     x, r, d = np.zeros_like(y), y.copy(), y.copy()
     res = [float(np.linalg.norm(r))]
     while res[-1] > tol * res[0]:
@@ -122,7 +121,7 @@ def gap_over_residual_bound(gram, model, eps, y):
     solve the same equation."""
     new = regularized_resolvent(gram, model, eps, y)
     ref, ref_res = reference_resolvent(gram, model, eps, y)
-    jac = eps * np.eye(model.n_modes) + gram.matrix @ _duality_map_jacobian(model, new.result)
+    jac = eps * np.eye(model.n_modes) + gram @ _duality_map_jacobian(model, new.result)
     bound = np.linalg.norm(np.linalg.inv(jac), 2) * (new.residual_history[-1] + ref_res)
     return float(np.linalg.norm(new.result - ref)) / bound
 
@@ -135,8 +134,8 @@ class TestResolvent:
 
     def test_scalar_linear_case(self):
         model = build_model(1, ORDER, 1.0, None, None, 2.0, 256)
-        gram = assemble_gramian(model, 64)
-        g = gram.matrix[0, 0]
+        gram = assemble_gramian(model, TimeGrid(1.0, 64))
+        g = gram[0, 0]
         y = np.array([0.83])
         for eps in (1e-3, 0.1, 2.0):
             solve = regularized_resolvent(gram, model, eps, y)
@@ -168,7 +167,7 @@ class TestResolvent:
         model = dataclasses.replace(model_p4, n_modes=2,
                                     eigenvalues=np.array([-1.0, -4.0]),
                                     b_matrix=np.eye(2), h_matrix=np.eye(2))
-        gram = GramianOperator(np.array([[0.8, 0.2], [0.2, 0.5]]), 1.0, 64)
+        gram = np.array([[0.8, 0.2], [0.2, 0.5]])
         rng = np.random.default_rng(5)
         y = rng.standard_normal(2)
         solve = regularized_resolvent(gram, model, 0.1, y, tol=1e-12)
@@ -236,7 +235,7 @@ class TestNewtonOnPhi:
         # ConvergenceError at 64 modes, eps = 1e-5; Newton on Phi takes 5-11
         model = build_model(n_modes, ORDER, 1.0, None, None, 4.0, 256)
         grid = TimeGrid(1.0, 512)
-        gram = assemble_gramian(model, grid.steps)
+        gram = assemble_gramian(model, grid)
         bump = bump_coefficients(n_modes)
         d = deficiency_vector(model, grid, bump, bump)
         for eps in (1e-4, 1e-5, 1e-6):
@@ -256,14 +255,14 @@ class TestControlSynthesis:
 
     def test_scalar_chain_oracle(self):
         model = build_model(1, ORDER, 1.0, None, None, 2.0, 256)
-        gram = assemble_gramian(model, 512)
         grid = TimeGrid(1.0, 512)
+        gram = assemble_gramian(model, grid)
         eps = 0.05
         x0 = np.array([0.4])
         z = np.array([1.1])
         run = closed_loop_trajectory(model, gram, grid, eps, z, x0)
         control, d = run.control, run.deficiency
-        g11 = gram.matrix[0, 0]
+        g11 = gram[0, 0]
         b11 = model.b_matrix[0, 0]
         for j in (0, 128, 511):
             t = grid.nodes[j]
@@ -352,7 +351,7 @@ class TestTerminalIdentity:
         z[0] = 0.5
         residuals = []
         for steps in (64, 128, 256):
-            gram = assemble_gramian(model_p2, 2 * steps)
+            gram = assemble_gramian(model_p2, TimeGrid(1.0, 2 * steps))
             grid = TimeGrid(1.0, steps)
             run = closed_loop_trajectory(model_p2, gram, grid, 1e-2, z, x0)
             residuals.append(terminal_identity_residual(run, model_p2, z))

@@ -307,8 +307,8 @@ class TestFixedPoint:
         model, gram, grid, x0, z = problem
         pot = abs_potential(0.3)
         fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
-        eta_dual = lambda t: math.pi ** (1.0 / model.dual_p) * pot.eta(t)
-        n0 = a_priori_state_bound(model, 1e-2, z, x0, eta_dual)
+        dual_bound = lambda t: math.pi ** (1.0 / model.dual_p) * pot.eta(t)
+        n0 = a_priori_state_bound(model, 1e-2, z, x0, dual_bound)
         sup = np.max(lp_norms(fp.run.trajectory.states, 256, 2.0))
         assert sup <= n0
 
@@ -400,7 +400,7 @@ class TestSweep:
         free = mild_solution(model, grid, x0)
         d = z - free.terminal
         for entry in entries:
-            w = np.linalg.solve(entry.epsilon * np.eye(8) + gram.matrix, d)
+            w = np.linalg.solve(entry.epsilon * np.eye(8) + gram, d)
             closed_form, = lp_norms(entry.epsilon * w, 256, 2.0)
             assert entry.terminal_miss == pytest.approx(closed_form, rel=1e-8)
             assert entry.identity_residual <= 1e-10
@@ -423,7 +423,7 @@ class TestSweep:
 
             model = build_model(4, ORDER, 1.0, None, None, 2.0, n_theta)
             grid = TimeGrid(1.0, steps)
-            gram = assemble_gramian(model, steps)
+            gram = assemble_gramian(model, grid)
             entries = [e for e, _ in epsilon_sweep(model, gram, grid, pot, z,
                                                    bump_coefficients(4, n_theta),
                                                    [1e-1, 1e-2, 1e-3])]
@@ -439,7 +439,7 @@ class TestSweep:
         # drops it: about 4 MB, against 12 MB while every epsilon's
         # selection and iterate stayed alive
         exp = build_experiment(load_config(CONFIG_PATH), CONFIG_PATH.parent)
-        gram = assemble_gramian(exp.model, exp.quad_steps)
+        gram = assemble_gramian(exp.model, exp.grid)
         tracemalloc.start()
         try:
             for entry, result in epsilon_sweep(
@@ -521,7 +521,7 @@ def test_pipeline_away_from_reference_order(alpha, p):
     order = FracOrder(alpha, alpha / 2.0)
     model = build_model(4, order, 1.0, None, None, p, 64)
     grid = TimeGrid(1.0, 96)
-    gram = assemble_gramian(model, 96)
+    gram = assemble_gramian(model, grid)
     x0 = bump_coefficients(4, 64)
     z = np.array([0.5, 0.1, 0.0, 0.0])
     fp = fixed_point_iterate(model, gram, grid, 1e-2, abs_potential(0.2), z, x0)

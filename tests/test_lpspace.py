@@ -59,6 +59,14 @@ class TestNorm:
                 * (math.pi / N_THETA)) ** (1.0 / p)
         assert np.array_equal(lp_norms(rows, N_THETA, p), want)
 
+    @pytest.mark.parametrize("p", [2.0, 4.0, 4.0 / 3.0])
+    def test_row_blocks_are_bitwise_the_whole_array(self, p):
+        # 4097 x 256 grid values: 33 row blocks of at most 128 rows
+        rows = np.random.default_rng(5).standard_normal((4097, 8))
+        want = (np.sum(np.abs(basis_values(rows, N_THETA)) ** p, axis=1)
+                * (math.pi / N_THETA)) ** (1.0 / p)
+        assert np.array_equal(lp_norms(rows, N_THETA, p), want)
+
     def test_row_values_refuse_non_finite(self):
         rows = np.zeros((3, 4))
         rows[1, 2] = np.inf

@@ -1,9 +1,10 @@
 """Module boundaries of the package.
 
 No module imports an underscore-prefixed name from a sibling module: private
-helpers stay private to the module that owns them.  Every public name has a
-caller in the package, or a stated reason to stay: a wrapper that only tests
-call is not kept."""
+helpers stay private to the module that owns them.  Every public name, and
+every public method or property of a package class, has a caller in the
+package, or a stated reason to stay: a wrapper that only tests call is not
+kept."""
 
 import ast
 from pathlib import Path
@@ -51,49 +52,61 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def exported_names(path: Path) -> list[str]:
+def public_names(path: Path) -> list[str]:
+    """The module's `__all__`, and Class.member for each public method or
+    property defined in one of its classes."""
+    names = []
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return [ast.literal_eval(elt) for elt in node.value.elts]
-    return []
+            names += [ast.literal_eval(elt) for elt in node.value.elts]
+        elif isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return names
 
 
 def referenced_names(paths: list[Path]) -> set[str]:
     """Names loaded, bare or as an attribute, anywhere in the modules except
-    inside a top-level definition of the same name."""
+    inside a definition of the same name."""
     found = set()
+
+    def visit(node: ast.AST, own: frozenset) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, own | {child.name})
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            if name is not None and name not in own:
+                found.add(name)
+            visit(child, own)
+
     for path in paths:
-        for top in ast.parse(path.read_text(), str(path)).body:
-            own = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    found.add(name)
+        visit(ast.parse(path.read_text(), str(path)), frozenset())
     return found
 
 
 def unreferenced_exports(package: Path) -> list[str]:
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     used = referenced_names(modules)
-    return [f"{path.stem}.{name}" for path in modules for name in exported_names(path)
-            if name not in used]
+    return [f"{path.stem}.{name}" for path in modules for name in public_names(path)
+            if name.split(".")[-1] not in used]
 
 
 def test_every_public_name_has_a_caller_in_the_package():
     found = [name for name in unreferenced_exports(PACKAGE)
-             if name.split(".")[1] not in UNREFERENCED_ALLOWED]
+             if name.split(".")[-1] not in UNREFERENCED_ALLOWED]
     assert found == []
 
 
 def test_allowlisted_names_are_still_unreferenced():
     # an allowlisted name that gained a caller no longer needs its entry
-    found = {name.split(".")[1] for name in unreferenced_exports(PACKAGE)}
+    found = {name.split(".")[-1] for name in unreferenced_exports(PACKAGE)}
     assert found == set(UNREFERENCED_ALLOWED)
 
 
@@ -107,3 +120,14 @@ def test_checker_flags_a_test_only_wrapper(tmp_path):
     (tmp_path / "b.py").write_text("from .a import helper, wrapper\n\n\n"
                                    "def run(x):\n    return helper(x)\n")
     assert unreferenced_exports(tmp_path) == ["a.wrapper"]
+
+
+def test_checker_flags_an_unread_member(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["Kind"]\n\n\n'
+        "class Kind:\n"
+        "    def __init__(self):\n        self.x = self.read\n\n"
+        "    @property\n    def read(self):\n        return 1\n\n"
+        "    @property\n    def unread(self):\n        return self.unread\n\n\n"
+        "def make():\n    return Kind()\n")
+    assert unreferenced_exports(tmp_path) == ["a.Kind.unread"]

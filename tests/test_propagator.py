@@ -64,10 +64,10 @@ def reference_mild_solution(model, grid, x0, forcing=None, control=None):
     return states
 
 
-def reference_gramian(model, quad_steps):
-    h = model.horizon / quad_steps
-    weights = singular_conv_weights(model.order.alpha, quad_steps, h)[::-1]
-    sigmas = np.linspace(0.0, model.horizon, quad_steps + 1)
+def reference_gramian(model, steps):
+    h = model.horizon / steps
+    weights = singular_conv_weights(model.order.alpha, steps, h)[::-1]
+    sigmas = np.linspace(0.0, model.horizon, steps + 1)
     mults = np.array([forcing_multipliers(model, s) for s in sigmas])
     bb = model.b_matrix @ model.b_matrix.T
     return np.einsum("j,jm,mn,jn->mn", weights, mults, bb, mults, optimize=True)
@@ -105,10 +105,10 @@ def test_mild_solution_matches_per_node_loop(model_p2, steps):
         assert np.array_equal(new[0], x0)
 
 
-@pytest.mark.parametrize("quad_steps", [64, 512])
-def test_gramian_matches_per_sigma_einsum(model_p2, quad_steps):
-    new = assemble_gramian(model_p2, quad_steps).matrix
-    assert rel_gap(new, reference_gramian(model_p2, quad_steps)) <= REL_TOL
+@pytest.mark.parametrize("steps", [64, 512])
+def test_gramian_matches_per_sigma_einsum(model_p2, steps):
+    new = assemble_gramian(model_p2, TimeGrid(1.0, steps))
+    assert rel_gap(new, reference_gramian(model_p2, steps)) <= REL_TOL
 
 
 @pytest.mark.parametrize("which", ["p2", "p4"])
@@ -204,8 +204,9 @@ def test_closed_loop_matches_cross_kernel_route(request, which, grid_512):
 
 @pytest.mark.parametrize("steps", [96, 512])
 def test_gramian_is_the_cross_kernel_terminal_row(model_p2, steps):
-    cross = reference_cross_kernel(propagator(model_p2, TimeGrid(1.0, steps)))
-    gram = assemble_gramian(model_p2, steps).matrix
+    grid = TimeGrid(1.0, steps)
+    cross = reference_cross_kernel(propagator(model_p2, grid))
+    gram = assemble_gramian(model_p2, grid)
     bb = model_p2.b_matrix @ model_p2.b_matrix.T
     assert np.array_equal(gram, bb * cross[-1])
     assert rel_gap(gram.T, gram) <= TENSOR_TOL  # symmetric to rounding

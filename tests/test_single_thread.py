@@ -182,7 +182,7 @@ class TestCsvBytes:
         assert main(["sweep", str(path)] + args) == 0
         exp = build_experiment(load_config(str(path), self.SMALL), tmp_path)
         entries, results = map(list, zip(*epsilon_sweep(
-            exp.model, assemble_gramian(exp.model, exp.quad_steps), exp.grid, exp.potential,
+            exp.model, assemble_gramian(exp.model, exp.grid), exp.grid, exp.potential,
             exp.target, exp.x0, exp.epsilons, strategy=exp.strategy, relaxation=exp.relaxation,
             tol=exp.fixed_point_tol, max_iter=exp.fixed_point_max_iter,
             resolvent_tol=exp.resolvent_tol, resolvent_max_iter=exp.resolvent_max_iter)))
@@ -233,7 +233,7 @@ class TestCsvBytes:
         gramian_to_csv(gram_p2, buf, ("h",))
         assert buf.getvalue() == old_bytes(
             ["row"] + [f"c{j}" for j in range(1, 9)],
-            ([i + 1, *gram_p2.matrix[i]] for i in range(8)))
+            ([i + 1, *gram_p2[i]] for i in range(8)))
 
 
 # probe scripts run in a fresh interpreter: argv = (config path, output dir);
@@ -293,7 +293,7 @@ from fracheat.hvi import fixed_point_iterate, hvi_residual
 
 exp = build_experiment(load_config(cfg_path, []), Path(out))
 model = exp.model
-fp = fixed_point_iterate(model, assemble_gramian(model, exp.quad_steps), exp.grid, 1e-2,
+fp = fixed_point_iterate(model, assemble_gramian(model, exp.grid), exp.grid, 1e-2,
                          exp.potential, exp.target, exp.x0)
 dirs = np.random.default_rng(9).standard_normal((16, model.n_modes))
 last = settle()

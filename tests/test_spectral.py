@@ -289,6 +289,6 @@ class TestInjectivityDiagnostic:
         assert rep.verdict == "degenerate (truncated)"
 
     def test_gramian_branch(self, model_p2, gram_p2):
-        rep = injectivity_diagnostic(model_p2, gram_p2.matrix)
+        rep = injectivity_diagnostic(model_p2, gram_p2)
         assert rep.sigma_min_gramian is not None
         assert rep.controllable
