@@ -3,6 +3,8 @@
 Commands: validate (invariant suite), simulate (trajectory + cross-solver
 gap), gramian (assembly + audit + CSV export), sweep (regularization study).
 Exit codes: 0 success, 1 validation failure, 2 solver non-convergence.
+This is the one module that writes files, and `_write_csv` is the one format
+of every CSV output file.
 
 Importing this module before numpy sets OPENBLAS_NUM_THREADS=1 unless the
 variable is already set, so a CLI process starts no BLAS worker thread; a
@@ -18,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 if "numpy" not in sys.modules:
@@ -30,10 +33,10 @@ import numpy as np
 from . import __version__
 from .config import Experiment, build_experiment, default_config_text, load_config
 from .control import ConvergenceError, regularized_resolvent
-from .evolve import l1_reference, mild_solution, trajectory_to_csv, write_csv
+from .evolve import l1_reference, mild_solution
 from .fracops import mittag_leffler, mittag_leffler2, wright_density
-from .gramian import assemble_gramian, gramian_to_csv, verify_gramian
-from .hvi import epsilon_sweep, free_terminal_miss, sweep_to_csv
+from .gramian import assemble_gramian, verify_gramian
+from .hvi import epsilon_sweep, free_terminal_miss
 from .lpspace import basis_values, duality_map, lp_norm, lp_norms
 from .spectral import injectivity_diagnostic, propagate_state, propagate_forcing
 
@@ -47,6 +50,24 @@ def _header_lines(exp: Experiment) -> tuple[str, ...]:
         f"fracheat={__version__} schema={exp.config['meta']['schema_version']} "
         f"config_sha256={exp.config.sha256}",
     )
+
+
+def _write_csv(path: Path, header_lines, columns: list[str], rows) -> None:
+    """Write `# ` comment lines, the column row, then the data rows, one at a
+    time.  Cells are Python ints, floats and bools (`ndarray.tolist()`), whose
+    str is what the csv module writes (a float's repr: `nan`, `-0.0`); a numpy
+    scalar would come out as `np.float64(...)`, so rows never carry one."""
+    with open(path, "w", newline="") as stream:
+        stream.writelines(f"# {line}\n" for line in header_lines)
+        stream.writelines(",".join(map(str, row)) + "\r\n" for row in chain([columns], rows))
+
+
+def _write_node_table(path: Path, header_lines, nodes: np.ndarray, prefix: str,
+                      values: np.ndarray, **extra: np.ndarray) -> None:
+    """Rows (node, t, <prefix>1..<prefix>N, *extra) over the time nodes."""
+    columns = ["node", "t", *(f"{prefix}{n}" for n in range(1, values.shape[1] + 1)), *extra]
+    table = np.column_stack([nodes, values, *extra.values()]).tolist()
+    _write_csv(path, header_lines, columns, ([k, *row] for k, row in enumerate(table)))
 
 
 def _density_checks(alpha: float) -> tuple[float, float, float]:
@@ -138,7 +159,8 @@ def cmd_gramian(exp: Experiment) -> int:
     report = verify_gramian(gram, exp.model, exp.grid, seed=exp.seed)
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     path = exp.output_dir / "gramian.csv"
-    gramian_to_csv(gram, str(path), _header_lines(exp))
+    _write_csv(path, _header_lines(exp), ["row"] + [f"c{j}" for j in range(1, len(gram) + 1)],
+               ([i, *row] for i, row in enumerate(gram.tolist(), start=1)))
     print(f"gramian written to {path}")
     print(f"symmetry defect: {report.symmetry_defect:.3e}")
     print(f"min eigenvalue : {report.min_eigenvalue:.3e}")
@@ -172,10 +194,7 @@ def cmd_simulate(exp: Experiment, forcing_coeffs: str | None, control_coeffs: st
     scale = float(np.max(lp_norms(traj.states, model.n_theta, model.p)))
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     path = exp.output_dir / "trajectory.csv"
-    write_csv(path, _header_lines(exp),
-              ["node", "t"] + [f"c{n}" for n in range(1, model.n_modes + 1)] + ["l1_gap"],
-              ([k, *row] for k, row in
-               enumerate(np.column_stack([grid.nodes, traj.states, gaps]).tolist())))
+    _write_node_table(path, _header_lines(exp), grid.nodes, "c", traj.states, l1_gap=gaps)
     rel = float(np.max(gaps)) / max(scale, 1e-300)
     print(f"trajectory written to {path}")
     print(f"cross-solver gap: {rel:.3e} relative (sup over nodes)")
@@ -207,16 +226,17 @@ def cmd_sweep(exp: Experiment) -> int:
         entries.append(entry)
         if result is not None and "csv" in exp.formats:
             tag = f"{entry.epsilon:.0e}".replace("-0", "-")
-            trajectory_to_csv(result.run.trajectory,
-                              str(exp.output_dir / f"trajectory_eps_{tag}.csv"), headers)
-            write_csv(exp.output_dir / f"control_eps_{tag}.csv", headers,
-                      ["node", "t"] + [f"u{n}" for n in range(1, model.n_modes + 1)],
-                      ([k, *row] for k, row in
-                       enumerate(np.column_stack([grid.nodes, result.run.control]).tolist())))
+            _write_node_table(exp.output_dir / f"trajectory_eps_{tag}.csv", headers,
+                              grid.nodes, "c", result.run.trajectory.states)
+            _write_node_table(exp.output_dir / f"control_eps_{tag}.csv", headers,
+                              grid.nodes, "u", result.run.control)
         del result  # its grid arrays go before the next epsilon is solved
         started = time.perf_counter()
     if "csv" in exp.formats:
-        sweep_to_csv(entries, str(exp.output_dir / "sweep.csv"), headers)
+        _write_csv(exp.output_dir / "sweep.csv", headers,
+                   ["epsilon", "terminal_miss", "control_energy", "iterations", "converged"],
+                   ([float(e.epsilon), float(e.terminal_miss), float(e.control_energy),
+                     int(e.iterations), bool(e.converged)] for e in entries))
     free_miss = free_terminal_miss(model, grid, exp.target, exp.x0)
     if "json" in exp.formats:
         summary = {

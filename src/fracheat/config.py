@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fracops import FracOrder, TimeGrid
+from .fracops import FracOrder, TimeGrid, as_integer
 from .lpspace import basis_matrix, theta_grid
 from .spectral import KernelSpec, SpectralModel, build_model
 from .control import check_resolvent_max_iter, check_resolvent_tol
@@ -216,9 +216,9 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
     model_cfg = cfg["model"]
     solver = cfg["solver"]
 
-    n_modes = int(model_cfg["modes"])
+    n_modes = as_integer(model_cfg["modes"], "model.modes")
     horizon = float(model_cfg["horizon"])
-    n_theta = int(solver["n_theta"])
+    n_theta = as_integer(solver["n_theta"], "solver.n_theta")
     model = build_model(
         n_modes,
         FracOrder(float(model_cfg["alpha"]), float(model_cfg["alpha1"])),
@@ -246,7 +246,7 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         fixed_point_max_iter=check_fixed_point_max_iter(solver["fixed_point_max_iter"]),
         relaxation=check_relaxation(solver["relaxation"]),
         strategy=check_strategy(solver["strategy"]),
-        seed=int(solver["seed"]),
+        seed=as_integer(solver["seed"], "solver.seed"),
         epsilons=check_epsilons(v for v in cfg["sweep"]["epsilons"].split(",") if v.strip()),
         output_dir=base / cfg["output"]["directory"],
         formats=formats,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import TimeGrid
+from .fracops import TimeGrid, as_integer
 from .evolve import Trajectory, mild_solution, propagator
 from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
@@ -82,9 +82,6 @@ def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
 class ResolventSolve:
     """Outcome of solving eps*x + G J(x) = y; method direct, newton or trivial."""
 
-    epsilon: float
-    tol: float
-    max_iter: int
     result: np.ndarray
     residual_history: list[float] = field(default_factory=list)
     iterations: int = 0
@@ -119,7 +116,7 @@ def check_resolvent_tol(tol) -> float:
 
 def check_resolvent_max_iter(max_iter) -> int:
     """The resolvent's Newton iteration cap as an int >= 1."""
-    max_iter = int(max_iter)
+    max_iter = as_integer(max_iter, "resolvent_max_iter")
     if max_iter < 1:
         raise ValueError(f"resolvent_max_iter must be an integer >= 1, got {max_iter}")
     return max_iter
@@ -149,19 +146,18 @@ def regularized_resolvent(
         raise ValueError(f"rhs must have shape ({model.n_modes},), got {y.shape}")
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
-        return ResolventSolve(epsilon, tol, max_iter, np.zeros_like(y), [0.0], 0, True, "trivial")
+        return ResolventSolve(np.zeros_like(y), [0.0], 0, True, "trivial")
     identity = np.eye(model.n_modes)
     x = np.linalg.solve(epsilon * identity + gram, y)
     res_vec = _residual(gram, model, epsilon, x, y)
     res = float(np.linalg.norm(res_vec))
     if model.p == 2.0:
-        return ResolventSolve(epsilon, tol, max_iter, x, [res], 1, res <= tol * y_norm,
-                              "direct")
+        return ResolventSolve(x, [res], 1, res <= tol * y_norm, "direct")
 
     history, lam = [res], 0.0  # lam: the last step length, 0 before any step
     for it in range(max_iter + 1):
         if res <= tol * y_norm:
-            return ResolventSolve(epsilon, tol, max_iter, x, history, it, True, "newton")
+            return ResolventSolve(x, history, it, True, "newton")
         if it == max_iter:
             break
         step = np.linalg.solve(epsilon * identity + gram @ _duality_map_jacobian(model, x), -res_vec)

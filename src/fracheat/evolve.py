@@ -14,12 +14,11 @@ row, where the exact kernel moment is known, which removes the leading
 endpoint error; the control channel keeps the plain rule, the Gramian's own,
 and both channels share one convolution.  `l1_reference` integrates the same
 Caputo system with an implicit L1 scheme and serves as an independent
-cross-check.  `write_csv` is the one format of every CSV output file.
+cross-check.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -36,8 +35,6 @@ __all__ = [
     "Trajectory",
     "mild_solution",
     "l1_reference",
-    "trajectory_to_csv",
-    "write_csv",
 ]
 
 
@@ -316,32 +313,3 @@ def l1_reference(
         states[k] = rhs / (c - lam)
         increments[k - 1] = states[k] - states[k - 1]
     return Trajectory(grid, states)
-
-
-def write_csv(target, header_lines, columns: list[str], rows) -> None:
-    """Write `# ` comment lines, the column row, then the data rows to an open
-    text stream or to the file at path `target`.
-
-    Cells must be Python scalars, as `ndarray.tolist()` gives them: the csv
-    module writes a float as its repr (shortest round-trip digits, `nan`,
-    `-0.0`) and any other cell as str.  A numpy scalar would be written as its
-    own repr, `np.float64(...)`, so rows never carry one.
-    """
-    if not hasattr(target, "write"):
-        with open(target, "w", newline="") as stream:
-            write_csv(stream, header_lines, columns, rows)
-        return
-    for line in header_lines:
-        target.write(f"# {line}\n")
-    writer = csv.writer(target)
-    writer.writerow(columns)
-    writer.writerows(rows)
-
-
-def trajectory_to_csv(traj: Trajectory, stream, header_lines: tuple[str, ...] = ()) -> None:
-    """Write rows (node, t, c1..cN); header_lines become leading comments."""
-    n_modes = traj.states.shape[1]
-    table = np.column_stack([traj.grid.nodes, traj.states]).tolist()
-    write_csv(stream, header_lines, ["node", "t"] + [f"c{n}" for n in range(1, n_modes + 1)],
-              ([k, *row] for k, row in enumerate(table)))
-

@@ -42,6 +42,7 @@ __all__ = [
     "singular_conv_weights",
     "l1_coefficients",
     "row_blocks",
+    "as_integer",
 ]
 
 # Branch boundaries in s: Taylor below (max term exp(5) ~ 150, ~2 digits
@@ -199,6 +200,14 @@ def row_blocks(n_rows: int, n_cols: int):
     """Row slices whose (rows, n_cols) float64 temporaries stay near _BLOCK_BYTES (256 KB)."""
     step = max(1, _BLOCK_BYTES // (8 * n_cols))
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
+def as_integer(value, key: str) -> int:
+    """A count setting as an int; text that is no integer raises a ValueError naming `key`."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:

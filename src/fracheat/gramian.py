@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import propagator, write_csv
-from .fracops import TimeGrid
+from .evolve import propagator
+from .fracops import TimeGrid, as_integer
 from .lpspace import lp_norms
 from .spectral import SpectralModel
 
@@ -28,13 +28,12 @@ __all__ = [
     "assemble_gramian",
     "verify_gramian",
     "gramian_norm_bound",
-    "gramian_to_csv",
 ]
 
 
 def check_steps(steps) -> int:
     """The time grid's step count, the Gramian's quadrature too, as an int >= 16."""
-    steps = int(steps)
+    steps = as_integer(steps, "steps")
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
     return steps
@@ -116,8 +115,3 @@ def verify_gramian(
         quadratic_form_ok=worst_gap <= 1e-8,
         norm_bound_ok=worst_slack <= 1.0,
     )
-
-
-def gramian_to_csv(gram: np.ndarray, stream, header_lines: tuple[str, ...] = ()) -> None:
-    write_csv(stream, header_lines, ["row"] + [f"c{j}" for j in range(1, len(gram) + 1)],
-              ([i, *row] for i, row in enumerate(gram.tolist(), start=1)))

@@ -26,10 +26,11 @@ from .control import (
     ConvergenceError,
     closed_loop_trajectory,
     control_l2_norm,
+    deficiency_vector,
     terminal_identity_residual,
 )
-from .evolve import Trajectory, mild_solution, write_csv
-from .fracops import TimeGrid, row_blocks
+from .evolve import Trajectory
+from .fracops import TimeGrid, as_integer, row_blocks
 from .lpspace import basis_coefficients, basis_values, lp_norms, theta_grid
 from .spectral import SpectralModel
 
@@ -51,7 +52,6 @@ __all__ = [
     "SweepEntry",
     "check_epsilons",
     "epsilon_sweep",
-    "sweep_to_csv",
     "free_terminal_miss",
     "hvi_residual",
 ]
@@ -233,8 +233,6 @@ class FixedPointResult:
     iterations: int
     converged: bool
     fixed_point_residual: float
-    strategy: str
-    relaxation: float
 
 
 def _trajectory_gap(model: SpectralModel, a: Trajectory, b: Trajectory) -> float:
@@ -259,7 +257,7 @@ def check_fixed_point_tol(tol) -> float:
 
 def check_fixed_point_max_iter(max_iter) -> int:
     """The fixed point's iteration cap as an int >= 1."""
-    max_iter = int(max_iter)
+    max_iter = as_integer(max_iter, "fixed_point_max_iter")
     if max_iter < 1:
         raise ValueError(f"fixed_point_max_iter must be an integer >= 1, got {max_iter}")
     return max_iter
@@ -337,8 +335,6 @@ def fixed_point_iterate(
         iterations=iterations,
         converged=converged,
         fixed_point_residual=fp_residual,
-        strategy=strategy,
-        relaxation=relaxation,
     )
 
 
@@ -365,8 +361,7 @@ class SweepEntry:
 def free_terminal_miss(model: SpectralModel, grid: TimeGrid, z: np.ndarray,
                        x0: np.ndarray) -> float:
     """Miss of the uncontrolled, unforced dynamics: ||z - S(a) x0||."""
-    free = mild_solution(model, grid, np.asarray(x0, dtype=float))
-    return float(lp_norms(np.asarray(z, float) - free.terminal, model.n_theta, model.p)[0])
+    return float(lp_norms(deficiency_vector(model, grid, z, x0), model.n_theta, model.p)[0])
 
 
 def check_epsilons(values) -> list[float]:
@@ -432,13 +427,6 @@ def epsilon_sweep(
         ), fp
 
     return map(solve, eps)
-
-
-def sweep_to_csv(entries: list[SweepEntry], stream, header_lines: tuple[str, ...] = ()) -> None:
-    write_csv(stream, header_lines,
-              ["epsilon", "terminal_miss", "control_energy", "iterations", "converged"],
-              ([float(e.epsilon), float(e.terminal_miss), float(e.control_energy),
-                int(e.iterations), bool(e.converged)] for e in entries))
 
 
 def hvi_residual(

@@ -94,6 +94,11 @@ class TestConfig:
          "strategy must be one of ('minimal_norm', 'midpoint', 'sign_zero', 'sticky'), "
          "got 'greedy'"),
         ("solver.relaxation=1.5", check_relaxation, "relaxation must lie in (0, 1], got 1.5"),
+        ("solver.steps=1.5", check_steps, "steps must be an integer, got '1.5'"),
+        ("solver.resolvent_max_iter=1.5", check_resolvent_max_iter,
+         "resolvent_max_iter must be an integer, got '1.5'"),
+        ("solver.fixed_point_max_iter=2.0", check_fixed_point_max_iter,
+         "fixed_point_max_iter must be an integer, got '2.0'"),
     ])
     def test_solver_guard_exits_1_with_its_owners_message(self, config_file, capsys, setting,
                                                           owner, message):
@@ -104,6 +109,14 @@ class TestConfig:
         assert str(raised.value) == message
         assert main(["sweep", str(config_file), "--set", setting]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("setting", ["model.modes=1.5", "solver.n_theta=1.5",
+                                         "solver.seed=x"])
+    def test_integer_setting_exits_1_naming_its_key(self, config_file, capsys, setting):
+        key, value = setting.split("=")
+        assert main(["sweep", str(config_file), "--set", setting]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {key} must be an integer, got {value!r}\n")
 
     def test_zero_fixed_point_tol_still_converges(self, config_file, capsys):
         # a tolerance of 0 asks for a bitwise-settled selection, which the

@@ -1,11 +1,11 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 from fracheat.fracops import FracOrder, TimeGrid, mittag_leffler, mittag_leffler2
-from fracheat.evolve import Trajectory, l1_reference, mild_solution, trajectory_to_csv
+from fracheat.cli import _write_node_table
+from fracheat.evolve import Trajectory, l1_reference, mild_solution
 from fracheat.spectral import SpectralModel, build_model
 
 from conftest import ORDER
@@ -155,11 +155,11 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError):
             Trajectory(grid, np.zeros((5, 4)))
 
-    def test_csv(self, model4):
+    def test_csv(self, model4, tmp_path):
         grid = TimeGrid(1.0, 8)
         traj = mild_solution(model4, grid, np.array([1.0, 0.0, 0.0, 0.0]))
-        buf = io.StringIO()
-        trajectory_to_csv(traj, buf, header_lines=("origin=test",))
-        text = buf.getvalue()
+        path = tmp_path / "trajectory.csv"
+        _write_node_table(path, ("origin=test",), grid.nodes, "c", traj.states)
+        text = path.read_text()
         assert text.startswith("# origin=test")
         assert text.count("\n") == 2 + grid.steps + 1

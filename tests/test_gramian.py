@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fracheat.fracops import TimeGrid
-from fracheat.gramian import assemble_gramian, gramian_norm_bound, gramian_to_csv, verify_gramian
+from fracheat.cli import main
+from fracheat.config import build_experiment, default_config_text, load_config
+from fracheat.gramian import assemble_gramian, gramian_norm_bound, verify_gramian
 from fracheat.lpspace import lp_norms
 from fracheat.spectral import build_model, injectivity_diagnostic
 
@@ -109,10 +111,17 @@ class TestMinSingular:
             oracle, rel=1e-8)
 
 
-def test_csv_export(tmp_path, gram_p2):
-    path = tmp_path / "gram.csv"
-    gramian_to_csv(gram_p2, str(path), ("tag=test",))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# tag=test"
-    assert lines[1].startswith("row,")
+def test_csv_export(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text(default_config_text())
+    settings = ["solver.steps=96", "solver.n_theta=64"]
+    assert main(["gramian", str(config)] + [a for s in settings for a in ("--set", s)]) == 0
+    lines = (tmp_path / "out" / "gramian.csv").read_text().splitlines()
+    assert lines[0].startswith("# fracheat=")
+    assert lines[1] == "row," + ",".join(f"c{j}" for j in range(1, 9))
     assert len(lines) == 2 + 8
+    # each float's repr reads back as the assembled entry, bit for bit
+    exp = build_experiment(load_config(config, settings), tmp_path)
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert np.array_equal(table[:, 0], np.arange(1, 9))
+    assert np.array_equal(table[:, 1:], assemble_gramian(exp.model, exp.grid))

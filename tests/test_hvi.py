@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracheat.config import build_experiment, load_config
+from fracheat.cli import main
+from fracheat.config import build_experiment, default_config_text, load_config
 from fracheat.evolve import Trajectory, mild_solution
 from fracheat.fracops import TimeGrid
 from fracheat.gramian import assemble_gramian
@@ -22,7 +23,6 @@ from fracheat.hvi import (
     hvi_residual,
     saturating_potential,
     select_forcing,
-    sweep_to_csv,
     tabulated_potential,
     zero_potential,
 )
@@ -468,15 +468,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="1e-5"):
             check_epsilons([1e-1, 1e-6])
 
-    def test_csv_shape(self, tmp_path, problem):
-        model, gram, grid, x0, z = problem
-        entries = [e for e, _ in epsilon_sweep(model, gram, grid, zero_potential(), z, x0,
-                                               [1e-1, 1e-2])]
-        path = tmp_path / "sweep.csv"
-        sweep_to_csv(entries, str(path), ("tag=test",))
-        lines = path.read_text().splitlines()
+    def test_csv_shape(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(default_config_text())
+        settings = ["model.modes=4", "solver.steps=96", "solver.n_theta=64",
+                    "sweep.epsilons=1e-1, 1e-2", "problem.potential=zero"]
+        assert main(["sweep", str(config)] + [a for s in settings for a in ("--set", s)]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("# fracheat=")
         assert lines[1] == "epsilon,terminal_miss,control_energy,iterations,converged"
-        assert len(lines) == 2 + len(entries)
+        assert len(lines) == 2 + 2
+        assert [line.split(",")[0] for line in lines[2:]] == ["0.1", "0.01"]
 
 
 class TestHviResidual:
@@ -510,6 +512,16 @@ def test_free_terminal_miss(problem):
     free = mild_solution(model, grid, x0)
     want = lp_norm(basis_matrix(8, 256) @ (z - free.terminal), 2.0)
     assert free_terminal_miss(model, grid, z, x0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("settings", [
+    [], ["model.p=4"], ["model.modes=16", "problem.target=sine:3:0.7"]])
+def test_free_terminal_miss_is_the_free_runs_terminal_miss(settings):
+    # the deficiency's terminal sum against the full free trajectory, bit for bit
+    exp = build_experiment(load_config(CONFIG_PATH, settings), CONFIG_PATH.parent)
+    free = mild_solution(exp.model, exp.grid, exp.x0)
+    want, = lp_norms(exp.target - free.terminal, exp.model.n_theta, exp.model.p)
+    assert free_terminal_miss(exp.model, exp.grid, exp.target, exp.x0) == float(want)
 
 
 @pytest.mark.parametrize("alpha,p", [(0.6, 2.0), (0.9, 4.0)])

@@ -1,7 +1,8 @@
 """Module boundaries of the package.
 
 No module imports an underscore-prefixed name from a sibling module: private
-helpers stay private to the module that owns them.  Every public name, and
+helpers stay private to the module that owns them.  `cli` is the one module
+that writes files.  Every public name, and
 every public method or property of a package class, has a caller in the
 package, or a stated reason to stay: a wrapper that only tests call is not
 kept."""
@@ -40,6 +41,56 @@ def test_checker_flags_a_private_import(tmp_path):
     sample.write_text("from . import __version__\nfrom .evolve import _tables, mild_solution\n"
                       "from numpy import _globals\n")
     assert private_sibling_imports(sample) == ["sample.py:2 imports _tables from .evolve"]
+
+
+WRITE_MODES = set("wax+")
+
+
+def file_writes(path: Path) -> list[str]:
+    """Each `import csv`, `open(..., <write mode>)`, `write_text`,
+    `write_bytes` and `json.dump` call in the module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        what = None
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            what = "imports csv"
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            what = "imports from csv"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            mode = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+            if name == "open" and any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                                      and WRITE_MODES & set(m.value) for m in mode):
+                what = "opens a file for writing"
+            elif name in ("write_text", "write_bytes"):
+                what = f"calls {name}"
+            elif (name == "dump" and isinstance(func, ast.Attribute)
+                  and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                what = "calls json.dump"
+        if what is not None:
+            found.append(f"{path.name}:{node.lineno} {what}")
+    return found
+
+
+def test_only_cli_writes_files():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py")
+    assert modules
+    assert [hit for path in modules for hit in file_writes(path)] == []
+    assert file_writes(PACKAGE / "cli.py")  # the check still sees the writer
+
+
+def test_checker_flags_each_file_write(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import csv, json\nfrom pathlib import Path\n"
+                      "open('a.txt').read()\nopen('b.txt', 'rb')\n"
+                      "open('c.txt', 'w')\nPath('d').open(mode='a')\n"
+                      "Path('e').write_text('x')\nPath('f').write_bytes(b'')\n"
+                      "json.dump({}, None)\njson.dumps({})\n")
+    assert file_writes(sample) == [
+        "sample.py:1 imports csv", "sample.py:5 opens a file for writing",
+        "sample.py:6 opens a file for writing", "sample.py:7 calls write_text",
+        "sample.py:8 calls write_bytes", "sample.py:9 calls json.dump"]
 
 
 # Public names that no code in the package calls, each with the reason it stays.

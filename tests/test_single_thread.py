@@ -22,14 +22,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracheat
 import fracheat.hvi as hvi_module
-from fracheat.cli import _density_checks, main
+import fracheat.cli as cli_module
+from fracheat.cli import _density_checks, _write_csv, _write_node_table, main
 from fracheat.config import build_experiment, load_config
-from fracheat.evolve import Trajectory, mild_solution, trajectory_to_csv
+from fracheat.evolve import mild_solution
 from fracheat.fracops import mittag_leffler, mittag_leffler2, wright_density
-from fracheat.gramian import assemble_gramian, gramian_to_csv
+from fracheat.gramian import assemble_gramian
 from fracheat.hvi import (
     SweepEntry,
     abs_potential,
@@ -37,7 +40,6 @@ from fracheat.hvi import (
     fixed_point_iterate,
     forcing_to_coordinates,
     hvi_residual,
-    sweep_to_csv,
 )
 from fracheat.lpspace import basis_coefficients, basis_matrix, basis_values, theta_grid
 
@@ -203,7 +205,9 @@ class TestCsvBytes:
                 ["node", "t"] + [f"u{i}" for i in range(1, n + 1)],
                 ([k, t, *control[k]] for k, t in enumerate(nodes)), (header,))
 
-    def test_failed_entry_and_signed_zero(self):
+    def test_failed_entry_and_signed_zero(self, tmp_path, monkeypatch):
+        # the sweep command's rows for entries as a sweep may yield them:
+        # a failure, a signed zero and numpy scalars
         entries = [
             SweepEntry(1e-1, 0.25, -0.0, 3, True, 0.0, 0.25),
             SweepEntry(1e-3, math.nan, math.nan, 0, False, math.nan, math.nan,
@@ -211,29 +215,50 @@ class TestCsvBytes:
             SweepEntry(np.float64(1e-4), np.float64(1 / 3), 1e-300, np.int64(2), np.bool_(True),
                        0.0, 0.0),
         ]
-        buf = io.StringIO(newline="")
-        sweep_to_csv(entries, buf, ("h",))
+        monkeypatch.setattr(cli_module, "epsilon_sweep",
+                            lambda *args, **kwargs: ((e, None) for e in entries))
+        path = tmp_path / "exp.cfg"
+        path.write_text((ROOT / "configs" / "heat_default.cfg").read_text())
+        args = []
+        for item in self.SMALL + ["output.formats=csv"]:
+            args += ["--set", item]
+        assert main(["sweep", str(path)] + args) == 2
+        text = (tmp_path / "out" / "sweep.csv").read_bytes().decode()
         want = old_bytes(["epsilon", "terminal_miss", "control_energy", "iterations", "converged"],
                          ([e.epsilon, e.terminal_miss, e.control_energy, e.iterations,
-                           e.converged] for e in entries))
-        assert buf.getvalue() == want
+                           e.converged] for e in entries), (text.splitlines()[0][2:],))
+        assert text == want
         assert "0.001,nan,nan,0,False\r\n" in want and ",-0.0," in want
 
-    def test_trajectory_and_gramian_match_old_writer(self, model_p2, gram_p2, grid_512):
+    def test_trajectory_and_gramian_match_old_writer(self, tmp_path, model_p2, grid_512):
         states = mild_solution(model_p2, grid_512, bump_coefficients(8)).states.copy()
         states[5, 1], states[6, 1] = -0.0, 0.0
-        traj = Trajectory(grid_512, states)
-        buf = io.StringIO(newline="")
-        trajectory_to_csv(traj, buf, ("h",))
-        assert ",-0.0," in buf.getvalue()
-        assert buf.getvalue() == old_bytes(
+        _write_node_table(tmp_path / "trajectory.csv", ("h",), grid_512.nodes, "c", states)
+        text = (tmp_path / "trajectory.csv").read_bytes().decode()
+        assert ",-0.0," in text
+        assert text == old_bytes(
             ["node", "t"] + [f"c{i}" for i in range(1, 9)],
-            ([k, t, *traj.states[k]] for k, t in enumerate(grid_512.nodes)))
-        buf = io.StringIO(newline="")
-        gramian_to_csv(gram_p2, buf, ("h",))
-        assert buf.getvalue() == old_bytes(
+            ([k, t, *states[k]] for k, t in enumerate(grid_512.nodes)))
+        path = tmp_path / "exp.cfg"
+        path.write_text((ROOT / "configs" / "heat_default.cfg").read_text())
+        assert main(["gramian", str(path)]) == 0
+        exp = build_experiment(load_config(str(path)), tmp_path)
+        gram = assemble_gramian(exp.model, exp.grid)
+        text = (tmp_path / "out" / "gramian.csv").read_bytes().decode()
+        assert text == old_bytes(
             ["row"] + [f"c{j}" for j in range(1, 9)],
-            ([i + 1, *gram_p2[i]] for i in range(8)))
+            ([i + 1, *gram[i]] for i in range(8)), (text.splitlines()[0][2:],))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.integers(-2**63, 2**63), st.booleans(), st.floats(),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                         2.2250738585072014e-308, 1e16, -1e-320, 1e301, -1.7976931348623157e308,
+                         1e-305])), max_size=6), max_size=8))
+    def test_join_writer_matches_csv_module(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "join_writer.csv"
+        _write_csv(path, ("h",), ["a", "b", "c"], rows)
+        assert path.read_bytes().decode() == old_bytes(["a", "b", "c"], rows)
 
 
 # probe scripts run in a fresh interpreter: argv = (config path, output dir);
