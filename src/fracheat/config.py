@@ -13,10 +13,17 @@ trajectory channels share.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+try:  # the interpreter's own sha256: hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -95,7 +102,7 @@ def _hash(raw: dict) -> str:
     canon = ";".join(
         f"{s}.{k}={raw[s][k]}" for s in sorted(raw) for k in sorted(raw[s])
     )
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return sha256(canon.encode()).hexdigest()[:16]
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:

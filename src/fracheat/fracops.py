@@ -42,6 +42,7 @@ __all__ = [
     "singular_conv_weights",
     "l1_coefficients",
     "row_blocks",
+    "gaussian_rows",
     "as_integer",
 ]
 
@@ -200,6 +201,12 @@ def row_blocks(n_rows: int, n_cols: int):
     """Row slices whose (rows, n_cols) float64 temporaries stay near _BLOCK_BYTES (256 KB)."""
     step = max(1, _BLOCK_BYTES // (8 * n_cols))
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
+def gaussian_rows(rng, rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) standard normal draws, row by row, from a `random.Random`:
+    numpy.random would add ~6 MB to the footprint of a command."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(rows * cols)]).reshape(rows, cols)
 
 
 def as_integer(value, key: str) -> int:

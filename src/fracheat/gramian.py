@@ -13,12 +13,13 @@ verification report re-derives them numerically anyway.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolve import propagator
-from .fracops import TimeGrid, as_integer
+from .fracops import TimeGrid, as_integer, gaussian_rows
 from .lpspace import lp_norms
 from .spectral import SpectralModel
 
@@ -84,15 +85,15 @@ def verify_gramian(
     """Numerical audit: symmetry, positivity, the quadratic-form identity
     <x*, G x*> = int sigma^(alpha-1) ||B* T*(sigma) x*||^2 dsigma (computed on
     the nodes of `grid`, the Gramian's own, through an independent code path),
-    and the norm bound."""
+    and the norm bound, the last two on `n_samples` standard normal x* drawn
+    from the standard library's `random.Random(seed)`."""
     defect = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
     min_eig = float(np.linalg.eigvalsh(0.5 * (gram + gram.T)).min())
 
     prop = propagator(model, grid)
     weights, mults = prop.terminal_weights, prop.e_force
-    rng = np.random.default_rng(seed)
     bound = gramian_norm_bound(model)
-    xstars = rng.standard_normal((n_samples, model.n_modes))
+    xstars = gaussian_rows(random.Random(seed), n_samples, model.n_modes)
     worst_gap = 0.0
     for xstar in xstars:
         lhs = float(xstar @ gram @ xstar)

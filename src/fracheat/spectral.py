@@ -183,11 +183,12 @@ def _kernel_norm_bounds(kernel: KernelSpec, p: float, n_theta: int) -> tuple[flo
     (Hoelder in the inner variable)."""
     theta = theta_grid(n_theta)
     h = math.pi / n_theta
-    tt, oo = np.meshgrid(theta, theta, indexing="ij")
-    k = kernel.values(tt, oo)
-    row_l2 = np.sum(k * k, axis=1) * h
+    row_l2, row_lp = np.empty(n_theta), np.empty(n_theta)
+    for rows in row_blocks(n_theta, n_theta):
+        k = kernel.values(theta[rows, None], theta[None, :])
+        row_l2[rows] = np.sum(k * k, axis=1) * h
+        row_lp[rows] = np.sum(np.abs(k) ** p, axis=1) * h
     bound_l2_lp = (np.sum(row_l2 ** (p / 2.0)) * h) ** (1.0 / p)
-    row_lp = np.sum(np.abs(k) ** p, axis=1) * h
     bound_lq_lp = (np.sum(row_lp) * h) ** (1.0 / p)
     return float(bound_l2_lp) * (1.0 + 1e-9), float(bound_lq_lp) * (1.0 + 1e-9)
 

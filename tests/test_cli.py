@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import fracheat
 from fracheat.cli import main
-from fracheat.config import build_experiment, default_config_text, load_config
+from fracheat.config import _hash, build_experiment, default_config_text, load_config
 from fracheat.control import check_resolvent_max_iter, check_resolvent_tol
 from fracheat.gramian import check_steps
 from fracheat.hvi import check_fixed_point_max_iter, check_fixed_point_tol, check_relaxation, \
@@ -18,6 +19,7 @@ from fracheat.hvi import check_fixed_point_max_iter, check_fixed_point_tol, chec
 from fracheat.lpspace import basis_matrix, theta_grid
 
 
+BUNDLED = Path(__file__).resolve().parents[1] / "configs" / "heat_default.cfg"
 SMALL_OVERRIDES = [
     "--set", "model.modes=4",
     "--set", "solver.steps=96",
@@ -131,6 +133,19 @@ class TestConfig:
         b = load_config(config_file, ["model.modes=4"])
         assert a.sha256 != b.sha256
 
+    @pytest.mark.parametrize("overrides", [[], ["model.p=4"], ["model.modes=4", "solver.seed=7"],
+                                           ["problem.target=bump", "sweep.epsilons=1e-2"]])
+    def test_hash_is_the_sha256_of_the_canonical_dump(self, overrides):
+        # the interpreter's built-in sha256 gives what hashlib's OpenSSL one gives
+        cfg = load_config(BUNDLED, overrides)
+        canon = ";".join(f"{s}.{k}={cfg.raw[s][k]}" for s in sorted(cfg.raw)
+                         for k in sorted(cfg.raw[s]))
+        assert _hash(cfg.raw) == cfg.sha256 == hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+    def test_bundled_config_hash_is_pinned(self):
+        # the header of every output file made from the bundled config carries it
+        assert load_config(BUNDLED).sha256 == "51bb3671c73a2695"
+
     def test_state_specs(self, config_file):
         cfg = load_config(config_file, ["problem.x0=sine:2:0.5"])
         exp = build_experiment(cfg, config_file.parent)
@@ -174,6 +189,26 @@ class TestCommands:
         assert rc == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("p", ["2", "4"])
+    def test_validate_seed_fixes_the_sample_lines(self, config_file, capsys, p):
+        def run(seed):
+            assert main(["validate", str(config_file), *SMALL_OVERRIDES, "--set", f"model.p={p}",
+                         "--set", f"solver.seed={seed}"]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        first, again, other = run(3), run(3), run(4)
+        assert first == again
+        assert len(first) == len(other) == 13
+        assert all(line.startswith("[PASS] ") for line in first + other)
+        changed = {a[len("[PASS] "):].split(":")[0] for a, b in zip(first, other) if a != b}
+        # only the checks that draw sample vectors move with the seed
+        assert changed <= {"duality map <f, Jf> identity", "duality map norm identity",
+                           "state-family bound M", "forcing-family bound M/Gamma(alpha)",
+                           "gramian quadratic-form identity", "gramian norm bound",
+                           "resolvent contraction bound"}
+        assert {"state-family bound M", "forcing-family bound M/Gamma(alpha)",
+                "resolvent contraction bound"} <= changed
 
     def test_validate_rejects_bad_alpha(self, config_file, capsys):
         rc = main(["validate", str(config_file), "--set", "model.alpha=0.4"])
@@ -350,22 +385,34 @@ class TestCommands:
         assert "[PASS]" in done.stdout
         assert "[FAIL]" not in done.stdout
 
-    def test_commands_run_without_scipy(self, config_file):
-        # scipy serves only E_{1,b} with b != 1 and the tests: neither a p = 4
-        # validate nor a sweep may import any of it
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        # no command imports numpy.random (sample vectors come from the
+        # standard library), _hashlib (OpenSSL; the config digest is the
+        # interpreter's own sha256), numpy.ma, or scipy, which serves only
+        # E_{1,b} with b != 1 and the tests.  Names match exactly or as a
+        # package prefix: numpy.matrixlib loads with numpy itself
         src = Path(fracheat.__file__).resolve().parents[1]
-        cfg = str(config_file)
-        code = ("import sys; from fracheat.cli import main; "
-                f"assert main(['validate', {cfg!r}, '--set', 'model.p=4']) == 0; "
-                f"assert main(['sweep', {cfg!r}, '--set', 'solver.steps=64']) == 0; "
-                "loaded = sorted(m for m in sys.modules if m.startswith('scipy')); "
-                "assert not loaded, loaded")
+        cfg = tmp_path / BUNDLED.name
+        cfg.write_text(BUNDLED.read_text())
+        code = (
+            "import json, sys; from fracheat.cli import main\n"
+            f"cfg, small = {str(cfg)!r}, {SMALL_OVERRIDES!r}\n"
+            "codes = [main(['validate', cfg, *small, '--set', 'model.p=4']),\n"
+            "         main(['gramian', cfg, *small]),\n"
+            "         main(['simulate', cfg, *small, '--forcing-coeffs', '0.4,0.1',\n"
+            "               '--control-coeffs', '0.2,-0.1']),\n"
+            "         main(['sweep', cfg, *small])]\n"
+            "heavy = ('numpy.random', '_hashlib', 'numpy.ma', 'scipy')\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if any(m == h or m.startswith(h + '.') for h in heavy))]))\n"
+        )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=300, cwd=config_file.parent)
+                              text=True, timeout=300, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         assert "[FAIL]" not in done.stdout
+        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
 
     def test_unconverged_resolvent_is_reported(self, config_file):
         # no solve can meet a residual of 1e-300 |d|: any nonzero rounding

@@ -19,7 +19,7 @@ from fracheat.spectral import (
     propagate_state,
     state_multipliers,
 )
-from fracheat.lpspace import lp_norms
+from fracheat.lpspace import lp_norms, theta_grid
 
 from conftest import ORDER, density_on_gauss_grid
 
@@ -74,6 +74,28 @@ def unblocked_kernel_matrix(kernel, n_modes):
     inner = np.einsum("ipq,ipq,ipqn->in", half * gw, kv, scale * np.sin(u[..., None] * mode))
     mat = np.einsum("i,im,in->mn", w_out, scale * np.sin(np.outer(t_out, mode)), inner)
     return 0.5 * (mat + mat.T)
+
+
+def reference_kernel_norm_bounds(kernel, p, n_theta):
+    """The earlier norm bounds: the kernel on the whole (n_theta, n_theta)
+    meshgrid, then two sums per row."""
+    theta = theta_grid(n_theta)
+    h = math.pi / n_theta
+    tt, oo = np.meshgrid(theta, theta, indexing="ij")
+    k = kernel.values(tt, oo)
+    row_l2 = np.sum(k * k, axis=1) * h
+    bound_l2_lp = (np.sum(row_l2 ** (p / 2.0)) * h) ** (1.0 / p)
+    row_lp = np.sum(np.abs(k) ** p, axis=1) * h
+    bound_lq_lp = (np.sum(row_lp) * h) ** (1.0 / p)
+    return float(bound_l2_lp) * (1.0 + 1e-9), float(bound_lq_lp) * (1.0 + 1e-9)
+
+
+def norm_bound_kernels():
+    """The named kernels and a symmetric, non-separable 24 x 24 table."""
+    x = (np.arange(24) + 0.5) * math.pi / 24
+    table = (np.minimum.outer(x, x) * (math.pi - np.maximum.outer(x, x))
+             + 0.1 * np.cos(np.add.outer(x, x)))
+    return [KernelSpec("green"), KernelSpec("min"), KernelSpec("custom", table)]
 
 
 class TestKernelAssembly:
@@ -164,6 +186,28 @@ class TestKernelAssembly:
             KernelSpec("custom")
         with pytest.raises(ValueError):
             KernelSpec("green", np.ones((16, 16)))
+
+
+class TestKernelNormBounds:
+    # n_theta = 4096 (1.3 GB for the meshgrid reference of the table kernel)
+    # was checked bitwise once, outside the suite
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.5])
+    @pytest.mark.parametrize("n_theta", [16, 64, 256, 1024])
+    def test_row_blocks_match_the_meshgrid_formula(self, n_theta, p):
+        for kernel in norm_bound_kernels():
+            assert _kernel_norm_bounds(kernel, p, n_theta) == \
+                reference_kernel_norm_bounds(kernel, p, n_theta)
+
+    def test_holds_no_full_grid(self):
+        # one (1024, 1024) float64 grid is 8.4 MB; the row blocks peak near 1.2 MB
+        for kernel in norm_bound_kernels():
+            tracemalloc.start()
+            try:
+                _kernel_norm_bounds(kernel, 3.0, 1024)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2e6, kernel.kind
 
 
 class TestOperatorFamilies:
