@@ -169,10 +169,16 @@ def cmd_gramian(exp: Experiment) -> int:
     return _EXIT_OK if report.all_ok else _EXIT_VALIDATION
 
 
-def _parse_coeff_list(text: str | None, n_modes: int) -> np.ndarray | None:
+def _parse_coeff_list(text: str | None, n_modes: int, flag: str) -> np.ndarray | None:
+    """`flag`'s comma-separated values zero-padded to n_modes: at most n_modes finite numbers."""
     if text is None:
         return None
-    vals = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        vals = [math.nan]
+    if len(vals) > n_modes or not all(map(math.isfinite, vals)):
+        raise ValueError(f"{flag} takes at most {n_modes} finite numbers, got {text!r}")
     out = np.zeros(n_modes)
     out[: len(vals)] = vals
     return out
@@ -182,10 +188,14 @@ def cmd_simulate(exp: Experiment, forcing_coeffs: str | None, control_coeffs: st
     model, grid = exp.model, exp.grid
     shape = (grid.steps + 1, model.n_modes)
     forcing = control = None
-    fc = _parse_coeff_list(forcing_coeffs, model.n_modes)
+    try:
+        fc = _parse_coeff_list(forcing_coeffs, model.n_modes, "--forcing-coeffs")
+        uc = _parse_coeff_list(control_coeffs, model.n_modes, "--control-coeffs")
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return _EXIT_VALIDATION
     if fc is not None:
         forcing = np.tile(model.h_matrix @ fc, (shape[0], 1))
-    uc = _parse_coeff_list(control_coeffs, model.n_modes)
     if uc is not None:
         control = np.tile(model.b_matrix @ uc, (shape[0], 1))
     traj = mild_solution(model, grid, exp.x0, forcing=forcing, control=control)

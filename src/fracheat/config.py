@@ -151,30 +151,29 @@ def _parse_kernel(spec: str, base: Path) -> KernelSpec:
     raise ValueError(f"kernel must be green, min or table:<path>, got {spec!r}")
 
 
-def _parse_state(spec: str, n_modes: int, n_theta: int) -> np.ndarray:
+def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
     spec = spec.strip()
-    if spec == "zero":
-        return np.zeros(n_modes)
+    out = np.zeros(n_modes)
     if spec == "bump":
         theta = theta_grid(n_theta)
-        return basis_matrix(n_modes, n_theta).T @ (theta * (math.pi - theta)) * (math.pi / n_theta)
-    if spec.startswith("coeffs:"):
+        out = basis_matrix(n_modes, n_theta).T @ (theta * (math.pi - theta)) * (math.pi / n_theta)
+    elif spec.startswith("coeffs:"):
         vals = [float(v) for v in spec[len("coeffs:"):].split(",") if v.strip()]
         if len(vals) > n_modes:
             raise ValueError(f"state spec has {len(vals)} coefficients, model has {n_modes} modes")
-        out = np.zeros(n_modes)
         out[: len(vals)] = vals
-        return out
-    if spec.startswith("sine:"):
+    elif spec.startswith("sine:"):
         parts = spec[len("sine:"):].split(":")
         n = int(parts[0])
         amp = float(parts[1]) if len(parts) > 1 else 1.0
         if not 1 <= n <= n_modes:
             raise ValueError(f"sine mode {n} outside 1..{n_modes}")
-        out = np.zeros(n_modes)
         out[n - 1] = amp
-        return out
-    raise ValueError(f"state must be zero, bump, coeffs:... or sine:n[:amp], got {spec!r}")
+    elif spec != "zero":
+        raise ValueError(f"state must be zero, bump, coeffs:... or sine:n[:amp], got {spec!r}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{key} coefficients must be finite, got {spec!r}")
+    return out
 
 
 def _parse_potential(spec: str, base: Path, horizon: float) -> NonsmoothPotential:
@@ -244,8 +243,8 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         config=cfg,
         model=model,
         grid=TimeGrid(horizon, check_steps(solver["steps"])),
-        x0=_parse_state(cfg["problem"]["x0"], n_modes, n_theta),
-        target=_parse_state(cfg["problem"]["target"], n_modes, n_theta),
+        x0=_parse_state("x0", cfg["problem"]["x0"], n_modes, n_theta),
+        target=_parse_state("target", cfg["problem"]["target"], n_modes, n_theta),
         potential=_parse_potential(cfg["problem"]["potential"], base, horizon),
         resolvent_tol=check_resolvent_tol(solver["resolvent_tol"]),
         resolvent_max_iter=check_resolvent_max_iter(solver["resolvent_max_iter"]),

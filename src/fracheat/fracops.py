@@ -91,8 +91,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
 

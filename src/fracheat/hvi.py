@@ -8,9 +8,10 @@ while the trajectory gap shrinks and with Krasnoselskii averaging in forcing
 space, where convex combinations stay admissible, from the first step that
 fails to shrink it.  Non-convergence is a reported outcome, not an
 exception: existence of the fixed point is topological and the iteration is
-a heuristic.  A solve holds two (steps+1, n_theta) arrays, the iterate and
-the new selection (built in row blocks); `epsilon_sweep` yields one epsilon
-at a time.
+a heuristic.  A solve holds one (steps+1, n_theta) array, the iterate: each
+step selects, relaxes and projects it in one pass over row blocks, and a
+full step whose selection is the iterate bit for bit ends the solve without
+re-running its closed loop.  `epsilon_sweep` yields one epsilon at a time.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def zero_potential() -> NonsmoothPotential:
 
 def abs_potential(c: float) -> NonsmoothPotential:
     """F = c |r|: derivative interval c sign(r), [-c, c] at the kink."""
-    if c < 0:
-        raise ValueError("coefficient must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"abs potential coefficient must be finite and >= 0, got {c}")
 
     def val(t, theta, r):
         return c * np.abs(np.asarray(r, dtype=float))
@@ -108,8 +109,9 @@ def abs_potential(c: float) -> NonsmoothPotential:
 
 def saturating_potential(c: float, cap: float = 1.0) -> NonsmoothPotential:
     """F = c min(|r|, cap): kinks at r = 0 and |r| = cap, derivative 0 beyond."""
-    if c < 0 or cap <= 0:
-        raise ValueError("need c >= 0 and cap > 0")
+    if not (0.0 <= c < math.inf and cap > 0.0):
+        raise ValueError(f"sat potential needs a finite c >= 0 and cap > 0, "
+                         f"got c={c}, cap={cap}")
 
     def val(t, theta, r):
         return c * np.minimum(np.abs(np.asarray(r, dtype=float)), cap)
@@ -172,26 +174,20 @@ def check_strategy(strategy: str) -> str:
     return strategy
 
 
-def select_forcing(
-    pot: NonsmoothPotential,
-    strategy: str,
-    trajectory: Trajectory,
-    model: SpectralModel,
-    previous: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pointwise admissible forcing g(t_k, theta_j) in the derivative interval
-    along the trajectory, shape (steps+1, n_theta), written into `out` if given;
-    nodes go in row blocks (`fracops.row_blocks`) of ~256 KB temporaries."""
+def _selection_blocks(pot: NonsmoothPotential, strategy: str, trajectory: Trajectory,
+                      model: SpectralModel, previous: np.ndarray | None):
+    """(rows, selection) over the row blocks (`fracops.row_blocks`, ~256 KB
+    temporaries) of the nodes: the one selection rule and bound check of
+    `select_forcing` and the fixed point.  Each selection overwrites its
+    block's grid values of the state, and a block of `previous` is read only
+    when its selection is made."""
     check_strategy(strategy)
     nodes = trajectory.grid.nodes
     theta = theta_grid(model.n_theta)
     bound = np.broadcast_to(pot.eta(nodes), nodes.shape)
-    g = np.empty((nodes.size, model.n_theta)) if out is None else out
     for rows in row_blocks(nodes.size, model.n_theta):
-        lo, hi = pot.interval(nodes[rows, None], theta,
-                              basis_values(trajectory.states[rows], model.n_theta))
-        block = g[rows]
+        block = basis_values(trajectory.states[rows], model.n_theta)  # r, then the selection
+        lo, hi = pot.interval(nodes[rows, None], theta, block)
         if strategy == "midpoint":
             np.multiply(0.5, lo + hi, out=block)
         elif strategy == "sign_zero":
@@ -202,6 +198,22 @@ def select_forcing(
             np.clip(0.0, lo, hi, out=block)
         if np.any(np.maximum(block.max(axis=1), -block.min(axis=1)) > bound[rows] + 1e-12):  # max |g|
             raise AssertionError("selection escaped the admissible bound")
+        del lo, hi  # before the caller's pass over the block and the next block's temporaries
+        yield rows, block
+
+
+def select_forcing(
+    pot: NonsmoothPotential,
+    strategy: str,
+    trajectory: Trajectory,
+    model: SpectralModel,
+    previous: np.ndarray | None = None,
+) -> np.ndarray:
+    """Pointwise admissible forcing g(t_k, theta_j) in the derivative interval
+    along the trajectory, shape (steps+1, n_theta)."""
+    g = np.empty((trajectory.grid.steps + 1, model.n_theta))
+    for rows, block in _selection_blocks(pot, strategy, trajectory, model, previous):
+        g[rows] = block
     return g
 
 
@@ -222,8 +234,10 @@ class FixedPointResult:
     iteration, and `fixed_point_residual` the sup-norm trajectory change
     under one more unrelaxed application of the composite map -- the
     dynamics-vs-membership gap inherent to stopping at tolerance.  When the
-    selection equals the iterate bit for bit (the audit run is skipped), `g`
-    and `g_relaxed` are the same array.
+    selection equals the iterate (the audit run is skipped), `g` and
+    `g_relaxed` are the same array.  `closed_loops` counts the closed loops
+    run: the initial one, the audit's, and one per step but a settled last
+    step, whose selection is the iterate bit for bit (gap 0.0).
     """
 
     g: np.ndarray
@@ -233,6 +247,7 @@ class FixedPointResult:
     iterations: int
     converged: bool
     fixed_point_residual: float
+    closed_loops: int
 
 
 def _trajectory_gap(model: SpectralModel, a: Trajectory, b: Trajectory) -> float:
@@ -286,33 +301,40 @@ def fixed_point_iterate(
     g <- (1 - relaxation) g + relaxation selection (Krasnoselskii), so
     `relaxation` is the damping used once full steps stop contracting.
     Stops when successive trajectories differ by at most tol in the sup (over
-    nodes) state norm; exhaustion of max_iter returns the last iterate
-    flagged as non-converged.
+    nodes) state norm, or when a full step's selection is the iterate bit for
+    bit, whose closed loop is the current one (gap 0.0); exhaustion of
+    max_iter returns the last iterate flagged as non-converged.
     """
     relaxation = check_relaxation(relaxation)
 
-    def run_for(g: np.ndarray) -> ClosedLoopRun:
+    def run_for(forcing: np.ndarray) -> ClosedLoopRun:
         return closed_loop_trajectory(
-            model, gram, grid, epsilon, z, x0,
-            forcing=forcing_to_coordinates(model, g),
+            model, gram, grid, epsilon, z, x0, forcing=forcing,
             tol=resolvent_tol, max_iter=resolvent_max_iter,
         )
 
     g = np.zeros((grid.steps + 1, model.n_theta))
-    # one selection buffer per solve: a fresh grid array re-faults its pages
-    g_sel = np.empty_like(g)
-    run = run_for(g)
+    run, closed_loops = run_for(forcing_to_coordinates(model, g)), 1
     residuals: list[float] = []
-    converged = False
+    converged = settled = False
     iterations = 0
     omega = 1.0
     for iterations in range(1, max_iter + 1):
-        select_forcing(pot, strategy, run.trajectory, model, previous=g, out=g_sel)
-        # g <- (1 - omega) g + omega g_sel, in place: both arrays are this loop's own
-        g *= 1.0 - omega
-        g_sel *= omega
-        g += g_sel
-        run_new = run_for(g)
+        # g <- (1 - omega) g + omega selection in place, projected block by block
+        coefficients = np.empty((grid.steps + 1, model.n_modes))
+        settled = omega == 1.0
+        for rows, selection in _selection_blocks(pot, strategy, run.trajectory, model, g):
+            block = g[rows]
+            settled = settled and np.array_equal(selection.view(np.int64), block.view(np.int64))
+            block *= 1.0 - omega
+            selection *= omega
+            block += selection
+            coefficients[rows] = basis_coefficients(block, model.n_modes)
+        if settled:  # 0 g + g is g, signed zeros too: g's closed loop is `run`, bit for bit
+            residuals.append(0.0)
+            converged = True
+            break
+        run_new, closed_loops = run_for(coefficients @ model.h_matrix.T), closed_loops + 1
         gap = _trajectory_gap(model, run_new.trajectory, run.trajectory)
         if residuals and gap >= residuals[-1]:
             omega = relaxation  # full steps stopped contracting: average from here on
@@ -321,12 +343,13 @@ def fixed_point_iterate(
         if gap <= tol:
             converged = True
             break
-    g_select = select_forcing(pot, strategy, run.trajectory, model, previous=g, out=g_sel)
-    if np.array_equal(g_select, g):
+    g_select = g if settled else select_forcing(pot, strategy, run.trajectory, model, previous=g)
+    if settled or np.array_equal(g_select, g):
         g_select = g  # one array for both fields
         fp_residual = 0.0  # the audit run would be `run` itself, bit for bit
     else:
-        fp_residual = _trajectory_gap(model, run_for(g_select).trajectory, run.trajectory)
+        audit, closed_loops = run_for(forcing_to_coordinates(model, g_select)), closed_loops + 1
+        fp_residual = _trajectory_gap(model, audit.trajectory, run.trajectory)
     return FixedPointResult(
         g=g_select,
         g_relaxed=g,
@@ -335,6 +358,7 @@ def fixed_point_iterate(
         iterations=iterations,
         converged=converged,
         fixed_point_residual=fp_residual,
+        closed_loops=closed_loops,
     )
 
 
@@ -342,8 +366,9 @@ def fixed_point_iterate(
 class SweepEntry:
     """One epsilon of a sweep.  A failed solve has NaN numbers and keeps its
     `ConvergenceError` message and resolvent residual history; a solved one
-    keeps the fixed point's trajectory gap per iteration and its
-    `fixed_point_residual`."""
+    keeps the fixed point's trajectory gap per iteration, its
+    `fixed_point_residual` and its closed-loop count (0 on a failed solve,
+    as `iterations`)."""
 
     epsilon: float
     terminal_miss: float
@@ -356,6 +381,7 @@ class SweepEntry:
     residual_history: list[float] = field(default_factory=list)
     fixed_point_residual: float = math.nan
     fixed_point_history: list[float] = field(default_factory=list)
+    closed_loops: int = 0
 
 
 def free_terminal_miss(model: SpectralModel, grid: TimeGrid, z: np.ndarray,
@@ -424,6 +450,7 @@ def epsilon_sweep(
             predicted_miss=float(predicted),
             fixed_point_residual=fp.fixed_point_residual,
             fixed_point_history=list(fp.residuals),
+            closed_loops=fp.closed_loops,
         ), fp
 
     return map(solve, eps)

@@ -115,10 +115,10 @@ class SpectralModel:
     def __post_init__(self) -> None:
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if not self.p >= 2.0:
-            raise ValueError(f"state exponent p must be >= 2, got {self.p}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not 2.0 <= self.p < math.inf:  # L^inf is not reflexive
+            raise ValueError(f"state exponent p must be finite and >= 2, got {self.p}")
         ev = np.asarray(self.eigenvalues, dtype=float)
         if ev.shape != (self.n_modes,):
             raise ValueError("eigenvalues must have one entry per mode")
@@ -212,6 +212,8 @@ def build_model(
     """Assemble the diagonal-generator model with kernel operators B and H."""
     kernel_b = kernel_b if kernel_b is not None else KernelSpec("green")
     kernel_h = kernel_h if kernel_h is not None else KernelSpec("green")
+    if n_modes < 1:  # before any array is sized by it
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if n_modes > n_theta // 2:
         raise ValueError(f"resolution guard: n_modes={n_modes} exceeds n_theta/2={n_theta // 2}")
     eigenvalues = -np.arange(1, n_modes + 1, dtype=float) ** 2

@@ -120,6 +120,33 @@ class TestConfig:
         assert capsys.readouterr().err == (
             f"configuration error: {key} must be an integer, got {value!r}\n")
 
+    @pytest.mark.parametrize("setting,message", [
+        ("model.modes=0", "n_modes must be >= 1, got 0"),
+        ("model.modes=-3", "n_modes must be >= 1, got -3"),
+        ("model.horizon=inf", "horizon must be positive and finite, got inf"),
+        ("model.horizon=1e400", "horizon must be positive and finite, got inf"),
+        ("model.p=inf", "state exponent p must be finite and >= 2, got inf"),
+        ("problem.potential=abs:nan", "abs potential coefficient must be finite and >= 0, got nan"),
+        ("problem.potential=abs:inf", "abs potential coefficient must be finite and >= 0, got inf"),
+        ("problem.potential=sat:inf",
+         "sat potential needs a finite c >= 0 and cap > 0, got c=inf, cap=1.0"),
+        ("problem.potential=sat:1:nan",
+         "sat potential needs a finite c >= 0 and cap > 0, got c=1.0, cap=nan"),
+        ("problem.x0=coeffs: 1, nan", "x0 coefficients must be finite, got 'coeffs: 1, nan'"),
+        ("problem.x0=sine:2:inf", "x0 coefficients must be finite, got 'sine:2:inf'"),
+        ("problem.target=coeffs: 0.6, -inf",
+         "target coefficients must be finite, got 'coeffs: 0.6, -inf'"),
+    ])
+    def test_model_and_problem_guard_exits_1_naming_its_key(self, config_file, capsys, setting,
+                                                           message):
+        """A non-finite or empty model or problem setting fails before any
+        work, through the constructor that owns it, instead of crashing or
+        running on nonsense later."""
+        key = setting.split("=")[0].split(".")[1]
+        assert key in message
+        assert main(["sweep", str(config_file), "--set", setting]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     def test_zero_fixed_point_tol_still_converges(self, config_file, capsys):
         # a tolerance of 0 asks for a bitwise-settled selection, which the
         # sticky strategy reaches
@@ -358,7 +385,27 @@ class TestCommands:
         assert rc == 2
         summary = json.loads((config_file.parent / "out" / "summary.json").read_text())
         assert all(e["fixed_point_residual"] is None and e["fixed_point_history"] == []
-                   for e in summary["entries"])
+                   and e["closed_loops"] == 0 for e in summary["entries"])
+
+    def test_summary_counts_closed_loops_per_entry(self, config_file):
+        # each bundled epsilon settles: its last full step repeats the iterate
+        # and runs no closed loop, so there is one loop per iteration
+        assert main(["sweep", str(config_file)]) == 0
+        out = config_file.parent / "out"
+        entries = json.loads((out / "summary.json").read_text())["entries"]
+        assert [e["closed_loops"] for e in entries] == [2, 2, 4, 3]
+        assert [e["iterations"] for e in entries] == [2, 2, 4, 3]
+        assert (out / "sweep.csv").read_text().splitlines()[1] == (
+            "epsilon,terminal_miss,control_energy,iterations,converged")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--forcing-coeffs", "1,2,3,4,5,6,7,8,9"), ("--forcing-coeffs", "1,abc"),
+        ("--control-coeffs", "nan"), ("--control-coeffs", "0.2,inf")])
+    def test_simulate_coefficient_flag_exits_1_naming_it(self, config_file, capsys, flag, value):
+        assert main(["simulate", str(config_file), flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {flag} takes at most 8 finite numbers, got {value!r}\n")
+        assert not (config_file.parent / "out" / "trajectory.csv").exists()
 
     def test_validate_runs_without_mpmath(self, config_file):
         # mpmath is a test-only oracle: a p = 4 validate run must not import it

@@ -266,9 +266,6 @@ def test_selection_matches_reference(model_p2, strategy, steps):
             new = select_forcing(pot, strategy, traj, model_p2, previous=prev)
             old = reference_select(ref, strategy, traj, model_p2, previous=prev)
             assert new.dtype == old.dtype and np.array_equal(new, old)
-            out = np.full_like(old, np.nan)
-            assert select_forcing(pot, strategy, traj, model_p2, prev, out=out) is out
-            assert np.array_equal(out, old)
 
 
 class TestFixedPoint:
@@ -390,6 +387,108 @@ class TestSafeguardedFixedPoint:
                                                    max_iter=stall + 2)
             assert undamped != gaps[: stall + 2]
         assert flags == ref_flags == [True, True, False, True]
+
+
+def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strategy="sticky",
+                                  relaxation=0.5, tol=1e-8, max_iter=80):
+    """The fixed point with every step's closed loop run: a settled full step
+    too, then a closing selection over the whole grid decides the audit, in
+    a second grid array.  Returns (g, g_relaxed, run, residuals, iterations,
+    converged, fixed_point_residual, closed_loops)."""
+    from fracheat.control import closed_loop_trajectory
+    from fracheat.hvi import forcing_to_coordinates
+
+    def run_for(g):
+        return closed_loop_trajectory(model, gram, grid, epsilon, z, x0,
+                                      forcing=forcing_to_coordinates(model, g))
+
+    def gap(a, b):
+        return float(np.max(lp_norms(a.trajectory.states - b.trajectory.states,
+                                     model.n_theta, model.p)))
+
+    g = np.zeros((grid.steps + 1, model.n_theta))
+    g_sel = np.empty_like(g)
+    run, loops = run_for(g), 1
+    residuals, converged, iterations, omega = [], False, 0, 1.0
+    for iterations in range(1, max_iter + 1):
+        g_sel[...] = select_forcing(pot, strategy, run.trajectory, model, previous=g)
+        g *= 1.0 - omega
+        g_sel *= omega
+        g += g_sel
+        run_new, loops = run_for(g), loops + 1
+        residuals.append(gap(run_new, run))
+        if len(residuals) > 1 and residuals[-1] >= residuals[-2]:
+            omega = relaxation
+        run = run_new
+        if residuals[-1] <= tol:
+            converged = True
+            break
+    g_select = select_forcing(pot, strategy, run.trajectory, model, previous=g)
+    if np.array_equal(g_select, g):
+        g_select, fp_residual = g, 0.0
+    else:
+        fp_residual, loops = gap(run_for(g_select), run), loops + 1
+    return g_select, g, run, residuals, iterations, converged, fp_residual, loops
+
+
+SETTLE_POTENTIALS = {
+    "abs": abs_potential(0.3),
+    "sat": saturating_potential(0.3, cap=0.5),
+    "zero": zero_potential(),
+    "table": tabulated_potential(BREAKS, VALUES),
+}
+SETTLE_CASES = (  # (model, strategy, potential, epsilon, max_iter, settles)
+    [("p2", strategy, pot, 1e-2, 80, True) for strategy in SELECTION_STRATEGIES
+     for pot in SETTLE_POTENTIALS]
+    + [("p4", "sticky", "abs", 1e-3, 80, True), ("p4", "midpoint", "table", 1e-2, 80, True),
+       ("p4", "sign_zero", "sat", 1e-2, 6, False),  # cut while its gap still shrinks
+       ("chatter", "sticky", "abs", 1e-3, 12, False),  # backs off to averaging
+       ("p2", "sticky", "abs", 1e-3, 1, False)]  # cut after one step whose selection moves
+)
+
+
+class TestSettledFixedPoint:
+    @pytest.mark.parametrize("which,strategy,potential,eps,max_iter,settles", SETTLE_CASES)
+    def test_matches_reference_loop(self, request, grid_512, which, strategy, potential, eps,
+                                    max_iter, settles):
+        model = request.getfixturevalue("model_p4" if which == "p4" else "model_p2")
+        gram = request.getfixturevalue("gram_p4" if which == "p4" else "gram_p2")
+        x0 = bump_coefficients(8)
+        z = CHATTERING_TARGET if which == "chatter" else np.array([0.6, 0.2, -0.1, 0, 0, 0, 0, 0])
+        pot = SETTLE_POTENTIALS[potential]
+        fp = fixed_point_iterate(model, gram, grid_512, eps, pot, z, x0, strategy=strategy,
+                                 max_iter=max_iter)
+        g, g_relaxed, run, residuals, iterations, converged, fp_residual, loops = \
+            reference_fixed_point_iterate(model, gram, grid_512, eps, pot, z, x0,
+                                          strategy=strategy, max_iter=max_iter)
+        assert np.array_equal(fp.g, g) and np.array_equal(fp.g_relaxed, g_relaxed)
+        assert np.array_equal(fp.run.trajectory.states, run.trajectory.states)
+        assert np.array_equal(fp.run.control, run.control)
+        assert (fp.residuals, fp.iterations, fp.converged, fp.fixed_point_residual) == (
+            residuals, iterations, converged, fp_residual)
+        # a settled solve skips the closed loop of its last step, and only that
+        settled = fp.converged and fp.residuals[-1] == 0.0
+        assert fp.closed_loops == loops - settled
+        assert settled == settles
+
+    def test_solve_holds_one_grid_array(self):
+        # one 4096-step solve peaks at ~1.5 grid arrays: the iterate plus row
+        # blocks and the closed loops' own arrays; a second, whole-grid
+        # selection buffer puts it at ~2.5
+        exp = build_experiment(load_config(CONFIG_PATH, ["solver.steps=4096"]),
+                               CONFIG_PATH.parent)
+        gram = assemble_gramian(exp.model, exp.grid)
+        mild_solution(exp.model, exp.grid, exp.x0)  # the grid's shared propagator tables
+        grid_array = (exp.grid.steps + 1) * exp.model.n_theta * 8
+        tracemalloc.start()
+        try:
+            fp = fixed_point_iterate(exp.model, gram, exp.grid, 1e-3, exp.potential, exp.target,
+                                     exp.x0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fp.converged and fp.closed_loops == fp.iterations
+        assert peak < 1.6 * grid_array
 
 
 class TestSweep:

@@ -141,7 +141,11 @@ class TestAuditRun:
             fp = fixed_point_iterate(model, gram, grid, eps, abs_potential(0.3), z, x0,
                                      max_iter=max_iter)
             repeat = np.array_equal(fp.g, fp.g_relaxed)
-            assert len(calls) == 1 + fp.iterations + (0 if repeat else 1)
+            # a settled solve: the initial loop and one per step but the last,
+            # whose selection repeats the iterate; otherwise one per step and
+            # the audit's
+            assert len(calls) == fp.closed_loops == (
+                fp.iterations if repeat else 1 + fp.iterations + 1)
             skipped.append(repeat)
             if repeat:
                 assert fp.g is fp.g_relaxed
