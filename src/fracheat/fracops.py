@@ -2,7 +2,8 @@
 
 Special functions take whole arrays: fixed Gauss rules and array sums over
 Gamma values from `math`, with no adaptive quadrature or arbitrary precision,
-in row blocks whose float64 temporaries stay near 256 KB.  Mittag-Leffler
+in row blocks that hold about three ~256 KB block arrays at once, each
+released before the next block's are made (`row_blocks`).  Mittag-Leffler
 values for 0 < alpha < 1 take one of three branches chosen from
 s = (-z)**(1/alpha): a float Taylor sum while cancellation is provably mild
 (s <= 5, or z > 0), the truncated tail series once its remainder ~exp(-s) is
@@ -198,7 +199,8 @@ def _canonical_base(base: float) -> float:
 
 
 def row_blocks(n_rows: int, n_cols: int):
-    """Row slices whose (rows, n_cols) float64 temporaries stay near _BLOCK_BYTES (256 KB)."""
+    """Row slices of (rows, n_cols) float64 block arrays near _BLOCK_BYTES (256 KB): a loop
+    holds about three at once, each released before the next block's are made."""
     step = max(1, _BLOCK_BYTES // (8 * n_cols))
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
@@ -257,12 +259,15 @@ def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np
         raise OverflowError(f"E_{{{alpha},{beta}}}(z) overflows float range at z={np.max(z)}")
     k = k[: int(np.argmax(done)) + 1]
     out, too_deep = np.empty_like(z), np.zeros(z.shape, dtype=bool)
-    for rows in row_blocks(z.size, k.size):
-        terms = np.exp(np.log(np.abs(z[rows]))[:, None] * k - log_gamma[: k.size])
+    for rows in row_blocks(z.size, k.size):  # one block array: terms, then |terms|
+        terms = np.multiply(np.log(np.abs(z[rows]))[:, None], k)
+        terms -= log_gamma[: k.size]
+        np.exp(terms, out=terms)
         negative = z[rows] < 0.0
-        terms[negative, 1::2] *= -1.0
+        terms[:, 1::2] *= np.where(negative, -1.0, 1.0)[:, None]  # exact: no copy of the rows
         out[rows] = terms.sum(axis=1)
-        too_deep[rows] = negative & (np.abs(terms).max(axis=1) * 5e-16 > 1e-12 * np.abs(out[rows]))
+        too_deep[rows] = negative & (np.abs(terms, out=terms).max(axis=1) * 5e-16 > 1e-12 * np.abs(out[rows]))
+        del terms
     return out, too_deep
 
 
@@ -291,6 +296,7 @@ def _ml_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     u = x[:, None] * (_PEAK_WIDTHS * sin_pa - cos_pa)
     peak = np.abs(u) ** (1.0 / alpha)
     live = (u > 0.0) & (peak > fixed[0]) & (peak < fixed[-1])
+    del u
     codes = live @ (1 << np.arange(_PEAK_WIDTHS.size))
     out = np.empty_like(x)
     for code in np.flatnonzero(np.bincount(codes)):  # not np.unique, which imports numpy.ma
@@ -304,12 +310,12 @@ def _ml_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             xx = x[sel][:, None]
             edges = np.sort(np.hstack([np.broadcast_to(fixed, (sel.size, fixed.size)), peak[sel][:, kept]]))
             half = 0.5 * np.diff(edges, axis=1)[:, :, None]
-            r = np.empty((sel.size, n_panels, _CUT_X.size))
-            w = np.empty_like(r)
-            r[:, 0], w[:, 0] = r_first, w_first
-            np.add(edges[:, :-1, None], half * (1.0 + _CUT_X), out=r[:, 1:])
-            np.multiply(half, _CUT_W, out=w[:, 1:])
-            r, w = r.reshape(sel.size, -1), w.reshape(sel.size, -1)
+            # three block arrays: the nodes r (then the numerator, then the weights), f and r^a
+            nodes = np.empty((sel.size, n_panels, _CUT_X.size))
+            nodes[:, 0] = r_first
+            np.multiply(half, 1.0 + _CUT_X, out=nodes[:, 1:])
+            nodes[:, 1:] += edges[:, :-1, None]
+            r = nodes.reshape(sel.size, -1)
             # the integrand, in place: exp(gam log r - r) (r^a sin(pi b) + x sin(pi (b-a)))
             # / ((r^a + x cos(pi a))^2 + (x sin(pi a))^2) with r^a = exp(a log r)
             f = np.log(r)
@@ -318,15 +324,18 @@ def _ml_cut_integral(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
             f *= gam_col
             f -= r
             np.exp(f, out=f)
-            num = np.multiply(ra, sin_pb)
-            num += xx * sin_pba
-            f *= num
+            np.multiply(ra, sin_pb, out=r)  # the numerator
+            r += xx * sin_pba
+            f *= r
             ra += xx * cos_pa
             ra *= ra
             ra += (xx * sin_pa) ** 2
             f /= ra
-            f *= w
+            nodes[:, 0] = w_first
+            np.multiply(half, _CUT_W, out=nodes[:, 1:])
+            f *= r
             out[sel] = np.sum(f, axis=1) / math.pi
+            del nodes, r, f, ra  # before the next block's arrays
     return out
 
 
@@ -340,10 +349,15 @@ def _ml_tail_series(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     arg = alpha * k - beta + 1.0
     log_gamma = np.where(arg > 0.0, _lgamma(np.where(arg > 0.0, arg, 1.0)), np.inf)
     out = np.empty_like(x)
-    for rows in row_blocks(x.size, k.size):
+    for rows in row_blocks(x.size, k.size):  # one block array: envelope, then terms
         xx = x[rows][:, None]
-        last = np.argmin(log_gamma - k * np.log(xx), axis=1)
-        out[rows] = np.sum(np.where(k - 1 <= last[:, None], xx ** (-k) * signed_rgamma, 0.0), axis=1)
+        terms = np.multiply(k, np.log(xx))
+        last = np.argmin(np.subtract(log_gamma, terms, out=terms), axis=1)
+        np.power(xx, -k, out=terms)
+        terms *= signed_rgamma
+        np.copyto(terms, 0.0, where=k - 1 > last[:, None])
+        out[rows] = np.sum(terms, axis=1)
+        del terms
     return out
 
 
@@ -364,7 +378,8 @@ def wright_density(alpha: float, tau):
         raise ValueError(f"tau must be positive, got {flat[~(flat > 0.0)][0]}")
     # xi_alpha(tau) ~ C * exp(-B * tau**(1/(1-alpha))) with the stable-law rate B
     rate = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    live = rate * flat ** (1.0 / (1.0 - alpha)) <= 140.0
+    with np.errstate(over="ignore"):  # an overflow to inf is a tau far past the tail
+        live = rate * flat ** (1.0 / (1.0 - alpha)) <= 140.0
     series = live & (flat < _WRIGHT_TAU0)
     out = np.zeros_like(flat)
     out[series] = _wright_series(alpha, flat[series])
@@ -406,28 +421,31 @@ def _wright_kanter(alpha: float, tau: np.ndarray) -> np.ndarray:
     q = 1.0 / (1.0 - alpha)
     log_a0 = q * (alpha * math.log(alpha) + (1.0 - alpha) * math.log(1.0 - alpha))
     n_left = _KANTER_LEFT.size
+    log_tau = np.log(tau)[:, None]
+    log_c = q * log_tau
+    start = np.maximum(log_c + log_a0, 0.0)
+    levels = np.hstack([np.broadcast_to(_KANTER_LEFT, (len(log_c), n_left)), start,
+                        np.log(np.exp(start) + _KANTER_RIGHT)])
+    lo, hi = np.zeros_like(levels), np.full_like(levels, math.pi)
+    for _ in range(48):  # on (n_tau, 9) arrays, once for all tau
+        mid = 0.5 * (lo + hi)
+        below = log_c + _wright_log_a(alpha, mid, math.pi - mid) < levels
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    edges = np.hstack([np.zeros_like(log_c), lo])  # levels below c A(0) stay at 0
+    # nodes live in the variable (phi or pi - phi) that is small at the peak
+    flip = edges[:, n_left + 1, None] > 0.5 * math.pi
+    v_edges = np.where(flip, math.pi - edges, edges)
+    half = 0.5 * np.diff(v_edges, axis=1)[:, :, None]
     out = np.empty_like(tau)
-    for rows in row_blocks(tau.size, (n_left + 1 + _KANTER_RIGHT.size) * _KANTER_X.size):
-        log_tau = np.log(tau[rows])[:, None]
-        log_c = q * log_tau
-        start = np.maximum(log_c + log_a0, 0.0)
-        levels = np.hstack([np.broadcast_to(_KANTER_LEFT, (len(log_c), n_left)), start,
-                            np.log(np.exp(start) + _KANTER_RIGHT)])
-        lo, hi = np.zeros_like(levels), np.full_like(levels, math.pi)
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            below = log_c + _wright_log_a(alpha, mid, math.pi - mid) < levels
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        edges = np.hstack([np.zeros_like(log_c), lo])  # levels below c A(0) stay at 0
-        # nodes live in the variable (phi or pi - phi) that is small at the peak
-        flip = edges[:, n_left + 1, None] > 0.5 * math.pi
-        v_edges = np.where(flip, math.pi - edges, edges)
-        half = 0.5 * np.diff(v_edges, axis=1)[:, :, None]
-        v = (v_edges[:, :-1, None] + half * (1.0 + _KANTER_X)).reshape(len(log_c), -1)
-        log_a = _wright_log_a(alpha, np.maximum(np.where(flip, math.pi - v, v), 1e-300),
-                              np.maximum(np.where(flip, v, math.pi - v), 1e-300))
-        values = np.exp(alpha * q * log_tau + log_a - np.exp(np.minimum(log_c + log_a, 700.0)))
-        out[rows] = np.sum(values * (np.abs(half) * _KANTER_W).reshape(len(log_c), -1), axis=1)
+    # rows sized for the ~8 node arrays that `_wright_log_a` holds at once
+    for rows in row_blocks(tau.size, 8 * half.shape[1] * _KANTER_X.size):
+        n = len(out[rows])
+        v = (v_edges[rows, :-1, None] + half[rows] * (1.0 + _KANTER_X)).reshape(n, -1)
+        log_a = _wright_log_a(alpha, np.maximum(np.where(flip[rows], math.pi - v, v), 1e-300),
+                              np.maximum(np.where(flip[rows], v, math.pi - v), 1e-300))
+        values = np.exp(alpha * q * log_tau[rows] + log_a - np.exp(np.minimum(log_c[rows] + log_a, 700.0)))
+        out[rows] = np.sum(values * (np.abs(half[rows]) * _KANTER_W).reshape(n, -1), axis=1)
+        del v, log_a, values  # before the next block's arrays
     return out / (math.pi * (1.0 - alpha))
 
 

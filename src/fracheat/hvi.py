@@ -177,10 +177,11 @@ def check_strategy(strategy: str) -> str:
 def _selection_blocks(pot: NonsmoothPotential, strategy: str, trajectory: Trajectory,
                       model: SpectralModel, previous: np.ndarray | None):
     """(rows, selection) over the row blocks (`fracops.row_blocks`, ~256 KB
-    temporaries) of the nodes: the one selection rule and bound check of
+    block arrays) of the nodes: the one selection rule and bound check of
     `select_forcing` and the fixed point.  Each selection overwrites its
     block's grid values of the state, and a block of `previous` is read only
-    when its selection is made."""
+    when its selection is made.  At most three block arrays live at once (the
+    selection, lo and hi): the caller drops each selection before the next."""
     check_strategy(strategy)
     nodes = trajectory.grid.nodes
     theta = theta_grid(model.n_theta)
@@ -200,6 +201,7 @@ def _selection_blocks(pot: NonsmoothPotential, strategy: str, trajectory: Trajec
             raise AssertionError("selection escaped the admissible bound")
         del lo, hi  # before the caller's pass over the block and the next block's temporaries
         yield rows, block
+        del block  # and the caller drops its own reference: before the next block is made
 
 
 def select_forcing(
@@ -214,6 +216,7 @@ def select_forcing(
     g = np.empty((trajectory.grid.steps + 1, model.n_theta))
     for rows, block in _selection_blocks(pot, strategy, trajectory, model, previous):
         g[rows] = block
+        del block
     return g
 
 
@@ -330,6 +333,7 @@ def fixed_point_iterate(
             selection *= omega
             block += selection
             coefficients[rows] = basis_coefficients(block, model.n_modes)
+            del selection
         if settled:  # 0 g + g is g, signed zeros too: g's closed loop is `run`, bit for bit
             residuals.append(0.0)
             converged = True

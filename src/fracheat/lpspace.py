@@ -109,10 +109,12 @@ def basis_coefficients(values: np.ndarray, n_modes: int) -> np.ndarray:
 
 def lp_norms(coeff_rows: np.ndarray, n_theta: int, p: float) -> np.ndarray:
     """Midpoint-rule L^p norm of the reconstruction of each coefficient row;
-    rows go in row blocks (`fracops.row_blocks`) of ~256 KB grid values."""
+    rows go in row blocks (`fracops.row_blocks`) of ~256 KB grid values, one
+    block array at a time: |values|^p in place, released before the next."""
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
     sums = np.empty(rows.shape[0])
     for block in row_blocks(rows.shape[0], n_theta):
         values = basis_values(rows[block], n_theta)
         sums[block] = np.sum(np.power(np.abs(values, out=values), p, out=values), axis=1)
+        del values  # before the next block's values
     return (sums * (math.pi / n_theta)) ** (1.0 / p)

@@ -35,8 +35,7 @@ def green_kernel(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """K(theta, omega) = omega (pi - theta) for omega <= theta, symmetric:
     pi times the Green's function of -d^2/dtheta^2 with Dirichlet ends."""
     lo = np.minimum(theta, omega)
-    hi = np.maximum(theta, omega)
-    return lo * (math.pi - hi)
+    return lo * (math.pi - np.maximum(theta, omega))
 
 
 def min_kernel(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -167,8 +166,11 @@ def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> n
         # are (ng, 2, ng, n_modes) tensors of 67 MB each at 64 modes
         inner = np.empty((ng, n_modes))
         for rows in row_blocks(ng, 2 * ng * n_modes):
-            inner[rows] = np.einsum("ipq,ipq,ipqn->in", weights[rows], kv[rows],
-                                    scale * np.sin(u[rows, :, :, None] * mode))
+            basis = np.multiply(u[rows, :, :, None], mode)  # one block tensor, in place
+            np.sin(basis, out=basis)
+            basis *= scale
+            inner[rows] = np.einsum("ipq,ipq,ipqn->in", weights[rows], kv[rows], basis)
+            del basis  # before the next block's tensor
         mat = np.einsum("i,im,in->mn", w_out, scale * np.sin(np.outer(t_out, mode)), inner)
     defect = float(np.max(np.abs(mat - mat.T)))
     scale_ref = max(float(np.max(np.abs(mat))), 1e-30)
@@ -187,7 +189,8 @@ def _kernel_norm_bounds(kernel: KernelSpec, p: float, n_theta: int) -> tuple[flo
     for rows in row_blocks(n_theta, n_theta):
         k = kernel.values(theta[rows, None], theta[None, :])
         row_l2[rows] = np.sum(k * k, axis=1) * h
-        row_lp[rows] = np.sum(np.abs(k) ** p, axis=1) * h
+        row_lp[rows] = np.sum(np.power(np.abs(k, out=k), p, out=k), axis=1) * h
+        del k  # before the next block's values
     bound_l2_lp = (np.sum(row_l2 ** (p / 2.0)) * h) ** (1.0 / p)
     bound_lq_lp = (np.sum(row_lp) * h) ** (1.0 / p)
     return float(bound_l2_lp) * (1.0 + 1e-9), float(bound_lq_lp) * (1.0 + 1e-9)

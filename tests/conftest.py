@@ -7,6 +7,7 @@ production evaluator.
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import mpmath as mp
@@ -52,6 +53,17 @@ def ml_oracle(alpha: float, beta: float, z: float) -> float:
             min_env = min(min_env, env)
             total += (-1) ** (k + 1) * x ** (-k) * mp.rgamma(b - a * k)
         return float(total)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc traced while it ran): the largest
+    working set above the call's entry, its result included."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @lru_cache(maxsize=16)

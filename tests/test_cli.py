@@ -237,6 +237,22 @@ class TestCommands:
         assert {"state-family bound M", "forcing-family bound M/Gamma(alpha)",
                 "resolvent contraction bound"} <= changed
 
+    def test_gramian_audit_draws_its_own_vectors(self, config_file, monkeypatch, capsys):
+        import fracheat.cli as cli_module
+        import fracheat.gramian as gramian_module
+
+        draws = {}
+        for module in (cli_module, gramian_module):
+            def record(rng, rows, cols, _name=module.__name__, _draw=module.gaussian_rows):
+                draws.setdefault(_name, []).append(_draw(rng, rows, cols))
+                return draws[_name][-1]
+            monkeypatch.setattr(module, "gaussian_rows", record)
+        assert main(["validate", str(config_file)] + SMALL_OVERRIDES) == 0
+        duality = draws["fracheat.cli"][0]  # validate's first draw
+        audit, = draws["fracheat.gramian"]
+        assert duality.shape == (20, 4) and audit.shape == (50, 4)
+        assert not any(np.array_equal(a, d) for a in audit for d in duality)
+
     def test_validate_rejects_bad_alpha(self, config_file, capsys):
         rc = main(["validate", str(config_file), "--set", "model.alpha=0.4"])
         assert rc == 1
@@ -306,6 +322,18 @@ class TestCommands:
         assert all(e["identity_residual"] <= 1e-6 for e in summary["entries"])
         header = (out / "sweep.csv").read_text().splitlines()[1]
         assert header == "epsilon,terminal_miss,control_energy,iterations,converged"
+
+    def test_close_epsilons_write_distinct_files(self, config_file):
+        # ".0e" names both 3e-2 and 2.5e-2 "3e-2": the second would overwrite the first
+        overrides = [*SMALL_OVERRIDES[:-2], "--set", "sweep.epsilons=3e-2, 2.5e-2"]
+        assert main(["sweep", str(config_file)] + overrides) == 0
+        out = config_file.parent / "out"
+        epsilons = [e["epsilon"] for e in json.loads((out / "summary.json").read_text())["entries"]]
+        for kind in ("trajectory", "control"):
+            names = sorted(p.name for p in out.glob(f"{kind}_eps_*.csv"))
+            assert names == [f"{kind}_eps_2.5e-2.csv", f"{kind}_eps_3e-2.csv"]
+            tags = [name[len(f"{kind}_eps_"):-len(".csv")] for name in names]
+            assert sorted(map(float, tags)) == sorted(epsilons)
 
     def test_sweep_deterministic_outputs(self, tmp_path):
         files = {}

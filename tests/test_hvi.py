@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from fracheat.hvi import (
     zero_potential,
 )
 
-from conftest import ORDER, bump_coefficients
+from conftest import ORDER, bump_coefficients, traced_peak
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "heat_default.cfg"
 
@@ -480,13 +479,8 @@ class TestSettledFixedPoint:
         gram = assemble_gramian(exp.model, exp.grid)
         mild_solution(exp.model, exp.grid, exp.x0)  # the grid's shared propagator tables
         grid_array = (exp.grid.steps + 1) * exp.model.n_theta * 8
-        tracemalloc.start()
-        try:
-            fp = fixed_point_iterate(exp.model, gram, exp.grid, 1e-3, exp.potential, exp.target,
-                                     exp.x0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        fp, peak = traced_peak(lambda: fixed_point_iterate(exp.model, gram, exp.grid, 1e-3,
+                                                           exp.potential, exp.target, exp.x0))
         assert fp.converged and fp.closed_loops == fp.iterations
         assert peak < 1.6 * grid_array
 
@@ -539,8 +533,8 @@ class TestSweep:
         # selection and iterate stayed alive
         exp = build_experiment(load_config(CONFIG_PATH), CONFIG_PATH.parent)
         gram = assemble_gramian(exp.model, exp.grid)
-        tracemalloc.start()
-        try:
+
+        def sweep():
             for entry, result in epsilon_sweep(
                     exp.model, gram, exp.grid, exp.potential, exp.target, exp.x0,
                     exp.epsilons, strategy=exp.strategy, relaxation=exp.relaxation,
@@ -549,9 +543,8 @@ class TestSweep:
                     resolvent_max_iter=exp.resolvent_max_iter):
                 assert entry.converged and result is not None
                 del result
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(sweep)
         assert peak <= 6e6
 
     def test_guards(self, problem):

@@ -17,7 +17,6 @@ and 1e-13 absolute below that, where relative error is meaningless.
 """
 
 import math
-import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -32,7 +31,7 @@ from fracheat.fracops import _CUT_EDGES, _CUT_W, _CUT_X, _PEAK_WIDTHS, _TAYLOR_S
     _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, _ml_cut_integral, ml_family, \
     ml_multipliers, row_blocks, wright_density
 
-from conftest import ml_oracle
+from conftest import ml_oracle, traced_peak
 
 REL_TOL = 1e-10
 QUAD_OPTS = {"epsabs": 1e-300, "epsrel": 1e-12, "limit": 200}
@@ -221,12 +220,7 @@ def test_table_evaluation_is_blocked():
     # the bundled model's table: 513 nodes x 8 modes, ~44 % on the cut
     # integral; evaluated in one block its temporaries peak near 48 MB
     z = -(np.arange(1.0, 9.0) ** 2) * np.linspace(0.0, 1.0, 513)[:, None] ** 0.75
-    tracemalloc.start()
-    try:
-        table = ml_multipliers(0.75, 0.75, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: ml_multipliers(0.75, 0.75, z))
     assert table.shape == z.shape
     assert peak <= 4e6
 

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from fracheat.spectral import (
 )
 from fracheat.lpspace import lp_norms, theta_grid
 
-from conftest import ORDER, density_on_gauss_grid
+from conftest import ORDER, density_on_gauss_grid, traced_peak
 
 E_075_M1 = 0.393108302815754062
 
@@ -100,15 +99,10 @@ def norm_bound_kernels():
 
 class TestKernelAssembly:
     @pytest.mark.parametrize("kind", ["green", "min"])
-    @pytest.mark.parametrize("n_modes", [8, 64])
+    @pytest.mark.parametrize("n_modes", [8, 16, 64])
     def test_row_blocks_match_the_unblocked_tensor(self, kind, n_modes):
         want = unblocked_kernel_matrix(KernelSpec(kind), n_modes)
-        tracemalloc.start()
-        try:
-            got = _assemble_kernel_matrix(KernelSpec(kind), n_modes, 256)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: _assemble_kernel_matrix(KernelSpec(kind), n_modes, 256))
         assert np.array_equal(got, want)
         # the whole sin(u n) tensor alone is 67 MB at 64 modes
         assert peak <= 8e6
@@ -201,12 +195,7 @@ class TestKernelNormBounds:
     def test_holds_no_full_grid(self):
         # one (1024, 1024) float64 grid is 8.4 MB; the row blocks peak near 1.2 MB
         for kernel in norm_bound_kernels():
-            tracemalloc.start()
-            try:
-                _kernel_norm_bounds(kernel, 3.0, 1024)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: _kernel_norm_bounds(kernel, 3.0, 1024))
             assert peak <= 2e6, kernel.kind
 
 
