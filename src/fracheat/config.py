@@ -27,7 +27,7 @@ except ImportError:
 
 import numpy as np
 
-from .fracops import FracOrder, TimeGrid, as_integer
+from .fracops import FracOrder, TimeGrid, as_number
 from .lpspace import basis_matrix, theta_grid
 from .spectral import KernelSpec, SpectralModel, build_model
 from .control import check_resolvent_max_iter, check_resolvent_tol
@@ -134,7 +134,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Experim
         raw.setdefault(section, {})
         for key, value in items.items():
             raw[section].setdefault(key, value)
-    if int(raw["meta"]["schema_version"]) != SCHEMA_VERSION:
+    if as_number(raw["meta"]["schema_version"], "meta.schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema_version {raw['meta']['schema_version']} (expected {SCHEMA_VERSION})"
         )
@@ -158,14 +158,15 @@ def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
         theta = theta_grid(n_theta)
         out = basis_matrix(n_modes, n_theta).T @ (theta * (math.pi - theta)) * (math.pi / n_theta)
     elif spec.startswith("coeffs:"):
-        vals = [float(v) for v in spec[len("coeffs:"):].split(",") if v.strip()]
+        vals = [as_number(v.strip(), f"problem.{key} coefficient", float)
+                for v in spec[len("coeffs:"):].split(",") if v.strip()]
         if len(vals) > n_modes:
             raise ValueError(f"state spec has {len(vals)} coefficients, model has {n_modes} modes")
         out[: len(vals)] = vals
     elif spec.startswith("sine:"):
         parts = spec[len("sine:"):].split(":")
-        n = int(parts[0])
-        amp = float(parts[1]) if len(parts) > 1 else 1.0
+        n = as_number(parts[0], f"problem.{key} sine mode")
+        amp = as_number(parts[1], f"problem.{key} amplitude", float) if len(parts) > 1 else 1.0
         if not 1 <= n <= n_modes:
             raise ValueError(f"sine mode {n} outside 1..{n_modes}")
         out[n - 1] = amp
@@ -181,11 +182,11 @@ def _parse_potential(spec: str, base: Path, horizon: float) -> NonsmoothPotentia
     if spec == "zero":
         return zero_potential()
     if spec.startswith("abs:"):
-        return abs_potential(float(spec[len("abs:"):]))
+        return abs_potential(as_number(spec[len("abs:"):], "problem.potential coefficient", float))
     if spec.startswith("sat:"):
         parts = spec[len("sat:"):].split(":")
-        cap = float(parts[1]) if len(parts) > 1 else 1.0
-        return saturating_potential(float(parts[0]), cap)
+        cap = as_number(parts[1], "problem.potential cap", float) if len(parts) > 1 else 1.0
+        return saturating_potential(as_number(parts[0], "problem.potential coefficient", float), cap)
     if spec.startswith("table:"):
         data = np.loadtxt(base / spec[len("table:"):], delimiter=",")
         pot = tabulated_potential(data[:, 0], data[:, 1])
@@ -222,16 +223,17 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
     model_cfg = cfg["model"]
     solver = cfg["solver"]
 
-    n_modes = as_integer(model_cfg["modes"], "model.modes")
-    horizon = float(model_cfg["horizon"])
-    n_theta = as_integer(solver["n_theta"], "solver.n_theta")
+    n_modes = as_number(model_cfg["modes"], "model.modes")
+    alpha, alpha1, horizon, p = (as_number(model_cfg[key], f"model.{key}", float)
+                                 for key in ("alpha", "alpha1", "horizon", "p"))
+    n_theta = as_number(solver["n_theta"], "solver.n_theta")
     model = build_model(
         n_modes,
-        FracOrder(float(model_cfg["alpha"]), float(model_cfg["alpha1"])),
+        FracOrder(alpha, alpha1),
         horizon,
         _parse_kernel(model_cfg["kernel_b"], base),
         _parse_kernel(model_cfg["kernel_h"], base),
-        float(model_cfg["p"]),
+        p,
         n_theta,
     )
     formats = tuple(f.strip() for f in cfg["output"]["formats"].split(",") if f.strip())
@@ -252,8 +254,8 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         fixed_point_max_iter=check_fixed_point_max_iter(solver["fixed_point_max_iter"]),
         relaxation=check_relaxation(solver["relaxation"]),
         strategy=check_strategy(solver["strategy"]),
-        seed=as_integer(solver["seed"], "solver.seed"),
-        epsilons=check_epsilons(v for v in cfg["sweep"]["epsilons"].split(",") if v.strip()),
+        seed=as_number(solver["seed"], "solver.seed"),
+        epsilons=check_epsilons(v.strip() for v in cfg["sweep"]["epsilons"].split(",") if v.strip()),
         output_dir=base / cfg["output"]["directory"],
         formats=formats,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import TimeGrid, as_integer
+from .fracops import TimeGrid, as_number
 from .evolve import Trajectory, mild_solution, propagator
 from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
@@ -108,7 +108,7 @@ def _objective_change(gram: np.ndarray, model: SpectralModel, epsilon: float,
 
 def check_resolvent_tol(tol) -> float:
     """The resolvent's relative tolerance as a finite float >= 0."""
-    tol = float(tol)
+    tol = as_number(tol, "resolvent_tol", float)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"resolvent_tol must be finite and >= 0, got {tol}")
     return tol
@@ -116,7 +116,7 @@ def check_resolvent_tol(tol) -> float:
 
 def check_resolvent_max_iter(max_iter) -> int:
     """The resolvent's Newton iteration cap as an int >= 1."""
-    max_iter = as_integer(max_iter, "resolvent_max_iter")
+    max_iter = as_number(max_iter, "resolvent_max_iter")
     if max_iter < 1:
         raise ValueError(f"resolvent_max_iter must be an integer >= 1, got {max_iter}")
     return max_iter

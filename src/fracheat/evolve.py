@@ -3,9 +3,9 @@ one discretization of the Duhamel family t^(alpha-1) T_alpha(t) they share.
 
 A `Propagator` per (alpha, eigenvalues, horizon, steps) owns the
 Mittag-Leffler tables and the product-integration weights read by the mild
-solution, the Gramian and the closed loop.  Row k of
-`fracops.singular_conv_weights` is w_k[j] = c[k-j] for j >= 1 plus its own
-j = 0 weight, so each weakly singular integral against node data is a
+solution, the Gramian and the closed loop.  The weights are
+`fracops.product_lag_weights`: row k weighs node j >= 1 by c[k-j] and node 0
+by its own a[k], so each weakly singular integral against node data is a
 per-mode causal convolution with kernel c[m] E_{a,a}(lam t_m^a) (Lubich's
 convolution quadrature) by real FFTs, and `terminal` sums row N directly.
 
@@ -13,8 +13,8 @@ convolution quadrature) by real FFTs, and `terminal` sums row N directly.
 row, where the exact kernel moment is known, which removes the leading
 endpoint error; the control channel keeps the plain rule, the Gramian's own,
 and both channels share one convolution.  `l1_reference` integrates the same
-Caputo system with an implicit L1 scheme and serves as an independent
-cross-check.
+Caputo system with an implicit L1 scheme, solved as one triangular Toeplitz
+system per mode, and serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .fracops import TimeGrid, l1_coefficients, ml_family, ml_multipliers, pl_moment_arrays
+from .fracops import TimeGrid, l1_coefficients, ml_family, ml_multipliers, product_lag_weights
 from .spectral import SpectralModel
 
 __all__ = [
@@ -103,9 +103,8 @@ class Propagator:
     def lag_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """(c, a): c[m] weights the node at lag m = k - j when j >= 1, a[k]
         the node j = 0 of row k; m, k = 0..steps."""
-        left, right = pl_moment_arrays(self.alpha, self.steps + 1)
-        scale = (self.horizon / self.steps) ** self.alpha
-        return _frozen((left[:-1] + right[1:]) * scale), _frozen(left[:-1] * scale)
+        c, a = product_lag_weights(self.alpha, self.steps, self.horizon / self.steps)
+        return _frozen(c), _frozen(a)
 
     @cached_property
     def terminal_weights(self) -> np.ndarray:
@@ -218,7 +217,25 @@ def mild_solution(
     return Trajectory(grid, states)
 
 
-@lru_cache(maxsize=64)
+def _causal_product(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """First m terms of the causal convolution sum_j u[j] v[k-j] along axis 0,
+    by real FFTs at a length with no wrap-around."""
+    u, v = u[:m], v[:m]
+    size = _fast_len(len(u) + len(v) - 1)
+    return irfft(rfft(u, size, axis=0) * rfft(v, size, axis=0), size, axis=0)[:m]
+
+
+def _series_inverse(t: np.ndarray, m: int) -> np.ndarray:
+    """First m terms of the power series 1/t(x), per column, by Newton
+    doubling g <- g - g (t g - 1): from k correct terms to 2k."""
+    g = 1.0 / t[:1]
+    while len(g) < m:
+        k, k2 = len(g), min(2 * len(g), m)
+        residual = _causal_product(t, g, k2)[k:]  # t g - 1 = O(x^k): its terms k..k2-1
+        g = np.concatenate([g, -_causal_product(g, residual, k2 - k)])
+    return g
+
+
 def _l1_starting_weights(alpha: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Starting weights making the L1 derivative exact on t^alpha and t^(2 alpha).
 
@@ -237,20 +254,15 @@ def _l1_starting_weights(alpha: float, steps: int) -> tuple[np.ndarray, np.ndarr
     g2m = math.gamma(2.0 - alpha)
     d = np.zeros(steps + 1)
     d[1:] = k[1:] ** alpha - k[:-1] ** alpha
-    r1 = math.gamma(1.0 + alpha) - np.convolve(b, d)[: steps + 1] / g2m
+    r1 = math.gamma(1.0 + alpha) - _causal_product(b, d, steps + 1) / g2m
     if 2.0 * alpha > 1.7:
-        tau1 = r1
-        tau2 = np.zeros(steps + 1)
-    else:
-        d2 = np.zeros(steps + 1)
-        d2[1:] = k[1:] ** (2.0 * alpha) - k[:-1] ** (2.0 * alpha)
-        gam2 = math.gamma(2.0 * alpha + 1.0) / math.gamma(alpha + 1.0)
-        r2 = gam2 * k**alpha - np.convolve(b, d2)[: steps + 1] / g2m
-        tau2 = (r2 - r1) / (2.0 ** (2.0 * alpha) - 2.0**alpha)
-        tau1 = r1 - (2.0**alpha - 2.0) * tau2
-    tau1.flags.writeable = False
-    tau2.flags.writeable = False
-    return tau1, tau2
+        return r1, np.zeros(steps + 1)
+    d2 = np.zeros(steps + 1)
+    d2[1:] = k[1:] ** (2.0 * alpha) - k[:-1] ** (2.0 * alpha)
+    gam2 = math.gamma(2.0 * alpha + 1.0) / math.gamma(alpha + 1.0)
+    r2 = gam2 * k**alpha - _causal_product(b, d2, steps + 1) / g2m
+    tau2 = (r2 - r1) / (2.0 ** (2.0 * alpha) - 2.0**alpha)
+    return r1 - (2.0**alpha - 2.0) * tau2, tau2
 
 
 def l1_reference(
@@ -261,31 +273,31 @@ def l1_reference(
     control: np.ndarray | None = None,
 ) -> Trajectory:
     """Implicit L1 time stepping of the Caputo system, mode by mode, with
-    starting-weight corrections for the startup layer."""
+    starting-weight corrections for the startup layer.
+
+    Steps 1 and 2 couple through the starting weights and come from a 2x2
+    solve per mode.  From step 3 on, each mode's scheme is a lower-triangular
+    Toeplitz system in the increments D_i = q_i - q_{i-1},
+
+        sum_{j=0}^{k-1} t_j D_{k-j} = lam q_0 + w_k - s1[k] d1 - s2[k] d2,
+        t_j = c b_j - lam,
+
+    with the known D_1, D_2 moved to the right-hand side: one product with
+    the power series 1/t(x) gives D_3..D_N, and q = q_2 + cumsum D."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n_modes,):
         raise ValueError(f"x0 must have shape ({model.n_modes},), got {x0.shape}")
     forcing = _as_node_array(forcing, grid, model.n_modes, "forcing")
     control = _as_node_array(control, grid, model.n_modes, "control")
 
-    alpha = model.order.alpha
-    lam = model.eigenvalues
-    n = model.n_modes
+    alpha, lam = model.order.alpha, model.eigenvalues
+    n, steps = model.n_modes, grid.steps
     c = 1.0 / (grid.dt**alpha * math.gamma(2.0 - alpha))
-    b = l1_coefficients(alpha, grid.steps)
-    tau1, tau2 = _l1_starting_weights(alpha, grid.steps)
-    s1 = tau1 / grid.dt**alpha
-    s2 = tau2 / grid.dt**alpha
+    b = l1_coefficients(alpha, steps)
+    s1, s2 = (tau / grid.dt**alpha for tau in _l1_starting_weights(alpha, steps))
+    w = sum((data for data in (forcing, control) if data is not None), np.zeros((steps + 1, n)))
 
-    def inhomogeneity(k: int) -> np.ndarray:
-        w = np.zeros(n)
-        if forcing is not None:
-            w = w + forcing[k]
-        if control is not None:
-            w = w + control[k]
-        return w
-
-    states = np.empty((grid.steps + 1, n))
+    states = np.empty((steps + 1, n))
     states[0] = x0
     # steps 1 and 2 couple through the starting weights: 2x2 solve per mode of
     #   c (q1 - q0) + s1[1] (q1 - q0) + s2[1] (q2 - 2 q1 + q0) = lam q1 + w1
@@ -295,21 +307,19 @@ def l1_reference(
     a12 = np.full(n, s2[1])
     a21 = np.full(n, c * (b[1] - 1.0) + s1[2] - 2.0 * s2[2])
     a22 = c + s2[2] - lam
-    r1 = (c + s1[1] - s2[1]) * x0 + inhomogeneity(1)
-    r2 = (c * b[1] + s1[2] - s2[2]) * x0 + inhomogeneity(2)
+    r1 = (c + s1[1] - s2[1]) * x0 + w[1]
+    r2 = (c * b[1] + s1[2] - s2[2]) * x0 + w[2]
     det = a11 * a22 - a12 * a21
     states[1] = (r1 * a22 - a12 * r2) / det
     states[2] = (a11 * r2 - a21 * r1) / det
 
-    increments = np.zeros((grid.steps, n))
-    increments[0] = states[1] - states[0]
-    increments[1] = states[2] - states[1]
-    d1 = states[1] - states[0]
-    d2 = states[2] - 2.0 * states[1] + states[0]
-    for k in range(3, grid.steps + 1):
-        # memory part: b_j pairs with the increment j steps back
-        hist = np.einsum("j,jn->n", b[1:k], increments[k - 2 :: -1][: k - 1])
-        rhs = c * (states[k - 1] - hist) - s1[k] * d1 - s2[k] * d2 + inhomogeneity(k)
-        states[k] = rhs / (c - lam)
-        increments[k - 1] = states[k] - states[k - 1]
+    if steps > 2:
+        d1 = states[1] - states[0]
+        d2 = states[2] - 2.0 * states[1] + states[0]
+        t = c * b[:, None] - lam
+        rhs = (lam * x0 + w[3:] - s1[3:, None] * d1 - s2[3:, None] * d2
+               - t[2:] * d1 - t[1:-1] * (states[2] - states[1]))
+        g = _series_inverse(t, steps - 2)
+        del t, w  # before the last product's FFT arrays
+        states[3:] = states[2] + np.cumsum(_causal_product(g, rhs, steps - 2), axis=0)
     return Trajectory(grid, states)

@@ -20,9 +20,9 @@ integral (Ann. Probab. 1975) above, via M_a(tau) = a^-1 tau^(-1-1/a)
 L_a(tau^(-1/a)) with the one-sided stable density L_a (Mainardi, Mura &
 Pagnini, Int. J. Differ. Equ. 2010).
 
-Quadrature weights integrate the weakly singular kernel exactly against
-piecewise-linear data (product trapezoidal); the same moment arrays back the
-fractional integral here and the lag weights of `evolve.Propagator`.
+`product_lag_weights` owns the one quadrature rule for the weakly singular
+kernel: exact against piecewise-linear data (product trapezoidal), by lag.
+`rl_integral` reads one row of it and `evolve.Propagator` the whole table.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ __all__ = [
     "wright_density",
     "rl_integral",
     "caputo_derivative",
-    "singular_conv_weights",
+    "product_lag_weights",
     "l1_coefficients",
     "row_blocks",
     "gaussian_rows",
-    "as_integer",
+    "as_number",
 ]
 
 # Branch boundaries in s: Taylor below (max term exp(5) ~ 150, ~2 digits
@@ -211,12 +211,14 @@ def gaussian_rows(rng, rows: int, cols: int) -> np.ndarray:
     return np.array([rng.gauss(0.0, 1.0) for _ in range(rows * cols)]).reshape(rows, cols)
 
 
-def as_integer(value, key: str) -> int:
-    """A count setting as an int; text that is no integer raises a ValueError naming `key`."""
+def as_number(value, key: str, kind: type = int):
+    """A numeric setting as `kind`, int for counts or float; text that is no
+    such number raises a ValueError naming `key`."""
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {value!r}") from None
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
@@ -454,53 +456,34 @@ def _wright_kanter(alpha: float, tau: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pl_moment_arrays(alpha: float, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left/right nodal weights of int_{m-1}^{m} u^(alpha-1) * (linear hat) du.
-
-    A[m] multiplies the node at lag m (the left end of the lag interval),
-    B[m] the node at lag m-1, for m = 1..m_max; entry 0 is unused padding.
-    """
-    m = np.arange(0, m_max + 1, dtype=float)
-    p0 = np.zeros(m_max + 1)
-    p1 = np.zeros(m_max + 1)
-    p0[1:] = (m[1:] ** alpha - m[:-1] ** alpha) / alpha
-    p1[1:] = (m[1:] ** (alpha + 1.0) - m[:-1] ** (alpha + 1.0)) / (alpha + 1.0)
-    a = p1[1:] - m[:-1] * p0[1:]
-    b = m[1:] * p0[1:] - p1[1:]
-    return np.concatenate(([0.0], a)), np.concatenate(([0.0], b))
-
-
-def singular_conv_weights(alpha: float, k: int, dt: float) -> np.ndarray:
-    """Weights w such that int_0^{t_k} (t_k - s)^(alpha-1) phi(s) ds
-    ~= sum_j w[j] phi(t_j), exact for piecewise-linear phi."""
+def product_lag_weights(alpha: float, steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(c, a) with int_0^{t_k} (t_k - s)^(alpha-1) phi(s) ds ~= a[k] phi(0) +
+    sum_{j>=1} c[k-j] phi(t_j) on t_j = j dt, exact for piecewise-linear phi;
+    k, m = 0..steps."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if k < 1:
-        return np.zeros(1)
-    a_arr, b_arr = pl_moment_arrays(alpha, k)
-    w = np.zeros(k + 1)
-    # phi(t_j) sits at lag m = k - j: left-end weight A(m) from interval m,
-    # right-end weight B(m+1) from interval m+1.
-    w[0] = a_arr[k]
-    w[1:k] = a_arr[k - 1 : 0 : -1] + b_arr[k:1:-1]
-    w[k] = b_arr[1]
-    return w * dt**alpha
+    m = np.arange(0, steps + 2, dtype=float)
+    # moments of u^(alpha-1) and u^alpha over each lag interval [m, m+1]
+    p0 = (m[1:] ** alpha - m[:-1] ** alpha) / alpha
+    p1 = (m[1:] ** (alpha + 1.0) - m[:-1] ** (alpha + 1.0)) / (alpha + 1.0)
+    # lag m weighs in as the far end of [m-1, m] and the near end of [m, m+1];
+    # the node j = 0, at lag k, only as the far end
+    far = np.concatenate(([0.0], (p1 - m[:-1] * p0)[:-1]))
+    scale = dt**alpha
+    return (far + (m[1:] * p0 - p1)) * scale, far * scale
 
 
 def rl_integral(values: np.ndarray, grid: TimeGrid, alpha: float, t: float) -> float:
-    """Fractional integral of order alpha of grid-sampled f, evaluated at node t.
-
-    Product-trapezoidal rule: the kernel (t-s)^(alpha-1) is integrated exactly
-    against the piecewise-linear interpolant of the samples.
-    """
+    """Fractional integral of order alpha of grid-sampled f, evaluated at node t:
+    row k of `product_lag_weights`, the propagator's rule with no multiplier."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.steps + 1,):
         raise ValueError(f"values must have shape ({grid.steps + 1},), got {values.shape}")
     k = grid.node_index(t)
     if k == 0:
         return 0.0
-    w = singular_conv_weights(alpha, k, grid.dt)
-    return float(w @ values[: k + 1]) / math.gamma(alpha)
+    c, a = product_lag_weights(alpha, k, grid.dt)
+    return float(np.append(a[k], c[k - 1 :: -1]) @ values[: k + 1]) / math.gamma(alpha)
 
 
 def l1_coefficients(alpha: float, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import propagator
-from .fracops import TimeGrid, as_integer, gaussian_rows
+from .fracops import TimeGrid, as_number, gaussian_rows
 from .lpspace import lp_norms
 from .spectral import SpectralModel
 
@@ -34,7 +34,7 @@ __all__ = [
 
 def check_steps(steps) -> int:
     """The time grid's step count, the Gramian's quadrature too, as an int >= 16."""
-    steps = as_integer(steps, "steps")
+    steps = as_number(steps, "steps")
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
     return steps

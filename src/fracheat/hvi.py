@@ -31,7 +31,7 @@ from .control import (
     terminal_identity_residual,
 )
 from .evolve import Trajectory
-from .fracops import TimeGrid, as_integer, row_blocks
+from .fracops import TimeGrid, as_number, row_blocks
 from .lpspace import basis_coefficients, basis_values, lp_norms, theta_grid
 from .spectral import SpectralModel
 
@@ -259,7 +259,7 @@ def _trajectory_gap(model: SpectralModel, a: Trajectory, b: Trajectory) -> float
 
 def check_relaxation(relaxation) -> float:
     """The fixed point's back-off damping as a float in (0, 1]."""
-    relaxation = float(relaxation)
+    relaxation = as_number(relaxation, "relaxation", float)
     if not 0.0 < relaxation <= 1.0:
         raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
     return relaxation
@@ -267,7 +267,7 @@ def check_relaxation(relaxation) -> float:
 
 def check_fixed_point_tol(tol) -> float:
     """The fixed point's trajectory-gap tolerance as a finite float >= 0."""
-    tol = float(tol)
+    tol = as_number(tol, "fixed_point_tol", float)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"fixed_point_tol must be finite and >= 0, got {tol}")
     return tol
@@ -275,7 +275,7 @@ def check_fixed_point_tol(tol) -> float:
 
 def check_fixed_point_max_iter(max_iter) -> int:
     """The fixed point's iteration cap as an int >= 1."""
-    max_iter = as_integer(max_iter, "fixed_point_max_iter")
+    max_iter = as_number(max_iter, "fixed_point_max_iter")
     if max_iter < 1:
         raise ValueError(f"fixed_point_max_iter must be an integer >= 1, got {max_iter}")
     return max_iter
@@ -395,9 +395,12 @@ def free_terminal_miss(model: SpectralModel, grid: TimeGrid, z: np.ndarray,
 
 
 def check_epsilons(values) -> list[float]:
-    """The epsilon list as floats: nonempty, strictly descending, and no value
-    below the 1e-5 desk-scale floor."""
-    eps = [float(e) for e in values]
+    """The epsilon list as floats: finite, nonempty, strictly descending, and
+    no value below the 1e-5 desk-scale floor."""
+    eps = [as_number(e, "sweep.epsilons", float) for e in values]
+    bad = [e for e in eps if not math.isfinite(e)]
+    if bad:
+        raise ValueError(f"sweep.epsilons must be finite, got {bad[0]}")
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon list must be a nonempty strictly descending list")
     if eps[-1] < 1e-5:

@@ -101,6 +101,10 @@ class TestConfig:
          "resolvent_max_iter must be an integer, got '1.5'"),
         ("solver.fixed_point_max_iter=2.0", check_fixed_point_max_iter,
          "fixed_point_max_iter must be an integer, got '2.0'"),
+        ("solver.resolvent_tol=x", check_resolvent_tol, "resolvent_tol must be a number, got 'x'"),
+        ("solver.fixed_point_tol=1e-8x", check_fixed_point_tol,
+         "fixed_point_tol must be a number, got '1e-8x'"),
+        ("solver.relaxation=half", check_relaxation, "relaxation must be a number, got 'half'"),
     ])
     def test_solver_guard_exits_1_with_its_owners_message(self, config_file, capsys, setting,
                                                           owner, message):
@@ -119,6 +123,33 @@ class TestConfig:
         assert main(["sweep", str(config_file), "--set", setting]) == 1
         assert capsys.readouterr().err == (
             f"configuration error: {key} must be an integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("setting,message", [
+        ("model.alpha=x", "model.alpha must be a number, got 'x'"),
+        ("model.alpha1=0.4.1", "model.alpha1 must be a number, got '0.4.1'"),
+        ("model.horizon=one", "model.horizon must be a number, got 'one'"),
+        ("model.p=", "model.p must be a number, got ''"),
+        ("meta.schema_version=x", "meta.schema_version must be an integer, got 'x'"),
+        ("sweep.epsilons=1e-1, 1e-2x", "sweep.epsilons must be a number, got '1e-2x'"),
+        ("problem.potential=abs:x", "problem.potential coefficient must be a number, got 'x'"),
+        ("problem.potential=sat:y", "problem.potential coefficient must be a number, got 'y'"),
+        ("problem.potential=sat:0.3:y", "problem.potential cap must be a number, got 'y'"),
+        ("problem.target=coeffs: 0.1, abc",
+         "problem.target coefficient must be a number, got 'abc'"),
+        ("problem.x0=sine:1.5", "problem.x0 sine mode must be an integer, got '1.5'"),
+        ("problem.x0=sine:2:w", "problem.x0 amplitude must be a number, got 'w'"),
+        ("sweep.epsilons=nan", "sweep.epsilons must be finite, got nan"),
+        ("sweep.epsilons=inf", "sweep.epsilons must be finite, got inf"),
+        ("sweep.epsilons=1e-1, nan", "sweep.epsilons must be finite, got nan"),
+        ("sweep.epsilons=inf, 1e-1", "sweep.epsilons must be finite, got inf"),
+    ])
+    def test_numeric_setting_exits_1_naming_its_key(self, config_file, capsys, setting, message):
+        """Text that is no number, or a non-finite epsilon, fails before any
+        work with a message that names the key, and writes no file."""
+        out = config_file.parent / "out"
+        assert main(["sweep", str(config_file), "--set", setting]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting,message", [
         ("model.modes=0", "n_modes must be >= 1, got 0"),

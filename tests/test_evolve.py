@@ -1,9 +1,13 @@
 import math
+import time
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from fracheat.fracops import FracOrder, TimeGrid, mittag_leffler, mittag_leffler2
+from fracheat.fracops import FracOrder, TimeGrid, l1_coefficients, mittag_leffler, \
+    mittag_leffler2
 from fracheat.cli import _write_node_table
 from fracheat.evolve import Trajectory, l1_reference, mild_solution
 from fracheat.spectral import SpectralModel, build_model
@@ -104,7 +108,107 @@ class TestMildSolution:
             mild_solution(model4, grid, np.zeros(4), forcing=np.zeros((5, 4)))
 
 
+@lru_cache(maxsize=2)
+def green_model(n_modes):
+    return build_model(n_modes, ORDER, 1.0, None, None, 2.0, 256)
+
+
+def reference_l1_starting_weights(alpha, steps):
+    """`evolve._l1_starting_weights` as it was, with `np.convolve`."""
+    b = l1_coefficients(alpha, steps)
+    k = np.arange(0, steps + 1, dtype=float)
+    g2m = math.gamma(2.0 - alpha)
+    d = np.zeros(steps + 1)
+    d[1:] = k[1:] ** alpha - k[:-1] ** alpha
+    r1 = math.gamma(1.0 + alpha) - np.convolve(b, d)[: steps + 1] / g2m
+    if 2.0 * alpha > 1.7:
+        return r1, np.zeros(steps + 1)
+    d2 = np.zeros(steps + 1)
+    d2[1:] = k[1:] ** (2.0 * alpha) - k[:-1] ** (2.0 * alpha)
+    gam2 = math.gamma(2.0 * alpha + 1.0) / math.gamma(alpha + 1.0)
+    r2 = gam2 * k**alpha - np.convolve(b, d2)[: steps + 1] / g2m
+    tau2 = (r2 - r1) / (2.0 ** (2.0 * alpha) - 2.0**alpha)
+    return r1 - (2.0**alpha - 2.0) * tau2, tau2
+
+
+def reference_l1(model, grid, x0, forcing=None, control=None):
+    """`l1_reference` as it was: the 2x2 start, then a Python loop over the
+    nodes with an O(k) history sum per step."""
+    alpha, lam, n = model.order.alpha, model.eigenvalues, model.n_modes
+    c = 1.0 / (grid.dt**alpha * math.gamma(2.0 - alpha))
+    b = l1_coefficients(alpha, grid.steps)
+    tau1, tau2 = reference_l1_starting_weights(alpha, grid.steps)
+    s1 = tau1 / grid.dt**alpha
+    s2 = tau2 / grid.dt**alpha
+
+    def inhomogeneity(k):
+        w = np.zeros(n)
+        if forcing is not None:
+            w = w + forcing[k]
+        if control is not None:
+            w = w + control[k]
+        return w
+
+    states = np.empty((grid.steps + 1, n))
+    states[0] = x0
+    a11 = c + s1[1] - 2.0 * s2[1] - lam
+    a12 = np.full(n, s2[1])
+    a21 = np.full(n, c * (b[1] - 1.0) + s1[2] - 2.0 * s2[2])
+    a22 = c + s2[2] - lam
+    r1 = (c + s1[1] - s2[1]) * x0 + inhomogeneity(1)
+    r2 = (c * b[1] + s1[2] - s2[2]) * x0 + inhomogeneity(2)
+    det = a11 * a22 - a12 * a21
+    states[1] = (r1 * a22 - a12 * r2) / det
+    states[2] = (a11 * r2 - a21 * r1) / det
+    increments = np.zeros((grid.steps, n))
+    increments[0] = states[1] - states[0]
+    increments[1] = states[2] - states[1]
+    d1 = states[1] - states[0]
+    d2 = states[2] - 2.0 * states[1] + states[0]
+    for k in range(3, grid.steps + 1):
+        hist = np.einsum("j,jn->n", b[1:k], increments[k - 2 :: -1][: k - 1])
+        rhs = c * (states[k - 1] - hist) - s1[k] * d1 - s2[k] * d2 + inhomogeneity(k)
+        states[k] = rhs / (c - lam)
+        increments[k - 1] = states[k] - states[k - 1]
+    return states
+
+
 class TestL1Reference:
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("n_modes,steps", [(8, 512), (8, 4096), (64, 512), (64, 4096)])
+    def test_toeplitz_solve_matches_the_node_loop(self, alpha, n_modes, steps):
+        """The series-inverse solve and the FFT starting weights against the
+        loop and `np.convolve` they replaced: they sum in another order, so
+        agreement is to 1e-12 of the largest state, not bitwise."""
+        model = replace(green_model(n_modes), order=FracOrder(alpha, 0.4))  # alpha-free build
+        grid = TimeGrid(1.0, steps)
+        rng = np.random.default_rng(steps + n_modes)
+        x0 = rng.standard_normal(n_modes)
+        forcing = smooth_forcing(grid, rng.standard_normal(n_modes))
+        control = np.outer(np.cos(3.0 * grid.nodes), rng.standard_normal(n_modes))
+        new = l1_reference(model, grid, x0, forcing=forcing, control=control).states
+        ref = reference_l1(model, grid, x0, forcing=forcing, control=control)
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("steps", [2, 3, 4, 5])
+    def test_shortest_grids_match_the_node_loop(self, model4, steps):
+        grid = TimeGrid(1.0, steps)
+        x0 = np.array([1.0, -0.5, 0.25, 2.0])
+        forcing = smooth_forcing(grid, np.array([0.3, -1.0, 0.5, 2.0]))
+        new = l1_reference(model4, grid, x0, forcing=forcing).states
+        ref = reference_l1(model4, grid, x0, forcing=forcing)
+        assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_fine_grid_runs_in_well_under_a_second(self):
+        # the node loop with the O(N^2) starting weights took 1.1-2.5 s cold on a 2-vCPU VM
+        model = build_model(8, ORDER, 1.0, None, None, 2.0, 256)
+        grid = TimeGrid(1.0, 16384)
+        forcing = smooth_forcing(grid, np.linspace(-1.0, 1.0, 8))
+        started = time.perf_counter()
+        ref = l1_reference(model, grid, np.linspace(0.5, -0.5, 8), forcing=forcing)
+        assert time.perf_counter() - started <= 1.0
+        assert np.all(np.isfinite(ref.states))
+
     def test_zero_data_tracks_relaxation(self, model4):
         # scheme error of the corrected L1 on the stiff relaxation: the sup is
         # taken in the startup region; away from it the agreement is much

@@ -559,6 +559,9 @@ class TestSweep:
         assert check_epsilons(["1e-1", 1e-5]) == [0.1, 1e-5]
         with pytest.raises(ValueError, match="1e-5"):
             check_epsilons([1e-1, 1e-6])
+        for bad in (["nan"], [math.inf], [1e-1, math.nan], [math.inf, 1e-1]):
+            with pytest.raises(ValueError, match="sweep.epsilons must be finite"):
+                check_epsilons(bad)
 
     def test_csv_shape(self, tmp_path):
         config = tmp_path / "exp.cfg"

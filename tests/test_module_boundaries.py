@@ -95,7 +95,7 @@ def test_checker_flags_each_file_write(tmp_path):
 
 # Public names that no code in the package calls, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
-    "rl_integral": "checked by tests/test_acceptance.py",
+    "rl_integral": "the scalar face of the propagator's rule, checked by criterion 2",
     "caputo_derivative": "checked by tests/test_acceptance.py",
     "hvi_residual": "acceptance criterion 9, the variational-inequality residual",
     "a_priori_state_bound": "the paper's state estimate, due in summary.json (ROADMAP item 4)",

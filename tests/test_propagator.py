@@ -1,7 +1,9 @@
 """The shared propagator against the per-node code it replaced.
 
 The references below are the earlier implementations, kept verbatim in
-substance: the mild solution as a Python loop over nodes k with one
+substance: the product-trapezoidal rule as the two builders it had,
+`singular_conv_weights` (row by row) and the propagator's lag weights from
+`pl_moment_arrays`; the mild solution as a Python loop over nodes k with one
 `singular_conv_weights` row per node, the Gramian as a per-sigma einsum over
 `forcing_multipliers`, the closed loop as two mild solutions (free run
 for the deficiency, then forcing plus the applied control), and the closed
@@ -15,12 +17,14 @@ only.
 import numpy as np
 import pytest
 
+import math
+
 import fracheat.control as control_module
 import fracheat.fracops as fracops
 from fracheat.control import closed_loop_trajectory, coordinate_duality_map, \
     deficiency_vector, regularized_resolvent
 from fracheat.evolve import Propagator, mild_solution
-from fracheat.fracops import TimeGrid, ml_multipliers, singular_conv_weights
+from fracheat.fracops import TimeGrid, ml_multipliers, product_lag_weights, rl_integral
 from fracheat.gramian import assemble_gramian
 from fracheat.evolve import propagator
 from fracheat.spectral import forcing_multipliers
@@ -33,6 +37,52 @@ TENSOR_TOL = 1e-14
 
 def rel_gap(new: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(new - ref)) / np.max(np.abs(ref)))
+
+
+def pl_moment_arrays(alpha, m_max):
+    """Left/right nodal weights of int_{m-1}^{m} u^(alpha-1) * (linear hat) du.
+
+    A[m] multiplies the node at lag m (the left end of the lag interval),
+    B[m] the node at lag m-1, for m = 1..m_max; entry 0 is unused padding.
+    """
+    m = np.arange(0, m_max + 1, dtype=float)
+    p0 = np.zeros(m_max + 1)
+    p1 = np.zeros(m_max + 1)
+    p0[1:] = (m[1:] ** alpha - m[:-1] ** alpha) / alpha
+    p1[1:] = (m[1:] ** (alpha + 1.0) - m[:-1] ** (alpha + 1.0)) / (alpha + 1.0)
+    a = p1[1:] - m[:-1] * p0[1:]
+    b = m[1:] * p0[1:] - p1[1:]
+    return np.concatenate(([0.0], a)), np.concatenate(([0.0], b))
+
+
+def singular_conv_weights(alpha, k, dt):
+    """Weights w such that int_0^{t_k} (t_k - s)^(alpha-1) phi(s) ds
+    ~= sum_j w[j] phi(t_j), exact for piecewise-linear phi."""
+    if k < 1:
+        return np.zeros(1)
+    a_arr, b_arr = pl_moment_arrays(alpha, k)
+    w = np.zeros(k + 1)
+    # phi(t_j) sits at lag m = k - j: left-end weight A(m) from interval m,
+    # right-end weight B(m+1) from interval m+1.
+    w[0] = a_arr[k]
+    w[1:k] = a_arr[k - 1 : 0 : -1] + b_arr[k:1:-1]
+    w[k] = b_arr[1]
+    return w * dt**alpha
+
+
+def reference_lag_weights(alpha, horizon, steps):
+    """`Propagator.lag_weights` as it was, from `pl_moment_arrays`."""
+    left, right = pl_moment_arrays(alpha, steps + 1)
+    scale = (horizon / steps) ** alpha
+    return (left[:-1] + right[1:]) * scale, left[:-1] * scale
+
+
+def reference_rl_integral(values, grid, alpha, t):
+    """`fracops.rl_integral` as it was, on one `singular_conv_weights` row."""
+    k = grid.node_index(t)
+    if k == 0:
+        return 0.0
+    return float(singular_conv_weights(alpha, k, grid.dt) @ values[: k + 1]) / math.gamma(alpha)
 
 
 def reference_tables(model, grid):
@@ -133,6 +183,44 @@ def test_lag_weights_reproduce_singular_conv_weights(model_p2):
         w = singular_conv_weights(model_p2.order.alpha, k, grid.dt)
         assert np.array_equal(w[1:], c[k - 1 :: -1])
         assert w[0] == a[k]
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 0.9, 0.99, 1.0])
+@pytest.mark.parametrize("horizon,steps", [(1.0, 40), (1.0, 512), (2.5, 4096)])
+def test_lag_weights_are_both_former_builders_bitwise(alpha, horizon, steps):
+    """The one rule reproduces `singular_conv_weights` row by row and the
+    propagator's former lag weights."""
+    c, a = product_lag_weights(alpha, steps, horizon / steps)
+    c_ref, a_ref = reference_lag_weights(alpha, horizon, steps)
+    assert np.array_equal(c, c_ref) and np.array_equal(a, a_ref)
+    for k in (1, 2, 17, 40, steps):
+        w = singular_conv_weights(alpha, k, horizon / steps)
+        assert np.array_equal(w[1:], c[k - 1 :: -1])
+        assert w[0] == a[k]
+
+
+@pytest.mark.parametrize("steps", [40, 512])
+def test_propagator_reads_the_one_rule(model_p2, steps):
+    prop = propagator(model_p2, TimeGrid(1.0, steps))
+    c_ref, a_ref = reference_lag_weights(model_p2.order.alpha, 1.0, steps)
+    c, a = prop.lag_weights
+    assert np.array_equal(c, c_ref) and np.array_equal(a, a_ref)
+    assert np.array_equal(prop.terminal_weights, np.append(c_ref[:-1], a_ref[-1]))
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
+def test_rl_integral_is_the_former_row_rule_bitwise(alpha):
+    grid = TimeGrid(1.3, 256)
+    values = np.exp(-grid.nodes) * np.sin(5.0 * grid.nodes) + grid.nodes
+    for t in grid.nodes[[0, 1, 2, 97, 256]]:
+        t = float(t)
+        assert rl_integral(values, grid, alpha, t) == reference_rl_integral(values, grid, alpha, t)
+
+
+def test_lag_weights_reject_alpha_outside_the_unit_interval():
+    for alpha in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            product_lag_weights(alpha, 8, 0.1)
 
 
 def test_closed_loop_runs_one_mild_solution(model_p2, gram_p2, grid_512, monkeypatch):
