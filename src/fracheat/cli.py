@@ -39,7 +39,7 @@ from .fracops import gaussian_rows, mittag_leffler, mittag_leffler2, wright_dens
 from .gramian import assemble_gramian, verify_gramian
 from .hvi import epsilon_sweep, free_terminal_miss
 from .lpspace import basis_values, duality_map, lp_norm, lp_norms
-from .spectral import injectivity_diagnostic, propagate_state, propagate_forcing
+from .spectral import forcing_multipliers, injectivity_diagnostic, state_multipliers
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -118,8 +118,8 @@ def cmd_validate(exp: Experiment) -> int:
     ts = np.array([rng.uniform(0.0, model.horizon) for _ in range(200)])
     xs = gaussian_rows(rng, 200, model.n_modes)
     nx = lp_norms(xs, model.n_theta, model.p)
-    worst_s, worst_t = (float(np.max(lp_norms(prop(model, ts, xs), model.n_theta, model.p) / nx))
-                        for prop in (propagate_state, propagate_forcing))
+    worst_s, worst_t = (float(np.max(lp_norms(mult(model, ts) * xs, model.n_theta, model.p) / nx))
+                        for mult in (state_multipliers, forcing_multipliers))
     checks.append(("state-family bound M", worst_s <= model.m_bound * (1 + 1e-12),
                    f"sup ratio {worst_s:.6f}"))
     checks.append(("forcing-family bound M/Gamma(alpha)", worst_t <= bound_t * (1 + 1e-12),
@@ -199,13 +199,13 @@ def cmd_simulate(exp: Experiment, forcing_coeffs: str | None, control_coeffs: st
         forcing = np.tile(model.h_matrix @ fc, (shape[0], 1))
     if uc is not None:
         control = np.tile(model.b_matrix @ uc, (shape[0], 1))
-    traj = mild_solution(model, grid, exp.x0, forcing=forcing, control=control)
-    ref = l1_reference(model, grid, exp.x0, forcing=forcing, control=control)
-    gaps = lp_norms(traj.states - ref.states, model.n_theta, model.p)
-    scale = float(np.max(lp_norms(traj.states, model.n_theta, model.p)))
+    states = mild_solution(model, grid, exp.x0, forcing=forcing, control=control)
+    gaps = lp_norms(states - l1_reference(model, grid, exp.x0, forcing=forcing, control=control),
+                    model.n_theta, model.p)
+    scale = float(np.max(lp_norms(states, model.n_theta, model.p)))
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     path = exp.output_dir / "trajectory.csv"
-    _write_node_table(path, _header_lines(exp), grid.nodes, "c", traj.states, l1_gap=gaps)
+    _write_node_table(path, _header_lines(exp), grid.nodes, "c", states, l1_gap=gaps)
     rel = float(np.max(gaps)) / max(scale, 1e-300)
     print(f"trajectory written to {path}")
     print(f"cross-solver gap: {rel:.3e} relative (sup over nodes)")
@@ -245,7 +245,7 @@ def cmd_sweep(exp: Experiment) -> int:
         if result is not None and "csv" in exp.formats:
             tag = _epsilon_tag(entry.epsilon)
             _write_node_table(exp.output_dir / f"trajectory_eps_{tag}.csv", headers,
-                              grid.nodes, "c", result.run.trajectory.states)
+                              grid.nodes, "c", result.run.states)
             _write_node_table(exp.output_dir / f"control_eps_{tag}.csv", headers,
                               grid.nodes, "u", result.run.control)
         del result  # its grid arrays go before the next epsilon is solved

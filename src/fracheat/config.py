@@ -34,7 +34,7 @@ from .control import check_resolvent_max_iter, check_resolvent_tol
 from .gramian import check_steps
 from .hvi import NonsmoothPotential, abs_potential, audit_potential, check_epsilons, \
     check_fixed_point_max_iter, check_fixed_point_tol, check_relaxation, check_strategy, \
-    saturating_potential, tabulated_potential, zero_potential
+    saturating_potential, tabulated_potential
 
 __all__ = ["ExperimentConfig", "Experiment", "load_config", "build_experiment",
            "default_config_text"]
@@ -180,7 +180,7 @@ def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
 def _parse_potential(spec: str, base: Path, horizon: float) -> NonsmoothPotential:
     spec = spec.strip()
     if spec == "zero":
-        return zero_potential()
+        return abs_potential(0.0)
     if spec.startswith("abs:"):
         return abs_potential(as_number(spec[len("abs:"):], "problem.potential coefficient", float))
     if spec.startswith("sat:"):
@@ -188,7 +188,10 @@ def _parse_potential(spec: str, base: Path, horizon: float) -> NonsmoothPotentia
         cap = as_number(parts[1], "problem.potential cap", float) if len(parts) > 1 else 1.0
         return saturating_potential(as_number(parts[0], "problem.potential coefficient", float), cap)
     if spec.startswith("table:"):
-        data = np.loadtxt(base / spec[len("table:"):], delimiter=",")
+        data = np.loadtxt(base / spec[len("table:"):], delimiter=",", ndmin=2)
+        if data.shape[0] < 2 or data.shape[1] != 2:
+            raise ValueError(f"problem.potential table must have n >= 2 rows of (r, F), "
+                             f"got shape {data.shape}")
         pot = tabulated_potential(data[:, 0], data[:, 1])
         audit_potential(pot, np.linspace(0.0, horizon, 9), np.linspace(-3.0, 3.0, 201))
         return pot

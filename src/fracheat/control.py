@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fracops import TimeGrid, as_number
-from .evolve import Trajectory, mild_solution, propagator
+from .evolve import mild_solution, propagator
 from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
 
@@ -195,10 +195,11 @@ def deficiency_vector(
 
 @dataclass
 class ClosedLoopRun:
-    """Synthesized control together with the trajectory it produces."""
+    """Synthesized control together with the states it produces: `states`
+    (steps+1, n_modes), row k the state q(t_k) on the closed loop's grid."""
 
     epsilon: float
-    trajectory: Trajectory
+    states: np.ndarray
     control: np.ndarray           # (steps+1, n_modes) coordinates in U
     deficiency: np.ndarray
     solve: ResolventSolve
@@ -223,8 +224,8 @@ def closed_loop_trajectory(
     solve = regularized_resolvent(gram, model, epsilon, d, tol=tol, max_iter=max_iter)
     jw = coordinate_duality_map(model, solve.result)
     control = (propagator(model, grid).e_force[::-1] * jw) @ model.b_matrix
-    traj = mild_solution(model, grid, x0, forcing=forcing, control=control @ model.b_matrix.T)
-    return ClosedLoopRun(epsilon, traj, control, d, solve)
+    states = mild_solution(model, grid, x0, forcing=forcing, control=control @ model.b_matrix.T)
+    return ClosedLoopRun(epsilon, states, control, d, solve)
 
 
 def terminal_identity_residual(
@@ -235,7 +236,7 @@ def terminal_identity_residual(
     """Relative gap between q(a) and z - eps * (eps I + G J)^{-1} d."""
     z = np.asarray(z, dtype=float)
     predicted = z - run.epsilon * run.solve.result
-    gap, z_norm, d_norm = lp_norms([run.trajectory.terminal - predicted, z, run.deficiency],
+    gap, z_norm, d_norm = lp_norms([run.states[-1] - predicted, z, run.deficiency],
                                    model.n_theta, model.p)
     return float(gap / max(z_norm, d_norm, 1e-30))
 

@@ -1,4 +1,4 @@
-"""Trajectory solvers for the mode-decoupled fractional evolution, and the
+"""The mild and L1 solvers of the mode-decoupled fractional evolution, and the
 one discretization of the Duhamel family t^(alpha-1) T_alpha(t) they share.
 
 A `Propagator` per (alpha, eigenvalues, horizon, steps) owns the
@@ -32,7 +32,6 @@ from .spectral import SpectralModel
 __all__ = [
     "Propagator",
     "propagator",
-    "Trajectory",
     "mild_solution",
     "l1_reference",
 ]
@@ -156,28 +155,6 @@ def propagator(model: SpectralModel, grid: TimeGrid) -> Propagator:
     return _shared(model.order.alpha, tuple(model.eigenvalues), grid.horizon, grid.steps)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States (steps+1, n_modes) on a uniform time grid; row k is q(t_k)."""
-
-    grid: TimeGrid
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=float)
-        if states.shape[0] != self.grid.steps + 1:
-            raise ValueError(
-                f"states must have {self.grid.steps + 1} rows, got {states.shape[0]}"
-            )
-        states = states.copy()
-        states.flags.writeable = False
-        object.__setattr__(self, "states", states)
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def _as_node_array(data, grid: TimeGrid, n_modes: int, name: str) -> np.ndarray | None:
     if data is None:
         return None
@@ -195,9 +172,10 @@ def mild_solution(
     x0: np.ndarray,
     forcing: np.ndarray | None = None,
     control: np.ndarray | None = None,
-) -> Trajectory:
+) -> np.ndarray:
     """Mild solution with node-sampled inputs that are already mapped into the
-    state space (forcing = H g, control = B u, per node)."""
+    state space (forcing = H g, control = B u, per node): the states, row k
+    q(t_k), shape (steps+1, n_modes)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n_modes,):
         raise ValueError(f"x0 must have shape ({model.n_modes},), got {x0.shape}")
@@ -210,11 +188,11 @@ def mild_solution(
     if forcing is not None:
         # endpoint-anchored split: the exact kernel moment times forcing[k]
         # plus product integration of the remainder, which vanishes at t_k
-        states = states + prop.forcing_anchor * forcing
+        states += prop.forcing_anchor * forcing
         channel = forcing if control is None else forcing + control
     if channel is not None:
-        states = states + prop.convolve(channel)
-    return Trajectory(grid, states)
+        states += prop.convolve(channel)
+    return states
 
 
 def _causal_product(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
@@ -271,9 +249,10 @@ def l1_reference(
     x0: np.ndarray,
     forcing: np.ndarray | None = None,
     control: np.ndarray | None = None,
-) -> Trajectory:
+) -> np.ndarray:
     """Implicit L1 time stepping of the Caputo system, mode by mode, with
-    starting-weight corrections for the startup layer.
+    starting-weight corrections for the startup layer; returns the states as
+    `mild_solution` does.
 
     Steps 1 and 2 couple through the starting weights and come from a 2x2
     solve per mode.  From step 3 on, each mode's scheme is a lower-triangular
@@ -322,4 +301,4 @@ def l1_reference(
         g = _series_inverse(t, steps - 2)
         del t, w  # before the last product's FFT arrays
         states[3:] = states[2] + np.cumsum(_causal_product(g, rhs, steps - 2), axis=0)
-    return Trajectory(grid, states)
+    return states

@@ -30,14 +30,12 @@ from .control import (
     deficiency_vector,
     terminal_identity_residual,
 )
-from .evolve import Trajectory
 from .fracops import TimeGrid, as_number, row_blocks
 from .lpspace import basis_coefficients, basis_values, lp_norms, theta_grid
 from .spectral import SpectralModel
 
 __all__ = [
     "NonsmoothPotential",
-    "zero_potential",
     "abs_potential",
     "saturating_potential",
     "tabulated_potential",
@@ -75,18 +73,6 @@ class NonsmoothPotential:
     value: Callable
     interval: Callable
     eta: Callable[[float], float]
-    label: str = "custom"
-
-
-def zero_potential() -> NonsmoothPotential:
-    def val(t, theta, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    def ival(t, theta, r):
-        z = np.zeros_like(np.asarray(r, dtype=float))
-        return z, z.copy()
-
-    return NonsmoothPotential(val, ival, lambda t: 0.0, "zero")
 
 
 def abs_potential(c: float) -> NonsmoothPotential:
@@ -104,7 +90,7 @@ def abs_potential(c: float) -> NonsmoothPotential:
         r = np.asarray(r, dtype=float)
         return (r > 0.0) * (2.0 * c) - c, (r >= 0.0) * (2.0 * c) - c
 
-    return NonsmoothPotential(val, ival, lambda t: c, f"abs:{c}")
+    return NonsmoothPotential(val, ival, lambda t: c)
 
 
 def saturating_potential(c: float, cap: float = 1.0) -> NonsmoothPotential:
@@ -121,14 +107,16 @@ def saturating_potential(c: float, cap: float = 1.0) -> NonsmoothPotential:
         return (np.where((r > 0.0) & (r < cap), c, np.where((r >= -cap) & (r <= 0.0), -c, 0.0)),
                 np.where((r >= 0.0) & (r <= cap), c, np.where((r > -cap) & (r < 0.0), -c, 0.0)))
 
-    return NonsmoothPotential(val, ival, lambda t: c, f"sat:{c}:{cap}")
+    return NonsmoothPotential(val, ival, lambda t: c)
 
 
 def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPotential:
-    """Piecewise-linear potential in r given by (breaks, values); slopes are
-    extended constantly beyond the table."""
+    """Piecewise-linear potential in r given by (breaks, values); beyond the
+    table F continues linearly with the end slopes."""
     breaks = np.asarray(breaks, dtype=float)
     values = np.asarray(values, dtype=float)
+    if not (np.all(np.isfinite(breaks)) and np.all(np.isfinite(values))):
+        raise ValueError("potential table entries must be finite")
     if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0):
         raise ValueError("breaks must be strictly increasing with at least 2 entries")
     if values.shape != breaks.shape:
@@ -136,35 +124,35 @@ def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPote
     slopes = np.diff(values) / np.diff(breaks)
     eta_max = float(np.max(np.abs(slopes)))
 
+    def segment(r: np.ndarray) -> np.ndarray:
+        """Index of the table segment whose slope holds at r, the end ones beyond."""
+        return np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
+
     def val(t, theta, r):
-        return np.interp(np.asarray(r, dtype=float), breaks, values)
+        r = np.asarray(r, dtype=float)
+        idx = segment(r)
+        return values[idx] + slopes[idx] * (r - breaks[idx])
 
     def ival(t, theta, r):
         r = np.asarray(r, dtype=float)
-        idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
+        idx = segment(r)
         # interval at interior break points spans the adjacent slopes
         left = slopes[np.where(np.isin(r, breaks[1:-1]), idx - 1, idx)]
         return np.minimum(left, slopes[idx]), np.maximum(left, slopes[idx])
 
-    return NonsmoothPotential(val, ival, lambda t: eta_max, "table")
+    return NonsmoothPotential(val, ival, lambda t: eta_max)
 
 
-def audit_potential(
-    pot: NonsmoothPotential,
-    t_samples: np.ndarray,
-    r_samples: np.ndarray,
-    theta_samples: np.ndarray | None = None,
-) -> None:
-    """Runtime admissibility audit: lo <= hi and |lo|, |hi| <= eta(t)."""
-    theta_samples = theta_samples if theta_samples is not None else np.array([math.pi / 2])
+def audit_potential(pot: NonsmoothPotential, t_samples: np.ndarray, r_samples: np.ndarray) -> None:
+    """Runtime admissibility audit at theta = pi/2 (the potentials built here
+    do not depend on theta): lo <= hi and |lo|, |hi| <= eta(t)."""
     t_samples = np.asarray(t_samples, dtype=float)
     for t, bound in zip(t_samples, np.broadcast_to(pot.eta(t_samples), t_samples.shape)):
-        for theta in theta_samples:
-            lo, hi = pot.interval(t, theta, r_samples)
-            if np.any(lo > hi + 1e-14):
-                raise ValueError(f"potential interval inverted at t={t}")
-            if np.max(np.abs(lo)) > bound + 1e-12 or np.max(np.abs(hi)) > bound + 1e-12:
-                raise ValueError(f"potential bound eta(t)={bound} violated at t={t}")
+        lo, hi = pot.interval(t, math.pi / 2, r_samples)
+        if np.any(lo > hi + 1e-14):
+            raise ValueError(f"potential interval inverted at t={t}")
+        if np.max(np.abs(lo)) > bound + 1e-12 or np.max(np.abs(hi)) > bound + 1e-12:
+            raise ValueError(f"potential bound eta(t)={bound} violated at t={t}")
 
 
 def check_strategy(strategy: str) -> str:
@@ -174,20 +162,21 @@ def check_strategy(strategy: str) -> str:
     return strategy
 
 
-def _selection_blocks(pot: NonsmoothPotential, strategy: str, trajectory: Trajectory,
+def _selection_blocks(pot: NonsmoothPotential, strategy: str, grid: TimeGrid, states: np.ndarray,
                       model: SpectralModel, previous: np.ndarray | None):
     """(rows, selection) over the row blocks (`fracops.row_blocks`, ~256 KB
-    block arrays) of the nodes: the one selection rule and bound check of
-    `select_forcing` and the fixed point.  Each selection overwrites its
-    block's grid values of the state, and a block of `previous` is read only
-    when its selection is made.  At most three block arrays live at once (the
-    selection, lo and hi): the caller drops each selection before the next."""
+    block arrays) of the nodes of `grid`, one row of `states` each: the one
+    selection rule and bound check of `select_forcing` and the fixed point.
+    Each selection overwrites its block's grid values of the state, and a
+    block of `previous` is read only when its selection is made.  At most
+    three block arrays live at once (the selection, lo and hi): the caller
+    drops each selection before the next."""
     check_strategy(strategy)
-    nodes = trajectory.grid.nodes
+    nodes = grid.nodes
     theta = theta_grid(model.n_theta)
     bound = np.broadcast_to(pot.eta(nodes), nodes.shape)
     for rows in row_blocks(nodes.size, model.n_theta):
-        block = basis_values(trajectory.states[rows], model.n_theta)  # r, then the selection
+        block = basis_values(states[rows], model.n_theta)  # r, then the selection
         lo, hi = pot.interval(nodes[rows, None], theta, block)
         if strategy == "midpoint":
             np.multiply(0.5, lo + hi, out=block)
@@ -207,14 +196,15 @@ def _selection_blocks(pot: NonsmoothPotential, strategy: str, trajectory: Trajec
 def select_forcing(
     pot: NonsmoothPotential,
     strategy: str,
-    trajectory: Trajectory,
+    grid: TimeGrid,
+    states: np.ndarray,
     model: SpectralModel,
     previous: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pointwise admissible forcing g(t_k, theta_j) in the derivative interval
-    along the trajectory, shape (steps+1, n_theta)."""
-    g = np.empty((trajectory.grid.steps + 1, model.n_theta))
-    for rows, block in _selection_blocks(pot, strategy, trajectory, model, previous):
+    along the states (row k at node t_k of `grid`), shape (steps+1, n_theta)."""
+    g = np.empty((grid.steps + 1, model.n_theta))
+    for rows, block in _selection_blocks(pot, strategy, grid, states, model, previous):
         g[rows] = block
         del block
     return g
@@ -230,7 +220,7 @@ def forcing_to_coordinates(model: SpectralModel, g: np.ndarray) -> np.ndarray:
 class FixedPointResult:
     """Fixed point at tolerance.
 
-    `g` is an exact pointwise selection along `run.trajectory` (so membership
+    `g` is an exact pointwise selection along `run.states` (so membership
     checks hold at machine precision); `g_relaxed` is the iterate the
     trajectory was integrated from (the previous selection after a full step,
     an average after the back-off), `residuals` the trajectory gap of each
@@ -253,8 +243,9 @@ class FixedPointResult:
     closed_loops: int
 
 
-def _trajectory_gap(model: SpectralModel, a: Trajectory, b: Trajectory) -> float:
-    return float(np.max(lp_norms(a.states - b.states, model.n_theta, model.p)))
+def _trajectory_gap(model: SpectralModel, a: np.ndarray, b: np.ndarray) -> float:
+    """Sup over nodes of the state norm of a - b, for states of one grid."""
+    return float(np.max(lp_norms(a - b, model.n_theta, model.p)))
 
 
 def check_relaxation(relaxation) -> float:
@@ -326,7 +317,7 @@ def fixed_point_iterate(
         # g <- (1 - omega) g + omega selection in place, projected block by block
         coefficients = np.empty((grid.steps + 1, model.n_modes))
         settled = omega == 1.0
-        for rows, selection in _selection_blocks(pot, strategy, run.trajectory, model, g):
+        for rows, selection in _selection_blocks(pot, strategy, grid, run.states, model, g):
             block = g[rows]
             settled = settled and np.array_equal(selection.view(np.int64), block.view(np.int64))
             block *= 1.0 - omega
@@ -339,7 +330,7 @@ def fixed_point_iterate(
             converged = True
             break
         run_new, closed_loops = run_for(coefficients @ model.h_matrix.T), closed_loops + 1
-        gap = _trajectory_gap(model, run_new.trajectory, run.trajectory)
+        gap = _trajectory_gap(model, run_new.states, run.states)
         if residuals and gap >= residuals[-1]:
             omega = relaxation  # full steps stopped contracting: average from here on
         residuals.append(gap)
@@ -347,13 +338,13 @@ def fixed_point_iterate(
         if gap <= tol:
             converged = True
             break
-    g_select = g if settled else select_forcing(pot, strategy, run.trajectory, model, previous=g)
+    g_select = g if settled else select_forcing(pot, strategy, grid, run.states, model, previous=g)
     if settled or np.array_equal(g_select, g):
         g_select = g  # one array for both fields
         fp_residual = 0.0  # the audit run would be `run` itself, bit for bit
     else:
         audit, closed_loops = run_for(forcing_to_coordinates(model, g_select)), closed_loops + 1
-        fp_residual = _trajectory_gap(model, audit.trajectory, run.trajectory)
+        fp_residual = _trajectory_gap(model, audit.states, run.states)
     return FixedPointResult(
         g=g_select,
         g_relaxed=g,
@@ -445,7 +436,7 @@ def epsilon_sweep(
                               failure=str(exc),
                               residual_history=[float(r) for r in exc.residual_history]), None
         run = fp.run
-        miss, predicted = lp_norms([run.trajectory.terminal - np.asarray(z, float),
+        miss, predicted = lp_norms([run.states[-1] - np.asarray(z, float),
                                     e * run.solve.result], model.n_theta, model.p)
         return SweepEntry(
             epsilon=e,
@@ -465,24 +456,24 @@ def epsilon_sweep(
 
 def hvi_residual(
     model: SpectralModel,
-    trajectory: Trajectory,
+    grid: TimeGrid,
+    states: np.ndarray,
     g: np.ndarray,
     pot: NonsmoothPotential,
     test_directions: np.ndarray,
-    node_stride: int = 1,
 ) -> float:
     """Worst signed violation of <H g(t), v*> <= integral of the directional
-    derivative along H* v*, over the nodes 0, node_stride, ... and the test
-    directions: nonpositive (up to roundoff) when g is a true pointwise
-    selection, positive for some direction on a non-member forcing."""
+    derivative along H* v*, over every node of `grid` (row k of `states` and
+    of `g` at t_k) and the test directions: nonpositive (up to roundoff) when
+    g is a true pointwise selection, positive for some direction on a
+    non-member forcing."""
     test_directions = np.asarray(test_directions, dtype=float)
     if test_directions.ndim != 2 or test_directions.shape[1] != model.n_modes:
         raise ValueError("test_directions must be (m, n_modes) coefficient rows")
     h = math.pi / model.n_theta
-    ks = np.arange(0, trajectory.grid.steps + 1, max(1, node_stride))
-    lo, hi = pot.interval(trajectory.grid.nodes[ks, None], theta_grid(model.n_theta),
-                          basis_values(trajectory.states[ks], model.n_theta))
-    lhs = basis_coefficients(g[ks], model.n_modes) @ model.h_matrix.T @ test_directions.T
+    lo, hi = pot.interval(grid.nodes[:, None], theta_grid(model.n_theta),
+                          basis_values(states, model.n_theta))
+    lhs = basis_coefficients(g, model.n_modes) @ model.h_matrix.T @ test_directions.T
     # support function of [lo, hi] along d: hi d where d > 0, lo d where d < 0
     direction = basis_values(test_directions @ model.h_matrix, model.n_theta)
     # contractions over the grid axis: as `@` products OpenBLAS would run them

@@ -33,15 +33,11 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@lru_cache(maxsize=64)
 def theta_grid(n_theta: int) -> np.ndarray:
     """Midpoints (j + 1/2) * pi / n_theta, j = 0..n_theta-1."""
     if n_theta < 8:
         raise ValueError(f"n_theta must be >= 8, got {n_theta}")
-    h = math.pi / n_theta
-    grid = (np.arange(n_theta) + 0.5) * h
-    grid.flags.writeable = False
-    return grid
+    return (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
 
 
 def lp_norm(values: np.ndarray, p: float) -> float:

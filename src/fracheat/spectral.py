@@ -23,8 +23,6 @@ __all__ = [
     "green_kernel",
     "min_kernel",
     "build_model",
-    "propagate_state",
-    "propagate_forcing",
     "injectivity_diagnostic",
 ]
 
@@ -58,6 +56,8 @@ class KernelSpec:
             table = np.asarray(self.table, dtype=float)
             if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] < 8:
                 raise ValueError(f"kernel table must be square with size >= 8, got {table.shape}")
+            if not np.all(np.isfinite(table)):
+                raise ValueError("kernel table entries must be finite")
             defect = float(np.max(np.abs(table - table.T)))
             if defect > 1e-8 * max(float(np.max(np.abs(table))), 1e-30):
                 raise ValueError(f"asymmetric kernel table rejected (defect {defect:.3e})")
@@ -250,15 +250,6 @@ def _check_time(model: SpectralModel, t) -> np.ndarray:
     return np.clip(t, 0.0, model.horizon)[..., None]
 
 
-def _check_state(model: SpectralModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (model.n_modes,):
-        raise ValueError(f"state must have shape (..., {model.n_modes}), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("state coefficients must be finite")
-    return x
-
-
 def state_multipliers(model: SpectralModel, t) -> np.ndarray:
     """Diagonal multipliers E_alpha(lambda_n t^alpha) of the homogeneous family;
     an array of times gives one row per time."""
@@ -271,19 +262,6 @@ def forcing_multipliers(model: SpectralModel, t) -> np.ndarray:
     t = _check_time(model, t)
     a = model.order.alpha
     return ml_multipliers(a, a, model.eigenvalues * t**a)
-
-
-def propagate_state(model: SpectralModel, t: float, x: np.ndarray) -> np.ndarray:
-    """Homogeneous evolution: coefficient-wise E_alpha(lambda_n t^alpha) x_n."""
-    return state_multipliers(model, t) * _check_state(model, x)
-
-
-def propagate_forcing(model: SpectralModel, t: float, x: np.ndarray) -> np.ndarray:
-    """Duhamel-kernel family: coefficient-wise E_{alpha,alpha}(lambda_n t^alpha) x_n.
-
-    The family is diagonal with real entries, so its adjoint acts identically.
-    """
-    return forcing_multipliers(model, t) * _check_state(model, x)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fracheat.fracops import TimeGrid, caputo_derivative, mittag_leffler, rl_int
 from fracheat.gramian import assemble_gramian, verify_gramian
 from fracheat.hvi import abs_potential, epsilon_sweep, free_terminal_miss, hvi_residual
 from fracheat.lpspace import lp_norms
-from fracheat.spectral import propagate_forcing, propagate_state
+from fracheat.spectral import forcing_multipliers, state_multipliers
 
 from conftest import bump_coefficients, density_on_gauss_grid, ml_oracle
 
@@ -119,8 +119,8 @@ def test_criterion_3_operator_families(model_p2):
     for _ in range(1000):
         t = rng.uniform(0.0, model_p2.horizon)
         x = rng.standard_normal(model_p2.n_modes)
-        nx, ns, nt = lp_norms([x, propagate_state(model_p2, t, x),
-                               propagate_forcing(model_p2, t, x)], 256, 2.0)
+        nx, ns, nt = lp_norms([x, state_multipliers(model_p2, t) * x,
+                               forcing_multipliers(model_p2, t) * x], 256, 2.0)
         worst_s = max(worst_s, float(ns / nx))
         worst_t = max(worst_t, float(nt / nx))
     diag_defect = max(
@@ -192,8 +192,8 @@ def test_criterion_6_cross_solver(model_p2):
     forcing = np.outer(np.sin(2.0 * grid.nodes) + 1.5, rng.standard_normal(8))
     mild = mild_solution(model, grid, np.zeros(8), forcing=forcing)
     ref = l1_reference(model, grid, np.zeros(8), forcing=forcing)
-    gap = float(np.max(lp_norms(mild.states - ref.states, 256, 2.0)))
-    scale = float(np.max(lp_norms(mild.states, 256, 2.0)))
+    gap = float(np.max(lp_norms(mild - ref, 256, 2.0)))
+    scale = float(np.max(lp_norms(mild, 256, 2.0)))
     rel_gap = gap / scale
     x0 = rng.standard_normal(8)
     f1 = rng.standard_normal((513, 8))
@@ -202,7 +202,7 @@ def test_criterion_6_cross_solver(model_p2):
     combined = mild_solution(model, grid, a_ * x0, forcing=a_ * f1, control=b_ * u1)
     part1 = mild_solution(model, grid, x0, forcing=f1)
     part2 = mild_solution(model, grid, np.zeros(8), control=u1)
-    lin_gap = float(np.max(np.abs(combined.states - (a_ * part1.states + b_ * part2.states))))
+    lin_gap = float(np.max(np.abs(combined - (a_ * part1 + b_ * part2))))
     ok = rel_gap <= 1e-3 and lin_gap <= 1e-10
     report(6, "cross-solver", ok, f"relative gap {rel_gap:.2e}, superposition {lin_gap:.2e}")
 
@@ -254,15 +254,15 @@ def test_criterion_9_hvi_residual(bundled_sweeps):
     for (p, steps), data in bundled_sweeps.items():
         if steps != 512:
             continue
-        model = data["experiment"].model
+        model, grid = data["experiment"].model, data["experiment"].grid
         dirs = np.vstack([rng.standard_normal((31, model.n_modes)), np.eye(model.n_modes)[0]])
         for result in data["results"]:
             if result is None or not result.converged:
                 continue
-            worst = max(worst, hvi_residual(model, result.run.trajectory, result.g, pot, dirs))
+            worst = max(worst, hvi_residual(model, grid, result.run.states, result.g, pot, dirs))
             checked += 1
         adversarial = hvi_residual(
-            model, data["results"][0].run.trajectory, data["results"][0].g + 1.0, pot, dirs
+            model, grid, data["results"][0].run.states, data["results"][0].g + 1.0, pot, dirs
         )
     ok = checked >= 8 and worst <= 1e-8 and adversarial > 1e-3
     report(9, "hemivariational residual", ok,

@@ -178,6 +178,26 @@ class TestConfig:
         assert main(["sweep", str(config_file), "--set", setting]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    @pytest.mark.parametrize("setting,table,message", [
+        ("problem.potential", "0.0,1.0\n",
+         "problem.potential table must have n >= 2 rows of (r, F), got shape (1, 2)"),
+        ("problem.potential", "-1.0\n0.0\n1.0\n",
+         "problem.potential table must have n >= 2 rows of (r, F), got shape (3, 1)"),
+        ("problem.potential", "-1,1,0\n0,0,0\n1,1,0\n",
+         "problem.potential table must have n >= 2 rows of (r, F), got shape (3, 3)"),
+        ("problem.potential", "-1,1\n0,nan\n1,1\n", "potential table entries must be finite"),
+        ("model.kernel_b", "\n".join(",".join("nan" if i == j == 3 else "1.0" for j in range(16))
+                                      for i in range(16)), "kernel table entries must be finite"),
+    ], ids=["one-row", "one-column", "three-columns", "nan-potential", "nan-kernel"])
+    def test_table_input_exits_1_before_any_output(self, config_file, capsys, setting, table,
+                                                    message):
+        """A table file that cannot describe its input fails at load, through
+        the constructor that owns it, instead of crashing in a solver."""
+        (config_file.parent / "table.csv").write_text(table)
+        assert main(["sweep", str(config_file), "--set", f"{setting}=table:table.csv"]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (config_file.parent / "out").exists()
+
     def test_zero_fixed_point_tol_still_converges(self, config_file, capsys):
         # a tolerance of 0 asks for a bitwise-settled selection, which the
         # sticky strategy reaches
@@ -398,7 +418,7 @@ class TestCommands:
         exp = build_experiment(cfg, config_file.parent)
         gram = assemble_gramian(exp.model, exp.grid)
         free = mild_solution(exp.model, exp.grid, exp.x0)
-        d = exp.target - free.terminal
+        d = exp.target - free[-1]
         for entry in summary["entries"]:
             w = np.linalg.solve(entry["epsilon"] * np.eye(4) + gram, d)
             want, = lp_norms(entry["epsilon"] * w, 64, 2.0)

@@ -249,7 +249,7 @@ class TestControlSynthesis:
     def test_reached_target_needs_no_control(self, model_p2, gram_p2, grid_512):
         x0 = bump_coefficients(8)
         free = mild_solution(model_p2, grid_512, x0)
-        run = closed_loop_trajectory(model_p2, gram_p2, grid_512, 0.1, free.terminal, x0)
+        run = closed_loop_trajectory(model_p2, gram_p2, grid_512, 0.1, free[-1], x0)
         assert np.max(np.abs(run.deficiency)) <= 1e-12
         assert np.max(np.abs(run.control)) <= 1e-10
 
@@ -295,8 +295,8 @@ class TestClosedLoop:
     def test_free_dynamics_when_target_is_reached(self, model_p2, gram_p2, grid_512):
         x0 = bump_coefficients(8)
         free = mild_solution(model_p2, grid_512, x0)
-        run = closed_loop_trajectory(model_p2, gram_p2, grid_512, 0.1, free.terminal, x0)
-        assert np.max(np.abs(run.trajectory.states - free.states)) <= 1e-10
+        run = closed_loop_trajectory(model_p2, gram_p2, grid_512, 0.1, free[-1], x0)
+        assert np.max(np.abs(run.states - free)) <= 1e-10
 
     def test_a_priori_bound(self, model_p2, gram_p2, grid_512):
         x0 = bump_coefficients(8)
@@ -306,7 +306,7 @@ class TestClosedLoop:
         for eps in (1e-2, 1e-1):
             run = closed_loop_trajectory(model_p2, gram_p2, grid_512, eps, z, x0)
             n0 = a_priori_state_bound(model_p2, eps, z, x0, eta)
-            sup = np.max(lp_norms(run.trajectory.states, 256, 2.0))
+            sup = np.max(lp_norms(run.states, 256, 2.0))
             assert sup <= n0
 
     def test_forcing_continuity(self, model_p2, gram_p2, grid_512):
@@ -322,7 +322,7 @@ class TestClosedLoop:
             run = closed_loop_trajectory(
                 model_p2, gram_p2, grid_512, 1e-2, z, x0, forcing=delta * phi
             )
-            gap = np.max(lp_norms(run.trajectory.states - base.trajectory.states, 256, 2.0))
+            gap = np.max(lp_norms(run.states - base.states, 256, 2.0))
             ratios.append(gap / delta)
         assert max(ratios) / min(ratios) <= 1.5  # first-order response
 
@@ -362,7 +362,7 @@ class TestTerminalIdentity:
         z = np.zeros(8)
         z[1] = 0.4
         run = closed_loop_trajectory(model_p2, gram_p2, grid_512, 5e-3, z, x0)
-        miss, predicted = lp_norms([run.trajectory.terminal - z, 5e-3 * run.solve.result],
+        miss, predicted = lp_norms([run.states[-1] - z, 5e-3 * run.solve.result],
                                    256, 2.0)
         assert miss == pytest.approx(predicted, rel=1e-10)
 

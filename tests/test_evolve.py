@@ -9,7 +9,7 @@ import pytest
 from fracheat.fracops import FracOrder, TimeGrid, l1_coefficients, mittag_leffler, \
     mittag_leffler2
 from fracheat.cli import _write_node_table
-from fracheat.evolve import Trajectory, l1_reference, mild_solution
+from fracheat.evolve import l1_reference, mild_solution
 from fracheat.spectral import SpectralModel, build_model
 
 from conftest import ORDER
@@ -48,7 +48,7 @@ class TestMildSolution:
             want = np.array(
                 [mittag_leffler(0.75, lam * t**0.75) for lam in model4.eigenvalues]
             ) * x0
-            assert np.allclose(traj.states[k], want, atol=1e-13)
+            assert np.allclose(traj[k], want, atol=1e-13)
 
     def test_constant_forcing_single_mode_analytic(self, model4):
         grid = TimeGrid(1.0, 512)
@@ -57,7 +57,7 @@ class TestMildSolution:
         forcing = np.tile(np.array([c, 0.0, 0.0, 0.0]), (grid.steps + 1, 1))
         traj = mild_solution(model4, grid, x0, forcing=forcing)
         want = mittag_leffler(0.75, -1.0) * 0.7 + c * mittag_leffler2(0.75, 1.75, -1.0)
-        err = abs(traj.terminal[0] - want)
+        err = abs(traj[-1][0] - want)
         assert err <= 1e-4  # contract tolerance at 512 steps
         assert err <= 1e-10  # endpoint-anchored rule is exact for constants
 
@@ -69,7 +69,7 @@ class TestMildSolution:
         traj = mild_solution(model, grid, np.zeros(1), forcing=forcing)
         for k, t in enumerate(grid.nodes):
             want = c * t**0.75 / math.gamma(1.75)
-            assert traj.states[k][0] == pytest.approx(want, abs=1e-12)
+            assert traj[k][0] == pytest.approx(want, abs=1e-12)
 
     def test_superposition(self, model4):
         rng = np.random.default_rng(8)
@@ -82,7 +82,7 @@ class TestMildSolution:
         combined = mild_solution(model4, grid, a * x0, forcing=a * f1 + b * f2, control=a * u1)
         t1 = mild_solution(model4, grid, x0, forcing=f1, control=u1)
         t2 = mild_solution(model4, grid, np.zeros(4), forcing=f2)
-        gap = np.abs(combined.states - (a * t1.states + b * t2.states)).max()
+        gap = np.abs(combined - (a * t1 + b * t2)).max()
         assert gap <= 1e-10
 
     def test_terminal_cauchy_refinement(self, model4):
@@ -94,7 +94,7 @@ class TestMildSolution:
             forcing = smooth_forcing(grid, amp)
             control = np.outer(np.cos(grid.nodes), amp[::-1])
             traj = mild_solution(model4, grid, np.zeros(4), forcing=forcing, control=control)
-            terminals.append(traj.terminal)
+            terminals.append(traj[-1])
         d1 = np.linalg.norm(terminals[1] - terminals[0])
         d2 = np.linalg.norm(terminals[2] - terminals[1])
         assert d2 < d1
@@ -186,7 +186,7 @@ class TestL1Reference:
         x0 = rng.standard_normal(n_modes)
         forcing = smooth_forcing(grid, rng.standard_normal(n_modes))
         control = np.outer(np.cos(3.0 * grid.nodes), rng.standard_normal(n_modes))
-        new = l1_reference(model, grid, x0, forcing=forcing, control=control).states
+        new = l1_reference(model, grid, x0, forcing=forcing, control=control)
         ref = reference_l1(model, grid, x0, forcing=forcing, control=control)
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -195,7 +195,7 @@ class TestL1Reference:
         grid = TimeGrid(1.0, steps)
         x0 = np.array([1.0, -0.5, 0.25, 2.0])
         forcing = smooth_forcing(grid, np.array([0.3, -1.0, 0.5, 2.0]))
-        new = l1_reference(model4, grid, x0, forcing=forcing).states
+        new = l1_reference(model4, grid, x0, forcing=forcing)
         ref = reference_l1(model4, grid, x0, forcing=forcing)
         assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -207,7 +207,7 @@ class TestL1Reference:
         started = time.perf_counter()
         ref = l1_reference(model, grid, np.linspace(0.5, -0.5, 8), forcing=forcing)
         assert time.perf_counter() - started <= 1.0
-        assert np.all(np.isfinite(ref.states))
+        assert np.all(np.isfinite(ref))
 
     def test_zero_data_tracks_relaxation(self, model4):
         # scheme error of the corrected L1 on the stiff relaxation: the sup is
@@ -217,8 +217,8 @@ class TestL1Reference:
         x0 = np.array([1.0, -0.5, 0.25, 2.0])
         mild = mild_solution(model4, grid, x0)
         ref = l1_reference(model4, grid, x0)
-        assert np.abs(mild.states - ref.states).max() <= 2e-2
-        assert np.abs(mild.terminal - ref.terminal).max() <= 5e-3
+        assert np.abs(mild - ref).max() <= 2e-2
+        assert np.abs(mild[-1] - ref[-1]).max() <= 5e-3
 
     def test_cross_solver_agreement(self, model4):
         rng = np.random.default_rng(42)
@@ -229,8 +229,8 @@ class TestL1Reference:
             forcing = smooth_forcing(grid, amp)
             mild = mild_solution(model4, grid, np.zeros(4), forcing=forcing)
             ref = l1_reference(model4, grid, np.zeros(4), forcing=forcing)
-            gap = np.sqrt(((mild.states - ref.states) ** 2).sum(axis=1)).max()
-            scale = np.sqrt((mild.states**2).sum(axis=1)).max()
+            gap = np.sqrt(((mild - ref) ** 2).sum(axis=1)).max()
+            scale = np.sqrt((mild**2).sum(axis=1)).max()
             rels.append(gap / scale)
         assert rels[-1] <= 1e-3
         # observed order on the terminal-state gap over three levels
@@ -240,7 +240,7 @@ class TestL1Reference:
             forcing = smooth_forcing(grid, amp)
             mild = mild_solution(model4, grid, np.zeros(4), forcing=forcing)
             ref = l1_reference(model4, grid, np.zeros(4), forcing=forcing)
-            terms.append(np.linalg.norm(mild.terminal - ref.terminal))
+            terms.append(np.linalg.norm(mild[-1] - ref[-1]))
         assert math.log2(terms[0] / terms[2]) / 2.0 >= 1.0
 
     def test_classical_limit(self):
@@ -250,20 +250,23 @@ class TestL1Reference:
         x0 = np.array([1.0, -0.5, 0.25, 2.0])
         ref = l1_reference(model, grid, x0)
         classic = np.array([np.exp(model.eigenvalues * t) * x0 for t in grid.nodes])
-        assert np.abs(ref.states - classic).max() <= 1e-2
+        assert np.abs(ref - classic).max() <= 1e-2
 
 
 class TestTrajectoryIO:
-    def test_invariants(self, model4):
+    @pytest.mark.parametrize("solver", [mild_solution, l1_reference])
+    def test_solvers_return_the_states_array(self, model4, solver):
         grid = TimeGrid(1.0, 16)
-        with pytest.raises(ValueError):
-            Trajectory(grid, np.zeros((5, 4)))
+        states = solver(model4, grid, np.array([1.0, 0.0, 0.0, 0.0]),
+                        forcing=np.ones((17, 4)), control=np.ones((17, 4)))
+        assert type(states) is np.ndarray
+        assert states.shape == (grid.steps + 1, 4) and states.dtype == np.float64
 
     def test_csv(self, model4, tmp_path):
         grid = TimeGrid(1.0, 8)
         traj = mild_solution(model4, grid, np.array([1.0, 0.0, 0.0, 0.0]))
         path = tmp_path / "trajectory.csv"
-        _write_node_table(path, ("origin=test",), grid.nodes, "c", traj.states)
+        _write_node_table(path, ("origin=test",), grid.nodes, "c", traj)
         text = path.read_text()
         assert text.startswith("# origin=test")
         assert text.count("\n") == 2 + grid.steps + 1

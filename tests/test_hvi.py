@@ -6,7 +6,7 @@ import pytest
 
 from fracheat.cli import main
 from fracheat.config import build_experiment, default_config_text, load_config
-from fracheat.evolve import Trajectory, mild_solution
+from fracheat.evolve import mild_solution
 from fracheat.fracops import TimeGrid
 from fracheat.gramian import assemble_gramian
 from fracheat.lpspace import basis_matrix, basis_values, lp_norm, lp_norms, theta_grid
@@ -23,7 +23,6 @@ from fracheat.hvi import (
     saturating_potential,
     select_forcing,
     tabulated_potential,
-    zero_potential,
 )
 
 from conftest import ORDER, bump_coefficients, traced_peak
@@ -63,7 +62,7 @@ class TestPotentials:
 
     def test_audit_rejects_inverted_bound(self):
         pot = abs_potential(1.0)
-        bad = type(pot)(pot.value, pot.interval, lambda t: 0.5, "bad")
+        bad = type(pot)(pot.value, pot.interval, lambda t: 0.5)
         with pytest.raises(ValueError):
             audit_potential(bad, np.array([0.0]), np.linspace(-2, 2, 41))
 
@@ -110,10 +109,15 @@ class TestClarkeDirectional:
                     best = max(best, float(q))
             return best
 
-        for r in (-0.3, 0.4):  # interior kinks
+        # interior kinks, the end breaks, and beyond the table, where the end
+        # slopes extend linearly in `value` as in `interval`
+        for r in (-0.3, 0.4, -1.0, 1.2, -2.5, 3.0):
             for v in (1.0, -1.0, 2.5):
                 got = float(clarke_directional(pot, r, v))
                 assert got == pytest.approx(limsup_quotient(r, v), abs=1e-3)
+        for r in (-2.5, 3.0):
+            end = 0 if r < breaks[0] else -1
+            assert pot.value(0, 0, r) == pytest.approx(values[end] + slopes[end] * (r - breaks[end]))
 
 
 class TestSelection:
@@ -121,15 +125,14 @@ class TestSelection:
         model, _, grid, x0, _ = problem
         pot = abs_potential(0.4)
         traj = mild_solution(model, grid, x0)  # bump stays positive
-        g = select_forcing(pot, "minimal_norm", traj, model)
+        g = select_forcing(pot, "minimal_norm", grid, traj, model)
         assert np.allclose(g[1:], 0.4)
 
     def test_zero_state_symmetric_interval(self, model_p2):
         pot = abs_potential(0.7)
         grid = TimeGrid(1.0, 8)
-        traj = Trajectory(grid, np.zeros((9, 8)))
         for strategy in ("sign_zero", "midpoint", "minimal_norm"):
-            g = select_forcing(pot, strategy, traj, model_p2)
+            g = select_forcing(pot, strategy, grid, np.zeros((9, 8)), model_p2)
             assert np.all(g == 0.0)
 
     def test_membership_audit_random_trajectories(self, model_p2):
@@ -138,11 +141,11 @@ class TestSelection:
         grid = TimeGrid(1.0, 16)
         theta = theta_grid(model_p2.n_theta)
         for strategy in ("minimal_norm", "midpoint", "sign_zero", "sticky"):
-            traj = Trajectory(grid, rng.standard_normal((17, 8)))
+            states = rng.standard_normal((17, 8))
             prev = rng.standard_normal((17, model_p2.n_theta))
-            g = select_forcing(pot, strategy, traj, model_p2, previous=prev)
+            g = select_forcing(pot, strategy, grid, states, model_p2, previous=prev)
             for k, t in enumerate(grid.nodes):
-                q_vals = basis_matrix(8, model_p2.n_theta) @ traj.states[k]
+                q_vals = basis_matrix(8, model_p2.n_theta) @ states[k]
                 lo, hi = pot.interval(float(t), theta, q_vals)
                 assert np.all(g[k] >= lo - 1e-14)
                 assert np.all(g[k] <= hi + 1e-14)
@@ -158,9 +161,8 @@ class TestSelection:
 
     def test_unknown_strategy(self, model_p2):
         grid = TimeGrid(1.0, 8)
-        traj = Trajectory(grid, np.zeros((9, 8)))
         with pytest.raises(ValueError):
-            select_forcing(abs_potential(0.1), "greedy", traj, model_p2)
+            select_forcing(abs_potential(0.1), "greedy", grid, np.zeros((9, 8)), model_p2)
 
 
 def reference_abs_interval(c):
@@ -231,11 +233,44 @@ def test_interval_matches_reference(case):
             assert np.array_equal(new, old, equal_nan=True)
 
 
-def reference_select(pot, strategy, trajectory, model, previous=None):
+def reference_zero_potential():
+    """The earlier zero potential, a closure of its own: zeros of r's shape."""
+    def val(t, theta, r):
+        return np.zeros_like(np.asarray(r, dtype=float))
+
+    def ival(t, theta, r):
+        z = np.zeros_like(np.asarray(r, dtype=float))
+        return z, z.copy()
+
+    return NonsmoothPotential(val, ival, lambda t: 0.0)
+
+
+def test_zero_spec_is_the_zero_potential_bit_for_bit(model_p2):
+    # the config spec `zero` builds abs_potential(0.0): the same intervals,
+    # selections and eta as the closure it replaced, signed zeros included
+    pot, ref = abs_potential(0.0), reference_zero_potential()
+    rng = np.random.default_rng(20)
+    r = np.concatenate([rng.standard_normal(40), [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    for arg in (r, r.reshape(5, 9)):
+        for new, old in zip(pot.interval(0.5, 1.0, arg), ref.interval(0.5, 1.0, arg)):
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    assert pot.eta(0.5) == ref.eta(0.5) == 0.0
+    grid = TimeGrid(1.0, 16)
+    states = rng.standard_normal((17, 8))
+    states[0] = 0.0
+    for previous in (None, np.full((17, model_p2.n_theta), -0.0)):
+        for strategy in SELECTION_STRATEGIES:
+            new = select_forcing(pot, strategy, grid, states, model_p2, previous=previous)
+            old = select_forcing(ref, strategy, grid, states, model_p2, previous=previous)
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def reference_select(pot, strategy, grid, states, model, previous=None):
     """The earlier select_forcing, with eta called once per node."""
-    nodes = trajectory.grid.nodes
+    nodes = grid.nodes
     lo, hi = pot.interval(nodes[:, None], theta_grid(model.n_theta),
-                          basis_values(trajectory.states, model.n_theta))
+                          basis_values(states, model.n_theta))
     if strategy == "midpoint":
         g = 0.5 * (lo + hi)
     elif strategy == "sign_zero":
@@ -257,20 +292,19 @@ def test_selection_matches_reference(model_p2, strategy, steps):
     grid = TimeGrid(1.0, steps)
     states = rng.standard_normal((steps + 1, 8))
     states[0] = 0.0  # a zero row puts every grid point on the kink r = 0
-    traj = Trajectory(grid, states)
     previous = rng.uniform(-1.0, 1.0, (steps + 1, model_p2.n_theta))
     cases = [(pot, NonsmoothPotential(pot.value, ref, pot.eta)) for pot, ref in REFERENCE_INTERVALS]
-    for pot, ref in cases + [(zero_potential(), zero_potential())]:
+    for pot, ref in cases + [(abs_potential(0.0), reference_zero_potential())]:
         for prev in (None, previous):
-            new = select_forcing(pot, strategy, traj, model_p2, previous=prev)
-            old = reference_select(ref, strategy, traj, model_p2, previous=prev)
+            new = select_forcing(pot, strategy, grid, states, model_p2, previous=prev)
+            old = reference_select(ref, strategy, grid, states, model_p2, previous=prev)
             assert new.dtype == old.dtype and np.array_equal(new, old)
 
 
 class TestFixedPoint:
     def test_zero_potential_converges_immediately(self, problem):
         model, gram, grid, x0, z = problem
-        fp = fixed_point_iterate(model, gram, grid, 1e-2, zero_potential(), z, x0)
+        fp = fixed_point_iterate(model, gram, grid, 1e-2, abs_potential(0.0), z, x0)
         assert fp.converged
         assert fp.iterations == 1
         assert fp.fixed_point_residual <= 1e-14
@@ -305,7 +339,7 @@ class TestFixedPoint:
         fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
         dual_bound = lambda t: math.pi ** (1.0 / model.dual_p) * pot.eta(t)
         n0 = a_priori_state_bound(model, 1e-2, z, x0, dual_bound)
-        sup = np.max(lp_norms(fp.run.trajectory.states, 256, 2.0))
+        sup = np.max(lp_norms(fp.run.states, 256, 2.0))
         assert sup <= n0
 
 
@@ -326,10 +360,10 @@ def reference_fixed_point(model, gram, grid, epsilon, pot, z, x0, relaxation=0.5
     gaps = []
     for it in range(1, max_iter + 1):
         omega = 1.0 if it <= full_steps else relaxation
-        g_sel = select_forcing(pot, "sticky", run.trajectory, model, previous=g)
+        g_sel = select_forcing(pot, "sticky", grid, run.states, model, previous=g)
         g_new = (1.0 - omega) * g + omega * g_sel
         run_new = run_for(g_new)
-        gaps.append(float(np.max(lp_norms(run_new.trajectory.states - run.trajectory.states,
+        gaps.append(float(np.max(lp_norms(run_new.states - run.states,
                                           model.n_theta, model.p))))
         g, run = g_new, run_new
         if gaps[-1] <= tol:
@@ -338,7 +372,7 @@ def reference_fixed_point(model, gram, grid, epsilon, pot, z, x0, relaxation=0.5
 
 
 def terminal_miss(model, run, z):
-    return float(lp_norms(run.trajectory.terminal - z, model.n_theta, model.p)[0])
+    return float(lp_norms(run.states[-1] - z, model.n_theta, model.p)[0])
 
 
 BUNDLED_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -402,7 +436,7 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
                                       forcing=forcing_to_coordinates(model, g))
 
     def gap(a, b):
-        return float(np.max(lp_norms(a.trajectory.states - b.trajectory.states,
+        return float(np.max(lp_norms(a.states - b.states,
                                      model.n_theta, model.p)))
 
     g = np.zeros((grid.steps + 1, model.n_theta))
@@ -410,7 +444,7 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
     run, loops = run_for(g), 1
     residuals, converged, iterations, omega = [], False, 0, 1.0
     for iterations in range(1, max_iter + 1):
-        g_sel[...] = select_forcing(pot, strategy, run.trajectory, model, previous=g)
+        g_sel[...] = select_forcing(pot, strategy, grid, run.states, model, previous=g)
         g *= 1.0 - omega
         g_sel *= omega
         g += g_sel
@@ -422,7 +456,7 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
         if residuals[-1] <= tol:
             converged = True
             break
-    g_select = select_forcing(pot, strategy, run.trajectory, model, previous=g)
+    g_select = select_forcing(pot, strategy, grid, run.states, model, previous=g)
     if np.array_equal(g_select, g):
         g_select, fp_residual = g, 0.0
     else:
@@ -433,7 +467,7 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
 SETTLE_POTENTIALS = {
     "abs": abs_potential(0.3),
     "sat": saturating_potential(0.3, cap=0.5),
-    "zero": zero_potential(),
+    "zero": abs_potential(0.0),
     "table": tabulated_potential(BREAKS, VALUES),
 }
 SETTLE_CASES = (  # (model, strategy, potential, epsilon, max_iter, settles)
@@ -461,7 +495,7 @@ class TestSettledFixedPoint:
             reference_fixed_point_iterate(model, gram, grid_512, eps, pot, z, x0,
                                           strategy=strategy, max_iter=max_iter)
         assert np.array_equal(fp.g, g) and np.array_equal(fp.g_relaxed, g_relaxed)
-        assert np.array_equal(fp.run.trajectory.states, run.trajectory.states)
+        assert np.array_equal(fp.run.states, run.states)
         assert np.array_equal(fp.run.control, run.control)
         assert (fp.residuals, fp.iterations, fp.converged, fp.fixed_point_residual) == (
             residuals, iterations, converged, fp_residual)
@@ -488,10 +522,10 @@ class TestSettledFixedPoint:
 class TestSweep:
     def test_zero_potential_matches_linear_formula(self, problem):
         model, gram, grid, x0, z = problem
-        entries = [e for e, _ in epsilon_sweep(model, gram, grid, zero_potential(), z, x0,
+        entries = [e for e, _ in epsilon_sweep(model, gram, grid, abs_potential(0.0), z, x0,
                                                [1e-1, 1e-2, 1e-3])]
         free = mild_solution(model, grid, x0)
-        d = z - free.terminal
+        d = z - free[-1]
         for entry in entries:
             w = np.linalg.solve(entry.epsilon * np.eye(8) + gram, d)
             closed_form, = lp_norms(entry.epsilon * w, 256, 2.0)
@@ -501,7 +535,7 @@ class TestSweep:
     def test_epsilon_halving_decreases_miss(self, problem):
         model, gram, grid, x0, z = problem
         eps = [0.1 * 0.5**j for j in range(6)]
-        entries = [e for e, _ in epsilon_sweep(model, gram, grid, zero_potential(), z, x0, eps)]
+        entries = [e for e, _ in epsilon_sweep(model, gram, grid, abs_potential(0.0), z, x0, eps)]
         misses = [e.terminal_miss for e in entries]
         assert all(a > b for a, b in zip(misses, misses[1:]))
 
@@ -551,11 +585,11 @@ class TestSweep:
         model, gram, grid, x0, z = problem
         # the list is checked on the call, before anything iterates the sweep
         with pytest.raises(ValueError):
-            epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-2, 1e-1])
+            epsilon_sweep(model, gram, grid, abs_potential(0.0), z, x0, [1e-2, 1e-1])
         with pytest.raises(ValueError):
-            epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [1e-1, 1e-6])
+            epsilon_sweep(model, gram, grid, abs_potential(0.0), z, x0, [1e-1, 1e-6])
         with pytest.raises(ValueError):
-            epsilon_sweep(model, gram, grid, zero_potential(), z, x0, [])
+            epsilon_sweep(model, gram, grid, abs_potential(0.0), z, x0, [])
         assert check_epsilons(["1e-1", 1e-5]) == [0.1, 1e-5]
         with pytest.raises(ValueError, match="1e-5"):
             check_epsilons([1e-1, 1e-6])
@@ -582,7 +616,7 @@ class TestHviResidual:
         traj = mild_solution(model, grid, x0)
         g = np.zeros((grid.steps + 1, model.n_theta))
         dirs = np.eye(8)
-        assert hvi_residual(model, traj, g, zero_potential(), dirs) <= 1e-14
+        assert hvi_residual(model, grid, traj, g, abs_potential(0.0), dirs) <= 1e-14
 
     def test_converged_run_satisfies_inequality(self, problem):
         model, gram, grid, x0, z = problem
@@ -590,7 +624,7 @@ class TestHviResidual:
         fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
         rng = np.random.default_rng(7)
         dirs = np.vstack([rng.standard_normal((31, 8)), np.eye(8)[0]])
-        assert hvi_residual(model, fp.run.trajectory, fp.g, pot, dirs) <= 1e-8
+        assert hvi_residual(model, grid, fp.run.states, fp.g, pot, dirs) <= 1e-8
 
     def test_adversarial_forcing_flagged(self, problem):
         model, gram, grid, x0, z = problem
@@ -599,13 +633,13 @@ class TestHviResidual:
         rng = np.random.default_rng(7)
         dirs = np.vstack([rng.standard_normal((31, 8)), np.eye(8)[0]])
         bad = fp.g + 1.0  # pointwise outside the derivative interval
-        assert hvi_residual(model, fp.run.trajectory, bad, pot, dirs) > 1e-3
+        assert hvi_residual(model, grid, fp.run.states, bad, pot, dirs) > 1e-3
 
 
 def test_free_terminal_miss(problem):
     model, gram, grid, x0, z = problem
     free = mild_solution(model, grid, x0)
-    want = lp_norm(basis_matrix(8, 256) @ (z - free.terminal), 2.0)
+    want = lp_norm(basis_matrix(8, 256) @ (z - free[-1]), 2.0)
     assert free_terminal_miss(model, grid, z, x0) == pytest.approx(want, rel=1e-12)
 
 
@@ -615,7 +649,7 @@ def test_free_terminal_miss_is_the_free_runs_terminal_miss(settings):
     # the deficiency's terminal sum against the full free trajectory, bit for bit
     exp = build_experiment(load_config(CONFIG_PATH, settings), CONFIG_PATH.parent)
     free = mild_solution(exp.model, exp.grid, exp.x0)
-    want, = lp_norms(exp.target - free.terminal, exp.model.n_theta, exp.model.p)
+    want, = lp_norms(exp.target - free[-1], exp.model.n_theta, exp.model.p)
     assert free_terminal_miss(exp.model, exp.grid, exp.target, exp.x0) == float(want)
 
 
@@ -636,5 +670,5 @@ def test_pipeline_away_from_reference_order(alpha, p):
     from fracheat.control import terminal_identity_residual
 
     assert terminal_identity_residual(fp.run, model, z) <= 1e-6
-    miss, = lp_norms(fp.run.trajectory.terminal - z, 64, p)
+    miss, = lp_norms(fp.run.states[-1] - z, 64, p)
     assert miss < free_terminal_miss(model, grid, z, x0)

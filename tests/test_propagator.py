@@ -149,7 +149,7 @@ def test_mild_solution_matches_per_node_loop(model_p2, steps):
     cases = [dict(), dict(forcing=forcing), dict(control=control),
              dict(forcing=forcing, control=control)]
     for inputs in cases:
-        new = mild_solution(model_p2, grid, x0, **inputs).states
+        new = mild_solution(model_p2, grid, x0, **inputs)
         ref = reference_mild_solution(model_p2, grid, x0, **inputs)
         assert rel_gap(new, ref) <= REL_TOL, sorted(inputs)
         assert np.array_equal(new[0], x0)
@@ -173,7 +173,7 @@ def test_closed_loop_matches_two_pass_reference(request, which, grid_512):
     run = closed_loop_trajectory(model, gram, grid_512, 1e-2, z, x0, forcing=forcing,
                                  tol=1e-13)
     ref = reference_closed_loop(model, gram, grid_512, 1e-2, z, x0, forcing, tol=1e-13)
-    assert rel_gap(run.trajectory.states, ref) <= REL_TOL
+    assert rel_gap(run.states, ref) <= REL_TOL
 
 
 def test_lag_weights_reproduce_singular_conv_weights(model_p2):
@@ -267,11 +267,11 @@ def reference_tensor_closed_loop(model, gram, grid, epsilon, z, x0, forcing, tol
     """The closed loop as it was: one forced run for the deficiency, then the
     control channel added as ((B B^T) o C[k]) J(w) at each node."""
     free = mild_solution(model, grid, x0, forcing=forcing)
-    solve = regularized_resolvent(gram, model, epsilon, z - free.terminal, tol=tol)
+    solve = regularized_resolvent(gram, model, epsilon, z - free[-1], tol=tol)
     jw = coordinate_duality_map(model, solve.result)
     response = (model.b_matrix @ model.b_matrix.T) * reference_cross_kernel(
         propagator(model, grid))
-    return free.states + response @ jw
+    return free + response @ jw
 
 
 @pytest.mark.parametrize("which", ["p2", "p4"])
@@ -287,7 +287,7 @@ def test_closed_loop_matches_cross_kernel_route(request, which, grid_512):
                                  tol=1e-13)
     ref = reference_tensor_closed_loop(model, gram, grid_512, 1e-2, z, x0, forcing,
                                        tol=1e-13)
-    assert rel_gap(run.trajectory.states, ref) <= TENSOR_TOL
+    assert rel_gap(run.states, ref) <= TENSOR_TOL
 
 
 @pytest.mark.parametrize("steps", [96, 512])
@@ -318,7 +318,7 @@ def test_deficiency_vector_is_the_forced_run_terminal(model_p2, steps):
     z = np.linspace(-0.3, 0.4, model_p2.n_modes)
     for inputs in (dict(), dict(forcing=forcing)):
         d = deficiency_vector(model_p2, grid, z, x0, **inputs)
-        ref = z - mild_solution(model_p2, grid, x0, **inputs).terminal
+        ref = z - mild_solution(model_p2, grid, x0, **inputs)[-1]
         assert rel_gap(d, ref) <= TENSOR_TOL, sorted(inputs)
 
 
@@ -333,13 +333,13 @@ def test_cached_kernel_data_is_bitwise_the_uncached_formula(model_p2, steps):
     assert np.array_equal(prop.forcing_anchor, anchor)
     # forcing and control share one convolution of their sum
     states = prop.e_state * x0 + anchor * forcing + uncached_convolve(prop, forcing + control)
-    new = mild_solution(model_p2, grid, x0, forcing=forcing, control=control).states
+    new = mild_solution(model_p2, grid, x0, forcing=forcing, control=control)
     assert np.array_equal(new, states)
     # with one input it is the two-channel formula term for term
     forced = prop.e_state * x0 + anchor * forcing + uncached_convolve(prop, forcing)
-    assert np.array_equal(mild_solution(model_p2, grid, x0, forcing=forcing).states, forced)
+    assert np.array_equal(mild_solution(model_p2, grid, x0, forcing=forcing), forced)
     controlled = prop.e_state * x0 + uncached_convolve(prop, control)
-    assert np.array_equal(mild_solution(model_p2, grid, x0, control=control).states, controlled)
+    assert np.array_equal(mild_solution(model_p2, grid, x0, control=control), controlled)
 
 
 @pytest.mark.parametrize("alpha", [0.57, 0.75, 0.9, 0.99])

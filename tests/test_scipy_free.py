@@ -112,13 +112,13 @@ def test_mild_solution_matches_scipy_fft(model_p2, grid_512, monkeypatch):
     forcing = rng.standard_normal((grid_512.steps + 1, model_p2.n_modes))
     control = rng.standard_normal((grid_512.steps + 1, model_p2.n_modes))
     x0 = bump_coefficients(8)
-    new = mild_solution(model_p2, grid_512, x0, forcing, control).states
+    new = mild_solution(model_p2, grid_512, x0, forcing, control)
     new_cross = propagator(model_p2, grid_512).convolve(np.ones_like(forcing))
     monkeypatch.setattr(evolve_module, "rfft", scipy_fft.rfft)
     monkeypatch.setattr(evolve_module, "irfft", scipy_fft.irfft)
     monkeypatch.setattr(evolve_module, "_fast_len",
                         lambda n: scipy_fft.next_fast_len(n, real=True))
-    old = mild_solution(model_p2, grid_512, x0, forcing, control).states
+    old = mild_solution(model_p2, grid_512, x0, forcing, control)
     old_cross = propagator(model_p2, grid_512).convolve(np.ones_like(forcing))
     assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
     assert np.max(np.abs(new_cross - old_cross)) <= 1e-14 * np.max(np.abs(old_cross))

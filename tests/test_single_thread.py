@@ -153,7 +153,7 @@ class TestAuditRun:
                 # the skipped run would have reproduced `run` bit for bit
                 again = original(model, gram, grid, eps, z, x0,
                                  forcing=forcing_to_coordinates(model, fp.g))
-                assert np.array_equal(again.trajectory.states, fp.run.trajectory.states)
+                assert np.array_equal(again.states, fp.run.states)
             else:
                 assert fp.fixed_point_residual > 0.0
         assert skipped == [True, True, True, True, False]
@@ -201,7 +201,7 @@ class TestCsvBytes:
              for e in entries), (header,))
         for tag, fp in zip(("1e-1", "1e-2"), results):
             nodes = exp.grid.nodes
-            states, control = fp.run.trajectory.states, fp.run.control
+            states, control = fp.run.states, fp.run.control
             assert (out / f"trajectory_eps_{tag}.csv").read_bytes().decode() == old_bytes(
                 ["node", "t"] + [f"c{i}" for i in range(1, n + 1)],
                 ([k, t, *states[k]] for k, t in enumerate(nodes)), (header,))
@@ -235,7 +235,7 @@ class TestCsvBytes:
         assert "0.001,nan,nan,0,False\r\n" in want and ",-0.0," in want
 
     def test_trajectory_and_gramian_match_old_writer(self, tmp_path, model_p2, grid_512):
-        states = mild_solution(model_p2, grid_512, bump_coefficients(8)).states.copy()
+        states = mild_solution(model_p2, grid_512, bump_coefficients(8))
         states[5, 1], states[6, 1] = -0.0, 0.0
         _write_node_table(tmp_path / "trajectory.csv", ("h",), grid_512.nodes, "c", states)
         text = (tmp_path / "trajectory.csv").read_bytes().decode()
@@ -326,7 +326,7 @@ fp = fixed_point_iterate(model, assemble_gramian(model, exp.grid), exp.grid, 1e-
                          exp.potential, exp.target, exp.x0)
 dirs = np.random.default_rng(9).standard_normal((16, model.n_modes))
 last = settle()
-worst = hvi_residual(model, fp.run.trajectory, fp.g, exp.potential, dirs)
+worst = hvi_residual(model, exp.grid, fp.run.states, fp.g, exp.potential, dirs)
 report([int(worst <= 1e-8)], last)
 """
 
@@ -409,10 +409,10 @@ def test_cli_pins_one_blas_thread_only_before_numpy(prelude, env, want):
         assert threads == 1
 
 
-def old_hvi_rhs(model, trajectory, pot, directions):
+def old_hvi_rhs(model, grid, states, pot, directions):
     """The support-function side of `hvi_residual` as BLAS products."""
-    lo, hi = pot.interval(trajectory.grid.nodes[:, None], theta_grid(model.n_theta),
-                          basis_values(trajectory.states, model.n_theta))
+    lo, hi = pot.interval(grid.nodes[:, None], theta_grid(model.n_theta),
+                          basis_values(states, model.n_theta))
     direction = basis_values(directions @ model.h_matrix, model.n_theta)
     h = math.pi / model.n_theta
     return (hi @ np.maximum(direction, 0.0).T + lo @ np.minimum(direction, 0.0).T) * h, \
@@ -424,9 +424,9 @@ def test_hvi_residual_matches_blas_products(problem_p2):
     pot = abs_potential(0.3)
     fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
     dirs = np.random.default_rng(9).standard_normal((16, model.n_modes))
-    rhs, scale = old_hvi_rhs(model, fp.run.trajectory, pot, dirs)
+    rhs, scale = old_hvi_rhs(model, grid, fp.run.states, pot, dirs)
     lhs = basis_coefficients(fp.g, model.n_modes) @ model.h_matrix.T @ dirs.T
-    got = hvi_residual(model, fp.run.trajectory, fp.g, pot, dirs)
+    got = hvi_residual(model, grid, fp.run.states, fp.g, pot, dirs)
     # the einsum sums the grid axis in another order: 1e-14 of the sum of
     # the terms' magnitudes
     assert abs(got - np.max(lhs - rhs)) <= 1e-14 * np.max(scale)

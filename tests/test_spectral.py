@@ -14,8 +14,6 @@ from fracheat.spectral import (
     forcing_multipliers,
     green_kernel,
     injectivity_diagnostic,
-    propagate_forcing,
-    propagate_state,
     state_multipliers,
 )
 from fracheat.lpspace import lp_norms, theta_grid
@@ -202,25 +200,25 @@ class TestKernelNormBounds:
 class TestOperatorFamilies:
     def test_state_family_at_zero_is_identity(self, model_p2):
         x = np.arange(1.0, 9.0)
-        assert np.allclose(propagate_state(model_p2, 0.0, x), x, rtol=0, atol=1e-14)
+        assert np.allclose(state_multipliers(model_p2, 0.0) * x, x, rtol=0, atol=1e-14)
 
     def test_single_mode_coefficient(self, model_p2):
         x = np.zeros(8)
         x[0] = 1.0
-        out = propagate_state(model_p2, 1.0, x)
+        out = state_multipliers(model_p2, 1.0) * x
         assert out[0] == pytest.approx(E_075_M1, rel=1e-12)
 
     def test_forcing_family_at_zero(self, model_p2):
         x = np.arange(1.0, 9.0)
         want = x / math.gamma(0.75)
-        assert np.allclose(propagate_forcing(model_p2, 0.0, x), want, rtol=1e-14)
+        assert np.allclose(forcing_multipliers(model_p2, 0.0) * x, want, rtol=1e-14)
 
     def test_state_bound(self, model_p2):
         rng = np.random.default_rng(2)
         for _ in range(200):
             t = rng.uniform(0.0, 1.0)
             x = rng.standard_normal(8)
-            nx, ns = lp_norms([x, propagate_state(model_p2, t, x)], 256, 2.0)
+            nx, ns = lp_norms([x, state_multipliers(model_p2, t) * x], 256, 2.0)
             assert ns <= model_p2.m_bound * nx * (1.0 + 1e-12)
 
     def test_forcing_bound(self, model_p2):
@@ -229,7 +227,7 @@ class TestOperatorFamilies:
         for _ in range(200):
             t = rng.uniform(0.0, 1.0)
             x = rng.standard_normal(8)
-            nx, nt = lp_norms([x, propagate_forcing(model_p2, t, x)], 256, 2.0)
+            nx, nt = lp_norms([x, forcing_multipliers(model_p2, t) * x], 256, 2.0)
             assert nt <= bound * nx * (1.0 + 1e-12)
 
     def test_multiplier_against_subordination_quadrature(self, model_p2):
@@ -252,9 +250,9 @@ class TestOperatorFamilies:
         xs = np.random.default_rng(5).standard_normal((9, model_p2.n_modes))
         rows = state_multipliers(model_p2, ts)
         assert rows.shape == (9, model_p2.n_modes)
-        for t, x, row, out in zip(ts, xs, rows, propagate_forcing(model_p2, ts, xs)):
+        for t, x, row, out in zip(ts, xs, rows, forcing_multipliers(model_p2, ts) * xs):
             np.testing.assert_allclose(row, state_multipliers(model_p2, t), rtol=1e-13)
-            np.testing.assert_allclose(out, propagate_forcing(model_p2, t, x), rtol=1e-13)
+            np.testing.assert_allclose(out, forcing_multipliers(model_p2, t) * x, rtol=1e-13)
         with pytest.raises(ValueError):
             state_multipliers(model_p2, np.array([0.5, 1.5]))
 
@@ -280,9 +278,9 @@ class TestOperatorFamilies:
 
     def test_time_domain_guard(self, model_p2):
         with pytest.raises(ValueError):
-            propagate_state(model_p2, 1.5, np.zeros(8))
+            state_multipliers(model_p2, 1.5)
         with pytest.raises(ValueError):
-            propagate_forcing(model_p2, -0.1, np.zeros(8))
+            forcing_multipliers(model_p2, -0.1)
 
 
 class TestKernelOperators:
@@ -294,9 +292,6 @@ class TestKernelOperators:
         want[2] = math.pi / 9.0
         assert np.allclose(out, want, atol=1e-9)
 
-    def test_dimension_mismatch(self, model_p2):
-        with pytest.raises(ValueError):
-            propagate_state(model_p2, 0.5, np.zeros(5))
 
 
 class TestInjectivityDiagnostic:
