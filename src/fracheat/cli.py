@@ -175,7 +175,7 @@ def _parse_coeff_list(text: str | None, n_modes: int, flag: str) -> np.ndarray |
     if text is None:
         return None
     try:
-        vals = [float(v) for v in text.split(",") if v.strip()]
+        vals = [float(v) for v in text.split(",")]
     except ValueError:
         vals = [math.nan]
     if len(vals) > n_modes or not all(map(math.isfinite, vals)):

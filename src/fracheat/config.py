@@ -159,12 +159,14 @@ def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
         out = basis_matrix(n_modes, n_theta).T @ (theta * (math.pi - theta)) * (math.pi / n_theta)
     elif spec.startswith("coeffs:"):
         vals = [as_number(v.strip(), f"problem.{key} coefficient", float)
-                for v in spec[len("coeffs:"):].split(",") if v.strip()]
+                for v in spec[len("coeffs:"):].split(",")]
         if len(vals) > n_modes:
             raise ValueError(f"state spec has {len(vals)} coefficients, model has {n_modes} modes")
         out[: len(vals)] = vals
     elif spec.startswith("sine:"):
         parts = spec[len("sine:"):].split(":")
+        if len(parts) > 2:
+            raise ValueError(f"problem.{key} must be sine:n[:amp], got {spec!r}")
         n = as_number(parts[0], f"problem.{key} sine mode")
         amp = as_number(parts[1], f"problem.{key} amplitude", float) if len(parts) > 1 else 1.0
         if not 1 <= n <= n_modes:
@@ -185,6 +187,8 @@ def _parse_potential(spec: str, base: Path, horizon: float) -> NonsmoothPotentia
         return abs_potential(as_number(spec[len("abs:"):], "problem.potential coefficient", float))
     if spec.startswith("sat:"):
         parts = spec[len("sat:"):].split(":")
+        if len(parts) > 2:
+            raise ValueError(f"problem.potential must be sat:c[:cap], got {spec!r}")
         cap = as_number(parts[1], "problem.potential cap", float) if len(parts) > 1 else 1.0
         return saturating_potential(as_number(parts[0], "problem.potential coefficient", float), cap)
     if spec.startswith("table:"):
@@ -239,7 +243,10 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         p,
         n_theta,
     )
-    formats = tuple(f.strip() for f in cfg["output"]["formats"].split(",") if f.strip())
+    spec = cfg["output"]["formats"]
+    formats = tuple(f.strip() for f in spec.split(",") if f.strip())
+    if not formats:
+        raise ValueError(f"output.formats must name csv, json or both, got {spec!r}")
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown output format {fmt!r}")

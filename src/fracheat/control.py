@@ -63,8 +63,6 @@ def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     """Jacobian of coordinate_duality_map at x (dense n_modes x n_modes): the
     grid Jacobian diag + rank1 v v^T projected as h W^T diag W + h rank1
     (W^T v)(W^T v)^T, never formed on the grid."""
-    if model.p == 2.0:
-        return np.eye(model.n_modes)
     p = model.p
     h = math.pi / model.n_theta
     w = basis_matrix(model.n_modes, model.n_theta)

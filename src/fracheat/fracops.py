@@ -13,8 +13,8 @@ leave out the zero-width ones a degenerate peak edge would add.  Larger b
 is reduced to a base in (0, 1] with E_{a,b}(z) = (E_{a,b-a}(z) -
 1/Gamma(b-a)) / z; `ml_family` evaluates a family of b over one argument
 array with one tail series and one cut integral per distinct base, as the
-propagator's E_{a,1} and E_{a,a+1} tables need.  alpha = 1 has closed forms,
-exp and, for b != 1, scipy's hyp1f1 (the one scipy import, made there).
+propagator's E_{a,1} and E_{a,a+1} tables need.  At alpha = 1 only b = 1 is
+taken, as exp; other b raise (commands keep alpha < 1, see `FracOrder`).
 The Wright density is its float series below tau0 and Kanter's nonnegative
 integral (Ann. Probab. 1975) above, via M_a(tau) = a^-1 tau^(-1-1/a)
 L_a(tau^(-1/a)) with the one-sided stable density L_a (Mainardi, Mura &
@@ -124,7 +124,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
 
 
 def mittag_leffler2(alpha: float, beta: float, z: float) -> float:
-    """Two-parameter Mittag-Leffler E_{alpha,beta}(z) for alpha in (0, 1], beta > 0."""
+    """Two-parameter Mittag-Leffler E_{alpha,beta}(z) for alpha in (0, 1], beta > 0
+    (beta = 1 only at alpha = 1)."""
     return float(ml_family(alpha, (beta,), np.array([float(z)]))[0][0])
 
 
@@ -157,7 +158,9 @@ def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"z must be finite, got {flat[~np.isfinite(flat)][0]}")
     if alpha == 1.0:
-        return [_ml_alpha_one(beta, flat).reshape(z.shape) for beta in betas]
+        if any(beta != 1.0 for beta in betas):
+            raise ValueError(f"alpha = 1 takes beta = 1 only (exp), got betas {betas}")
+        return [np.exp(flat).reshape(z.shape) for _ in betas]
     s = np.abs(np.minimum(flat, 0.0)) ** (1.0 / alpha)
     taylor = np.flatnonzero((flat != 0.0) & ((flat > 0.0) | (s <= _TAYLOR_S_MAX)))
     outs, negatives, chains = [], [], []
@@ -235,14 +238,6 @@ def _rgamma(v: float) -> float:
         return 1.0 / math.gamma(v)
     sign = -1.0 if v < 0.0 and math.floor(v) % 2 else 1.0
     return sign * math.exp(-math.lgamma(v)) if math.lgamma(v) > -709.78 else sign * math.inf
-
-
-def _ml_alpha_one(beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{1,b}(z) = M(1, b, z) / Gamma(b), Kummer's function; exp for b = 1."""
-    if beta == 1.0:
-        return np.exp(z)
-    from scipy.special import hyp1f1  # FracOrder (alpha < 1) never gets here
-    return hyp1f1(1.0, beta, z) * _rgamma(beta)
 
 
 def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

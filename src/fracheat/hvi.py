@@ -60,17 +60,17 @@ SELECTION_STRATEGIES = ("minimal_norm", "midpoint", "sign_zero", "sticky")
 
 @dataclass(frozen=True)
 class NonsmoothPotential:
-    """Scalar potential F(t, theta, r) with interval generalized derivative.
+    """Scalar potential F(t, theta, r), held only through its interval
+    generalized derivative: no command evaluates F itself.
 
-    `value` and `interval` broadcast over numpy arrays in (t, theta, r); a
-    whole trajectory comes as t = nodes[:, None], r of shape (nodes, n_theta).
+    `interval` broadcasts over numpy arrays in (t, theta, r); a whole
+    trajectory comes as t = nodes[:, None], r of shape (nodes, n_theta).
     `eta` is the pointwise bound sup |dF| <= eta(t) whose 1/alpha1-integrability
     the surrounding hypotheses assume (constants are integrable for any alpha1);
     it broadcasts in t too: an array of times gives an array of that shape, or
     a scalar that broadcasts to it.
     """
 
-    value: Callable
     interval: Callable
     eta: Callable[[float], float]
 
@@ -80,9 +80,6 @@ def abs_potential(c: float) -> NonsmoothPotential:
     if not 0.0 <= c < math.inf:
         raise ValueError(f"abs potential coefficient must be finite and >= 0, got {c}")
 
-    def val(t, theta, r):
-        return c * np.abs(np.asarray(r, dtype=float))
-
     def ival(t, theta, r):
         # (r > 0) 2c - c is where(r > 0, c, -c) bit for bit when c > 0 (2c - c
         # = c exactly; NaN r gives -c in both), without np.where's slower
@@ -90,29 +87,26 @@ def abs_potential(c: float) -> NonsmoothPotential:
         r = np.asarray(r, dtype=float)
         return (r > 0.0) * (2.0 * c) - c, (r >= 0.0) * (2.0 * c) - c
 
-    return NonsmoothPotential(val, ival, lambda t: c)
+    return NonsmoothPotential(ival, lambda t: c)
 
 
-def saturating_potential(c: float, cap: float = 1.0) -> NonsmoothPotential:
+def saturating_potential(c: float, cap: float) -> NonsmoothPotential:
     """F = c min(|r|, cap): kinks at r = 0 and |r| = cap, derivative 0 beyond."""
     if not (0.0 <= c < math.inf and cap > 0.0):
         raise ValueError(f"sat potential needs a finite c >= 0 and cap > 0, "
                          f"got c={c}, cap={cap}")
-
-    def val(t, theta, r):
-        return c * np.minimum(np.abs(np.asarray(r, dtype=float)), cap)
 
     def ival(t, theta, r):
         r = np.asarray(r, dtype=float)
         return (np.where((r > 0.0) & (r < cap), c, np.where((r >= -cap) & (r <= 0.0), -c, 0.0)),
                 np.where((r >= 0.0) & (r <= cap), c, np.where((r > -cap) & (r < 0.0), -c, 0.0)))
 
-    return NonsmoothPotential(val, ival, lambda t: c)
+    return NonsmoothPotential(ival, lambda t: c)
 
 
 def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPotential:
     """Piecewise-linear potential in r given by (breaks, values); beyond the
-    table F continues linearly with the end slopes."""
+    table the end slopes hold (F continues linearly)."""
     breaks = np.asarray(breaks, dtype=float)
     values = np.asarray(values, dtype=float)
     if not (np.all(np.isfinite(breaks)) and np.all(np.isfinite(values))):
@@ -124,23 +118,15 @@ def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPote
     slopes = np.diff(values) / np.diff(breaks)
     eta_max = float(np.max(np.abs(slopes)))
 
-    def segment(r: np.ndarray) -> np.ndarray:
-        """Index of the table segment whose slope holds at r, the end ones beyond."""
-        return np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
-
-    def val(t, theta, r):
-        r = np.asarray(r, dtype=float)
-        idx = segment(r)
-        return values[idx] + slopes[idx] * (r - breaks[idx])
-
     def ival(t, theta, r):
         r = np.asarray(r, dtype=float)
-        idx = segment(r)
+        # the segment whose slope holds at r, the end ones beyond the table
+        idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
         # interval at interior break points spans the adjacent slopes
         left = slopes[np.where(np.isin(r, breaks[1:-1]), idx - 1, idx)]
         return np.minimum(left, slopes[idx]), np.maximum(left, slopes[idx])
 
-    return NonsmoothPotential(val, ival, lambda t: eta_max)
+    return NonsmoothPotential(ival, lambda t: eta_max)
 
 
 def audit_potential(pot: NonsmoothPotential, t_samples: np.ndarray, r_samples: np.ndarray) -> None:

@@ -267,8 +267,7 @@ def forcing_multipliers(model: SpectralModel, t) -> np.ndarray:
 @dataclass(frozen=True)
 class InjectivityReport:
     sigma_min_b: float
-    sigma_min_gramian: float | None
-    threshold: float
+    sigma_min_gramian: float
     controllable: bool
 
     @property
@@ -280,17 +279,9 @@ class InjectivityReport:
         )
 
 
-def injectivity_diagnostic(
-    model: SpectralModel,
-    gramian_matrix: np.ndarray | None = None,
-    threshold: float = 1e-9,
-) -> InjectivityReport:
-    """Truncated-model controllability check: smallest singular values of the
-    input matrix and (when supplied) the Gramian, against a threshold."""
+def injectivity_diagnostic(model: SpectralModel, gramian_matrix: np.ndarray) -> InjectivityReport:
+    """Truncated-model controllability check: the smallest singular values of
+    the input matrix and of the Gramian, each against 1e-9."""
     sigma_b = float(np.linalg.svd(model.b_matrix, compute_uv=False)[-1])
-    sigma_g = None
-    ok = sigma_b > threshold
-    if gramian_matrix is not None:
-        sigma_g = float(np.linalg.svd(np.asarray(gramian_matrix, float), compute_uv=False)[-1])
-        ok = ok and sigma_g > threshold
-    return InjectivityReport(sigma_b, sigma_g, threshold, ok)
+    sigma_g = float(np.linalg.svd(np.asarray(gramian_matrix, float), compute_uv=False)[-1])
+    return InjectivityReport(sigma_b, sigma_g, sigma_b > 1e-9 and sigma_g > 1e-9)

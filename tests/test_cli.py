@@ -136,6 +136,8 @@ class TestConfig:
         ("problem.potential=sat:0.3:y", "problem.potential cap must be a number, got 'y'"),
         ("problem.target=coeffs: 0.1, abc",
          "problem.target coefficient must be a number, got 'abc'"),
+        ("problem.target=coeffs: 0.6, , 0.2", "problem.target coefficient must be a number, got ''"),
+        ("problem.x0=coeffs: 0.6, 0.2,", "problem.x0 coefficient must be a number, got ''"),
         ("problem.x0=sine:1.5", "problem.x0 sine mode must be an integer, got '1.5'"),
         ("problem.x0=sine:2:w", "problem.x0 amplitude must be a number, got 'w'"),
         ("sweep.epsilons=nan", "sweep.epsilons must be finite, got nan"),
@@ -167,16 +169,22 @@ class TestConfig:
         ("problem.x0=sine:2:inf", "x0 coefficients must be finite, got 'sine:2:inf'"),
         ("problem.target=coeffs: 0.6, -inf",
          "target coefficients must be finite, got 'coeffs: 0.6, -inf'"),
+        ("problem.potential=sat:0.3:0.5:7",
+         "problem.potential must be sat:c[:cap], got 'sat:0.3:0.5:7'"),
+        ("problem.x0=sine:2:1.0:junk", "problem.x0 must be sine:n[:amp], got 'sine:2:1.0:junk'"),
+        ("output.formats=", "output.formats must name csv, json or both, got ''"),
+        ("output.formats= , ", "output.formats must name csv, json or both, got ','"),
     ])
     def test_model_and_problem_guard_exits_1_naming_its_key(self, config_file, capsys, setting,
                                                            message):
-        """A non-finite or empty model or problem setting fails before any
-        work, through the constructor that owns it, instead of crashing or
-        running on nonsense later."""
+        """A non-finite, empty or malformed model, problem or output setting
+        fails before any work, through the constructor that owns it, instead
+        of crashing or running on nonsense later, and writes no file."""
         key = setting.split("=")[0].split(".")[1]
         assert key in message
         assert main(["sweep", str(config_file), "--set", setting]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (config_file.parent / "out").exists()
 
     @pytest.mark.parametrize("setting,table,message", [
         ("problem.potential", "0.0,1.0\n",
@@ -479,7 +487,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag,value", [
         ("--forcing-coeffs", "1,2,3,4,5,6,7,8,9"), ("--forcing-coeffs", "1,abc"),
-        ("--control-coeffs", "nan"), ("--control-coeffs", "0.2,inf")])
+        ("--control-coeffs", "nan"), ("--control-coeffs", "0.2,inf"),
+        ("--forcing-coeffs", "0.4,,0.1"), ("--control-coeffs", "0.2,")])
     def test_simulate_coefficient_flag_exits_1_naming_it(self, config_file, capsys, flag, value):
         assert main(["simulate", str(config_file), flag, value]) == 1
         assert capsys.readouterr().err == (

@@ -62,7 +62,7 @@ class TestPotentials:
 
     def test_audit_rejects_inverted_bound(self):
         pot = abs_potential(1.0)
-        bad = type(pot)(pot.value, pot.interval, lambda t: 0.5)
+        bad = NonsmoothPotential(pot.interval, lambda t: 0.5)
         with pytest.raises(ValueError):
             audit_potential(bad, np.array([0.0]), np.linspace(-2, 2, 41))
 
@@ -73,6 +73,42 @@ class TestPotentials:
             saturating_potential(1.0, cap=0.0)
         with pytest.raises(ValueError):
             tabulated_potential([0.0, 0.0], [1.0, 1.0])
+
+
+def abs_value(c):
+    """F = c |r|."""
+    return lambda r: c * np.abs(np.asarray(r, dtype=float))
+
+
+def saturating_value(c, cap):
+    """F = c min(|r|, cap)."""
+    return lambda r: c * np.minimum(np.abs(np.asarray(r, dtype=float)), cap)
+
+
+def tabulated_value(breaks, values):
+    """The piecewise-linear F through (breaks, values), linear with the end
+    slopes beyond the table."""
+    breaks, values = np.asarray(breaks, dtype=float), np.asarray(values, dtype=float)
+    slopes = np.diff(values) / np.diff(breaks)
+
+    def value(r):
+        r = np.asarray(r, dtype=float)
+        idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
+        return values[idx] + slopes[idx] * (r - breaks[idx])
+    return value
+
+
+TABLE_BREAKS = np.array([-1.0, -0.3, 0.4, 1.2])
+TABLE_VALUES = np.random.default_rng(6).standard_normal(4)
+# (potential, its F, the points checked): every kink, smooth points, and
+# points beyond the cap or the table
+POTENTIALS_WITH_VALUES = {
+    "abs": (abs_potential(0.7), abs_value(0.7), (0.0, -1.5, 2.0)),
+    "sat": (saturating_potential(0.8, cap=0.9), saturating_value(0.8, 0.9),
+            (0.0, 0.9, -0.9, 0.4, -2.0, 3.0)),
+    "table": (tabulated_potential(TABLE_BREAKS, TABLE_VALUES),
+              tabulated_value(TABLE_BREAKS, TABLE_VALUES), (-0.3, 0.4, -1.0, 1.2, -2.5, 3.0)),
+}
 
 
 def clarke_directional(pot, r, v):
@@ -93,31 +129,24 @@ class TestClarkeDirectional:
         for v in (-3.0, 0.5):
             assert clarke_directional(pot, 2.0, v) == pytest.approx(v)
 
-    def test_piecewise_linear_against_difference_quotient(self):
-        rng = np.random.default_rng(6)
-        breaks = np.array([-1.0, -0.3, 0.4, 1.2])
-        values = rng.standard_normal(4)
-        pot = tabulated_potential(breaks, values)
-        slopes = np.diff(values) / np.diff(breaks)
+    @pytest.mark.parametrize("name", list(POTENTIALS_WITH_VALUES))
+    def test_interval_against_difference_quotient(self, name):
+        """The interval is the Clarke derivative of F: at each kink, at smooth
+        points and beyond the table, where the end slopes hold."""
+        pot, value, points = POTENTIALS_WITH_VALUES[name]
 
         def limsup_quotient(r, v):
             # brute-force Clarke quotient on a fine grid around the point
             best = -math.inf
             for xi in np.linspace(r - 1e-4, r + 1e-4, 41):
                 for h in (1e-6, 1e-7):
-                    q = (pot.value(0, 0, xi + h * v) - pot.value(0, 0, xi)) / h
-                    best = max(best, float(q))
+                    best = max(best, float((value(xi + h * v) - value(xi)) / h))
             return best
 
-        # interior kinks, the end breaks, and beyond the table, where the end
-        # slopes extend linearly in `value` as in `interval`
-        for r in (-0.3, 0.4, -1.0, 1.2, -2.5, 3.0):
+        for r in points:
             for v in (1.0, -1.0, 2.5):
                 got = float(clarke_directional(pot, r, v))
                 assert got == pytest.approx(limsup_quotient(r, v), abs=1e-3)
-        for r in (-2.5, 3.0):
-            end = 0 if r < breaks[0] else -1
-            assert pot.value(0, 0, r) == pytest.approx(values[end] + slopes[end] * (r - breaks[end]))
 
 
 class TestSelection:
@@ -235,14 +264,11 @@ def test_interval_matches_reference(case):
 
 def reference_zero_potential():
     """The earlier zero potential, a closure of its own: zeros of r's shape."""
-    def val(t, theta, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
     def ival(t, theta, r):
         z = np.zeros_like(np.asarray(r, dtype=float))
         return z, z.copy()
 
-    return NonsmoothPotential(val, ival, lambda t: 0.0)
+    return NonsmoothPotential(ival, lambda t: 0.0)
 
 
 def test_zero_spec_is_the_zero_potential_bit_for_bit(model_p2):
@@ -293,7 +319,7 @@ def test_selection_matches_reference(model_p2, strategy, steps):
     states = rng.standard_normal((steps + 1, 8))
     states[0] = 0.0  # a zero row puts every grid point on the kink r = 0
     previous = rng.uniform(-1.0, 1.0, (steps + 1, model_p2.n_theta))
-    cases = [(pot, NonsmoothPotential(pot.value, ref, pot.eta)) for pot, ref in REFERENCE_INTERVALS]
+    cases = [(pot, NonsmoothPotential(ref, pot.eta)) for pot, ref in REFERENCE_INTERVALS]
     for pot, ref in cases + [(abs_potential(0.0), reference_zero_potential())]:
         for prev in (None, previous):
             new = select_forcing(pot, strategy, grid, states, model_p2, previous=prev)

@@ -2,7 +2,8 @@
 
 No module imports an underscore-prefixed name from a sibling module: private
 helpers stay private to the module that owns them.  `cli` is the one module
-that writes files.  Every public name, and
+that writes files.  No module imports scipy, at any depth: numpy is the one
+runtime dependency, and scipy serves the tests only.  Every public name, and
 every public method or property of a package class, has a caller in the
 package, or a stated reason to stay: a wrapper that only tests call is not
 kept."""
@@ -41,6 +42,38 @@ def test_checker_flags_a_private_import(tmp_path):
     sample.write_text("from . import __version__\nfrom .evolve import _tables, mild_solution\n"
                       "from numpy import _globals\n")
     assert private_sibling_imports(sample) == ["sample.py:2 imports _tables from .evolve"]
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """Each import of scipy or a scipy submodule in the module, at module
+    level or inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in scipy_imports(path)] == []
+
+
+def test_checker_flags_each_scipy_import(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import numpy, scipy\nfrom . import scipy_free\nimport scipyx\n\n\n"
+                      "def f():\n    import scipy.special as sp\n"
+                      "    from scipy.fft import rfft\n    from scipy import linalg\n")
+    assert scipy_imports(sample) == [
+        "sample.py:1 imports scipy", "sample.py:7 imports scipy.special",
+        "sample.py:8 imports scipy.fft", "sample.py:9 imports scipy"]
 
 
 WRITE_MODES = set("wax+")

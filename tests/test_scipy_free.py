@@ -16,10 +16,10 @@ from scipy.special import gammaln, rgamma
 import fracheat.evolve as evolve_module
 import fracheat.fracops as fracops_module
 from fracheat.evolve import _fast_len, mild_solution, propagator
-from fracheat.fracops import _lgamma, _rgamma, ml_multipliers, mittag_leffler, \
+from fracheat.fracops import _lgamma, _rgamma, ml_family, ml_multipliers, mittag_leffler, \
     mittag_leffler2, wright_density
 
-from conftest import bump_coefficients, ml_oracle
+from conftest import bump_coefficients
 
 EPS = np.finfo(float).eps
 ALPHAS = [0.51, 0.6, 0.75, 0.9, 0.99, 0.999]
@@ -125,8 +125,16 @@ def test_mild_solution_matches_scipy_fft(model_p2, grid_512, monkeypatch):
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.75, 2.0])
-def test_mittag_leffler_alpha_one(beta):
-    # E_{1,b} for b != 1 goes through scipy's hyp1f1, imported on first use
-    for z in (-30.0, -4.0, -0.3, 0.0, 0.7, 5.0):
-        want = ml_oracle(1.0, beta, z)
-        assert abs(mittag_leffler2(1.0, beta, z) - want) <= 1e-12 * abs(want)
+def test_mittag_leffler_alpha_one_takes_beta_one_only(beta):
+    # no command reaches alpha = 1 (FracOrder keeps alpha < 1), so the
+    # closed form E_{1,b} = M(1, b, z) / Gamma(b), b != 1, is not carried
+    with pytest.raises(ValueError, match="alpha = 1 takes beta = 1 only"):
+        mittag_leffler2(1.0, beta, 0.7)
+    with pytest.raises(ValueError, match="alpha = 1 takes beta = 1 only"):
+        ml_family(1.0, (1.0, beta), np.zeros(3))
+
+
+def test_mittag_leffler_alpha_one_is_exp():
+    z = np.array([-30.0, -4.0, -0.3, -0.0, 0.0, 0.7, 5.0])
+    assert np.array_equal(ml_multipliers(1.0, 1.0, z), np.exp(z))
+    assert all(mittag_leffler(1.0, v) == np.exp(v) for v in z)

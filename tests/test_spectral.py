@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 import fracheat.spectral as spectral_module
+from fracheat.fracops import TimeGrid
+from fracheat.gramian import assemble_gramian
 from fracheat.spectral import (
     KernelSpec,
     _assemble_kernel_matrix,
@@ -295,15 +297,18 @@ class TestKernelOperators:
 
 
 class TestInjectivityDiagnostic:
-    def test_green_model_positive(self, model_p2):
-        rep = injectivity_diagnostic(model_p2)
+    """Each check passes a Gramian assembled on the test's own model, as the
+    `validate` and `gramian` commands do."""
+
+    def test_green_model_positive(self, model_p2, gram_p2):
+        rep = injectivity_diagnostic(model_p2, gram_p2)
         assert rep.sigma_min_b == pytest.approx(math.pi / 64.0, abs=1e-8)
         assert rep.controllable
         assert rep.verdict == "approximately controllable (truncated)"
 
     def test_single_mode(self):
         model = build_model(1, ORDER, 1.0, None, None, 2.0, 256)
-        rep = injectivity_diagnostic(model)
+        rep = injectivity_diagnostic(model, assemble_gramian(model, TimeGrid(1.0, 512)))
         assert rep.sigma_min_b == pytest.approx(math.pi, rel=1e-10)
         assert rep.controllable
 
@@ -312,11 +317,13 @@ class TestInjectivityDiagnostic:
         crippled[4, :] = 0.0
         crippled[:, 4] = 0.0
         model = dataclasses.replace(model_p2, b_matrix=crippled)
-        rep = injectivity_diagnostic(model)
+        # B B^T has a zero row and column, so the Gramian is singular too
+        rep = injectivity_diagnostic(model, assemble_gramian(model, TimeGrid(1.0, 512)))
+        assert rep.sigma_min_gramian <= 1e-9
         assert not rep.controllable
         assert rep.verdict == "degenerate (truncated)"
 
     def test_gramian_branch(self, model_p2, gram_p2):
         rep = injectivity_diagnostic(model_p2, gram_p2)
-        assert rep.sigma_min_gramian is not None
+        assert rep.sigma_min_gramian > 1e-9
         assert rep.controllable
