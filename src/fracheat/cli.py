@@ -35,7 +35,8 @@ from . import __version__
 from .config import Experiment, build_experiment, default_config_text, load_config
 from .control import ConvergenceError, regularized_resolvent
 from .evolve import l1_reference, mild_solution
-from .fracops import gaussian_rows, mittag_leffler, mittag_leffler2, wright_density
+from .fracops import (gauss_legendre, gaussian_rows, mittag_leffler, mittag_leffler2,
+                      wright_density)
 from .gramian import assemble_gramian, verify_gramian
 from .hvi import epsilon_sweep, free_terminal_miss
 from .lpspace import basis_values, duality_map, lp_norm, lp_norms
@@ -75,10 +76,9 @@ def _density_checks(alpha: float) -> tuple[float, float, float]:
     """(mass - 1, first and second subordination defects at lambda = 1)."""
     b_rate = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     tau_cut = (28.0 / b_rate) ** (1.0 - alpha)
-    # 10 equal panels of 50 Gauss-Legendre nodes: the same 500 density values
-    # as one 500-node rule, without a 500 x 500 eigenproblem for LAPACK's
-    # thread pool to spin on afterwards
-    x, w = np.polynomial.legendre.leggauss(50)
+    # 10 equal panels of the tabulated 50-node Gauss-Legendre rule: the same
+    # 500 density values as one 500-node rule, with no eigenproblem for LAPACK
+    x, w = gauss_legendre(50)
     half = 0.5 * tau_cut / 10
     tau = (half * (2 * np.arange(10)[:, None] + 1.0 + x)).ravel()
     wt = np.tile(half * w, 10)

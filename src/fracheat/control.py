@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import TimeGrid, as_number
+from .fracops import TimeGrid, as_number, gauss_legendre
 from .evolve import mild_solution, propagator
 from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
@@ -251,7 +251,7 @@ def control_l2_norm(control: np.ndarray, grid: TimeGrid) -> float:
 
 def _eta_lp_norm(eta, horizon: float, alpha1: float) -> float:
     """|| eta ||_{L^{1/alpha1}(0, horizon)} by 64-point Gauss-Legendre."""
-    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = gauss_legendre(64)
     t = 0.5 * horizon * (x + 1.0)
     vals = np.broadcast_to(eta(t), t.shape)
     return float((np.sum(0.5 * horizon * w * vals ** (1.0 / alpha1))) ** alpha1)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.fft import irfft, rfft
 
 from .fracops import TimeGrid, l1_coefficients, ml_family, ml_multipliers, product_lag_weights
 from .spectral import SpectralModel
@@ -122,7 +121,7 @@ class Propagator:
     def kernel_spectrum(self) -> np.ndarray:
         """rfft of the lag kernel c[m] e(t_m) at length `fft_size`, per mode."""
         c, _ = self.lag_weights
-        return _frozen(rfft(c[:, None] * self.e_force, self.fft_size, axis=0))
+        return _frozen(np.fft.rfft(c[:, None] * self.e_force, self.fft_size, axis=0))
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
         """Rows k: sum_j w_k[j] e(t_k - t_j) u[j] per mode, for node data u of
@@ -130,8 +129,8 @@ class Propagator:
         _, a = self.lag_weights
         tail = np.array(u, dtype=float)
         tail[0] = 0.0  # node j = 0 carries its own weight a[k]
-        out = irfft(self.kernel_spectrum * rfft(tail, self.fft_size, axis=0), self.fft_size,
-                    axis=0)[: self.steps + 1]
+        out = np.fft.irfft(self.kernel_spectrum * np.fft.rfft(tail, self.fft_size, axis=0),
+                           self.fft_size, axis=0)[: self.steps + 1]
         out[0] = 0.0  # row 0 integrates over an empty interval
         return out + a[:, None] * self.e_force * u[0]
 
@@ -200,7 +199,8 @@ def _causal_product(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     by real FFTs at a length with no wrap-around."""
     u, v = u[:m], v[:m]
     size = _fast_len(len(u) + len(v) - 1)
-    return irfft(rfft(u, size, axis=0) * rfft(v, size, axis=0), size, axis=0)[:m]
+    return np.fft.irfft(np.fft.rfft(u, size, axis=0) * np.fft.rfft(v, size, axis=0), size,
+                        axis=0)[:m]
 
 
 def _series_inverse(t: np.ndarray, m: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Special functions and fractional-calculus primitives on uniform grids.
 
-Special functions take whole arrays: fixed Gauss rules and array sums over
-Gamma values from `math`, with no adaptive quadrature or arbitrary precision,
+Special functions take whole arrays: tabulated Gauss-Legendre rules
+(`gauss_legendre`, their one source) and array sums over Gamma values from
+`math`, with no eigensolve, adaptive quadrature or arbitrary precision,
 in row blocks that hold about three ~256 KB block arrays at once, each
 released before the next block's are made (`row_blocks`).  Mittag-Leffler
 values for 0 < alpha < 1 take one of three branches chosen from
@@ -44,6 +45,7 @@ __all__ = [
     "l1_coefficients",
     "row_blocks",
     "gaussian_rows",
+    "gauss_legendre",
     "as_number",
 ]
 
@@ -52,17 +54,76 @@ __all__ = [
 _TAYLOR_S_MAX = 5.0
 _ASYMPTOTIC_S_MIN = 60.0
 _BLOCK_BYTES = 1 << 18
+# Gauss-Legendre rules on [-1, 1] by size n: the n/2 positive nodes, ascending,
+# then their weights, equal to the last bit to numpy's eigensolved rule.
+_GAUSS_LEGENDRE = {
+    16: (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+         0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+         0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+         0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176),
+    32: (0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+         0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+         0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+         0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+         0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+         0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+         0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+         0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506),
+    50: (0.031098338327188876, 0.09317470156008614, 0.1548905899981459, 0.21600723687604176,
+         0.276288193779532, 0.33550024541943735, 0.39341431189756515, 0.44980633497403877,
+         0.5044581449074642, 0.5571583045146501, 0.6077029271849502, 0.6558964656854394,
+         0.7015524687068222, 0.7444943022260685, 0.7845558329003992, 0.821582070859336,
+         0.8554297694299461, 0.8859679795236131, 0.9130785566557919, 0.936656618944878,
+         0.9566109552428079, 0.972864385106692, 0.9853540840480058, 0.9940319694320907,
+         0.998866404420071, 0.06217661665534703, 0.06193606742068309, 0.06145589959031643,
+         0.06073797084177001, 0.059785058704265315, 0.05860084981322225, 0.05718992564772815,
+         0.055557744806212436, 0.05371062188899604, 0.05165570306958085, 0.04940093844946625,
+         0.04695505130394827, 0.044327504338803315, 0.041528463090147696, 0.03856875661258778,
+         0.03545983561514612, 0.03221372822357788, 0.0288429935805348, 0.025360673570012635,
+         0.02178024317012439, 0.01811556071348944, 0.014380822761485784, 0.010590548383651496,
+         0.006759799195744566, 0.0029086225531579266),
+    64: (0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+         0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+         0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+         0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+         0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+         0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+         0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+         0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+         0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+         0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+         0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+         0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+         0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+         0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+         0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+         0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414),
+}
+
+
+def gauss_legendre(n: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1], n in
+    16, 32, 50, 64, mirrored from its table by exact negation; with `panels`
+    > 1 the composite rule on equal panels, nodes (x + 2j + 1 - panels) /
+    panels and weights w / panels for panel j (panels = 1 is the table)."""
+    half = np.array(_GAUSS_LEGENDRE[n]).reshape(2, n // 2)
+    x = np.concatenate([-half[0, ::-1], half[0]])
+    w = np.concatenate([half[1, ::-1], half[1]])
+    shift = 2.0 * np.arange(panels) + 1.0 - panels
+    return ((x + shift[:, None]) / panels).ravel(), np.tile(w / panels, panels)
+
+
 # Cut integral in r = u**(1/a): 16-point Gauss panels with edges at the
 # Lorentzian peak +- multiples of its width and at fixed edges: geometric steps
 # (ratio 6) from r = 1 toward 0 grading the r^a and r^(a-b) factors (ten, or 5/a
 # so r^a is small below them), the scale of exp(-r) and the cutoff 50.
-_CUT_X, _CUT_W = np.polynomial.legendre.leggauss(16)
+_CUT_X, _CUT_W = gauss_legendre(16)
 _PEAK_WIDTHS = np.array([-512.0, -128.0, -32.0, -8.0, -2.0, -0.5, 0.5, 2.0, 8.0, 32.0, 128.0, 512.0])
 _CUT_EDGES = np.concatenate([6.0 ** -np.arange(10.0, -1.0, -1.0), [2.0, 5.0, 10.0, 18.0, 30.0, 50.0]])
 # Wright density: series below tau0; Kanter panels (32-point) with edges at
 # log(c A) = _KANTER_LEFT before the peak and c A = (c A)_peak + _KANTER_RIGHT after.
 _WRIGHT_TAU0 = 0.5
-_KANTER_X, _KANTER_W = np.polynomial.legendre.leggauss(32)
+_KANTER_X, _KANTER_W = gauss_legendre(32)
 _KANTER_LEFT = np.array([-25.0, -12.0, -6.0, -2.0])
 _KANTER_RIGHT = np.array([2.0, 8.0, 30.0, 740.0])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import FracOrder, ml_multipliers, row_blocks
+from .fracops import FracOrder, gauss_legendre, ml_multipliers, row_blocks
 from .lpspace import basis_matrix, conjugate_exponent, theta_grid
 
 __all__ = [
@@ -137,9 +137,9 @@ def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> n
     """Basis-coordinate matrix M[m, n] = <K w_n, w_m>.
 
     Named kernels have a derivative kink along theta = omega, so the inner
-    integral is split there and both directions use Gauss-Legendre; the
-    result is accurate to ~1e-12 at modest node counts.  Tabulated kernels
-    are integrated with the midpoint rule on their own grid.
+    integral is split there and both directions use the 64-point Gauss-Legendre
+    rule on ceil(n_modes / 16) panels (>= 4 nodes per mode), accurate to ~1e-12.
+    Tabulated kernels are integrated with the midpoint rule on their own grid.
     """
     if kernel.kind == "custom":
         m = kernel.table.shape[0]
@@ -149,28 +149,27 @@ def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> n
         h = math.pi / m
         mat = h * h * (w.T @ kernel.table @ w)
     else:
-        ng = max(64, 4 * n_modes)
-        x, gw = np.polynomial.legendre.leggauss(ng)
+        x, gw = gauss_legendre(64, -(-n_modes // 16))
+        ng = len(x)
         mode = np.arange(1, n_modes + 1)
         scale = math.sqrt(2.0 / math.pi)
         # outer nodes t on [0, pi]; inner panels [0, t] and [t, pi], each with
-        # the same Gauss rule: arrays (outer node, panel, inner node)
+        # the same Gauss rule: arrays (outer node, panel, inner node), made in
+        # row blocks of outer nodes; whole, sin(u n) and its scaled copy are
+        # (ng, 2, ng, n_modes) tensors of 67 MB each at 64 modes
         t_out = 0.5 * math.pi * (x + 1.0)
         w_out = 0.5 * math.pi * gw
         lo = np.stack([np.zeros(ng), t_out], axis=1)[:, :, None]
         half = 0.5 * (np.stack([t_out, np.full(ng, math.pi)], axis=1)[:, :, None] - lo)
-        u = half * (x + 1.0) + lo
-        kv = kernel.values(np.broadcast_to(t_out[:, None, None], u.shape), u)
-        weights = half * gw
-        # sin(u n) in row blocks of outer nodes: whole, it and its scaled copy
-        # are (ng, 2, ng, n_modes) tensors of 67 MB each at 64 modes
         inner = np.empty((ng, n_modes))
         for rows in row_blocks(ng, 2 * ng * n_modes):
-            basis = np.multiply(u[rows, :, :, None], mode)  # one block tensor, in place
+            u = half[rows] * (x + 1.0) + lo[rows]
+            kv = kernel.values(np.broadcast_to(t_out[rows, None, None], u.shape), u)
+            basis = np.multiply(u[..., None], mode)  # one block tensor, in place
             np.sin(basis, out=basis)
             basis *= scale
-            inner[rows] = np.einsum("ipq,ipq,ipqn->in", weights[rows], kv[rows], basis)
-            del basis  # before the next block's tensor
+            inner[rows] = np.einsum("ipq,ipq,ipqn->in", half[rows] * gw, kv, basis)
+            del u, kv, basis  # before the next block's arrays
         mat = np.einsum("i,im,in->mn", w_out, scale * np.sin(np.outer(t_out, mode)), inner)
     defect = float(np.max(np.abs(mat - mat.T)))
     scale_ref = max(float(np.max(np.abs(mat))), 1e-30)

@@ -523,9 +523,12 @@ class TestCommands:
     def test_commands_load_only_what_they_run(self, tmp_path):
         # no command imports numpy.random (sample vectors come from the
         # standard library), _hashlib (OpenSSL; the config digest is the
-        # interpreter's own sha256), numpy.ma, or scipy, which serves only
-        # E_{1,b} with b != 1 and the tests.  Names match exactly or as a
-        # package prefix: numpy.matrixlib loads with numpy itself
+        # interpreter's own sha256), numpy.ma, numpy.polynomial (the
+        # Gauss-Legendre rules are tabulated) or scipy, which serves only the
+        # tests.  Names match exactly or as a package prefix: numpy.matrixlib
+        # loads with numpy itself.  numpy loads numpy.fft on first use and
+        # only the trajectory solvers run FFTs, so validate and gramian must
+        # not load it
         src = Path(fracheat.__file__).resolve().parents[1]
         cfg = tmp_path / BUNDLED.name
         cfg.write_text(BUNDLED.read_text())
@@ -533,13 +536,14 @@ class TestCommands:
             "import json, sys; from fracheat.cli import main\n"
             f"cfg, small = {str(cfg)!r}, {SMALL_OVERRIDES!r}\n"
             "codes = [main(['validate', cfg, *small, '--set', 'model.p=4']),\n"
-            "         main(['gramian', cfg, *small]),\n"
-            "         main(['simulate', cfg, *small, '--forcing-coeffs', '0.4,0.1',\n"
-            "               '--control-coeffs', '0.2,-0.1']),\n"
-            "         main(['sweep', cfg, *small])]\n"
-            "heavy = ('numpy.random', '_hashlib', 'numpy.ma', 'scipy')\n"
-            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-            "                                if any(m == h or m.startswith(h + '.') for h in heavy))]))\n"
+            "         main(['gramian', cfg, *small])]\n"
+            "fft = 'numpy.fft' in sys.modules\n"
+            "codes += [main(['simulate', cfg, *small, '--forcing-coeffs', '0.4,0.1',\n"
+            "                '--control-coeffs', '0.2,-0.1']),\n"
+            "          main(['sweep', cfg, *small])]\n"
+            "heavy = ('numpy.random', '_hashlib', 'numpy.ma', 'numpy.polynomial', 'scipy')\n"
+            "print(json.dumps([codes, fft, sorted(m for m in sys.modules\n"
+            "                                     if any(m == h or m.startswith(h + '.') for h in heavy))]))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
@@ -547,7 +551,7 @@ class TestCommands:
                               text=True, timeout=300, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         assert "[FAIL]" not in done.stdout
-        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0, 0], False, []]
 
     def test_unconverged_resolvent_is_reported(self, config_file):
         # no solve can meet a residual of 1e-300 |d|: any nonzero rounding

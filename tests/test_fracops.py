@@ -7,6 +7,7 @@ from fracheat.fracops import (
     FracOrder,
     TimeGrid,
     caputo_derivative,
+    gauss_legendre,
     mittag_leffler,
     mittag_leffler2,
     rl_integral,
@@ -189,6 +190,34 @@ class TestCaputoDerivative:
             got = caputo_derivative(integ, grid, alpha, 1.0)
             errs.append(abs(got - f(np.array([1.0]))[0]))
         assert math.log2(errs[0] / errs[2]) / 2.0 >= 1.0
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [16, 32, 50, 64])
+    def test_tables_are_numpys_rules_bit_for_bit(self, n):
+        x, w = gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        # panels = 1 is the table itself, not a copy shifted by rounding
+        assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre(n, 1), (x, w)))
+
+    @pytest.mark.parametrize("n", [16, 32, 50, 64])
+    @pytest.mark.parametrize("panels", [2, 3, 4])
+    def test_composite_rule(self, n, panels):
+        x, w = gauss_legendre(n)
+        xc, wc = gauss_legendre(n, panels)
+        j = np.repeat(np.arange(panels), n)
+        assert np.array_equal(xc, (np.tile(x, panels) + (2 * j + 1 - panels)) / panels)
+        assert np.array_equal(wc, np.tile(w / panels, panels))
+        assert np.all(np.diff(xc) > 0.0) and -1.0 < xc[0] and xc[-1] < 1.0
+        # exact on each panel for degree 2n - 1, so for every power up to it
+        for d in range(0, 2 * n, 7):
+            want = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+            assert wc @ xc**d == pytest.approx(want, abs=1e-14)
+
+    def test_only_the_tabulated_sizes(self):
+        with pytest.raises(KeyError):
+            gauss_legendre(20)
 
 
 class TestDomainTypes:
