@@ -38,6 +38,8 @@ __all__ = [
     "TimeGrid",
     "mittag_leffler",
     "mittag_leffler2",
+    "ml_multipliers",
+    "ml_family",
     "wright_density",
     "rl_integral",
     "caputo_derivative",

@@ -11,7 +11,8 @@ exception: existence of the fixed point is topological and the iteration is
 a heuristic.  A solve holds one (steps+1, n_theta) array, the iterate: each
 step selects, relaxes and projects it in one pass over row blocks, and a
 full step whose selection is the iterate bit for bit ends the solve without
-re-running its closed loop.  `epsilon_sweep` yields one epsilon at a time.
+re-running its closed loop.  The closing audit is one more full step of the
+same pass, into a second array.  `epsilon_sweep` yields one epsilon at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "saturating_potential",
     "tabulated_potential",
     "audit_potential",
-    "select_forcing",
     "SELECTION_STRATEGIES",
     "check_strategy",
     "FixedPointResult",
@@ -148,19 +148,19 @@ def check_strategy(strategy: str) -> str:
     return strategy
 
 
-def _selection_blocks(pot: NonsmoothPotential, strategy: str, grid: TimeGrid, states: np.ndarray,
-                      model: SpectralModel, previous: np.ndarray | None):
-    """(rows, selection) over the row blocks (`fracops.row_blocks`, ~256 KB
-    block arrays) of the nodes of `grid`, one row of `states` each: the one
-    selection rule and bound check of `select_forcing` and the fixed point.
-    Each selection overwrites its block's grid values of the state, and a
-    block of `previous` is read only when its selection is made.  At most
-    three block arrays live at once (the selection, lo and hi): the caller
-    drops each selection before the next."""
-    check_strategy(strategy)
+def _map_step(pot: NonsmoothPotential, strategy: str, grid: TimeGrid, states: np.ndarray,
+              model: SpectralModel, g: np.ndarray, omega: float, out: np.ndarray):
+    """The one selection rule and bound check: select along `states` (row k
+    at node t_k of `grid`), sticky from `g`, and write (1 - omega) g + omega
+    selection into `out` (`g` itself, or a full step's own array), in one pass
+    over the row blocks (`fracops.row_blocks`, ~256 KB) of the nodes.  Returns
+    (rows H ghat(t_k) of `out`, whether the selection is `g` bit for bit).
+    At most three block arrays live at once (the selection, lo and hi)."""
     nodes = grid.nodes
     theta = theta_grid(model.n_theta)
     bound = np.broadcast_to(pot.eta(nodes), nodes.shape)
+    coefficients = np.empty((nodes.size, model.n_modes))
+    same = True
     for rows in row_blocks(nodes.size, model.n_theta):
         block = basis_values(states[rows], model.n_theta)  # r, then the selection
         lo, hi = pot.interval(nodes[rows, None], theta, block)
@@ -168,38 +168,23 @@ def _selection_blocks(pot: NonsmoothPotential, strategy: str, grid: TimeGrid, st
             np.multiply(0.5, lo + hi, out=block)
         elif strategy == "sign_zero":
             block[...] = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, 0.5 * (lo + hi))
-        elif strategy == "sticky" and previous is not None:
-            np.clip(previous[rows], lo, hi, out=block)
-        else:  # minimal_norm, or sticky without a previous selection
+        elif strategy == "sticky":
+            np.clip(g[rows], lo, hi, out=block)
+        else:  # minimal_norm
             np.clip(0.0, lo, hi, out=block)
         if np.any(np.maximum(block.max(axis=1), -block.min(axis=1)) > bound[rows] + 1e-12):  # max |g|
             raise AssertionError("selection escaped the admissible bound")
-        del lo, hi  # before the caller's pass over the block and the next block's temporaries
-        yield rows, block
-        del block  # and the caller drops its own reference: before the next block is made
-
-
-def select_forcing(
-    pot: NonsmoothPotential,
-    strategy: str,
-    grid: TimeGrid,
-    states: np.ndarray,
-    model: SpectralModel,
-    previous: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pointwise admissible forcing g(t_k, theta_j) in the derivative interval
-    along the states (row k at node t_k of `grid`), shape (steps+1, n_theta)."""
-    g = np.empty((grid.steps + 1, model.n_theta))
-    for rows, block in _selection_blocks(pot, strategy, grid, states, model, previous):
-        g[rows] = block
-        del block
-    return g
-
-
-def forcing_to_coordinates(model: SpectralModel, g: np.ndarray) -> np.ndarray:
-    """Project grid-valued dual forcing onto the basis and apply the coupling
-    operator: rows H ghat(t_k)."""
-    return basis_coefficients(g, model.n_modes) @ model.h_matrix.T
+        del lo, hi  # before the pass below and the next block's temporaries
+        same = same and np.array_equal(block.view(np.int64), g[rows].view(np.int64))
+        if omega == 1.0:
+            out[rows] = block
+        else:  # g's block is read before out's is written, so out may be g
+            np.multiply(g[rows], 1.0 - omega, out=out[rows])
+            block *= omega
+            out[rows] += block
+        coefficients[rows] = basis_coefficients(out[rows], model.n_modes)
+        del block  # before the next block's
+    return coefficients @ model.h_matrix.T, same
 
 
 @dataclass
@@ -211,12 +196,13 @@ class FixedPointResult:
     trajectory was integrated from (the previous selection after a full step,
     an average after the back-off), `residuals` the trajectory gap of each
     iteration, and `fixed_point_residual` the sup-norm trajectory change
-    under one more unrelaxed application of the composite map -- the
-    dynamics-vs-membership gap inherent to stopping at tolerance.  When the
-    selection equals the iterate (the audit run is skipped), `g` and
-    `g_relaxed` are the same array.  `closed_loops` counts the closed loops
-    run: the initial one, the audit's, and one per step but a settled last
-    step, whose selection is the iterate bit for bit (gap 0.0).
+    under the audit, one more full step of the loop's own pass written into
+    an array of its own -- the dynamics-vs-membership gap inherent to
+    stopping at tolerance.  When the selection is the iterate bit for bit
+    (the audit run is skipped), `g` and `g_relaxed` are the same array.
+    `closed_loops` counts the closed loops run: the initial one, the
+    audit's, and one per step but a settled last step, whose selection is
+    the iterate bit for bit (gap 0.0).
     """
 
     g: np.ndarray
@@ -286,6 +272,7 @@ def fixed_point_iterate(
     max_iter returns the last iterate flagged as non-converged.
     """
     relaxation = check_relaxation(relaxation)
+    check_strategy(strategy)
 
     def run_for(forcing: np.ndarray) -> ClosedLoopRun:
         return closed_loop_trajectory(
@@ -294,28 +281,20 @@ def fixed_point_iterate(
         )
 
     g = np.zeros((grid.steps + 1, model.n_theta))
-    run, closed_loops = run_for(forcing_to_coordinates(model, g)), 1
+    run, closed_loops = run_for(np.zeros((grid.steps + 1, model.n_modes))), 1
     residuals: list[float] = []
     converged = settled = False
     iterations = 0
     omega = 1.0
     for iterations in range(1, max_iter + 1):
-        # g <- (1 - omega) g + omega selection in place, projected block by block
-        coefficients = np.empty((grid.steps + 1, model.n_modes))
-        settled = omega == 1.0
-        for rows, selection in _selection_blocks(pot, strategy, grid, run.states, model, g):
-            block = g[rows]
-            settled = settled and np.array_equal(selection.view(np.int64), block.view(np.int64))
-            block *= 1.0 - omega
-            selection *= omega
-            block += selection
-            coefficients[rows] = basis_coefficients(block, model.n_modes)
-            del selection
-        if settled:  # 0 g + g is g, signed zeros too: g's closed loop is `run`, bit for bit
+        # g <- (1 - omega) g + omega selection, in place
+        forcing, same = _map_step(pot, strategy, grid, run.states, model, g, omega, g)
+        if omega == 1.0 and same:  # g's closed loop is `run`, bit for bit
             residuals.append(0.0)
-            converged = True
+            converged = settled = True
             break
-        run_new, closed_loops = run_for(coefficients @ model.h_matrix.T), closed_loops + 1
+        run_new, closed_loops = run_for(forcing), closed_loops + 1
+        del forcing  # before the next step's
         gap = _trajectory_gap(model, run_new.states, run.states)
         if residuals and gap >= residuals[-1]:
             omega = relaxation  # full steps stopped contracting: average from here on
@@ -324,13 +303,15 @@ def fixed_point_iterate(
         if gap <= tol:
             converged = True
             break
-    g_select = g if settled else select_forcing(pot, strategy, grid, run.states, model, previous=g)
-    if settled or np.array_equal(g_select, g):
-        g_select = g  # one array for both fields
-        fp_residual = 0.0  # the audit run would be `run` itself, bit for bit
-    else:
-        audit, closed_loops = run_for(forcing_to_coordinates(model, g_select)), closed_loops + 1
-        fp_residual = _trajectory_gap(model, audit.states, run.states)
+    g_select, fp_residual = g, 0.0  # one array for both fields when the audit is skipped
+    if not settled:  # the audit: one more full step, into an array of its own
+        g_select = np.empty_like(g)
+        forcing, same = _map_step(pot, strategy, grid, run.states, model, g, 1.0, g_select)
+        if same:  # the audit run would be `run` itself, bit for bit
+            g_select = g
+        else:
+            audit, closed_loops = run_for(forcing), closed_loops + 1
+            fp_residual = _trajectory_gap(model, audit.states, run.states)
     return FixedPointResult(
         g=g_select,
         g_relaxed=g,

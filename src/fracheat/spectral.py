@@ -23,6 +23,8 @@ __all__ = [
     "green_kernel",
     "min_kernel",
     "build_model",
+    "state_multipliers",
+    "forcing_multipliers",
     "injectivity_diagnostic",
 ]
 
@@ -107,9 +109,10 @@ class SpectralModel:
     eigenvalues: np.ndarray
     b_matrix: np.ndarray
     h_matrix: np.ndarray
-    m_bound: float = 1.0
     b_norm_bound: float = 0.0
     h_norm_bound: float = 0.0
+    # not a field: the state family's multipliers lie in (0, 1] (`validate`'s bound M)
+    m_bound = 1.0
 
     def __post_init__(self) -> None:
         if self.n_modes < 1:
@@ -235,7 +238,6 @@ def build_model(
         eigenvalues=eigenvalues,
         b_matrix=b_matrix,
         h_matrix=h_matrix,
-        m_bound=1.0,
         b_norm_bound=b_norm,
         h_norm_bound=h_norm,
     )

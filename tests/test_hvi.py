@@ -9,10 +9,18 @@ from fracheat.config import build_experiment, default_config_text, load_config
 from fracheat.evolve import mild_solution
 from fracheat.fracops import TimeGrid
 from fracheat.gramian import assemble_gramian
-from fracheat.lpspace import basis_matrix, basis_values, lp_norm, lp_norms, theta_grid
+from fracheat.lpspace import (
+    basis_coefficients,
+    basis_matrix,
+    basis_values,
+    lp_norm,
+    lp_norms,
+    theta_grid,
+)
 from fracheat.hvi import (
     SELECTION_STRATEGIES,
     NonsmoothPotential,
+    _map_step,
     abs_potential,
     audit_potential,
     check_epsilons,
@@ -21,7 +29,6 @@ from fracheat.hvi import (
     free_terminal_miss,
     hvi_residual,
     saturating_potential,
-    select_forcing,
     tabulated_potential,
 )
 
@@ -149,19 +156,35 @@ class TestClarkeDirectional:
                 assert got == pytest.approx(limsup_quotient(r, v), abs=1e-3)
 
 
+def select(pot, strategy, grid, states, model, previous=None):
+    """The selection along `states`: one full step of the fixed point's pass
+    into a fresh array, sticky from `previous` (zeros when None, which clip
+    to the same bits as the scalar 0)."""
+    shape = (grid.steps + 1, model.n_theta)
+    out = np.empty(shape)
+    _map_step(pot, strategy, grid, states, model,
+              np.zeros(shape) if previous is None else previous, 1.0, out)
+    return out
+
+
+def project(model, g):
+    """Rows H ghat(t_k) of grid-valued forcing, over the whole grid at once."""
+    return basis_coefficients(g, model.n_modes) @ model.h_matrix.T
+
+
 class TestSelection:
     def test_positive_trajectory_smooth_branch(self, problem):
         model, _, grid, x0, _ = problem
         pot = abs_potential(0.4)
         traj = mild_solution(model, grid, x0)  # bump stays positive
-        g = select_forcing(pot, "minimal_norm", grid, traj, model)
+        g = select(pot, "minimal_norm", grid, traj, model)
         assert np.allclose(g[1:], 0.4)
 
     def test_zero_state_symmetric_interval(self, model_p2):
         pot = abs_potential(0.7)
         grid = TimeGrid(1.0, 8)
         for strategy in ("sign_zero", "midpoint", "minimal_norm"):
-            g = select_forcing(pot, strategy, grid, np.zeros((9, 8)), model_p2)
+            g = select(pot, strategy, grid, np.zeros((9, 8)), model_p2)
             assert np.all(g == 0.0)
 
     def test_membership_audit_random_trajectories(self, model_p2):
@@ -172,7 +195,7 @@ class TestSelection:
         for strategy in ("minimal_norm", "midpoint", "sign_zero", "sticky"):
             states = rng.standard_normal((17, 8))
             prev = rng.standard_normal((17, model_p2.n_theta))
-            g = select_forcing(pot, strategy, grid, states, model_p2, previous=prev)
+            g = select(pot, strategy, grid, states, model_p2, previous=prev)
             for k, t in enumerate(grid.nodes):
                 q_vals = basis_matrix(8, model_p2.n_theta) @ states[k]
                 lo, hi = pot.interval(float(t), theta, q_vals)
@@ -188,10 +211,11 @@ class TestSelection:
             g_norm = lp_norm(fp.g[k], model.dual_p)
             assert g_norm <= bound * (1.0 + 1e-12)
 
-    def test_unknown_strategy(self, model_p2):
-        grid = TimeGrid(1.0, 8)
-        with pytest.raises(ValueError):
-            select_forcing(abs_potential(0.1), "greedy", grid, np.zeros((9, 8)), model_p2)
+    def test_unknown_strategy(self, problem):
+        model, gram, grid, x0, z = problem
+        with pytest.raises(ValueError, match="strategy"):
+            fixed_point_iterate(model, gram, grid, 1e-2, abs_potential(0.1), z, x0,
+                                strategy="greedy")
 
 
 def reference_abs_interval(c):
@@ -287,13 +311,13 @@ def test_zero_spec_is_the_zero_potential_bit_for_bit(model_p2):
     states[0] = 0.0
     for previous in (None, np.full((17, model_p2.n_theta), -0.0)):
         for strategy in SELECTION_STRATEGIES:
-            new = select_forcing(pot, strategy, grid, states, model_p2, previous=previous)
-            old = select_forcing(ref, strategy, grid, states, model_p2, previous=previous)
+            new = select(pot, strategy, grid, states, model_p2, previous=previous)
+            old = select(ref, strategy, grid, states, model_p2, previous=previous)
             assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 def reference_select(pot, strategy, grid, states, model, previous=None):
-    """The earlier select_forcing, with eta called once per node."""
+    """The earlier selection over the whole grid, with eta called once per node."""
     nodes = grid.nodes
     lo, hi = pot.interval(nodes[:, None], theta_grid(model.n_theta),
                           basis_values(states, model.n_theta))
@@ -322,7 +346,7 @@ def test_selection_matches_reference(model_p2, strategy, steps):
     cases = [(pot, NonsmoothPotential(ref, pot.eta)) for pot, ref in REFERENCE_INTERVALS]
     for pot, ref in cases + [(abs_potential(0.0), reference_zero_potential())]:
         for prev in (None, previous):
-            new = select_forcing(pot, strategy, grid, states, model_p2, previous=prev)
+            new = select(pot, strategy, grid, states, model_p2, previous=prev)
             old = reference_select(ref, strategy, grid, states, model_p2, previous=prev)
             assert new.dtype == old.dtype and np.array_equal(new, old)
 
@@ -375,18 +399,17 @@ def reference_fixed_point(model, gram, grid, epsilon, pot, z, x0, relaxation=0.5
     every step.  `full_steps` > 0 takes that many undamped steps first, which
     replays a back-off after a given step.  Returns (run, gaps, converged)."""
     from fracheat.control import closed_loop_trajectory
-    from fracheat.hvi import forcing_to_coordinates
 
     def run_for(g):
         return closed_loop_trajectory(model, gram, grid, epsilon, z, x0,
-                                      forcing=forcing_to_coordinates(model, g))
+                                      forcing=project(model, g))
 
     g = np.zeros((grid.steps + 1, model.n_theta))
     run = run_for(g)
     gaps = []
     for it in range(1, max_iter + 1):
         omega = 1.0 if it <= full_steps else relaxation
-        g_sel = select_forcing(pot, "sticky", grid, run.states, model, previous=g)
+        g_sel = reference_select(pot, "sticky", grid, run.states, model, previous=g)
         g_new = (1.0 - omega) * g + omega * g_sel
         run_new = run_for(g_new)
         gaps.append(float(np.max(lp_norms(run_new.states - run.states,
@@ -455,11 +478,10 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
     a second grid array.  Returns (g, g_relaxed, run, residuals, iterations,
     converged, fixed_point_residual, closed_loops)."""
     from fracheat.control import closed_loop_trajectory
-    from fracheat.hvi import forcing_to_coordinates
 
     def run_for(g):
         return closed_loop_trajectory(model, gram, grid, epsilon, z, x0,
-                                      forcing=forcing_to_coordinates(model, g))
+                                      forcing=project(model, g))
 
     def gap(a, b):
         return float(np.max(lp_norms(a.states - b.states,
@@ -470,7 +492,7 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
     run, loops = run_for(g), 1
     residuals, converged, iterations, omega = [], False, 0, 1.0
     for iterations in range(1, max_iter + 1):
-        g_sel[...] = select_forcing(pot, strategy, grid, run.states, model, previous=g)
+        g_sel[...] = reference_select(pot, strategy, grid, run.states, model, previous=g)
         g *= 1.0 - omega
         g_sel *= omega
         g += g_sel
@@ -482,7 +504,7 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
         if residuals[-1] <= tol:
             converged = True
             break
-    g_select = select_forcing(pot, strategy, grid, run.states, model, previous=g)
+    g_select = reference_select(pot, strategy, grid, run.states, model, previous=g)
     if np.array_equal(g_select, g):
         g_select, fp_residual = g, 0.0
     else:
@@ -543,6 +565,24 @@ class TestSettledFixedPoint:
                                                            exp.potential, exp.target, exp.x0))
         assert fp.converged and fp.closed_loops == fp.iterations
         assert peak < 1.6 * grid_array
+
+    @pytest.mark.parametrize("settings", [[], ["model.p=4"]])
+    def test_audit_adds_one_grid_array(self, settings):
+        # on the bundled model, a settled solve holds the iterate, one grid
+        # array, and a solve cut before it settles adds the audit's array;
+        # the row blocks and the closed loops' own arrays stay under 1.25 MB
+        exp = build_experiment(load_config(CONFIG_PATH, settings), CONFIG_PATH.parent)
+        gram = assemble_gramian(exp.model, exp.grid)
+        mild_solution(exp.model, exp.grid, exp.x0)  # the grid's shared propagator tables
+        grid_array = (exp.grid.steps + 1) * exp.model.n_theta * 8
+        for max_iter, arrays in ((80, 1), (1, 2)):
+            fp, peak = traced_peak(lambda: fixed_point_iterate(
+                exp.model, gram, exp.grid, 1e-3, exp.potential, exp.target, exp.x0,
+                max_iter=max_iter))
+            settled = fp.converged and fp.residuals[-1] == 0.0
+            assert settled == (arrays == 1)
+            assert fp.closed_loops == fp.iterations + (0 if settled else 2)
+            assert peak <= arrays * grid_array + 1.25 * 2**20
 
 
 class TestSweep:

@@ -126,6 +126,41 @@ def test_checker_flags_each_file_write(tmp_path):
         "sample.py:8 calls write_bytes", "sample.py:9 calls json.dump"]
 
 
+def unlisted_definitions(path: Path) -> list[str]:
+    """Each public top-level function or class of a module that defines
+    `__all__` and leaves the name out of it; a module without `__all__`
+    (`cli`) has none."""
+    body = ast.parse(path.read_text(), str(path)).body
+    listed = [ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    if not listed:
+        return []
+    return [f"{path.stem}.{node.name}" for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in listed[0]]
+
+
+def test_all_lists_every_public_definition():
+    # an unlisted public name would escape the unreferenced-name rule below
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in unlisted_definitions(path)] == []
+
+
+def test_checker_flags_an_unlisted_definition(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text('__all__ = ["Listed", "listed"]\n\n\n'
+                      "class Listed:\n    def method(self):\n        pass\n\n\n"
+                      "class Unlisted:\n    pass\n\n\n"
+                      "def listed():\n    def inner():\n        pass\n\n\n"
+                      "def unlisted():\n    pass\n\n\n"
+                      "def _private():\n    pass\n\n\nCONSTANT = 1\n")
+    assert unlisted_definitions(sample) == ["sample.Unlisted", "sample.unlisted"]
+    bare = tmp_path / "bare.py"
+    bare.write_text("def public():\n    pass\n")
+    assert unlisted_definitions(bare) == []
+
+
 # Public names that no code in the package calls, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
     "rl_integral": "the scalar face of the propagator's rule, checked by criterion 2",

@@ -35,10 +35,10 @@ from fracheat.fracops import mittag_leffler, mittag_leffler2, wright_density
 from fracheat.gramian import assemble_gramian
 from fracheat.hvi import (
     SweepEntry,
+    _map_step,
     abs_potential,
     epsilon_sweep,
     fixed_point_iterate,
-    forcing_to_coordinates,
     hvi_residual,
 )
 from fracheat.lpspace import basis_coefficients, basis_matrix, basis_values, theta_grid
@@ -84,21 +84,28 @@ class TestGridTransforms:
         back = basis_coefficients(basis_values(rows, 256), 8)
         assert np.max(np.abs(back - rows)) <= 1e-14 * np.max(np.abs(rows))
 
-    def test_forcing_to_coordinates_matches_blas_product(self, problem_p2):
+    def test_step_forcing_matches_blas_product(self, problem_p2):
+        # the forcing rows a step of the fixed point returns, against the
+        # BLAS product of the array it wrote: a full step from the settled
+        # iterate writes the selection, an averaged step from random signs
+        # a mix of the two
         model, gram, grid, x0, z = problem_p2
         w = basis_matrix(model.n_modes, model.n_theta)
         h = math.pi / model.n_theta
-        selection = fixed_point_iterate(model, gram, grid, 1e-2, abs_potential(0.3), z, x0).g
-        noise = 0.3 * np.sign(np.random.default_rng(2).standard_normal(selection.shape))
-        for g in (selection, noise):
-            old = g @ w * h @ model.h_matrix.T
-            new = forcing_to_coordinates(model, g)
+        pot = abs_potential(0.3)
+        fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
+        noise = 0.3 * np.sign(np.random.default_rng(2).standard_normal(fp.g.shape))
+        for g, omega in ((fp.g_relaxed, 1.0), (noise, 0.5)):
+            out = np.empty_like(g)
+            new, _ = _map_step(pot, "sticky", grid, fp.run.states, model, g, omega, out)
+            old = out @ w * h @ model.h_matrix.T
             # against the sum of the magnitudes of the terms: random signs
-            # cancel, so the row maximum of `noise` sits ~sqrt(n_theta) lower
-            scale = np.abs(g) @ np.abs(w) * h @ np.abs(model.h_matrix).T
+            # cancel, so the row maximum of the mix sits ~sqrt(n_theta) lower
+            scale = np.abs(out) @ np.abs(w) * h @ np.abs(model.h_matrix).T
             assert np.all(np.abs(new - old) <= 1e-14 * scale)
-        assert_rows_close(forcing_to_coordinates(model, selection),
-                          selection @ w * h @ model.h_matrix.T)
+            if omega == 1.0:
+                assert np.array_equal(out, fp.g)
+                assert_rows_close(new, old)
 
 
 def old_density_checks(alpha):
@@ -152,7 +159,8 @@ class TestAuditRun:
                 assert fp.fixed_point_residual == 0.0
                 # the skipped run would have reproduced `run` bit for bit
                 again = original(model, gram, grid, eps, z, x0,
-                                 forcing=forcing_to_coordinates(model, fp.g))
+                                 forcing=basis_coefficients(fp.g, model.n_modes)
+                                 @ model.h_matrix.T)
                 assert np.array_equal(again.states, fp.run.states)
             else:
                 assert fp.fixed_point_residual > 0.0
