@@ -76,12 +76,14 @@ def _density_checks(alpha: float) -> tuple[float, float, float]:
     """(mass - 1, first and second subordination defects at lambda = 1)."""
     b_rate = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     tau_cut = (28.0 / b_rate) ** (1.0 - alpha)
-    # 10 equal panels of the tabulated 50-node Gauss-Legendre rule: the same
-    # 500 density values as one 500-node rule, with no eigenproblem for LAPACK
+    # equal panels of the tabulated 50-node Gauss-Legendre rule, with no
+    # eigenproblem for LAPACK: 10, or 0.03 / (1 - alpha) once the density's
+    # peak at tau = 1 narrows (alpha > 0.997), which keeps the defects ~3e-11
+    panels = max(10, math.ceil(0.03 / (1.0 - alpha)))
     x, w = gauss_legendre(50)
-    half = 0.5 * tau_cut / 10
-    tau = (half * (2 * np.arange(10)[:, None] + 1.0 + x)).ravel()
-    wt = np.tile(half * w, 10)
+    half = 0.5 * tau_cut / panels
+    tau = (half * (2 * np.arange(panels)[:, None] + 1.0 + x)).ravel()
+    wt = np.tile(half * w, panels)
     density = wright_density(alpha, tau)
     mass = float(wt @ density)
     lam = 1.0

@@ -14,7 +14,8 @@ row, where the exact kernel moment is known, which removes the leading
 endpoint error; the control channel keeps the plain rule, the Gramian's own,
 and both channels share one convolution.  `l1_reference` integrates the same
 Caputo system with an implicit L1 scheme, solved as one triangular Toeplitz
-system per mode, and serves as an independent cross-check.
+system per mode, a block of modes at a time, and serves as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fracops import TimeGrid, l1_coefficients, ml_family, ml_multipliers, product_lag_weights
+from .fracops import (TimeGrid, l1_coefficients, ml_family, ml_multipliers, product_lag_weights,
+                      row_blocks)
 from .spectral import SpectralModel
 
 __all__ = [
@@ -262,43 +264,47 @@ def l1_reference(
         t_j = c b_j - lam,
 
     with the known D_1, D_2 moved to the right-hand side: one product with
-    the power series 1/t(x) gives D_3..D_N, and q = q_2 + cumsum D."""
+    the power series 1/t(x) gives D_3..D_N, and q = q_2 + cumsum D.  The
+    modes are independent, so they are solved in column blocks
+    (`fracops.row_blocks`, one (steps+1)-row per mode) into one states array:
+    the symbol, the series inverse and the FFT spectra are per block."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n_modes,):
         raise ValueError(f"x0 must have shape ({model.n_modes},), got {x0.shape}")
     forcing = _as_node_array(forcing, grid, model.n_modes, "forcing")
     control = _as_node_array(control, grid, model.n_modes, "control")
 
-    alpha, lam = model.order.alpha, model.eigenvalues
-    n, steps = model.n_modes, grid.steps
+    alpha, steps = model.order.alpha, grid.steps
     c = 1.0 / (grid.dt**alpha * math.gamma(2.0 - alpha))
     b = l1_coefficients(alpha, steps)
     s1, s2 = (tau / grid.dt**alpha for tau in _l1_starting_weights(alpha, steps))
-    w = sum((data for data in (forcing, control) if data is not None), np.zeros((steps + 1, n)))
+    states = np.empty((steps + 1, model.n_modes))
+    for cols in row_blocks(model.n_modes, steps + 1):  # the modes are independent: a block at a time
+        lam, q0, q = model.eigenvalues[cols], x0[cols], states[:, cols]
+        w = sum((data[:, cols] for data in (forcing, control) if data is not None),
+                np.zeros((steps + 1, lam.size)))
+        q[0] = q0
+        # steps 1 and 2 couple through the starting weights: 2x2 solve per mode of
+        #   c (q1 - q0) + s1[1] (q1 - q0) + s2[1] (q2 - 2 q1 + q0) = lam q1 + w1
+        #   c [(q2 - q1) + b1 (q1 - q0)] + s1[2] (q1 - q0)
+        #       + s2[2] (q2 - 2 q1 + q0) = lam q2 + w2
+        a11 = c + s1[1] - 2.0 * s2[1] - lam
+        a12 = np.full(lam.size, s2[1])
+        a21 = np.full(lam.size, c * (b[1] - 1.0) + s1[2] - 2.0 * s2[2])
+        a22 = c + s2[2] - lam
+        r1 = (c + s1[1] - s2[1]) * q0 + w[1]
+        r2 = (c * b[1] + s1[2] - s2[2]) * q0 + w[2]
+        det = a11 * a22 - a12 * a21
+        q[1] = (r1 * a22 - a12 * r2) / det
+        q[2] = (a11 * r2 - a21 * r1) / det
 
-    states = np.empty((steps + 1, n))
-    states[0] = x0
-    # steps 1 and 2 couple through the starting weights: 2x2 solve per mode of
-    #   c (q1 - q0) + s1[1] (q1 - q0) + s2[1] (q2 - 2 q1 + q0) = lam q1 + w1
-    #   c [(q2 - q1) + b1 (q1 - q0)] + s1[2] (q1 - q0)
-    #       + s2[2] (q2 - 2 q1 + q0) = lam q2 + w2
-    a11 = c + s1[1] - 2.0 * s2[1] - lam
-    a12 = np.full(n, s2[1])
-    a21 = np.full(n, c * (b[1] - 1.0) + s1[2] - 2.0 * s2[2])
-    a22 = c + s2[2] - lam
-    r1 = (c + s1[1] - s2[1]) * x0 + w[1]
-    r2 = (c * b[1] + s1[2] - s2[2]) * x0 + w[2]
-    det = a11 * a22 - a12 * a21
-    states[1] = (r1 * a22 - a12 * r2) / det
-    states[2] = (a11 * r2 - a21 * r1) / det
-
-    if steps > 2:
-        d1 = states[1] - states[0]
-        d2 = states[2] - 2.0 * states[1] + states[0]
-        t = c * b[:, None] - lam
-        rhs = (lam * x0 + w[3:] - s1[3:, None] * d1 - s2[3:, None] * d2
-               - t[2:] * d1 - t[1:-1] * (states[2] - states[1]))
-        g = _series_inverse(t, steps - 2)
-        del t, w  # before the last product's FFT arrays
-        states[3:] = states[2] + np.cumsum(_causal_product(g, rhs, steps - 2), axis=0)
+        if steps > 2:
+            d1 = q[1] - q[0]
+            d2 = q[2] - 2.0 * q[1] + q[0]
+            t = c * b[:, None] - lam
+            rhs = (lam * q0 + w[3:] - s1[3:, None] * d1 - s2[3:, None] * d2
+                   - t[2:] * d1 - t[1:-1] * (q[2] - q[1]))
+            g = _series_inverse(t, steps - 2)
+            del t, w  # before the last product's FFT arrays
+            q[3:] = q[2] + np.cumsum(_causal_product(g, rhs, steps - 2), axis=0)
     return states

@@ -3,9 +3,10 @@
 Special functions take whole arrays: tabulated Gauss-Legendre rules
 (`gauss_legendre`, their one source) and array sums over Gamma values from
 `math`, with no eigensolve, adaptive quadrature or arbitrary precision,
-in row blocks that hold about three ~256 KB block arrays at once, each
-released before the next block's are made (`row_blocks`).  Mittag-Leffler
-values for 0 < alpha < 1 take one of three branches chosen from
+in row blocks that hold about three 120 KiB block arrays at once, each
+released before the next block's are made (`row_blocks`): under glibc's
+128 KiB mmap threshold, so that no block raises it.  Mittag-Leffler values
+for 0 < alpha < 1 take one of three branches chosen from
 s = (-z)**(1/alpha): a float Taylor sum while cancellation is provably mild
 (s <= 5, or z > 0), the truncated tail series once its remainder ~exp(-s) is
 negligible (s >= 60), and in between the exact integral of E_{a,b}(-x),
@@ -13,9 +14,10 @@ negligible (s >= 60), and in between the exact integral of E_{a,b}(-x),
 leave out the zero-width ones a degenerate peak edge would add.  Larger b
 is reduced to a base in (0, 1] with E_{a,b}(z) = (E_{a,b-a}(z) -
 1/Gamma(b-a)) / z; `ml_family` evaluates a family of b over one argument
-array with one tail series and one cut integral per distinct base, as the
-propagator's E_{a,1} and E_{a,a+1} tables need.  At alpha = 1 only b = 1 is
-taken, as exp; other b raise (commands keep alpha < 1, see `FracOrder`).
+array, block by block, with one tail series and one cut integral per
+distinct base, as the propagator's E_{a,1} and E_{a,a+1} tables need.  At
+alpha = 1 only b = 1 is taken, as exp; other b raise (commands keep
+alpha < 1, see `FracOrder`).
 The Wright density is its float series below tau0 and Kanter's nonnegative
 integral (Ann. Probab. 1975) above, via M_a(tau) = a^-1 tau^(-1-1/a)
 L_a(tau^(-1/a)) with the one-sided stable density L_a (Mainardi, Mura &
@@ -55,7 +57,10 @@ __all__ = [
 # lost), the tail series above, the cut integral in between.
 _TAYLOR_S_MAX = 5.0
 _ASYMPTOTIC_S_MIN = 60.0
-_BLOCK_BYTES = 1 << 18
+# Under glibc's initial 128 KiB mmap threshold, chunk header included: a larger
+# block is mapped, and its release raises the threshold so the later blocks
+# land on a heap that is never trimmed (+0.9 MB peak RSS on `sweep`).
+_BLOCK_BYTES = 120 << 10
 # Gauss-Legendre rules on [-1, 1] by size n: the n/2 positive nodes, ascending,
 # then their weights, equal to the last bit to numpy's eigensolved rule.
 _GAUSS_LEGENDRE = {
@@ -202,13 +207,14 @@ def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
     `betas`: a list of arrays of the arguments' shape, in the order of `betas`.
 
     Each beta > 1 reduces to a base in (0, 1] through the chain beta, beta - a,
-    ...; the tail series and the cut integral of each distinct base run once,
-    on the union of the arguments that need them.  A base within a few ulps of
-    a 12-decimal value is taken as that value, so that 1 and (1 + a) - a are
-    one base at every a.  Every value depends on its own argument, alpha and
-    beta only (the Taylor branch aside, which runs per beta on all of
-    `arguments`), so each array is bitwise the one `ml_multipliers` gives for
-    its beta alone."""
+    ...; the tail series and the cut integral of each distinct base run once
+    per row block (`row_blocks`) of the flat arguments, on the union of the
+    arguments that need them, and only the output arrays are whole.  A base
+    within a few ulps of a 12-decimal value is taken as that value, so that 1
+    and (1 + a) - a are one base at every a.  Every value depends on its own
+    argument, alpha and beta only, but for the Taylor term count, which
+    follows the largest |z| of the whole table; so each array is bitwise the
+    one `ml_multipliers` gives for its beta alone."""
     alpha = float(alpha)
     betas = [float(beta) for beta in betas]
     if not 0.0 < alpha <= 1.0:
@@ -224,36 +230,46 @@ def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
         if any(beta != 1.0 for beta in betas):
             raise ValueError(f"alpha = 1 takes beta = 1 only (exp), got betas {betas}")
         return [np.exp(flat).reshape(z.shape) for _ in betas]
-    s = np.abs(np.minimum(flat, 0.0)) ** (1.0 / alpha)
-    taylor = np.flatnonzero((flat != 0.0) & ((flat > 0.0) | (s <= _TAYLOR_S_MAX)))
-    outs, negatives, chains = [], [], []
+    chains = []
     for beta in betas:
-        out = np.full_like(flat, _rgamma(beta))  # z = 0
-        out[taylor], too_deep = _ml_taylor(alpha, beta, flat[taylor])
-        negative = flat != 0.0
-        negative[taylor[~too_deep]] = False
         chain = [beta]
         while (base := _canonical_base(chain[-1])) > 1.0:
             chain.append(chain[-1] - alpha)
         chain[-1] = base
-        outs.append(out)
-        negatives.append(negative)
         chains.append(chain)
-    for base in dict.fromkeys(chain[-1] for chain in chains):
-        members = [k for k, chain in enumerate(chains) if chain[-1] == base]
-        need = np.logical_or.reduce([negatives[k] for k in members])
-        values = np.empty(np.count_nonzero(need))
-        tail = s[need] >= _ASYMPTOTIC_S_MIN
-        x = -flat[need]
-        values[tail] = _ml_tail_series(alpha, base, x[tail])
-        values[~tail] = _ml_cut_integral(alpha, base, x[~tail])
-        slot = np.cumsum(need) - 1
-        for k in members:  # unroll the chain: E_{a,b}(-x) = (1/Gamma(b-a) - E_{a,b-a}(-x)) / x
-            x = -flat[negatives[k]]
-            v = values[slot[negatives[k]]]
-            for beta in reversed(chains[k][:-1]):
-                v = (_rgamma(beta - alpha) - v) / x
-            outs[k][negatives[k]] = v
+    # one Taylor term count per beta, from the largest |z| the branch takes in
+    # the whole table, so that the blocks give the values of one whole call
+    reach = 0.0
+    for rows in row_blocks(flat.size, 1):
+        near = flat[rows][_taylor_branch(alpha, flat[rows])[1]]
+        reach = max(reach, float(np.max(np.abs(near), initial=0.0)))
+    terms = [_taylor_terms(alpha, beta, reach) if reach else (None, None) for beta in betas]
+    outs = [np.empty_like(flat) for _ in betas]
+    for rows in row_blocks(flat.size, 1):
+        zb = flat[rows]
+        s, taylor = _taylor_branch(alpha, zb)
+        negatives = []
+        for beta, out, (k, log_gamma) in zip(betas, outs, terms):
+            out[rows] = _rgamma(beta)  # z = 0
+            out[rows][taylor], too_deep = _ml_taylor(zb[taylor], k, log_gamma)
+            negative = zb != 0.0
+            negative[taylor[~too_deep]] = False
+            negatives.append(negative)
+        for base in dict.fromkeys(chain[-1] for chain in chains):
+            members = [k for k, chain in enumerate(chains) if chain[-1] == base]
+            need = np.logical_or.reduce([negatives[k] for k in members])
+            values = np.empty(np.count_nonzero(need))
+            tail = s[need] >= _ASYMPTOTIC_S_MIN
+            x = -zb[need]
+            values[tail] = _ml_tail_series(alpha, base, x[tail])
+            values[~tail] = _ml_cut_integral(alpha, base, x[~tail])
+            slot = np.cumsum(need) - 1
+            for k in members:  # unroll the chain: E_{a,b}(-x) = (1/Gamma(b-a) - E_{a,b-a}(-x)) / x
+                x = -zb[negatives[k]]
+                v = values[slot[negatives[k]]]
+                for beta in reversed(chains[k][:-1]):
+                    v = (_rgamma(beta - alpha) - v) / x
+                outs[k][rows][negatives[k]] = v
     return [out.reshape(z.shape) for out in outs]
 
 
@@ -265,8 +281,9 @@ def _canonical_base(base: float) -> float:
 
 
 def row_blocks(n_rows: int, n_cols: int):
-    """Row slices of (rows, n_cols) float64 block arrays near _BLOCK_BYTES (256 KB): a loop
-    holds about three at once, each released before the next block's are made."""
+    """Row slices of (rows, n_cols) float64 block arrays of at most _BLOCK_BYTES
+    (120 KiB, under glibc's mmap threshold) but for a single row: a loop holds
+    about three at once, each released before the next block's are made."""
     step = max(1, _BLOCK_BYTES // (8 * n_cols))
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
@@ -303,25 +320,38 @@ def _rgamma(v: float) -> float:
     return sign * math.exp(-math.lgamma(v)) if math.lgamma(v) > -709.78 else sign * math.inf
 
 
-def _ml_taylor(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Series sums, and a mask of the negative z whose cancellation is too
-    deep for float.  All share the term count of the largest |z|: past its
-    largest term, and falling below 1e-18 of it."""
-    if z.size == 0:
-        return z.copy(), np.zeros(0, dtype=bool)
-    log_zmax = math.log(float(np.max(np.abs(z))))
+def _taylor_branch(alpha: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, indices of the z the Taylor sum takes): s = (-z)**(1/alpha) for
+    z < 0 and 0 above; the sum takes z > 0 and z < 0 with s <= 5."""
+    s = np.abs(np.minimum(z, 0.0)) ** (1.0 / alpha)
+    return s, np.flatnonzero((z != 0.0) & ((z > 0.0) | (s <= _TAYLOR_S_MAX)))
+
+
+def _taylor_terms(alpha: float, beta: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, log Gamma(alpha k + beta)) of the Taylor terms for |z| <= reach:
+    past the largest term, and falling below 1e-18 of it.  Only a z > 0
+    overflows (z < 0 takes the branch for |z| <= 5**alpha), so it is reach."""
+    log_zmax = math.log(reach)
     s = math.exp(min(log_zmax / alpha, 7.6))  # terms peak near k = s / alpha; s > 2000 overflows
     k = np.arange(64.0 + 2.0 * math.ceil((s + 10.0 * math.sqrt(s) + 45.0) / alpha))
     log_gamma = _lgamma(alpha * k + beta)
     log_env = k * log_zmax - log_gamma
     done = (k > 3) & (np.diff(log_env, prepend=math.inf) < 0.0) & (log_env < log_env.max() + math.log(1e-18))
     if log_env.max() > 700.0 or not done.any():
-        raise OverflowError(f"E_{{{alpha},{beta}}}(z) overflows float range at z={np.max(z)}")
-    k = k[: int(np.argmax(done)) + 1]
+        raise OverflowError(f"E_{{{alpha},{beta}}}(z) overflows float range at z={reach}")
+    n = int(np.argmax(done)) + 1
+    return k[:n], log_gamma[:n]
+
+
+def _ml_taylor(z: np.ndarray, k: np.ndarray, log_gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Series sums over the terms k (`_taylor_terms`), and a mask of the
+    negative z whose cancellation is too deep for float."""
+    if z.size == 0:
+        return z.copy(), np.zeros(0, dtype=bool)
     out, too_deep = np.empty_like(z), np.zeros(z.shape, dtype=bool)
     for rows in row_blocks(z.size, k.size):  # one block array: terms, then |terms|
         terms = np.multiply(np.log(np.abs(z[rows]))[:, None], k)
-        terms -= log_gamma[: k.size]
+        terms -= log_gamma
         np.exp(terms, out=terms)
         negative = z[rows] < 0.0
         terms[:, 1::2] *= np.where(negative, -1.0, 1.0)[:, None]  # exact: no copy of the rows

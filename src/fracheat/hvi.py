@@ -153,9 +153,10 @@ def _map_step(pot: NonsmoothPotential, strategy: str, grid: TimeGrid, states: np
     """The one selection rule and bound check: select along `states` (row k
     at node t_k of `grid`), sticky from `g`, and write (1 - omega) g + omega
     selection into `out` (`g` itself, or a full step's own array), in one pass
-    over the row blocks (`fracops.row_blocks`, ~256 KB) of the nodes.  Returns
-    (rows H ghat(t_k) of `out`, whether the selection is `g` bit for bit).
-    At most three block arrays live at once (the selection, lo and hi)."""
+    over the row blocks (`fracops.row_blocks`: 120 KiB, under glibc's mmap
+    threshold) of the nodes.  Returns (rows H ghat(t_k) of `out`, whether
+    the selection is `g` bit for bit).  At most three block arrays live at
+    once (the selection, lo and hi)."""
     nodes = grid.nodes
     theta = theta_grid(model.n_theta)
     bound = np.broadcast_to(pot.eta(nodes), nodes.shape)

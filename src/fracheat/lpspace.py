@@ -105,8 +105,9 @@ def basis_coefficients(values: np.ndarray, n_modes: int) -> np.ndarray:
 
 def lp_norms(coeff_rows: np.ndarray, n_theta: int, p: float) -> np.ndarray:
     """Midpoint-rule L^p norm of the reconstruction of each coefficient row;
-    rows go in row blocks (`fracops.row_blocks`) of ~256 KB grid values, one
-    block array at a time: |values|^p in place, released before the next."""
+    rows go in row blocks (`fracops.row_blocks`: 120 KiB of grid values,
+    under glibc's mmap threshold), one block array at a time: |values|^p in
+    place, released before the next."""
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
     sums = np.empty(rows.shape[0])
     for block in row_blocks(rows.shape[0], n_theta):

@@ -6,8 +6,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import fracheat.fracops as fracops
 from fracheat.fracops import FracOrder, TimeGrid, l1_coefficients, mittag_leffler, \
-    mittag_leffler2
+    mittag_leffler2, row_blocks
 from fracheat.cli import _write_node_table
 from fracheat.evolve import l1_reference, mild_solution
 from fracheat.spectral import SpectralModel, build_model
@@ -189,6 +190,23 @@ class TestL1Reference:
         new = l1_reference(model, grid, x0, forcing=forcing, control=control)
         ref = reference_l1(model, grid, x0, forcing=forcing, control=control)
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_column_blocks_are_bitwise_the_whole_solve(self, monkeypatch):
+        # the modes are independent: blocks of 8 columns and of 1 (the budget's
+        # own at 16385 nodes) give the bits of one solve over all 64
+        model, grid = green_model(64), TimeGrid(1.0, 16384)
+        rng = np.random.default_rng(64)
+        x0 = rng.standard_normal(64)
+        forcing = smooth_forcing(grid, rng.standard_normal(64))
+        control = np.outer(np.cos(3.0 * grid.nodes), rng.standard_normal(64))
+        assert next(row_blocks(64, grid.steps + 1)) == slice(0, 1)
+        blocked = {}
+        for width in (1, 8, 64):
+            monkeypatch.setattr(fracops, "_BLOCK_BYTES", 8 * width * (grid.steps + 1))
+            assert next(row_blocks(64, grid.steps + 1)) == slice(0, width)
+            blocked[width] = l1_reference(model, grid, x0, forcing=forcing, control=control)
+        for width in (1, 8):
+            assert np.array_equal(blocked[width].view(np.int64), blocked[64].view(np.int64))
 
     @pytest.mark.parametrize("steps", [2, 3, 4, 5])
     def test_shortest_grids_match_the_node_loop(self, model4, steps):

@@ -7,7 +7,7 @@ import pytest
 from fracheat.cli import main
 from fracheat.config import build_experiment, default_config_text, load_config
 from fracheat.evolve import mild_solution
-from fracheat.fracops import TimeGrid
+from fracheat.fracops import TimeGrid, row_blocks
 from fracheat.gramian import assemble_gramian
 from fracheat.lpspace import (
     basis_coefficients,
@@ -334,9 +334,13 @@ def reference_select(pot, strategy, grid, states, model, previous=None):
     return g
 
 
+# nodes in one row block at 256 grid points (60 at a 120 KiB budget)
+BLOCK_NODES = next(row_blocks(1 << 20, 256)).stop
+
+
 @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
-# 257 nodes at 256 grid points: row blocks of 128, 128 and 1 nodes
-@pytest.mark.parametrize("steps", [32, 256])
+# 2 BLOCK_NODES + 1 nodes at 256 grid points: two full row blocks, then one node
+@pytest.mark.parametrize("steps", [32, 2 * BLOCK_NODES])
 def test_selection_matches_reference(model_p2, strategy, steps):
     rng = np.random.default_rng(17)
     grid = TimeGrid(1.0, steps)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracheat.fracops import row_blocks
 from fracheat.lpspace import (
     basis_coefficients,
     basis_matrix,
@@ -61,8 +62,10 @@ class TestNorm:
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 4.0 / 3.0])
     def test_row_blocks_are_bitwise_the_whole_array(self, p):
-        # 4097 x 256 grid values: 33 row blocks of at most 128 rows
-        rows = np.random.default_rng(5).standard_normal((4097, 8))
+        # 64 full row blocks of 256 grid values (60 rows each at a 120 KiB
+        # budget), then a one-row block
+        n_rows = 64 * next(row_blocks(1 << 20, N_THETA)).stop + 1
+        rows = np.random.default_rng(5).standard_normal((n_rows, 8))
         want = (np.sum(np.abs(basis_values(rows, N_THETA)) ** p, axis=1)
                 * (math.pi / N_THETA)) ** (1.0 / p)
         assert np.array_equal(lp_norms(rows, N_THETA, p), want)

@@ -22,10 +22,12 @@ import numpy as np
 import pytest
 
 import fracheat.fracops as fracops
-from fracheat.fracops import (_ASYMPTOTIC_S_MIN, _CUT_EDGES, _CUT_W, _CUT_X, _KANTER_LEFT,
-                              _KANTER_RIGHT, _KANTER_W, _KANTER_X, _PEAK_WIDTHS, _WRIGHT_TAU0,
-                              _lgamma, _rgamma, _wright_kanter, _wright_log_a, ml_family,
-                              ml_multipliers, row_blocks, wright_density)
+from fracheat.fracops import (_ASYMPTOTIC_S_MIN, _BLOCK_BYTES, _CUT_EDGES, _CUT_W, _CUT_X,
+                              _KANTER_LEFT, _KANTER_RIGHT, _KANTER_W, _KANTER_X, _PEAK_WIDTHS,
+                              _WRIGHT_TAU0, _canonical_base, _lgamma, _ml_cut_integral,
+                              _ml_tail_series, _ml_taylor, _rgamma, _taylor_branch, _taylor_terms,
+                              _wright_kanter, _wright_log_a, ml_family, ml_multipliers, row_blocks,
+                              wright_density)
 from fracheat.spectral import KernelSpec, _kernel_norm_bounds
 
 from conftest import traced_peak
@@ -33,21 +35,12 @@ from conftest import traced_peak
 FRAC_ALPHAS = [0.51, 0.6, 0.75, 0.9, 0.99, 0.999]
 
 
-def wide_taylor(alpha, beta, z):
+def wide_taylor(z, k, log_gamma):
     if z.size == 0:
         return z.copy(), np.zeros(0, dtype=bool)
-    log_zmax = math.log(float(np.max(np.abs(z))))
-    s = math.exp(min(log_zmax / alpha, 7.6))
-    k = np.arange(64.0 + 2.0 * math.ceil((s + 10.0 * math.sqrt(s) + 45.0) / alpha))
-    log_gamma = _lgamma(alpha * k + beta)
-    log_env = k * log_zmax - log_gamma
-    done = (k > 3) & (np.diff(log_env, prepend=math.inf) < 0.0) & (log_env < log_env.max() + math.log(1e-18))
-    if log_env.max() > 700.0 or not done.any():
-        raise OverflowError(f"E_{{{alpha},{beta}}}(z) overflows float range at z={np.max(z)}")
-    k = k[: int(np.argmax(done)) + 1]
     out, too_deep = np.empty_like(z), np.zeros(z.shape, dtype=bool)
     for rows in row_blocks(z.size, k.size):
-        terms = np.exp(np.log(np.abs(z[rows]))[:, None] * k - log_gamma[: k.size])
+        terms = np.exp(np.log(np.abs(z[rows]))[:, None] * k - log_gamma)
         negative = z[rows] < 0.0
         terms[negative, 1::2] *= -1.0
         out[rows] = terms.sum(axis=1)
@@ -143,6 +136,43 @@ def wide_kanter(alpha, tau):
     return out / (math.pi * (1.0 - alpha))
 
 
+def whole_family(alpha, betas, z):
+    """`ml_family` before its row blocks: every pass on the whole table."""
+    flat = z.ravel()
+    s, taylor = _taylor_branch(alpha, flat)
+    near = flat[taylor]
+    outs, negatives, chains = [], [], []
+    for beta in betas:
+        out = np.full_like(flat, _rgamma(beta))
+        terms = _taylor_terms(alpha, beta, float(np.max(np.abs(near))))
+        out[taylor], too_deep = _ml_taylor(near, *terms)
+        negative = flat != 0.0
+        negative[taylor[~too_deep]] = False
+        chain = [beta]
+        while (base := _canonical_base(chain[-1])) > 1.0:
+            chain.append(chain[-1] - alpha)
+        chain[-1] = base
+        outs.append(out)
+        negatives.append(negative)
+        chains.append(chain)
+    for base in dict.fromkeys(chain[-1] for chain in chains):
+        members = [k for k, chain in enumerate(chains) if chain[-1] == base]
+        need = np.logical_or.reduce([negatives[k] for k in members])
+        values = np.empty(np.count_nonzero(need))
+        tail = s[need] >= _ASYMPTOTIC_S_MIN
+        x = -flat[need]
+        values[tail] = _ml_tail_series(alpha, base, x[tail])
+        values[~tail] = _ml_cut_integral(alpha, base, x[~tail])
+        slot = np.cumsum(need) - 1
+        for k in members:
+            x = -flat[negatives[k]]
+            v = values[slot[negatives[k]]]
+            for beta in reversed(chains[k][:-1]):
+                v = (_rgamma(beta - alpha) - v) / x
+            outs[k][negatives[k]] = v
+    return [out.reshape(z.shape) for out in outs]
+
+
 def use_wide_kernels(monkeypatch):
     for name, wide in (("_ml_taylor", wide_taylor), ("_ml_cut_integral", wide_cut_integral),
                        ("_ml_tail_series", wide_tail_series), ("_wright_kanter", wide_kanter)):
@@ -183,6 +213,41 @@ def test_wright_density_is_bitwise_the_wide_kernel(alpha, monkeypatch):
     assert bitwise(got_kanter, wide_kanter(alpha, kanter_tau))
 
 
+def fine_table(alpha, steps):
+    """The propagator's arguments at 64 modes: -(n^2) t_k^alpha on steps + 1 nodes."""
+    return -(np.arange(1.0, 65.0) ** 2) * np.linspace(0.0, 1.0, steps + 1)[:, None] ** alpha
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 0.9])
+def test_family_blocks_are_bitwise_the_whole_table(alpha):
+    # 18 blocks of 15360 arguments; the Taylor term count is the whole table's
+    z = fine_table(alpha, 4096)
+    for betas in ((1.0, alpha + 1.0), (alpha,)):
+        for got, want in zip(ml_family(alpha, betas, z), whole_family(alpha, betas, z)):
+            assert bitwise(got, want)
+
+
+def test_fine_table_working_set():
+    # 78.4 MB with every pass on the whole table; 18.6 MB in blocks
+    z = fine_table(0.75, 16384)
+    family, peak = traced_peak(lambda: ml_family(0.75, (1.0, 1.75), z))
+    assert peak <= 1.5 * sum(values.nbytes for values in family)
+
+
+def test_block_budget_stays_under_the_mmap_threshold():
+    """glibc maps a chunk of M_MMAP_THRESHOLD (128 KiB by default) or more,
+    and freeing it raises that threshold to the chunk's size and the heap's
+    trim threshold to twice that: from then on every block lands on a heap
+    that is never trimmed.  At 256 KiB blocks that cost `sweep` 0.9 MB of
+    peak RSS, so a larger budget needs that measured first."""
+    chunk_header = 16
+    assert _BLOCK_BYTES + chunk_header < 128 * 1024
+    for n_cols in range(1, _BLOCK_BYTES // 8 + 1):
+        for n_rows in (1, 2, _BLOCK_BYTES // (8 * n_cols) + 1):
+            assert all(len(range(n_rows)[rows]) * n_cols * 8 <= _BLOCK_BYTES
+                       for rows in row_blocks(n_rows, n_cols))
+
+
 def bundled_table():
     """The bundled model's arguments: 513 nodes x 8 modes at alpha = 0.75."""
     return -(np.arange(1.0, 9.0) ** 2) * np.linspace(0.0, 1.0, 513)[:, None] ** 0.75
@@ -200,8 +265,8 @@ def validate_kanter_tau():
 
 
 def test_bundled_table_working_set():
-    # about three block arrays of 256 KB per branch; 2.3 MB with every cut
-    # integral and Taylor temporary of a block alive at once
+    # about three block arrays of at most 120 KiB per branch; 2.3 MB with
+    # every cut integral and Taylor temporary of a 256 KiB block alive at once
     z = bundled_table()
     table, peak = traced_peak(lambda: ml_multipliers(0.75, 0.75, z))
     assert table.shape == z.shape
@@ -210,7 +275,7 @@ def test_bundled_table_working_set():
 
 def test_kanter_working_set():
     # the bisection once on (434, 9) arrays, then small node blocks; 2.7 MB
-    # with the bisection and ~10 node arrays of 256 KB in every block
+    # with the bisection and ~10 node arrays of 256 KiB in every block
     tau = validate_kanter_tau()
     assert tau.size == 434
     values, peak = traced_peak(lambda: _wright_kanter(0.75, tau))
