@@ -179,7 +179,7 @@ def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
     return out
 
 
-def _parse_potential(spec: str, base: Path, horizon: float) -> NonsmoothPotential:
+def _parse_potential(spec: str, base: Path) -> NonsmoothPotential:
     spec = spec.strip()
     if spec == "zero":
         return abs_potential(0.0)
@@ -197,7 +197,7 @@ def _parse_potential(spec: str, base: Path, horizon: float) -> NonsmoothPotentia
             raise ValueError(f"problem.potential table must have n >= 2 rows of (r, F), "
                              f"got shape {data.shape}")
         pot = tabulated_potential(data[:, 0], data[:, 1])
-        audit_potential(pot, np.linspace(0.0, horizon, 9), np.linspace(-3.0, 3.0, 201))
+        audit_potential(pot, np.linspace(-3.0, 3.0, 201))
         return pot
     raise ValueError(f"potential must be zero, abs:c, sat:c[:cap] or table:<path>, got {spec!r}")
 
@@ -257,7 +257,7 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         grid=TimeGrid(horizon, check_steps(solver["steps"])),
         x0=_parse_state("x0", cfg["problem"]["x0"], n_modes, n_theta),
         target=_parse_state("target", cfg["problem"]["target"], n_modes, n_theta),
-        potential=_parse_potential(cfg["problem"]["potential"], base, horizon),
+        potential=_parse_potential(cfg["problem"]["potential"], base),
         resolvent_tol=check_resolvent_tol(solver["resolvent_tol"]),
         resolvent_max_iter=check_resolvent_max_iter(solver["resolvent_max_iter"]),
         fixed_point_tol=check_fixed_point_tol(solver["fixed_point_tol"]),

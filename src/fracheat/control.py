@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import TimeGrid, as_number, gauss_legendre
+from .fracops import TimeGrid, as_number
 from .evolve import mild_solution, propagator
 from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
@@ -43,8 +43,8 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a resolvent solve exhausts max_iter; the message states the
-    last residual and step length, `residual_history` ||r|| per iteration."""
+    """Raised when a resolvent solve exhausts max_iter or its residual turns
+    NaN or inf, as the message states; `residual_history` ||r|| per iteration."""
 
     def __init__(self, message: str, residual_history: list[float]):
         super().__init__(message)
@@ -156,6 +156,9 @@ def regularized_resolvent(
     for it in range(max_iter + 1):
         if res <= tol * y_norm:
             return ResolventSolve(x, history, it, True, "newton")
+        if not math.isfinite(res):
+            raise ConvergenceError(f"resolvent residual {res} at Newton iteration {it} "
+                                   f"(eps={epsilon}, p={model.p})", history)
         if it == max_iter:
             break
         step = np.linalg.solve(epsilon * identity + gram @ _duality_map_jacobian(model, x), -res_vec)
@@ -249,35 +252,25 @@ def control_l2_norm(control: np.ndarray, grid: TimeGrid) -> float:
     return float(math.sqrt(np.sum(w * sq)))
 
 
-def _eta_lp_norm(eta, horizon: float, alpha1: float) -> float:
-    """|| eta ||_{L^{1/alpha1}(0, horizon)} by 64-point Gauss-Legendre."""
-    x, w = gauss_legendre(64)
-    t = 0.5 * horizon * (x + 1.0)
-    vals = np.broadcast_to(eta(t), t.shape)
-    return float((np.sum(0.5 * horizon * w * vals ** (1.0 / alpha1))) ** alpha1)
-
-
-def theta_constant(model: SpectralModel, eta) -> float:
+def theta_constant(model: SpectralModel, eta: float) -> float:
     """Hoelder constant of the forcing term:
-    (a^(b(alpha-1)+1) / (b(alpha-1)+1))^(1-alpha1) ||eta||_{L^{1/alpha1}},
-    with b = 1/(1-alpha1); eta is the dual-space bound function."""
-    alpha = model.order.alpha
-    alpha1 = model.order.alpha1
-    b = 1.0 / (1.0 - alpha1)
-    expo = b * (alpha - 1.0) + 1.0
-    if expo <= 0.0:
-        raise ValueError("alpha1 too close to alpha: Hoelder exponent not integrable")
-    a = model.horizon
-    return (a**expo / expo) ** (1.0 - alpha1) * _eta_lp_norm(eta, a, alpha1)
+    (a^(b(alpha-1)+1) / (b(alpha-1)+1))^(1-alpha1) ||eta||_{L^{1/alpha1}(0, a)},
+    with b = 1/(1-alpha1), an exponent > 0 as `FracOrder` keeps alpha1 < alpha;
+    the constant bound eta has the norm eta a^alpha1."""
+    alpha, alpha1, a = model.order.alpha, model.order.alpha1, model.horizon
+    expo = 1.0 / (1.0 - alpha1) * (alpha - 1.0) + 1.0
+    return (a**expo / expo) ** (1.0 - alpha1) * eta * a**alpha1
 
 
-def _bound_terms(model: SpectralModel, z: np.ndarray, x0: np.ndarray, eta) -> tuple[float, float]:
+def _bound_terms(model: SpectralModel, epsilon: float, z: np.ndarray, x0: np.ndarray,
+                 eta: float) -> tuple[float, float]:
     """The free part M||x0|| + (M/Gamma(alpha)) ||H|| Theta of both bounds, and
-    the deficiency scale ||z|| + M||x0|| + (M/Gamma(alpha)) ||H|| Theta."""
-    m = model.m_bound
+    the control bound's (1/eps) (M/Gamma(alpha)) ||B|| * deficiency scale,
+    the scale ||z|| + M||x0|| + (M/Gamma(alpha)) ||H|| Theta."""
+    gain = model.m_bound / math.gamma(model.order.alpha)
     z_norm, x0_norm = lp_norms([z, x0], model.n_theta, model.p)
-    forced = (m / math.gamma(model.order.alpha)) * model.h_norm_bound * theta_constant(model, eta)
-    return m * x0_norm + forced, z_norm + m * x0_norm + forced
+    base = model.m_bound * x0_norm + gain * model.h_norm_bound * theta_constant(model, eta)
+    return base, gain * model.b_norm_bound * (z_norm + base) / epsilon
 
 
 def a_priori_state_bound(
@@ -285,16 +278,15 @@ def a_priori_state_bound(
     epsilon: float,
     z: np.ndarray,
     x0: np.ndarray,
-    eta,
+    eta: float,
 ) -> float:
     """Sup-norm bound for the closed-loop trajectory at this regularization:
     M||x0|| + (M/Gamma(alpha)) ||H|| Theta
     + (1/eps) (M ||B|| / Gamma(alpha))^2 (a^alpha / alpha) * deficiency scale."""
-    m = model.m_bound
     alpha = model.order.alpha
-    base, scale = _bound_terms(model, z, x0, eta)
-    gain = (m * model.b_norm_bound / math.gamma(alpha)) ** 2 * model.horizon**alpha / alpha
-    return base + gain * scale / epsilon
+    base, control = _bound_terms(model, epsilon, z, x0, eta)
+    return base + (control * model.m_bound * model.b_norm_bound / math.gamma(alpha)
+                   * model.horizon**alpha / alpha)
 
 
 def control_norm_bound(
@@ -302,11 +294,8 @@ def control_norm_bound(
     epsilon: float,
     z: np.ndarray,
     x0: np.ndarray,
-    eta,
+    eta: float,
 ) -> float:
     """L^2(I, U) bound for the synthesized control:
     (1/eps)(M/Gamma(alpha)) ||B|| * deficiency scale * sqrt(a)."""
-    m = model.m_bound
-    galpha = math.gamma(model.order.alpha)
-    _, scale = _bound_terms(model, z, x0, eta)
-    return (m / galpha) * model.b_norm_bound * scale * math.sqrt(model.horizon) / epsilon
+    return _bound_terms(model, epsilon, z, x0, eta)[1] * math.sqrt(model.horizon)

@@ -1,18 +1,18 @@
 """Nonsmooth potentials, measurable selections and the regularized fixed point.
 
-A potential is scalar and locally Lipschitz in the state variable with an
-interval-valued generalized derivative; selections turn the interval into a
-single forcing value per (node, grid point).  The composite map
-g -> selection(closed-loop trajectory of g) is iterated with full steps
-while the trajectory gap shrinks and with Krasnoselskii averaging in forcing
-space, where convex combinations stay admissible, from the first step that
-fails to shrink it.  Non-convergence is a reported outcome, not an
+A potential is a scalar, locally Lipschitz function of the state value r
+alone, whose interval-valued generalized derivative a constant eta bounds;
+selections turn the interval into one forcing value per (node, grid point).
+The composite map g -> selection(closed-loop trajectory of g) is iterated
+with full steps while the trajectory gap shrinks and with Krasnoselskii
+averaging in forcing space, where convex combinations stay admissible, from
+the first step that fails to shrink it.  Non-convergence is a reported outcome, not an
 exception: existence of the fixed point is topological and the iteration is
 a heuristic.  A solve holds one (steps+1, n_theta) array, the iterate: each
 step selects, relaxes and projects it in one pass over row blocks, and a
 full step whose selection is the iterate bit for bit ends the solve without
 re-running its closed loop.  The closing audit is one more full step of the
-same pass, into a second array.  `epsilon_sweep` yields one epsilon at a time.
+same pass, on the same array.  `epsilon_sweep` yields one epsilon at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .control import (
     terminal_identity_residual,
 )
 from .fracops import TimeGrid, as_number, row_blocks
-from .lpspace import basis_coefficients, basis_values, lp_norms, theta_grid
+from .lpspace import basis_coefficients, basis_values, lp_norms
 from .spectral import SpectralModel
 
 __all__ = [
@@ -60,19 +60,13 @@ SELECTION_STRATEGIES = ("minimal_norm", "midpoint", "sign_zero", "sticky")
 
 @dataclass(frozen=True)
 class NonsmoothPotential:
-    """Scalar potential F(t, theta, r), held only through its interval
-    generalized derivative: no command evaluates F itself.
+    """Scalar potential F(r), held only through its interval generalized
+    derivative (no command evaluates F): `interval(r)` maps an array of r to
+    arrays (lo, hi) of its shape, and the constant `eta` bounds |dF|, so it
+    lies in L^{1/alpha1}(0, a) for any alpha1, as the hypotheses assume."""
 
-    `interval` broadcasts over numpy arrays in (t, theta, r); a whole
-    trajectory comes as t = nodes[:, None], r of shape (nodes, n_theta).
-    `eta` is the pointwise bound sup |dF| <= eta(t) whose 1/alpha1-integrability
-    the surrounding hypotheses assume (constants are integrable for any alpha1);
-    it broadcasts in t too: an array of times gives an array of that shape, or
-    a scalar that broadcasts to it.
-    """
-
-    interval: Callable
-    eta: Callable[[float], float]
+    interval: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    eta: float
 
 
 def abs_potential(c: float) -> NonsmoothPotential:
@@ -80,14 +74,13 @@ def abs_potential(c: float) -> NonsmoothPotential:
     if not 0.0 <= c < math.inf:
         raise ValueError(f"abs potential coefficient must be finite and >= 0, got {c}")
 
-    def ival(t, theta, r):
+    def ival(r):
         # (r > 0) 2c - c is where(r > 0, c, -c) bit for bit when c > 0 (2c - c
         # = c exactly; NaN r gives -c in both), without np.where's slower
         # broadcast of two scalars; at c = 0 only the sign of zero can differ
-        r = np.asarray(r, dtype=float)
         return (r > 0.0) * (2.0 * c) - c, (r >= 0.0) * (2.0 * c) - c
 
-    return NonsmoothPotential(ival, lambda t: c)
+    return NonsmoothPotential(ival, c)
 
 
 def saturating_potential(c: float, cap: float) -> NonsmoothPotential:
@@ -96,12 +89,11 @@ def saturating_potential(c: float, cap: float) -> NonsmoothPotential:
         raise ValueError(f"sat potential needs a finite c >= 0 and cap > 0, "
                          f"got c={c}, cap={cap}")
 
-    def ival(t, theta, r):
-        r = np.asarray(r, dtype=float)
+    def ival(r):
         return (np.where((r > 0.0) & (r < cap), c, np.where((r >= -cap) & (r <= 0.0), -c, 0.0)),
                 np.where((r >= 0.0) & (r <= cap), c, np.where((r > -cap) & (r < 0.0), -c, 0.0)))
 
-    return NonsmoothPotential(ival, lambda t: c)
+    return NonsmoothPotential(ival, c)
 
 
 def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPotential:
@@ -116,29 +108,24 @@ def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPote
     if values.shape != breaks.shape:
         raise ValueError("values must match breaks")
     slopes = np.diff(values) / np.diff(breaks)
-    eta_max = float(np.max(np.abs(slopes)))
 
-    def ival(t, theta, r):
-        r = np.asarray(r, dtype=float)
+    def ival(r):
         # the segment whose slope holds at r, the end ones beyond the table
         idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
         # interval at interior break points spans the adjacent slopes
         left = slopes[np.where(np.isin(r, breaks[1:-1]), idx - 1, idx)]
         return np.minimum(left, slopes[idx]), np.maximum(left, slopes[idx])
 
-    return NonsmoothPotential(ival, lambda t: eta_max)
+    return NonsmoothPotential(ival, float(np.max(np.abs(slopes))))
 
 
-def audit_potential(pot: NonsmoothPotential, t_samples: np.ndarray, r_samples: np.ndarray) -> None:
-    """Runtime admissibility audit at theta = pi/2 (the potentials built here
-    do not depend on theta): lo <= hi and |lo|, |hi| <= eta(t)."""
-    t_samples = np.asarray(t_samples, dtype=float)
-    for t, bound in zip(t_samples, np.broadcast_to(pot.eta(t_samples), t_samples.shape)):
-        lo, hi = pot.interval(t, math.pi / 2, r_samples)
-        if np.any(lo > hi + 1e-14):
-            raise ValueError(f"potential interval inverted at t={t}")
-        if np.max(np.abs(lo)) > bound + 1e-12 or np.max(np.abs(hi)) > bound + 1e-12:
-            raise ValueError(f"potential bound eta(t)={bound} violated at t={t}")
+def audit_potential(pot: NonsmoothPotential, r_samples: np.ndarray) -> None:
+    """Runtime admissibility audit on `r_samples`: lo <= hi and |lo|, |hi| <= eta."""
+    lo, hi = pot.interval(r_samples)
+    if np.any(lo > hi + 1e-14):
+        raise ValueError("potential interval inverted")
+    if max(np.max(np.abs(lo)), np.max(np.abs(hi))) > pot.eta + 1e-12:
+        raise ValueError(f"potential bound eta={pot.eta} violated")
 
 
 def check_strategy(strategy: str) -> str:
@@ -148,23 +135,19 @@ def check_strategy(strategy: str) -> str:
     return strategy
 
 
-def _map_step(pot: NonsmoothPotential, strategy: str, grid: TimeGrid, states: np.ndarray,
-              model: SpectralModel, g: np.ndarray, omega: float, out: np.ndarray):
+def _map_step(pot: NonsmoothPotential, strategy: str, states: np.ndarray,
+              model: SpectralModel, g: np.ndarray, omega: float):
     """The one selection rule and bound check: select along `states` (row k
-    at node t_k of `grid`), sticky from `g`, and write (1 - omega) g + omega
-    selection into `out` (`g` itself, or a full step's own array), in one pass
-    over the row blocks (`fracops.row_blocks`: 120 KiB, under glibc's mmap
-    threshold) of the nodes.  Returns (rows H ghat(t_k) of `out`, whether
-    the selection is `g` bit for bit).  At most three block arrays live at
-    once (the selection, lo and hi)."""
-    nodes = grid.nodes
-    theta = theta_grid(model.n_theta)
-    bound = np.broadcast_to(pot.eta(nodes), nodes.shape)
-    coefficients = np.empty((nodes.size, model.n_modes))
+    at node t_k), sticky from `g`, and write (1 - omega) g + omega selection
+    into `g` in one pass over its row blocks (`fracops.row_blocks`: 120 KiB,
+    under glibc's mmap threshold).  Returns (rows H ghat(t_k) of the new `g`,
+    whether the selection was `g` bit for bit).  At most three block arrays
+    live at once (the selection, lo and hi)."""
+    coefficients = np.empty((states.shape[0], model.n_modes))
     same = True
-    for rows in row_blocks(nodes.size, model.n_theta):
+    for rows in row_blocks(states.shape[0], model.n_theta):
         block = basis_values(states[rows], model.n_theta)  # r, then the selection
-        lo, hi = pot.interval(nodes[rows, None], theta, block)
+        lo, hi = pot.interval(block)
         if strategy == "midpoint":
             np.multiply(0.5, lo + hi, out=block)
         elif strategy == "sign_zero":
@@ -173,17 +156,17 @@ def _map_step(pot: NonsmoothPotential, strategy: str, grid: TimeGrid, states: np
             np.clip(g[rows], lo, hi, out=block)
         else:  # minimal_norm
             np.clip(0.0, lo, hi, out=block)
-        if np.any(np.maximum(block.max(axis=1), -block.min(axis=1)) > bound[rows] + 1e-12):  # max |g|
+        if np.any(np.maximum(block.max(axis=1), -block.min(axis=1)) > pot.eta + 1e-12):  # max |g|
             raise AssertionError("selection escaped the admissible bound")
         del lo, hi  # before the pass below and the next block's temporaries
         same = same and np.array_equal(block.view(np.int64), g[rows].view(np.int64))
         if omega == 1.0:
-            out[rows] = block
-        else:  # g's block is read before out's is written, so out may be g
-            np.multiply(g[rows], 1.0 - omega, out=out[rows])
+            g[rows] = block
+        else:  # g's block is read before it is written
+            g[rows] *= 1.0 - omega
             block *= omega
-            out[rows] += block
-        coefficients[rows] = basis_coefficients(out[rows], model.n_modes)
+            g[rows] += block
+        coefficients[rows] = basis_coefficients(g[rows], model.n_modes)
         del block  # before the next block's
     return coefficients @ model.h_matrix.T, same
 
@@ -193,21 +176,17 @@ class FixedPointResult:
     """Fixed point at tolerance.
 
     `g` is an exact pointwise selection along `run.states` (so membership
-    checks hold at machine precision); `g_relaxed` is the iterate the
-    trajectory was integrated from (the previous selection after a full step,
-    an average after the back-off), `residuals` the trajectory gap of each
+    checks hold at machine precision), `residuals` the trajectory gap of each
     iteration, and `fixed_point_residual` the sup-norm trajectory change
-    under the audit, one more full step of the loop's own pass written into
-    an array of its own -- the dynamics-vs-membership gap inherent to
-    stopping at tolerance.  When the selection is the iterate bit for bit
-    (the audit run is skipped), `g` and `g_relaxed` are the same array.
-    `closed_loops` counts the closed loops run: the initial one, the
-    audit's, and one per step but a settled last step, whose selection is
-    the iterate bit for bit (gap 0.0).
+    under the audit, one more full step of the loop's own pass on the
+    iterate's array -- the dynamics-vs-membership gap inherent to stopping at
+    tolerance.  `closed_loops` counts the closed loops run: the initial one,
+    the audit's, and one per step but a settled last step, whose selection
+    is the iterate bit for bit (gap 0.0); an audit whose selection is the
+    iterate bit for bit runs none either.
     """
 
     g: np.ndarray
-    g_relaxed: np.ndarray
     run: ClosedLoopRun
     residuals: list[float]
     iterations: int
@@ -289,7 +268,7 @@ def fixed_point_iterate(
     omega = 1.0
     for iterations in range(1, max_iter + 1):
         # g <- (1 - omega) g + omega selection, in place
-        forcing, same = _map_step(pot, strategy, grid, run.states, model, g, omega, g)
+        forcing, same = _map_step(pot, strategy, run.states, model, g, omega)
         if omega == 1.0 and same:  # g's closed loop is `run`, bit for bit
             residuals.append(0.0)
             converged = settled = True
@@ -304,18 +283,14 @@ def fixed_point_iterate(
         if gap <= tol:
             converged = True
             break
-    g_select, fp_residual = g, 0.0  # one array for both fields when the audit is skipped
-    if not settled:  # the audit: one more full step, into an array of its own
-        g_select = np.empty_like(g)
-        forcing, same = _map_step(pot, strategy, grid, run.states, model, g, 1.0, g_select)
-        if same:  # the audit run would be `run` itself, bit for bit
-            g_select = g
-        else:
+    fp_residual = 0.0
+    if not settled:  # the audit: one more full step, g <- selection
+        forcing, same = _map_step(pot, strategy, run.states, model, g, 1.0)
+        if not same:  # else the audit run would be `run` itself, bit for bit
             audit, closed_loops = run_for(forcing), closed_loops + 1
             fp_residual = _trajectory_gap(model, audit.states, run.states)
     return FixedPointResult(
-        g=g_select,
-        g_relaxed=g,
+        g=g,
         run=run,
         residuals=residuals,
         iterations=iterations,
@@ -424,28 +399,25 @@ def epsilon_sweep(
 
 def hvi_residual(
     model: SpectralModel,
-    grid: TimeGrid,
     states: np.ndarray,
     g: np.ndarray,
     pot: NonsmoothPotential,
     test_directions: np.ndarray,
 ) -> float:
     """Worst signed violation of <H g(t), v*> <= integral of the directional
-    derivative along H* v*, over every node of `grid` (row k of `states` and
-    of `g` at t_k) and the test directions: nonpositive (up to roundoff) when
+    derivative along H* v*, over every node (row k of `states` and of `g` at
+    t_k) and the test directions: nonpositive (up to roundoff) when
     g is a true pointwise selection, positive for some direction on a
     non-member forcing."""
     test_directions = np.asarray(test_directions, dtype=float)
     if test_directions.ndim != 2 or test_directions.shape[1] != model.n_modes:
         raise ValueError("test_directions must be (m, n_modes) coefficient rows")
-    h = math.pi / model.n_theta
-    lo, hi = pot.interval(grid.nodes[:, None], theta_grid(model.n_theta),
-                          basis_values(states, model.n_theta))
+    lo, hi = pot.interval(basis_values(states, model.n_theta))
     lhs = basis_coefficients(g, model.n_modes) @ model.h_matrix.T @ test_directions.T
     # support function of [lo, hi] along d: hi d where d > 0, lo d where d < 0
     direction = basis_values(test_directions @ model.h_matrix, model.n_theta)
     # contractions over the grid axis: as `@` products OpenBLAS would run them
     # on its thread pool (see `lpspace.basis_coefficients`)
     rhs = (np.einsum("kj,mj->km", hi, np.maximum(direction, 0.0))
-           + np.einsum("kj,mj->km", lo, np.minimum(direction, 0.0))) * h
+           + np.einsum("kj,mj->km", lo, np.minimum(direction, 0.0))) * (math.pi / model.n_theta)
     return float(np.max(lhs - rhs))

@@ -130,6 +130,8 @@ class SpectralModel:
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if np.max(np.abs(self.b_matrix - self.b_matrix.T)) > 1e-12 * np.max(np.abs(self.b_matrix)):
+            raise ValueError("b_matrix must be symmetric")
 
     @property
     def dual_p(self) -> float:
@@ -282,7 +284,10 @@ class InjectivityReport:
 
 def injectivity_diagnostic(model: SpectralModel, gramian_matrix: np.ndarray) -> InjectivityReport:
     """Truncated-model controllability check: the smallest singular values of
-    the input matrix and of the Gramian, each against 1e-9."""
-    sigma_b = float(np.linalg.svd(model.b_matrix, compute_uv=False)[-1])
-    sigma_g = float(np.linalg.svd(np.asarray(gramian_matrix, float), compute_uv=False)[-1])
+    the input matrix and of the Gramian, each against 1e-9.  Both are
+    symmetric (the Gramian up to rounding, so it is symmetrized first), so a
+    smallest singular value is the smallest |eigenvalue|."""
+    g = np.asarray(gramian_matrix, float)
+    sigma_b, sigma_g = (float(np.min(np.abs(np.linalg.eigvalsh(m))))
+                        for m in (model.b_matrix, 0.5 * (g + g.T)))
     return InjectivityReport(sigma_b, sigma_g, sigma_b > 1e-9 and sigma_g > 1e-9)

@@ -259,10 +259,10 @@ def test_criterion_9_hvi_residual(bundled_sweeps):
         for result in data["results"]:
             if result is None or not result.converged:
                 continue
-            worst = max(worst, hvi_residual(model, grid, result.run.states, result.g, pot, dirs))
+            worst = max(worst, hvi_residual(model, result.run.states, result.g, pot, dirs))
             checked += 1
         adversarial = hvi_residual(
-            model, grid, data["results"][0].run.states, data["results"][0].g + 1.0, pot, dirs
+            model, data["results"][0].run.states, data["results"][0].g + 1.0, pot, dirs
         )
     ok = checked >= 8 and worst <= 1e-8 and adversarial > 1e-3
     report(9, "hemivariational residual", ok,

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracheat.cli import cmd_validate
+from fracheat.cli import cmd_validate, main
 from fracheat.config import build_experiment, load_config
 from fracheat.control import (
     ConvergenceError,
@@ -190,6 +190,22 @@ class TestResolvent:
             regularized_resolvent(gram_p4, model_p4, 1e-4, y, max_iter=0)
         assert len(err.value.residual_history) == 1
 
+    def test_non_finite_residual_stops_the_solve(self, capsys):
+        # at p = 64 the first Newton step overflows the duality-map Jacobian;
+        # the solve stops on that NaN residual instead of 399 NaN steps later
+        config = ROOT / "configs" / "heat_default.cfg"
+        exp = build_experiment(load_config(config, ["model.p=64"]), config.parent)
+        y = np.random.default_rng(2).standard_normal(8)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError) as err:
+            regularized_resolvent(assemble_gramian(exp.model, exp.grid), exp.model, 1e-2, y)
+        history = err.value.residual_history
+        assert len(history) == 2 and math.isfinite(history[0]) and math.isnan(history[1])
+        assert "Newton iteration 1 (eps=0.01, p=64.0)" in str(err.value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["validate", str(config), "--set", "model.p=64"]) == 2
+        assert "Newton iteration 1 (eps=0.01, p=64.0)" in capsys.readouterr().err
+
     def test_guards(self, gram_p2, model_p2):
         with pytest.raises(ValueError):
             regularized_resolvent(gram_p2, model_p2, 0.0, np.zeros(8))
@@ -274,7 +290,7 @@ class TestControlSynthesis:
         x0 = bump_coefficients(8)
         z = np.zeros(8)
         z[0] = 0.6
-        eta = lambda t: math.pi ** 0.5 * 0.3
+        eta = math.pi ** 0.5 * 0.3
         for eps in (1e-2, 1e-1):
             run = closed_loop_trajectory(model_p2, gram_p2, grid_512, eps, z, x0)
             bound = control_norm_bound(model_p2, eps, z, x0, eta)
@@ -283,7 +299,7 @@ class TestControlSynthesis:
     def test_theta_constant_constant_eta(self, model_p2):
         # constant eta: the L^(1/alpha1) norm collapses to eta * a^alpha1
         eta_val = 0.7
-        got = theta_constant(model_p2, lambda t: eta_val)
+        got = theta_constant(model_p2, eta_val)
         alpha, alpha1 = 0.75, 0.4
         b = 1.0 / (1.0 - alpha1)
         expo = b * (alpha - 1.0) + 1.0
@@ -302,7 +318,7 @@ class TestClosedLoop:
         x0 = bump_coefficients(8)
         z = np.zeros(8)
         z[0] = 0.6
-        eta = lambda t: 0.0
+        eta = 0.0
         for eps in (1e-2, 1e-1):
             run = closed_loop_trajectory(model_p2, gram_p2, grid_512, eps, z, x0)
             n0 = a_priori_state_bound(model_p2, eps, z, x0, eta)

@@ -15,7 +15,6 @@ from fracheat.lpspace import (
     basis_values,
     lp_norm,
     lp_norms,
-    theta_grid,
 )
 from fracheat.hvi import (
     SELECTION_STRATEGIES,
@@ -50,28 +49,28 @@ def problem(model_p2, gram_p2, grid_512):
 class TestPotentials:
     def test_abs_interval(self):
         pot = abs_potential(1.0)
-        lo, hi = pot.interval(0.0, 0.0, np.array([-2.0, 0.0, 3.0]))
+        lo, hi = pot.interval(np.array([-2.0, 0.0, 3.0]))
         assert np.allclose(lo, [-1.0, -1.0, 1.0])
         assert np.allclose(hi, [-1.0, 1.0, 1.0])
 
     def test_saturating_interval(self):
         pot = saturating_potential(2.0, cap=1.0)
-        lo, hi = pot.interval(0.0, 0.0, np.array([-2.0, -1.0, 0.5, 1.0, 3.0]))
+        lo, hi = pot.interval(np.array([-2.0, -1.0, 0.5, 1.0, 3.0]))
         assert np.allclose(lo, [0.0, -2.0, 2.0, 0.0, 0.0])
         assert np.allclose(hi, [0.0, 0.0, 2.0, 2.0, 0.0])
 
     def test_tabulated_slopes_and_kinks(self):
         pot = tabulated_potential([-1.0, 0.0, 1.0], [1.0, 0.0, 2.0])
-        lo, hi = pot.interval(0.0, 0.0, np.array([-0.5, 0.0, 0.5]))
+        lo, hi = pot.interval(np.array([-0.5, 0.0, 0.5]))
         assert np.allclose(lo, [-1.0, -1.0, 2.0])
         assert np.allclose(hi, [-1.0, 2.0, 2.0])
-        assert pot.eta(0.0) == pytest.approx(2.0)
+        assert pot.eta == pytest.approx(2.0)
 
     def test_audit_rejects_inverted_bound(self):
         pot = abs_potential(1.0)
-        bad = NonsmoothPotential(pot.interval, lambda t: 0.5)
+        bad = NonsmoothPotential(pot.interval, 0.5)
         with pytest.raises(ValueError):
-            audit_potential(bad, np.array([0.0]), np.linspace(-2, 2, 41))
+            audit_potential(bad, np.linspace(-2, 2, 41))
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -121,7 +120,7 @@ POTENTIALS_WITH_VALUES = {
 def clarke_directional(pot, r, v):
     """Generalized directional derivative at r along v: the support function
     max(lo*v, hi*v) of the derivative interval [lo, hi]."""
-    lo, hi = pot.interval(0.0, 0.0, np.asarray(r, dtype=float))
+    lo, hi = pot.interval(np.asarray(r, dtype=float))
     return np.maximum(lo * v, hi * v)
 
 
@@ -158,12 +157,11 @@ class TestClarkeDirectional:
 
 def select(pot, strategy, grid, states, model, previous=None):
     """The selection along `states`: one full step of the fixed point's pass
-    into a fresh array, sticky from `previous` (zeros when None, which clip
-    to the same bits as the scalar 0)."""
+    on a copy of `previous` (zeros when None, which clip to the same bits as
+    the scalar 0), sticky from it."""
     shape = (grid.steps + 1, model.n_theta)
-    out = np.empty(shape)
-    _map_step(pot, strategy, grid, states, model,
-              np.zeros(shape) if previous is None else previous, 1.0, out)
+    out = np.zeros(shape) if previous is None else np.array(previous, dtype=float)
+    _map_step(pot, strategy, states, model, out, 1.0)
     return out
 
 
@@ -191,14 +189,13 @@ class TestSelection:
         rng = np.random.default_rng(31)
         pot = saturating_potential(0.8, cap=0.9)
         grid = TimeGrid(1.0, 16)
-        theta = theta_grid(model_p2.n_theta)
         for strategy in ("minimal_norm", "midpoint", "sign_zero", "sticky"):
             states = rng.standard_normal((17, 8))
             prev = rng.standard_normal((17, model_p2.n_theta))
             g = select(pot, strategy, grid, states, model_p2, previous=prev)
-            for k, t in enumerate(grid.nodes):
+            for k in range(grid.steps + 1):
                 q_vals = basis_matrix(8, model_p2.n_theta) @ states[k]
-                lo, hi = pot.interval(float(t), theta, q_vals)
+                lo, hi = pot.interval(q_vals)
                 assert np.all(g[k] >= lo - 1e-14)
                 assert np.all(g[k] <= hi + 1e-14)
 
@@ -220,7 +217,7 @@ class TestSelection:
 
 def reference_abs_interval(c):
     """The earlier abs_potential interval, five full temporaries."""
-    def ival(t, theta, r):
+    def ival(r):
         r = np.asarray(r, dtype=float)
         lo = np.where(r > 0.0, c, -c) * np.ones_like(r)
         hi = lo.copy()
@@ -233,7 +230,7 @@ def reference_abs_interval(c):
 
 def reference_saturating_interval(c, cap):
     """The earlier saturating_potential interval, one where per kink."""
-    def ival(t, theta, r):
+    def ival(r):
         r = np.asarray(r, dtype=float)
         slope = np.where(np.abs(r) < cap, np.where(r > 0.0, c, -c), 0.0)
         lo = np.where(r == 0.0, -c, slope)
@@ -251,7 +248,7 @@ def reference_tabulated_interval(breaks, values):
     breaks, values = np.asarray(breaks, dtype=float), np.asarray(values, dtype=float)
     slopes = np.diff(values) / np.diff(breaks)
 
-    def ival(t, theta, r):
+    def ival(r):
         r = np.asarray(r, dtype=float)
         idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
         lo = slopes[idx]
@@ -281,18 +278,18 @@ def test_interval_matches_reference(case):
     r = np.array([-np.inf, -2.0, -1.0, -0.9, -0.3, -1e-300, -0.0, 0.0, 1e-300, 0.5, 0.9, 1.0,
                   3.0, np.inf, np.nan])
     for arg in (r, r.reshape(3, 5), 0.0, 0.9, -1.0):
-        for new, old in zip(pot.interval(0.0, 1.0, arg), ref(0.0, 1.0, arg)):
+        for new, old in zip(pot.interval(arg), ref(arg)):
             assert np.shape(new) == np.shape(old) and np.result_type(new) == np.result_type(old)
             assert np.array_equal(new, old, equal_nan=True)
 
 
 def reference_zero_potential():
     """The earlier zero potential, a closure of its own: zeros of r's shape."""
-    def ival(t, theta, r):
+    def ival(r):
         z = np.zeros_like(np.asarray(r, dtype=float))
         return z, z.copy()
 
-    return NonsmoothPotential(ival, lambda t: 0.0)
+    return NonsmoothPotential(ival, 0.0)
 
 
 def test_zero_spec_is_the_zero_potential_bit_for_bit(model_p2):
@@ -302,10 +299,10 @@ def test_zero_spec_is_the_zero_potential_bit_for_bit(model_p2):
     rng = np.random.default_rng(20)
     r = np.concatenate([rng.standard_normal(40), [0.0, -0.0, np.nan, np.inf, -np.inf]])
     for arg in (r, r.reshape(5, 9)):
-        for new, old in zip(pot.interval(0.5, 1.0, arg), ref.interval(0.5, 1.0, arg)):
+        for new, old in zip(pot.interval(arg), ref.interval(arg)):
             assert new.dtype == old.dtype and new.shape == old.shape
             assert np.array_equal(new.view(np.int64), old.view(np.int64))
-    assert pot.eta(0.5) == ref.eta(0.5) == 0.0
+    assert pot.eta == ref.eta == 0.0
     grid = TimeGrid(1.0, 16)
     states = rng.standard_normal((17, 8))
     states[0] = 0.0
@@ -317,10 +314,8 @@ def test_zero_spec_is_the_zero_potential_bit_for_bit(model_p2):
 
 
 def reference_select(pot, strategy, grid, states, model, previous=None):
-    """The earlier selection over the whole grid, with eta called once per node."""
-    nodes = grid.nodes
-    lo, hi = pot.interval(nodes[:, None], theta_grid(model.n_theta),
-                          basis_values(states, model.n_theta))
+    """The earlier selection over the whole grid, with eta checked once per node."""
+    lo, hi = pot.interval(basis_values(states, model.n_theta))
     if strategy == "midpoint":
         g = 0.5 * (lo + hi)
     elif strategy == "sign_zero":
@@ -329,8 +324,7 @@ def reference_select(pot, strategy, grid, states, model, previous=None):
         g = np.clip(previous, lo, hi)
     else:
         g = np.clip(0.0, lo, hi)
-    bound = np.array([float(pot.eta(float(t))) for t in nodes])
-    assert not np.any(np.max(np.abs(g), axis=1) > bound + 1e-12)
+    assert not np.any(np.max(np.abs(g), axis=1) > pot.eta + 1e-12)
     return g
 
 
@@ -391,7 +385,7 @@ class TestFixedPoint:
         model, gram, grid, x0, z = problem
         pot = abs_potential(0.3)
         fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
-        dual_bound = lambda t: math.pi ** (1.0 / model.dual_p) * pot.eta(t)
+        dual_bound = math.pi ** (1.0 / model.dual_p) * pot.eta
         n0 = a_priori_state_bound(model, 1e-2, z, x0, dual_bound)
         sup = np.max(lp_norms(fp.run.states, 256, 2.0))
         assert sup <= n0
@@ -479,8 +473,8 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
                                   relaxation=0.5, tol=1e-8, max_iter=80):
     """The fixed point with every step's closed loop run: a settled full step
     too, then a closing selection over the whole grid decides the audit, in
-    a second grid array.  Returns (g, g_relaxed, run, residuals, iterations,
-    converged, fixed_point_residual, closed_loops)."""
+    a second grid array.  Returns (g, run, residuals, iterations, converged,
+    fixed_point_residual, closed_loops)."""
     from fracheat.control import closed_loop_trajectory
 
     def run_for(g):
@@ -513,7 +507,7 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
         g_select, fp_residual = g, 0.0
     else:
         fp_residual, loops = gap(run_for(g_select), run), loops + 1
-    return g_select, g, run, residuals, iterations, converged, fp_residual, loops
+    return g_select, run, residuals, iterations, converged, fp_residual, loops
 
 
 SETTLE_POTENTIALS = {
@@ -543,10 +537,10 @@ class TestSettledFixedPoint:
         pot = SETTLE_POTENTIALS[potential]
         fp = fixed_point_iterate(model, gram, grid_512, eps, pot, z, x0, strategy=strategy,
                                  max_iter=max_iter)
-        g, g_relaxed, run, residuals, iterations, converged, fp_residual, loops = \
+        g, run, residuals, iterations, converged, fp_residual, loops = \
             reference_fixed_point_iterate(model, gram, grid_512, eps, pot, z, x0,
                                           strategy=strategy, max_iter=max_iter)
-        assert np.array_equal(fp.g, g) and np.array_equal(fp.g_relaxed, g_relaxed)
+        assert np.array_equal(fp.g, g)
         assert np.array_equal(fp.run.states, run.states)
         assert np.array_equal(fp.run.control, run.control)
         assert (fp.residuals, fp.iterations, fp.converged, fp.fixed_point_residual) == (
@@ -571,22 +565,23 @@ class TestSettledFixedPoint:
         assert peak < 1.6 * grid_array
 
     @pytest.mark.parametrize("settings", [[], ["model.p=4"]])
-    def test_audit_adds_one_grid_array(self, settings):
-        # on the bundled model, a settled solve holds the iterate, one grid
-        # array, and a solve cut before it settles adds the audit's array;
-        # the row blocks and the closed loops' own arrays stay under 1.25 MB
+    def test_audit_adds_no_grid_array(self, settings):
+        # on the bundled model, a settled solve and a solve cut before it
+        # settles, whose audit runs on the iterate's own array, both hold one
+        # grid array; the row blocks and the closed loops' own arrays stay
+        # under 1.25 MB (a second audit array put the cut solve at 2 arrays)
         exp = build_experiment(load_config(CONFIG_PATH, settings), CONFIG_PATH.parent)
         gram = assemble_gramian(exp.model, exp.grid)
         mild_solution(exp.model, exp.grid, exp.x0)  # the grid's shared propagator tables
         grid_array = (exp.grid.steps + 1) * exp.model.n_theta * 8
-        for max_iter, arrays in ((80, 1), (1, 2)):
+        for max_iter, settles in ((80, True), (1, False)):
             fp, peak = traced_peak(lambda: fixed_point_iterate(
                 exp.model, gram, exp.grid, 1e-3, exp.potential, exp.target, exp.x0,
                 max_iter=max_iter))
             settled = fp.converged and fp.residuals[-1] == 0.0
-            assert settled == (arrays == 1)
+            assert settled == settles
             assert fp.closed_loops == fp.iterations + (0 if settled else 2)
-            assert peak <= arrays * grid_array + 1.25 * 2**20
+            assert peak <= grid_array + 1.25 * 2**20
 
 
 class TestSweep:
@@ -686,7 +681,7 @@ class TestHviResidual:
         traj = mild_solution(model, grid, x0)
         g = np.zeros((grid.steps + 1, model.n_theta))
         dirs = np.eye(8)
-        assert hvi_residual(model, grid, traj, g, abs_potential(0.0), dirs) <= 1e-14
+        assert hvi_residual(model, traj, g, abs_potential(0.0), dirs) <= 1e-14
 
     def test_converged_run_satisfies_inequality(self, problem):
         model, gram, grid, x0, z = problem
@@ -694,7 +689,7 @@ class TestHviResidual:
         fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
         rng = np.random.default_rng(7)
         dirs = np.vstack([rng.standard_normal((31, 8)), np.eye(8)[0]])
-        assert hvi_residual(model, grid, fp.run.states, fp.g, pot, dirs) <= 1e-8
+        assert hvi_residual(model, fp.run.states, fp.g, pot, dirs) <= 1e-8
 
     def test_adversarial_forcing_flagged(self, problem):
         model, gram, grid, x0, z = problem
@@ -703,7 +698,7 @@ class TestHviResidual:
         rng = np.random.default_rng(7)
         dirs = np.vstack([rng.standard_normal((31, 8)), np.eye(8)[0]])
         bad = fp.g + 1.0  # pointwise outside the derivative interval
-        assert hvi_residual(model, grid, fp.run.states, bad, pot, dirs) > 1e-3
+        assert hvi_residual(model, fp.run.states, bad, pot, dirs) > 1e-3
 
 
 def test_free_terminal_miss(problem):

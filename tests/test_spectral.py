@@ -348,3 +348,30 @@ class TestInjectivityDiagnostic:
         rep = injectivity_diagnostic(model_p2, gram_p2)
         assert rep.sigma_min_gramian > 1e-9
         assert rep.controllable
+
+    @pytest.mark.parametrize("kind", ["green", "min", "table"])
+    def test_eigenvalues_match_the_svd(self, kind, model_p2, gram_p2):
+        # sigma_min as the smallest |eigenvalue| of the symmetric B and the
+        # symmetrized Gramian, against the SVD it replaced; "table" is a
+        # midpoint-sampled symmetric kernel, and the bundled Gramian comes too
+        theta = theta_grid(64)[:, None]
+        table = green_kernel(theta, theta.T) + 0.5 * np.minimum(theta, theta.T) * np.minimum(
+            math.pi - theta, math.pi - theta.T)
+        spec = KernelSpec("custom", table) if kind == "table" else KernelSpec(kind)
+        model = build_model(8, ORDER, 1.0, spec, None, 2.0, 256)
+        pairs = [(model, assemble_gramian(model, TimeGrid(1.0, 512)))]
+        if kind == "green":
+            pairs.append((model_p2, gram_p2))
+        for m, gram in pairs:
+            rep = injectivity_diagnostic(m, gram)
+            for got, matrix in ((rep.sigma_min_b, m.b_matrix), (rep.sigma_min_gramian, gram)):
+                want = np.linalg.svd(matrix, compute_uv=False)[-1]
+                assert abs(got - want) <= 1e-12 * want
+
+    def test_asymmetric_b_matrix_rejected(self, model_p2):
+        b = np.array(model_p2.b_matrix)
+        b[0, 1] += 1e-11 * np.max(np.abs(b))
+        with pytest.raises(ValueError, match="b_matrix must be symmetric"):
+            dataclasses.replace(model_p2, b_matrix=b)
+        b[0, 1] = b[1, 0] + 0.5e-12 * np.max(np.abs(b))  # within the bound: kept
+        assert dataclasses.replace(model_p2, b_matrix=b).b_matrix[0, 1] == b[0, 1]

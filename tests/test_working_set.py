@@ -13,24 +13,32 @@ norm-bound references are `unblocked_kernel_matrix` and
 Working sets are traced peaks above the call's entry (`conftest.traced_peak`)
 on argument arrays of the commands' own sizes.  A Taylor-branch value depends
 on the largest argument of its call, so these arrays are fixed, not drawn.
+The fixed point's working set is counted in (steps+1, n_theta) grid arrays.
 """
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracheat.fracops as fracops
+from fracheat.config import build_experiment, load_config
+from fracheat.evolve import mild_solution
 from fracheat.fracops import (_ASYMPTOTIC_S_MIN, _BLOCK_BYTES, _CUT_EDGES, _CUT_W, _CUT_X,
                               _KANTER_LEFT, _KANTER_RIGHT, _KANTER_W, _KANTER_X, _PEAK_WIDTHS,
                               _WRIGHT_TAU0, _canonical_base, _lgamma, _ml_cut_integral,
                               _ml_tail_series, _ml_taylor, _rgamma, _taylor_branch, _taylor_terms,
                               _wright_kanter, _wright_log_a, ml_family, ml_multipliers, row_blocks,
                               wright_density)
+from fracheat.gramian import assemble_gramian
+from fracheat.hvi import fixed_point_iterate
 from fracheat.spectral import KernelSpec, _kernel_norm_bounds
 
 from conftest import traced_peak
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "heat_default.cfg"
 
 FRAC_ALPHAS = [0.51, 0.6, 0.75, 0.9, 0.99, 0.999]
 
@@ -288,6 +296,21 @@ def test_norm_bound_working_set():
     # |k|^p and every green temporary of a block alive
     _, peak = traced_peak(lambda: _kernel_norm_bounds(KernelSpec("green"), 2.0, 256))
     assert peak <= 0.85e6
+
+
+def test_fixed_point_audit_holds_one_grid_array():
+    # a sat:0.3:0.5 solve that does not settle, cut after 3 steps: 5 closed
+    # loops (the initial one, one per step, the audit's) show the audit ran,
+    # and it runs on the iterate's own array: 1.59 MiB at 1.00 MiB a grid
+    # array, against 2.59 MiB with a second array for the audit
+    exp = build_experiment(load_config(CONFIG, ["problem.potential=sat:0.3:0.5"]), CONFIG.parent)
+    gram = assemble_gramian(exp.model, exp.grid)
+    mild_solution(exp.model, exp.grid, exp.x0)  # the grid's shared propagator tables
+    grid_array = (exp.grid.steps + 1) * exp.model.n_theta * 8
+    fp, peak = traced_peak(lambda: fixed_point_iterate(
+        exp.model, gram, exp.grid, 1e-1, exp.potential, exp.target, exp.x0, max_iter=3))
+    assert fp.closed_loops == 5 and not fp.converged
+    assert peak < 2 * grid_array
 
 
 @pytest.mark.parametrize("alpha", [0.99, 0.999])
