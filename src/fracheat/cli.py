@@ -32,7 +32,8 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from . import __version__
-from .config import Experiment, build_experiment, default_config_text, load_config
+from .config import Experiment, build_experiment, default_config_text, load_config, \
+    parse_coefficients
 from .control import ConvergenceError, regularized_resolvent
 from .evolve import l1_reference, mild_solution
 from .fracops import (gauss_legendre, gaussian_rows, mittag_leffler, mittag_leffler2,
@@ -172,35 +173,20 @@ def cmd_gramian(exp: Experiment) -> int:
     return _EXIT_OK if report.all_ok else _EXIT_VALIDATION
 
 
-def _parse_coeff_list(text: str | None, n_modes: int, flag: str) -> np.ndarray | None:
-    """`flag`'s comma-separated values zero-padded to n_modes: at most n_modes finite numbers."""
-    if text is None:
-        return None
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        vals = [math.nan]
-    if len(vals) > n_modes or not all(map(math.isfinite, vals)):
-        raise ValueError(f"{flag} takes at most {n_modes} finite numbers, got {text!r}")
-    out = np.zeros(n_modes)
-    out[: len(vals)] = vals
-    return out
-
-
 def cmd_simulate(exp: Experiment, forcing_coeffs: str | None, control_coeffs: str | None) -> int:
     model, grid = exp.model, exp.grid
     shape = (grid.steps + 1, model.n_modes)
     forcing = control = None
     try:
-        fc = _parse_coeff_list(forcing_coeffs, model.n_modes, "--forcing-coeffs")
-        uc = _parse_coeff_list(control_coeffs, model.n_modes, "--control-coeffs")
+        if forcing_coeffs is not None:
+            fc = parse_coefficients(forcing_coeffs, "--forcing-coeffs", model.n_modes)
+            forcing = np.tile(model.h_matrix @ fc, (shape[0], 1))
+        if control_coeffs is not None:
+            uc = parse_coefficients(control_coeffs, "--control-coeffs", model.n_modes)
+            control = np.tile(model.b_matrix @ uc, (shape[0], 1))
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
-    if fc is not None:
-        forcing = np.tile(model.h_matrix @ fc, (shape[0], 1))
-    if uc is not None:
-        control = np.tile(model.b_matrix @ uc, (shape[0], 1))
     states = mild_solution(model, grid, exp.x0, forcing=forcing, control=control)
     gaps = lp_norms(states - l1_reference(model, grid, exp.x0, forcing=forcing, control=control),
                     model.n_theta, model.p)

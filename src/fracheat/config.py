@@ -2,10 +2,13 @@
 
 Unknown sections or keys are rejected at load, and the canonical key-value
 dump is hashed so output files can embed the exact configuration they came
-from.  `build_experiment` constructs the model and problem data, whose
-constructors check their own inputs, and runs the `check_*` of each solver
-setting, owned by the module that uses it (`gramian`, `control`, `hvi`), so
-a bad config fails before any work starts.  `solver.steps` sets the one
+from.  This is the one module that reads setting text: every numeric key is
+turned into a number here, with a message naming `section.key`, and the
+solver modules take numbers.  `build_experiment` constructs the model and
+problem data, whose constructors check their own inputs, checks each
+tolerance (finite, >= 0) and iteration cap (an integer >= 1), and runs the
+range checks `gramian`, `hvi` keep for their own entry points, so a bad
+config fails before any work starts.  `solver.steps` sets the one
 `TimeGrid` of the experiment, which the Gramian, control synthesis and both
 trajectory channels share.
 """
@@ -27,17 +30,15 @@ except ImportError:
 
 import numpy as np
 
-from .fracops import FracOrder, TimeGrid, as_number
+from .fracops import FracOrder, TimeGrid
 from .lpspace import basis_matrix, theta_grid
 from .spectral import KernelSpec, SpectralModel, build_model
-from .control import check_resolvent_max_iter, check_resolvent_tol
 from .gramian import check_steps
 from .hvi import NonsmoothPotential, abs_potential, audit_potential, check_epsilons, \
-    check_fixed_point_max_iter, check_fixed_point_tol, check_relaxation, check_strategy, \
-    saturating_potential, tabulated_potential
+    check_relaxation, check_strategy, saturating_potential, tabulated_potential
 
 __all__ = ["ExperimentConfig", "Experiment", "load_config", "build_experiment",
-           "default_config_text"]
+           "default_config_text", "parse_coefficients"]
 
 SCHEMA_VERSION = 2
 
@@ -98,6 +99,47 @@ def default_config_text() -> str:
     return "\n".join(lines)
 
 
+def _number(value: str, key: str, kind: type = int):
+    """A numeric setting as `kind`, int for counts or float; text that is no
+    such number raises a ValueError naming `key`."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {value!r}") from None
+
+
+def _tolerance(solver: dict, key: str) -> float:
+    """solver.`key` as a finite float >= 0."""
+    tol = _number(solver[key], f"solver.{key}", float)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"solver.{key} must be finite and >= 0, got {tol}")
+    return tol
+
+
+def _iteration_cap(solver: dict, key: str) -> int:
+    """solver.`key` as an int >= 1."""
+    cap = _number(solver[key], f"solver.{key}")
+    if cap < 1:
+        raise ValueError(f"solver.{key} must be an integer >= 1, got {cap}")
+    return cap
+
+
+def parse_coefficients(text: str, key: str, n_modes: int) -> np.ndarray:
+    """`text`'s comma-separated values zero-padded to n_modes: at most
+    n_modes finite numbers.  Reads a `coeffs:` state and simulate's
+    coefficient flags."""
+    vals = [_number(v.strip(), f"{key} coefficient", float) for v in text.split(",")]
+    if len(vals) > n_modes:
+        raise ValueError(f"{key} takes at most {n_modes} coefficients, got {len(vals)}")
+    bad = [v for v in vals if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{key} coefficient must be finite, got {bad[0]}")
+    out = np.zeros(n_modes)
+    out[: len(vals)] = vals
+    return out
+
+
 def _hash(raw: dict) -> str:
     canon = ";".join(
         f"{s}.{k}={raw[s][k]}" for s in sorted(raw) for k in sorted(raw[s])
@@ -134,7 +176,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Experim
         raw.setdefault(section, {})
         for key, value in items.items():
             raw[section].setdefault(key, value)
-    if as_number(raw["meta"]["schema_version"], "meta.schema_version") != SCHEMA_VERSION:
+    if _number(raw["meta"]["schema_version"], "meta.schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema_version {raw['meta']['schema_version']} (expected {SCHEMA_VERSION})"
         )
@@ -158,24 +200,20 @@ def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
         theta = theta_grid(n_theta)
         out = basis_matrix(n_modes, n_theta).T @ (theta * (math.pi - theta)) * (math.pi / n_theta)
     elif spec.startswith("coeffs:"):
-        vals = [as_number(v.strip(), f"problem.{key} coefficient", float)
-                for v in spec[len("coeffs:"):].split(",")]
-        if len(vals) > n_modes:
-            raise ValueError(f"state spec has {len(vals)} coefficients, model has {n_modes} modes")
-        out[: len(vals)] = vals
+        out = parse_coefficients(spec[len("coeffs:"):], f"problem.{key}", n_modes)
     elif spec.startswith("sine:"):
         parts = spec[len("sine:"):].split(":")
         if len(parts) > 2:
             raise ValueError(f"problem.{key} must be sine:n[:amp], got {spec!r}")
-        n = as_number(parts[0], f"problem.{key} sine mode")
-        amp = as_number(parts[1], f"problem.{key} amplitude", float) if len(parts) > 1 else 1.0
+        n = _number(parts[0], f"problem.{key} sine mode")
+        amp = _number(parts[1], f"problem.{key} amplitude", float) if len(parts) > 1 else 1.0
         if not 1 <= n <= n_modes:
             raise ValueError(f"sine mode {n} outside 1..{n_modes}")
+        if not math.isfinite(amp):
+            raise ValueError(f"problem.{key} amplitude must be finite, got {amp}")
         out[n - 1] = amp
     elif spec != "zero":
         raise ValueError(f"state must be zero, bump, coeffs:... or sine:n[:amp], got {spec!r}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{key} coefficients must be finite, got {spec!r}")
     return out
 
 
@@ -184,13 +222,13 @@ def _parse_potential(spec: str, base: Path) -> NonsmoothPotential:
     if spec == "zero":
         return abs_potential(0.0)
     if spec.startswith("abs:"):
-        return abs_potential(as_number(spec[len("abs:"):], "problem.potential coefficient", float))
+        return abs_potential(_number(spec[len("abs:"):], "problem.potential coefficient", float))
     if spec.startswith("sat:"):
         parts = spec[len("sat:"):].split(":")
         if len(parts) > 2:
             raise ValueError(f"problem.potential must be sat:c[:cap], got {spec!r}")
-        cap = as_number(parts[1], "problem.potential cap", float) if len(parts) > 1 else 1.0
-        return saturating_potential(as_number(parts[0], "problem.potential coefficient", float), cap)
+        cap = _number(parts[1], "problem.potential cap", float) if len(parts) > 1 else 1.0
+        return saturating_potential(_number(parts[0], "problem.potential coefficient", float), cap)
     if spec.startswith("table:"):
         data = np.loadtxt(base / spec[len("table:"):], delimiter=",", ndmin=2)
         if data.shape[0] < 2 or data.shape[1] != 2:
@@ -230,10 +268,10 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
     model_cfg = cfg["model"]
     solver = cfg["solver"]
 
-    n_modes = as_number(model_cfg["modes"], "model.modes")
-    alpha, alpha1, horizon, p = (as_number(model_cfg[key], f"model.{key}", float)
+    n_modes = _number(model_cfg["modes"], "model.modes")
+    alpha, alpha1, horizon, p = (_number(model_cfg[key], f"model.{key}", float)
                                  for key in ("alpha", "alpha1", "horizon", "p"))
-    n_theta = as_number(solver["n_theta"], "solver.n_theta")
+    n_theta = _number(solver["n_theta"], "solver.n_theta")
     model = build_model(
         n_modes,
         FracOrder(alpha, alpha1),
@@ -254,18 +292,19 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
     return Experiment(
         config=cfg,
         model=model,
-        grid=TimeGrid(horizon, check_steps(solver["steps"])),
+        grid=TimeGrid(horizon, check_steps(_number(solver["steps"], "solver.steps"))),
         x0=_parse_state("x0", cfg["problem"]["x0"], n_modes, n_theta),
         target=_parse_state("target", cfg["problem"]["target"], n_modes, n_theta),
         potential=_parse_potential(cfg["problem"]["potential"], base),
-        resolvent_tol=check_resolvent_tol(solver["resolvent_tol"]),
-        resolvent_max_iter=check_resolvent_max_iter(solver["resolvent_max_iter"]),
-        fixed_point_tol=check_fixed_point_tol(solver["fixed_point_tol"]),
-        fixed_point_max_iter=check_fixed_point_max_iter(solver["fixed_point_max_iter"]),
-        relaxation=check_relaxation(solver["relaxation"]),
+        resolvent_tol=_tolerance(solver, "resolvent_tol"),
+        resolvent_max_iter=_iteration_cap(solver, "resolvent_max_iter"),
+        fixed_point_tol=_tolerance(solver, "fixed_point_tol"),
+        fixed_point_max_iter=_iteration_cap(solver, "fixed_point_max_iter"),
+        relaxation=check_relaxation(_number(solver["relaxation"], "solver.relaxation", float)),
         strategy=check_strategy(solver["strategy"]),
-        seed=as_number(solver["seed"], "solver.seed"),
-        epsilons=check_epsilons(v.strip() for v in cfg["sweep"]["epsilons"].split(",") if v.strip()),
+        seed=_number(solver["seed"], "solver.seed"),
+        epsilons=check_epsilons([_number(v.strip(), "sweep.epsilons", float)
+                                 for v in cfg["sweep"]["epsilons"].split(",") if v.strip()]),
         output_dir=base / cfg["output"]["directory"],
         formats=formats,
     )

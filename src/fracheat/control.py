@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracops import TimeGrid, as_number
+from .fracops import TimeGrid
 from .evolve import mild_solution, propagator
 from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
@@ -28,8 +28,6 @@ __all__ = [
     "ResolventSolve",
     "ClosedLoopRun",
     "coordinate_duality_map",
-    "check_resolvent_tol",
-    "check_resolvent_max_iter",
     "regularized_resolvent",
     "deficiency_vector",
     "closed_loop_trajectory",
@@ -100,22 +98,6 @@ class ResolventSolve:
 def _residual(gram: np.ndarray, model: SpectralModel, epsilon: float,
               x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return epsilon * x + gram @ coordinate_duality_map(model, x) - y
-
-
-def check_resolvent_tol(tol) -> float:
-    """The resolvent's relative tolerance as a finite float >= 0."""
-    tol = as_number(tol, "resolvent_tol", float)
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"resolvent_tol must be finite and >= 0, got {tol}")
-    return tol
-
-
-def check_resolvent_max_iter(max_iter) -> int:
-    """The resolvent's Newton iteration cap as an int >= 1."""
-    max_iter = as_number(max_iter, "resolvent_max_iter")
-    if max_iter < 1:
-        raise ValueError(f"resolvent_max_iter must be an integer >= 1, got {max_iter}")
-    return max_iter
 
 
 def regularized_resolvent(

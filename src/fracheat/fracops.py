@@ -50,7 +50,6 @@ __all__ = [
     "row_blocks",
     "gaussian_rows",
     "gauss_legendre",
-    "as_number",
 ]
 
 # Branch boundaries in s: Taylor below (max term exp(5) ~ 150, ~2 digits
@@ -292,16 +291,6 @@ def gaussian_rows(rng, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) standard normal draws, row by row, from a `random.Random`:
     numpy.random would add ~6 MB to the footprint of a command."""
     return np.array([rng.gauss(0.0, 1.0) for _ in range(rows * cols)]).reshape(rows, cols)
-
-
-def as_number(value, key: str, kind: type = int):
-    """A numeric setting as `kind`, int for counts or float; text that is no
-    such number raises a ValueError naming `key`."""
-    try:
-        return kind(value)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{key} must be {noun}, got {value!r}") from None
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:

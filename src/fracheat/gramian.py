@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import propagator
-from .fracops import TimeGrid, as_number, gaussian_rows
+from .fracops import TimeGrid, gaussian_rows
 from .lpspace import lp_norms
 from .spectral import SpectralModel
 
@@ -32,9 +32,8 @@ __all__ = [
 ]
 
 
-def check_steps(steps) -> int:
-    """The time grid's step count, the Gramian's quadrature too, as an int >= 16."""
-    steps = as_number(steps, "steps")
+def check_steps(steps: int) -> int:
+    """The time grid's step count, the Gramian's quadrature too: >= 16."""
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
     return steps
@@ -83,10 +82,11 @@ def verify_gramian(
     seed: int = 0,
 ) -> GramianReport:
     """Numerical audit: symmetry, positivity, the quadratic-form identity
-    <x*, G x*> = int sigma^(alpha-1) ||B* T*(sigma) x*||^2 dsigma (computed on
-    the nodes of `grid`, the Gramian's own, through an independent code path),
-    and the norm bound, the last two on `n_samples` standard normal x* drawn
-    from the standard library's `random.Random(seed)`."""
+    <x*, G x*> = int sigma^(alpha-1) ||B* T*(sigma) x*||^2 dsigma, and the
+    norm bound, the last two on `n_samples` standard normal x* drawn from the
+    standard library's `random.Random(seed)`.  The identity re-sums the same
+    `terminal_weights` and `e_force` of `grid` per sample, so it checks the
+    assembly's algebra and cannot see the Gramian's quadrature error."""
     defect = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
     min_eig = float(np.linalg.eigvalsh(0.5 * (gram + gram.T)).min())
 

@@ -31,7 +31,7 @@ from .control import (
     deficiency_vector,
     terminal_identity_residual,
 )
-from .fracops import TimeGrid, as_number, row_blocks
+from .fracops import TimeGrid, row_blocks
 from .lpspace import basis_coefficients, basis_values, lp_norms
 from .spectral import SpectralModel
 
@@ -45,8 +45,6 @@ __all__ = [
     "check_strategy",
     "FixedPointResult",
     "check_relaxation",
-    "check_fixed_point_tol",
-    "check_fixed_point_max_iter",
     "fixed_point_iterate",
     "SweepEntry",
     "check_epsilons",
@@ -200,28 +198,12 @@ def _trajectory_gap(model: SpectralModel, a: np.ndarray, b: np.ndarray) -> float
     return float(np.max(lp_norms(a - b, model.n_theta, model.p)))
 
 
-def check_relaxation(relaxation) -> float:
-    """The fixed point's back-off damping as a float in (0, 1]."""
-    relaxation = as_number(relaxation, "relaxation", float)
+def check_relaxation(relaxation: float) -> float:
+    """The fixed point's back-off damping, in (0, 1]: at 0 the loop would
+    stand still and report a false convergence with gap 0."""
     if not 0.0 < relaxation <= 1.0:
         raise ValueError(f"relaxation must lie in (0, 1], got {relaxation}")
     return relaxation
-
-
-def check_fixed_point_tol(tol) -> float:
-    """The fixed point's trajectory-gap tolerance as a finite float >= 0."""
-    tol = as_number(tol, "fixed_point_tol", float)
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"fixed_point_tol must be finite and >= 0, got {tol}")
-    return tol
-
-
-def check_fixed_point_max_iter(max_iter) -> int:
-    """The fixed point's iteration cap as an int >= 1."""
-    max_iter = as_number(max_iter, "fixed_point_max_iter")
-    if max_iter < 1:
-        raise ValueError(f"fixed_point_max_iter must be an integer >= 1, got {max_iter}")
-    return max_iter
 
 
 def fixed_point_iterate(
@@ -329,9 +311,9 @@ def free_terminal_miss(model: SpectralModel, grid: TimeGrid, z: np.ndarray,
 
 
 def check_epsilons(values) -> list[float]:
-    """The epsilon list as floats: finite, nonempty, strictly descending, and
-    no value below the 1e-5 desk-scale floor."""
-    eps = [as_number(e, "sweep.epsilons", float) for e in values]
+    """The epsilon list: finite, nonempty, strictly descending, and no value
+    below the 1e-5 desk-scale floor."""
+    eps = list(values)
     bad = [e for e in eps if not math.isfinite(e)]
     if bad:
         raise ValueError(f"sweep.epsilons must be finite, got {bad[0]}")

@@ -50,12 +50,11 @@ def duality_map(values: np.ndarray, p: float) -> np.ndarray:
     """Normalized duality map J: L^p -> L^p' on one grid function's values.
 
     J(f) = ||f||_p^(2-p) |f|^(p-1) sign(f) pointwise, so that
-    <f, J f> = ||f||_p^2 = ||J f||_p'^2; zero maps to zero and p = 2 is the
-    identity.  The norm is a Python float, so ||f||^(2-p) is a scalar power.
+    <f, J f> = ||f||_p^2 = ||J f||_p'^2; zero maps to zero.  At p = 2 the
+    formula is the identity bit for bit (a -0.0 comes out +0.0).  The norm is
+    a Python float, so ||f||^(2-p) is a scalar power.
     """
     values = np.asarray(values, dtype=float)
-    if p == 2.0:
-        return values.copy()
     norm = lp_norm(values, p)
     if norm == 0.0:
         return np.zeros(values.size)

@@ -11,11 +11,7 @@ import pytest
 
 import fracheat
 from fracheat.cli import main
-from fracheat.config import _hash, build_experiment, default_config_text, load_config
-from fracheat.control import check_resolvent_max_iter, check_resolvent_tol
-from fracheat.gramian import check_steps
-from fracheat.hvi import check_fixed_point_max_iter, check_fixed_point_tol, check_relaxation, \
-    check_strategy
+from fracheat.config import _SCHEMA, _hash, build_experiment, default_config_text, load_config
 from fracheat.lpspace import basis_matrix, theta_grid
 
 
@@ -26,6 +22,20 @@ SMALL_OVERRIDES = [
     "--set", "solver.n_theta=64",
     "--set", "sweep.epsilons=1e-1, 1e-2",
 ]
+
+
+def numeric_keys() -> list[tuple[str, str]]:
+    """(section.key, "an integer" or "a number") for each key of the schema
+    whose default is a number or a comma list of numbers."""
+    keys = []
+    for section, items in _SCHEMA.items():
+        for key, default in items.items():
+            try:
+                [float(v) for v in default.split(",")]
+            except ValueError:
+                continue
+            keys.append((f"{section}.{key}", "an integer" if default.isdigit() else "a number"))
+    return keys
 
 
 @pytest.fixture()
@@ -80,56 +90,47 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "configuration error: unknown key 'quad_steps' in section [solver]\n")
 
-    @pytest.mark.parametrize("setting,owner,message", [
-        ("solver.steps=8", check_steps, "steps must be >= 16, got 8"),
-        ("solver.resolvent_tol=-1", check_resolvent_tol,
-         "resolvent_tol must be finite and >= 0, got -1.0"),
-        ("solver.resolvent_tol=nan", check_resolvent_tol,
-         "resolvent_tol must be finite and >= 0, got nan"),
-        ("solver.resolvent_max_iter=-1", check_resolvent_max_iter,
-         "resolvent_max_iter must be an integer >= 1, got -1"),
-        ("solver.fixed_point_tol=inf", check_fixed_point_tol,
-         "fixed_point_tol must be finite and >= 0, got inf"),
-        ("solver.fixed_point_max_iter=0", check_fixed_point_max_iter,
-         "fixed_point_max_iter must be an integer >= 1, got 0"),
-        ("solver.strategy=greedy", check_strategy,
+    @pytest.mark.parametrize("setting,message", [
+        ("solver.steps=8", "steps must be >= 16, got 8"),
+        ("solver.resolvent_tol=-1", "solver.resolvent_tol must be finite and >= 0, got -1.0"),
+        ("solver.resolvent_tol=nan", "solver.resolvent_tol must be finite and >= 0, got nan"),
+        ("solver.resolvent_max_iter=-1",
+         "solver.resolvent_max_iter must be an integer >= 1, got -1"),
+        ("solver.fixed_point_tol=inf", "solver.fixed_point_tol must be finite and >= 0, got inf"),
+        ("solver.fixed_point_max_iter=0",
+         "solver.fixed_point_max_iter must be an integer >= 1, got 0"),
+        ("solver.strategy=greedy",
          "strategy must be one of ('minimal_norm', 'midpoint', 'sign_zero', 'sticky'), "
          "got 'greedy'"),
-        ("solver.relaxation=1.5", check_relaxation, "relaxation must lie in (0, 1], got 1.5"),
-        ("solver.steps=1.5", check_steps, "steps must be an integer, got '1.5'"),
-        ("solver.resolvent_max_iter=1.5", check_resolvent_max_iter,
-         "resolvent_max_iter must be an integer, got '1.5'"),
-        ("solver.fixed_point_max_iter=2.0", check_fixed_point_max_iter,
-         "fixed_point_max_iter must be an integer, got '2.0'"),
-        ("solver.resolvent_tol=x", check_resolvent_tol, "resolvent_tol must be a number, got 'x'"),
-        ("solver.fixed_point_tol=1e-8x", check_fixed_point_tol,
-         "fixed_point_tol must be a number, got '1e-8x'"),
-        ("solver.relaxation=half", check_relaxation, "relaxation must be a number, got 'half'"),
+        ("solver.relaxation=1.5", "relaxation must lie in (0, 1], got 1.5"),
+        ("solver.steps=1.5", "solver.steps must be an integer, got '1.5'"),
+        ("solver.resolvent_max_iter=1.5",
+         "solver.resolvent_max_iter must be an integer, got '1.5'"),
+        ("solver.fixed_point_max_iter=2.0",
+         "solver.fixed_point_max_iter must be an integer, got '2.0'"),
+        ("solver.resolvent_tol=x", "solver.resolvent_tol must be a number, got 'x'"),
+        ("solver.fixed_point_tol=1e-8x", "solver.fixed_point_tol must be a number, got '1e-8x'"),
+        ("solver.relaxation=half", "solver.relaxation must be a number, got 'half'"),
     ])
-    def test_solver_guard_exits_1_with_its_owners_message(self, config_file, capsys, setting,
-                                                          owner, message):
-        """A bad solver setting fails before any work, through the check of
-        the module that uses it."""
-        with pytest.raises(ValueError) as raised:
-            owner(setting.split("=")[1])
-        assert str(raised.value) == message
+    def test_solver_guard_exits_1_with_its_message(self, config_file, capsys, setting, message):
+        """A bad solver setting fails at load, before any work: the range
+        checks of `gramian` and `hvi` see numbers that `config` converted."""
         assert main(["sweep", str(config_file), "--set", setting]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
-    @pytest.mark.parametrize("setting", ["model.modes=1.5", "solver.n_theta=1.5",
-                                         "solver.seed=x"])
-    def test_integer_setting_exits_1_naming_its_key(self, config_file, capsys, setting):
-        key, value = setting.split("=")
-        assert main(["sweep", str(config_file), "--set", setting]) == 1
+    @pytest.mark.parametrize("key,noun,value", [
+        (key, noun, value) for key, noun in numeric_keys()
+        for value in ("x", "0.4.1", "1e-8x") + (("1.5", "2.0") if noun == "an integer" else ())])
+    def test_numeric_key_exits_1_naming_it(self, config_file, capsys, key, noun, value):
+        """Every numeric key of the schema: text that is no such number fails
+        before any work with a message naming section.key, and writes no file."""
+        assert main(["sweep", str(config_file), "--set", f"{key}={value}"]) == 1
         assert capsys.readouterr().err == (
-            f"configuration error: {key} must be an integer, got {value!r}\n")
+            f"configuration error: {key} must be {noun}, got {value!r}\n")
+        assert not (config_file.parent / "out").exists()
 
     @pytest.mark.parametrize("setting,message", [
-        ("model.alpha=x", "model.alpha must be a number, got 'x'"),
-        ("model.alpha1=0.4.1", "model.alpha1 must be a number, got '0.4.1'"),
-        ("model.horizon=one", "model.horizon must be a number, got 'one'"),
         ("model.p=", "model.p must be a number, got ''"),
-        ("meta.schema_version=x", "meta.schema_version must be an integer, got 'x'"),
         ("sweep.epsilons=1e-1, 1e-2x", "sweep.epsilons must be a number, got '1e-2x'"),
         ("problem.potential=abs:x", "problem.potential coefficient must be a number, got 'x'"),
         ("problem.potential=sat:y", "problem.potential coefficient must be a number, got 'y'"),
@@ -165,10 +166,9 @@ class TestConfig:
          "sat potential needs a finite c >= 0 and cap > 0, got c=inf, cap=1.0"),
         ("problem.potential=sat:1:nan",
          "sat potential needs a finite c >= 0 and cap > 0, got c=1.0, cap=nan"),
-        ("problem.x0=coeffs: 1, nan", "x0 coefficients must be finite, got 'coeffs: 1, nan'"),
-        ("problem.x0=sine:2:inf", "x0 coefficients must be finite, got 'sine:2:inf'"),
-        ("problem.target=coeffs: 0.6, -inf",
-         "target coefficients must be finite, got 'coeffs: 0.6, -inf'"),
+        ("problem.x0=coeffs: 1, nan", "problem.x0 coefficient must be finite, got nan"),
+        ("problem.x0=sine:2:inf", "problem.x0 amplitude must be finite, got inf"),
+        ("problem.target=coeffs: 0.6, -inf", "problem.target coefficient must be finite, got -inf"),
         ("problem.potential=sat:0.3:0.5:7",
          "problem.potential must be sat:c[:cap], got 'sat:0.3:0.5:7'"),
         ("problem.x0=sine:2:1.0:junk", "problem.x0 must be sine:n[:amp], got 'sine:2:1.0:junk'"),
@@ -209,7 +209,9 @@ class TestConfig:
     def test_zero_fixed_point_tol_still_converges(self, config_file, capsys):
         # a tolerance of 0 asks for a bitwise-settled selection, which the
         # sticky strategy reaches
-        assert check_fixed_point_tol("0") == 0.0 and check_resolvent_tol("0") == 0.0
+        zero = ["solver.fixed_point_tol=0", "solver.resolvent_tol=0"]
+        exp = build_experiment(load_config(config_file, zero), config_file.parent)
+        assert exp.fixed_point_tol == 0.0 and exp.resolvent_tol == 0.0
         assert main(["sweep", str(config_file)] + SMALL_OVERRIDES
                     + ["--set", "solver.fixed_point_tol=0"]) == 0
         assert capsys.readouterr().out.count("converged=True") == 2
@@ -494,14 +496,18 @@ class TestCommands:
         assert (out / "sweep.csv").read_text().splitlines()[1] == (
             "epsilon,terminal_miss,control_energy,iterations,converged")
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--forcing-coeffs", "1,2,3,4,5,6,7,8,9"), ("--forcing-coeffs", "1,abc"),
-        ("--control-coeffs", "nan"), ("--control-coeffs", "0.2,inf"),
-        ("--forcing-coeffs", "0.4,,0.1"), ("--control-coeffs", "0.2,")])
-    def test_simulate_coefficient_flag_exits_1_naming_it(self, config_file, capsys, flag, value):
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--forcing-coeffs", "1,2,3,4,5,6,7,8,9", "takes at most 8 coefficients, got 9"),
+        ("--forcing-coeffs", "1,abc", "coefficient must be a number, got 'abc'"),
+        ("--control-coeffs", "nan", "coefficient must be finite, got nan"),
+        ("--control-coeffs", "0.2,inf", "coefficient must be finite, got inf"),
+        ("--forcing-coeffs", "0.4,,0.1", "coefficient must be a number, got ''"),
+        ("--control-coeffs", "0.2,", "coefficient must be a number, got ''")])
+    def test_simulate_coefficient_flag_exits_1_naming_it(self, config_file, capsys, flag, value,
+                                                         message):
+        # the flags are read by the parser of a `coeffs:` state
         assert main(["simulate", str(config_file), flag, value]) == 1
-        assert capsys.readouterr().err == (
-            f"usage error: {flag} takes at most 8 finite numbers, got {value!r}\n")
+        assert capsys.readouterr().err == f"usage error: {flag} {message}\n"
         assert not (config_file.parent / "out" / "trajectory.csv").exists()
 
     def test_validate_runs_without_mpmath(self, config_file):

@@ -655,10 +655,10 @@ class TestSweep:
             epsilon_sweep(model, gram, grid, abs_potential(0.0), z, x0, [1e-1, 1e-6])
         with pytest.raises(ValueError):
             epsilon_sweep(model, gram, grid, abs_potential(0.0), z, x0, [])
-        assert check_epsilons(["1e-1", 1e-5]) == [0.1, 1e-5]
+        assert check_epsilons([1e-1, 1e-5]) == [0.1, 1e-5]
         with pytest.raises(ValueError, match="1e-5"):
             check_epsilons([1e-1, 1e-6])
-        for bad in (["nan"], [math.inf], [1e-1, math.nan], [math.inf, 1e-1]):
+        for bad in ([math.nan], [math.inf], [1e-1, math.nan], [math.inf, 1e-1]):
             with pytest.raises(ValueError, match="sweep.epsilons must be finite"):
                 check_epsilons(bad)
 

@@ -85,6 +85,14 @@ class TestDualityMap:
         assert np.array_equal(jf, f)
         assert jf is not f
 
+    def test_general_formula_is_bitwise_identity_at_p2(self):
+        # ||f||^0 |f|^1 sign f rounds to f exactly; only -0.0 becomes +0.0
+        rng = np.random.default_rng(5)
+        for scale in np.logspace(-5.0, 5.0, 2000):
+            f = scale * rng.standard_normal(64)
+            f[rng.integers(64)] = -0.0
+            assert np.array_equal(duality_map(f, 2.0).view(np.int64), (f + 0.0).view(np.int64))
+
     def test_zero_maps_to_zero(self):
         assert np.all(duality_map(np.zeros(N_THETA), 4.0) == 0.0)
 
