@@ -36,8 +36,7 @@ from .config import Experiment, build_experiment, default_config_text, load_conf
     parse_coefficients
 from .control import ConvergenceError, regularized_resolvent
 from .evolve import l1_reference, mild_solution
-from .fracops import (gauss_legendre, gaussian_rows, mittag_leffler, mittag_leffler2,
-                      wright_density)
+from .fracops import gauss_legendre, gaussian_rows, ml_family, wright_density
 from .gramian import assemble_gramian, verify_gramian
 from .hvi import epsilon_sweep, free_terminal_miss
 from .lpspace import basis_values, duality_map, lp_norm, lp_norms
@@ -88,10 +87,9 @@ def _density_checks(alpha: float) -> tuple[float, float, float]:
     density = wright_density(alpha, tau)
     mass = float(wt @ density)
     lam = 1.0
-    sub1 = float(wt @ (density * np.exp(-lam * tau))) - mittag_leffler(alpha, -lam)
-    sub2 = alpha * float(wt @ (tau * density * np.exp(-lam * tau))) - mittag_leffler2(
-        alpha, alpha, -lam
-    )
+    e_state, e_force = (float(e[0]) for e in ml_family(alpha, (1.0, alpha), np.array([-lam])))
+    sub1 = float(wt @ (density * np.exp(-lam * tau))) - e_state
+    sub2 = alpha * float(wt @ (tau * density * np.exp(-lam * tau))) - e_force
     return mass - 1.0, sub1, sub2
 
 

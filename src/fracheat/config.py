@@ -183,14 +183,14 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Experim
     return ExperimentConfig(raw=raw, sha256=_hash(raw))
 
 
-def _parse_kernel(spec: str, base: Path) -> KernelSpec:
+def _parse_kernel(key: str, spec: str, base: Path) -> KernelSpec:
     spec = spec.strip()
     if spec in ("green", "min"):
         return KernelSpec(spec)
     if spec.startswith("table:"):
         table = np.loadtxt(base / spec[len("table:"):], delimiter=",")
         return KernelSpec("custom", table)
-    raise ValueError(f"kernel must be green, min or table:<path>, got {spec!r}")
+    raise ValueError(f"model.{key} must be green, min or table:<path>, got {spec!r}")
 
 
 def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
@@ -208,12 +208,13 @@ def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
         n = _number(parts[0], f"problem.{key} sine mode")
         amp = _number(parts[1], f"problem.{key} amplitude", float) if len(parts) > 1 else 1.0
         if not 1 <= n <= n_modes:
-            raise ValueError(f"sine mode {n} outside 1..{n_modes}")
+            raise ValueError(f"problem.{key} sine mode {n} outside 1..{n_modes}")
         if not math.isfinite(amp):
             raise ValueError(f"problem.{key} amplitude must be finite, got {amp}")
         out[n - 1] = amp
     elif spec != "zero":
-        raise ValueError(f"state must be zero, bump, coeffs:... or sine:n[:amp], got {spec!r}")
+        raise ValueError(f"problem.{key} must be zero, bump, coeffs:... or sine:n[:amp], "
+                         f"got {spec!r}")
     return out
 
 
@@ -237,7 +238,8 @@ def _parse_potential(spec: str, base: Path) -> NonsmoothPotential:
         pot = tabulated_potential(data[:, 0], data[:, 1])
         audit_potential(pot, np.linspace(-3.0, 3.0, 201))
         return pot
-    raise ValueError(f"potential must be zero, abs:c, sat:c[:cap] or table:<path>, got {spec!r}")
+    raise ValueError(f"problem.potential must be zero, abs:c, sat:c[:cap] or table:<path>, "
+                     f"got {spec!r}")
 
 
 @dataclass
@@ -276,8 +278,8 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
         n_modes,
         FracOrder(alpha, alpha1),
         horizon,
-        _parse_kernel(model_cfg["kernel_b"], base),
-        _parse_kernel(model_cfg["kernel_h"], base),
+        _parse_kernel("kernel_b", model_cfg["kernel_b"], base),
+        _parse_kernel("kernel_h", model_cfg["kernel_h"], base),
         p,
         n_theta,
     )

@@ -63,8 +63,10 @@ def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
 
     Where |u|^(p-1) or ||u||^(2-2p) overflows (p = 64 on the bundled data),
     the same formula runs on u / ||u||, whose norm is 1: DJ is 0-homogeneous.
-    That is not the rule everywhere since it rounds differently and moves the
-    pinned p = 4 outputs.
+    It is not the rule everywhere since it rounds differently: on the bundled
+    data at p = 4 it keeps `validate`'s output but moves the sweep's
+    `sweep.csv`, `summary.json` and its eps = 1e-2..1e-4 trajectory and
+    control files (the eps = 1e-1 ones keep their bits).
     """
     w = basis_matrix(model.n_modes, model.n_theta)
     u = w @ np.asarray(x, dtype=float)

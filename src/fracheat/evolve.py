@@ -26,8 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fracops import (TimeGrid, l1_coefficients, ml_family, ml_multipliers, product_lag_weights,
-                      row_blocks)
+from .fracops import TimeGrid, l1_coefficients, ml_family, product_lag_weights, row_blocks
 from .spectral import SpectralModel
 
 __all__ = [
@@ -92,7 +91,7 @@ class Propagator:
     def e_force(self) -> np.ndarray:
         """Rows k: E_{alpha,alpha}(lam t_k^alpha), the multipliers e(t_k)."""
         arguments = np.asarray(self.eigenvalues) * self._t_alpha
-        return _frozen(ml_multipliers(self.alpha, self.alpha, arguments))
+        return _frozen(ml_family(self.alpha, (self.alpha,), arguments)[0])
 
     @cached_property
     def e_moment(self) -> np.ndarray:
@@ -156,15 +155,22 @@ def propagator(model: SpectralModel, grid: TimeGrid) -> Propagator:
     return _shared(model.order.alpha, tuple(model.eigenvalues), grid.horizon, grid.steps)
 
 
-def _as_node_array(data, grid: TimeGrid, n_modes: int, name: str) -> np.ndarray | None:
-    if data is None:
-        return None
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (grid.steps + 1, n_modes):
-        raise ValueError(
-            f"{name} must have shape ({grid.steps + 1}, {n_modes}), got {arr.shape}"
-        )
-    return arr
+def _solver_inputs(model: SpectralModel, grid: TimeGrid, x0, forcing, control) -> tuple:
+    """(x0, forcing, control) as float arrays of shape (modes,) and, where
+    given, (steps+1, modes); a wrong shape raises a ValueError naming the
+    input."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.n_modes,):
+        raise ValueError(f"x0 must have shape ({model.n_modes},), got {x0.shape}")
+    nodes = []
+    for name, data in (("forcing", forcing), ("control", control)):
+        arr = None if data is None else np.asarray(data, dtype=float)
+        if arr is not None and arr.shape != (grid.steps + 1, model.n_modes):
+            raise ValueError(
+                f"{name} must have shape ({grid.steps + 1}, {model.n_modes}), got {arr.shape}"
+            )
+        nodes.append(arr)
+    return x0, *nodes
 
 
 def mild_solution(
@@ -177,11 +183,7 @@ def mild_solution(
     """Mild solution with node-sampled inputs that are already mapped into the
     state space (forcing = H g, control = B u, per node): the states, row k
     q(t_k), shape (steps+1, n_modes)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n_modes,):
-        raise ValueError(f"x0 must have shape ({model.n_modes},), got {x0.shape}")
-    forcing = _as_node_array(forcing, grid, model.n_modes, "forcing")
-    control = _as_node_array(control, grid, model.n_modes, "control")
+    x0, forcing, control = _solver_inputs(model, grid, x0, forcing, control)
 
     prop = propagator(model, grid)
     states = prop.e_state * x0
@@ -268,11 +270,7 @@ def l1_reference(
     modes are independent, so they are solved in column blocks
     (`fracops.row_blocks`, one (steps+1)-row per mode) into one states array:
     the symbol, the series inverse and the FFT spectra are per block."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n_modes,):
-        raise ValueError(f"x0 must have shape ({model.n_modes},), got {x0.shape}")
-    forcing = _as_node_array(forcing, grid, model.n_modes, "forcing")
-    control = _as_node_array(control, grid, model.n_modes, "control")
+    x0, forcing, control = _solver_inputs(model, grid, x0, forcing, control)
 
     alpha, steps = model.order.alpha, grid.steps
     c = 1.0 / (grid.dt**alpha * math.gamma(2.0 - alpha))

@@ -13,9 +13,10 @@ negligible (s >= 60), and in between the exact integral of E_{a,b}(-x),
 0 < b <= 1, on the cut of the collapsed Hankel contour, whose Gauss panels
 leave out the zero-width ones a degenerate peak edge would add.  Larger b
 is reduced to a base in (0, 1] with E_{a,b}(z) = (E_{a,b-a}(z) -
-1/Gamma(b-a)) / z; `ml_family` evaluates a family of b over one argument
-array, block by block, with one tail series and one cut integral per
-distinct base, as the propagator's E_{a,1} and E_{a,a+1} tables need.  At
+1/Gamma(b-a)) / z.  `ml_family` is the one Mittag-Leffler function: it
+evaluates a family of b over one argument array, block by block, with one
+tail series and one cut integral per distinct base, as the propagator's
+E_{a,1} and E_{a,a+1} tables need; a single b is the family (b,).  At
 alpha = 1 only b = 1 is taken, as exp; other b raise (commands keep
 alpha < 1, see `FracOrder`).
 The Wright density is its float series below tau0 and Kanter's nonnegative
@@ -38,9 +39,6 @@ import numpy as np
 __all__ = [
     "FracOrder",
     "TimeGrid",
-    "mittag_leffler",
-    "mittag_leffler2",
-    "ml_multipliers",
     "ml_family",
     "wright_density",
     "rl_integral",
@@ -185,22 +183,6 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 
 
-def mittag_leffler(alpha: float, z: float) -> float:
-    """One-parameter Mittag-Leffler E_alpha(z) for alpha in (0, 1]."""
-    return float(ml_family(alpha, (1.0,), np.array([float(z)]))[0][0])
-
-
-def mittag_leffler2(alpha: float, beta: float, z: float) -> float:
-    """Two-parameter Mittag-Leffler E_{alpha,beta}(z) for alpha in (0, 1], beta > 0
-    (beta = 1 only at alpha = 1)."""
-    return float(ml_family(alpha, (beta,), np.array([float(z)]))[0][0])
-
-
-def ml_multipliers(alpha: float, beta: float, arguments: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta} over an array of real arguments, same shape."""
-    return ml_family(alpha, (beta,), arguments)[0]
-
-
 def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
     """E_{alpha,beta} over one array of real arguments for each beta of
     `betas`: a list of arrays of the arguments' shape, in the order of `betas`.
@@ -212,8 +194,8 @@ def ml_family(alpha: float, betas, arguments) -> list[np.ndarray]:
     within a few ulps of a 12-decimal value is taken as that value, so that 1
     and (1 + a) - a are one base at every a.  Every value depends on its own
     argument, alpha and beta only, but for the Taylor term count, which
-    follows the largest |z| of the whole table; so each array is bitwise the
-    one `ml_multipliers` gives for its beta alone."""
+    follows the largest |z| of the whole table; so each array is bitwise what
+    `ml_family` gives for that beta alone."""
     alpha = float(alpha)
     betas = [float(beta) for beta in betas]
     if not 0.0 < alpha <= 1.0:

@@ -318,9 +318,9 @@ def check_epsilons(values) -> list[float]:
     if bad:
         raise ValueError(f"sweep.epsilons must be finite, got {bad[0]}")
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon list must be a nonempty strictly descending list")
+        raise ValueError("sweep.epsilons must be a nonempty strictly descending list")
     if eps[-1] < 1e-5:
-        raise ValueError("epsilon below the 1e-5 desk-scale floor")
+        raise ValueError(f"sweep.epsilons below the 1e-5 desk-scale floor, got {eps[-1]}")
     return eps
 
 

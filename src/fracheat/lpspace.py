@@ -18,7 +18,6 @@ import numpy as np
 from .fracops import row_blocks
 
 __all__ = [
-    "conjugate_exponent",
     "theta_grid",
     "lp_norm",
     "duality_map",
@@ -27,10 +26,6 @@ __all__ = [
     "basis_coefficients",
     "lp_norms",
 ]
-
-
-def conjugate_exponent(p: float) -> float:
-    return p / (p - 1.0)
 
 
 def theta_grid(n_theta: int) -> np.ndarray:

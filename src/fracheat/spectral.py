@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import FracOrder, gauss_legendre, ml_multipliers, row_blocks
-from .lpspace import basis_matrix, conjugate_exponent, theta_grid
+from .fracops import FracOrder, gauss_legendre, ml_family, row_blocks
+from .lpspace import basis_matrix, theta_grid
 
 __all__ = [
     "KernelSpec",
@@ -135,7 +135,7 @@ class SpectralModel:
 
     @property
     def dual_p(self) -> float:
-        return conjugate_exponent(self.p)
+        return self.p / (self.p - 1.0)
 
 
 def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> np.ndarray:
@@ -257,14 +257,14 @@ def state_multipliers(model: SpectralModel, t) -> np.ndarray:
     """Diagonal multipliers E_alpha(lambda_n t^alpha) of the homogeneous family;
     an array of times gives one row per time."""
     t = _check_time(model, t)
-    return ml_multipliers(model.order.alpha, 1.0, model.eigenvalues * t**model.order.alpha)
+    return ml_family(model.order.alpha, (1.0,), model.eigenvalues * t**model.order.alpha)[0]
 
 
 def forcing_multipliers(model: SpectralModel, t) -> np.ndarray:
     """Diagonal multipliers E_{alpha,alpha}(lambda_n t^alpha) of the Duhamel family."""
     t = _check_time(model, t)
     a = model.order.alpha
-    return ml_multipliers(a, a, model.eigenvalues * t**a)
+    return ml_family(a, (a,), model.eigenvalues * t**a)[0]
 
 
 @dataclass(frozen=True)

@@ -172,14 +172,29 @@ class TestConfig:
         ("problem.potential=sat:0.3:0.5:7",
          "problem.potential must be sat:c[:cap], got 'sat:0.3:0.5:7'"),
         ("problem.x0=sine:2:1.0:junk", "problem.x0 must be sine:n[:amp], got 'sine:2:1.0:junk'"),
+        ("model.kernel_b=foo", "model.kernel_b must be green, min or table:<path>, got 'foo'"),
+        ("model.kernel_h=foo", "model.kernel_h must be green, min or table:<path>, got 'foo'"),
+        ("problem.x0=sine:9", "problem.x0 sine mode 9 outside 1..8"),
+        ("problem.target=sine:0", "problem.target sine mode 0 outside 1..8"),
+        ("problem.x0=wave",
+         "problem.x0 must be zero, bump, coeffs:... or sine:n[:amp], got 'wave'"),
+        ("problem.target=wave",
+         "problem.target must be zero, bump, coeffs:... or sine:n[:amp], got 'wave'"),
+        ("problem.potential=quad:1",
+         "problem.potential must be zero, abs:c, sat:c[:cap] or table:<path>, got 'quad:1'"),
+        ("sweep.epsilons=", "sweep.epsilons must be a nonempty strictly descending list"),
+        ("sweep.epsilons=1e-2, 1e-1", "sweep.epsilons must be a nonempty strictly descending list"),
+        ("sweep.epsilons=1e-1, 1e-1", "sweep.epsilons must be a nonempty strictly descending list"),
+        ("sweep.epsilons=1e-1, 1e-6", "sweep.epsilons below the 1e-5 desk-scale floor, got 1e-06"),
         ("output.formats=", "output.formats must name csv, json or both, got ''"),
         ("output.formats= , ", "output.formats must name csv, json or both, got ','"),
     ])
     def test_model_and_problem_guard_exits_1_naming_its_key(self, config_file, capsys, setting,
                                                            message):
-        """A non-finite, empty or malformed model, problem or output setting
-        fails before any work, through the constructor that owns it, instead
-        of crashing or running on nonsense later, and writes no file."""
+        """A non-finite, empty, malformed or out-of-range model, problem, output
+        or sweep setting fails before any work, through the constructor that
+        owns it, instead of crashing or running on nonsense later, and writes
+        no file."""
         key = setting.split("=")[0].split(".")[1]
         assert key in message
         assert main(["sweep", str(config_file), "--set", setting]) == 1
@@ -359,7 +374,7 @@ class TestCommands:
         rel = float(out.split("cross-solver gap:")[1].split("relative")[0])
         assert rel <= 1e-3
         # homogeneous run: trajectory equals the relaxation of x0, column-wise
-        from fracheat.fracops import mittag_leffler
+        from fracheat.fracops import ml_family
         from fracheat.config import build_experiment, load_config
 
         cfg = load_config(config_file, ["model.modes=4", "solver.steps=96",
@@ -369,9 +384,8 @@ class TestCommands:
         for line in lines[2::24]:
             cells = [float(v) for v in line.split(",")]
             t = cells[1]
-            for n in range(4):
-                want = mittag_leffler(0.75, -((n + 1) ** 2) * t**0.75) * exp.x0[n]
-                assert cells[2 + n] == pytest.approx(want, abs=1e-12)
+            want = ml_family(0.75, (1.0,), -(np.arange(1.0, 5.0) ** 2) * t**0.75)[0] * exp.x0
+            assert cells[2:6] == pytest.approx(want, abs=1e-12)
 
     def test_gramian_export(self, config_file):
         rc = main(["gramian", str(config_file)] + SMALL_OVERRIDES)

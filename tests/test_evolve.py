@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import fracheat.fracops as fracops
-from fracheat.fracops import FracOrder, TimeGrid, l1_coefficients, mittag_leffler, \
-    mittag_leffler2, row_blocks
+from fracheat.fracops import FracOrder, TimeGrid, l1_coefficients, ml_family, row_blocks
 from fracheat.cli import _write_node_table
 from fracheat.evolve import l1_reference, mild_solution
 from fracheat.spectral import SpectralModel, build_model
@@ -45,11 +44,8 @@ class TestMildSolution:
         grid = TimeGrid(1.0, 64)
         x0 = np.array([1.0, -0.5, 0.25, 2.0])
         traj = mild_solution(model4, grid, x0)
-        for k, t in enumerate(grid.nodes):
-            want = np.array(
-                [mittag_leffler(0.75, lam * t**0.75) for lam in model4.eigenvalues]
-            ) * x0
-            assert np.allclose(traj[k], want, atol=1e-13)
+        want = ml_family(0.75, (1.0,), model4.eigenvalues * grid.nodes[:, None] ** 0.75)[0] * x0
+        assert np.allclose(traj, want, atol=1e-13)
 
     def test_constant_forcing_single_mode_analytic(self, model4):
         grid = TimeGrid(1.0, 512)
@@ -57,7 +53,8 @@ class TestMildSolution:
         c = 1.3
         forcing = np.tile(np.array([c, 0.0, 0.0, 0.0]), (grid.steps + 1, 1))
         traj = mild_solution(model4, grid, x0, forcing=forcing)
-        want = mittag_leffler(0.75, -1.0) * 0.7 + c * mittag_leffler2(0.75, 1.75, -1.0)
+        e_state, e_ratio = ml_family(0.75, (1.0, 1.75), np.array([-1.0]))
+        want = e_state[0] * 0.7 + c * e_ratio[0]
         err = abs(traj[-1][0] - want)
         assert err <= 1e-4  # contract tolerance at 512 steps
         assert err <= 1e-10  # endpoint-anchored rule is exact for constants
@@ -101,12 +98,20 @@ class TestMildSolution:
         assert d2 < d1
         assert d1 / d2 >= 1.8  # at least first-order decay of the increments
 
-    def test_shape_guards(self, model4):
-        grid = TimeGrid(1.0, 16)
-        with pytest.raises(ValueError):
-            mild_solution(model4, grid, np.zeros(3))
-        with pytest.raises(ValueError):
-            mild_solution(model4, grid, np.zeros(4), forcing=np.zeros((5, 4)))
+    @pytest.mark.parametrize("solver", [mild_solution, l1_reference])
+    @pytest.mark.parametrize("inputs,message", [
+        ({"x0": np.zeros(3)}, "x0 must have shape (4,), got (3,)"),
+        ({"forcing": np.zeros((5, 4))}, "forcing must have shape (17, 4), got (5, 4)"),
+        ({"control": np.zeros((17, 3))}, "control must have shape (17, 4), got (17, 3)"),
+        ({"forcing": np.zeros(4), "control": np.zeros(4)},
+         "forcing must have shape (17, 4), got (4,)"),
+    ], ids=["x0-short", "forcing-rows", "control-modes", "forcing-first"])
+    def test_shape_guards(self, model4, solver, inputs, message):
+        """Both solvers reject a wrong-shaped x0, forcing or control with one
+        message naming the input, checked in that order."""
+        with pytest.raises(ValueError) as err:
+            solver(model4, TimeGrid(1.0, 16), **{"x0": np.zeros(4), **inputs})
+        assert str(err.value) == message
 
 
 @lru_cache(maxsize=2)

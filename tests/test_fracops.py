@@ -8,8 +8,7 @@ from fracheat.fracops import (
     TimeGrid,
     caputo_derivative,
     gauss_legendre,
-    mittag_leffler,
-    mittag_leffler2,
+    ml_family,
     rl_integral,
     wright_density,
 )
@@ -25,32 +24,31 @@ RL_06_SIN_1 = 0.627597028720523571
 
 class TestMittagLeffler:
     def test_empty_sum_identity(self):
-        assert mittag_leffler(0.75, 0.0) == 1.0
+        assert ml_family(0.75, (1.0,), np.array([0.0]))[0][0] == 1.0
 
     def test_exponential_case(self):
-        assert mittag_leffler(1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
+        assert ml_family(1.0, (1.0,), np.array([1.0]))[0][0] == pytest.approx(math.e, rel=1e-14)
 
     def test_frozen_series_value(self):
-        assert mittag_leffler(0.75, -1.0) == pytest.approx(E_075_M1, rel=1e-12)
+        got = ml_family(0.75, (1.0,), np.array([-1.0]))[0][0]
+        assert got == pytest.approx(E_075_M1, rel=1e-12)
 
     def test_domain_errors(self):
         for bad in (0.0, -0.3, 1.2):
             with pytest.raises(ValueError):
-                mittag_leffler(bad, 1.0)
+                ml_family(bad, (1.0,), np.array([1.0]))
         with pytest.raises(ValueError):
-            mittag_leffler(0.75, math.inf)
+            ml_family(0.75, (1.0,), np.array([math.inf]))
 
     @pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 0.9, 0.999, 1.0])
     def test_accuracy_contract(self, alpha):
-        for z in np.concatenate([np.linspace(-50.0, 5.0, 23), [-0.01, 0.0]]):
-            got = mittag_leffler(alpha, float(z))
-            want = ml_oracle(alpha, 1.0, float(z))
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+        z = np.concatenate([np.linspace(-50.0, 5.0, 23), [-0.01, 0.0]])
+        want = [ml_oracle(alpha, 1.0, float(v)) for v in z]
+        assert ml_family(alpha, (1.0,), z)[0] == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
     def test_completely_monotone_range(self, alpha):
-        x = np.linspace(0.0, 50.0, 201)
-        vals = np.array([mittag_leffler(alpha, -xi) for xi in x])
+        vals = ml_family(alpha, (1.0,), -np.linspace(0.0, 50.0, 201))[0]
         assert np.all(vals > 0.0)
         assert np.all(vals <= 1.0)
         assert np.all(np.diff(vals) < 0.0)
@@ -58,30 +56,28 @@ class TestMittagLeffler:
 
 class TestMittagLeffler2:
     def test_first_series_term(self):
-        assert mittag_leffler2(0.75, 0.75, 0.0) == pytest.approx(
+        assert ml_family(0.75, (0.75,), np.array([0.0]))[0][0] == pytest.approx(
             1.0 / math.gamma(0.75), rel=1e-14
         )
 
     def test_exponential_case(self):
-        assert mittag_leffler2(1.0, 1.0, -2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        got = ml_family(1.0, (1.0,), np.array([-2.0]))[0][0]
+        assert got == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_frozen_series_value(self):
-        assert mittag_leffler2(0.6, 0.6, -3.0) == pytest.approx(E_06_06_M3, rel=1e-12)
+        got = ml_family(0.6, (0.6,), np.array([-3.0]))[0][0]
+        assert got == pytest.approx(E_06_06_M3, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            mittag_leffler2(1.5, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            mittag_leffler2(0.75, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            mittag_leffler2(0.75, -1.0, 0.0)
+        for alpha, beta in ((1.5, 1.0), (0.75, 0.0), (0.75, -1.0)):
+            with pytest.raises(ValueError):
+                ml_family(alpha, (beta,), np.array([0.0]))
 
     @pytest.mark.parametrize("alpha,beta", [(0.6, 0.6), (0.75, 1.75), (0.9, 0.9), (0.75, 2.0)])
     def test_accuracy_contract(self, alpha, beta):
-        for z in np.linspace(-50.0, 5.0, 12):
-            got = mittag_leffler2(alpha, beta, float(z))
-            want = ml_oracle(alpha, beta, float(z))
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+        z = np.linspace(-50.0, 5.0, 12)
+        want = [ml_oracle(alpha, beta, float(v)) for v in z]
+        assert ml_family(alpha, (beta,), z)[0] == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
 class TestWrightDensity:
@@ -113,10 +109,11 @@ class TestWrightDensity:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_subordination_identities(self, alpha, lam):
         tau, w, vals = density_on_gauss_grid(alpha)
+        e_state, e_force = ml_family(alpha, (1.0, alpha), np.array([-lam]))
         first = float(w @ (vals * np.exp(-lam * tau)))
-        assert abs(first - mittag_leffler(alpha, -lam)) <= 1e-6
+        assert abs(first - e_state[0]) <= 1e-6
         second = alpha * float(w @ (tau * vals * np.exp(-lam * tau)))
-        assert abs(second - mittag_leffler2(alpha, alpha, -lam)) <= 1e-6
+        assert abs(second - e_force[0]) <= 1e-6
 
 
 class TestFractionalIntegral:

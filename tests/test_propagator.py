@@ -24,7 +24,7 @@ import fracheat.fracops as fracops
 from fracheat.control import closed_loop_trajectory, coordinate_duality_map, \
     deficiency_vector, regularized_resolvent
 from fracheat.evolve import Propagator, mild_solution
-from fracheat.fracops import TimeGrid, ml_multipliers, product_lag_weights, rl_integral
+from fracheat.fracops import TimeGrid, ml_family, product_lag_weights, rl_integral
 from fracheat.gramian import assemble_gramian
 from fracheat.evolve import propagator
 from fracheat.spectral import forcing_multipliers
@@ -90,9 +90,9 @@ def reference_tables(model, grid):
     alpha = model.order.alpha
     t = np.linspace(0.0, grid.horizon, grid.steps + 1)
     args = lam[None, :] * (t[:, None] ** alpha)
-    e_state = ml_multipliers(alpha, 1.0, args)
-    e_force = ml_multipliers(alpha, alpha, args)
-    e_moment = (t[:, None] ** alpha) * ml_multipliers(alpha, alpha + 1.0, args)
+    e_state = ml_family(alpha, (1.0,), args)[0]
+    e_force = ml_family(alpha, (alpha,), args)[0]
+    e_moment = (t[:, None] ** alpha) * ml_family(alpha, (alpha + 1.0,), args)[0]
     return e_state, e_force, e_moment
 
 
@@ -368,7 +368,7 @@ def test_state_and_moment_tables_share_one_cut_integral(alpha, model_p2, monkeyp
     assert calls[2:] == [("_ml_tail_series", alpha), ("_ml_cut_integral", alpha)]
     t_alpha = np.linspace(0.0, 1.0, 513)[:, None] ** alpha
     args = np.asarray(lam) * t_alpha
-    want = (ml_multipliers(alpha, 1.0, args), ml_multipliers(alpha, alpha, args),
-            t_alpha * ml_multipliers(alpha, alpha + 1.0, args))
+    want = (ml_family(alpha, (1.0,), args)[0], ml_family(alpha, (alpha,), args)[0],
+            t_alpha * ml_family(alpha, (alpha + 1.0,), args)[0])
     for got, ref in zip((e_state, e_force, e_moment), want):
         assert np.array_equal(got, ref) and not got.flags.writeable

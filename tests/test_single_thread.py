@@ -31,7 +31,7 @@ import fracheat.cli as cli_module
 from fracheat.cli import _density_checks, _write_csv, _write_node_table, main
 from fracheat.config import build_experiment, load_config
 from fracheat.evolve import mild_solution
-from fracheat.fracops import mittag_leffler, mittag_leffler2, wright_density
+from fracheat.fracops import ml_family, wright_density
 from fracheat.gramian import assemble_gramian
 from fracheat.hvi import (
     SweepEntry,
@@ -116,8 +116,9 @@ def old_density_checks(alpha):
     tau = 0.5 * tau_cut * (x + 1.0)
     wt = 0.5 * tau_cut * w
     density = wright_density(alpha, tau)
-    sub1 = float(wt @ (density * np.exp(-tau))) - mittag_leffler(alpha, -1.0)
-    sub2 = alpha * float(wt @ (tau * density * np.exp(-tau))) - mittag_leffler2(alpha, alpha, -1.0)
+    e_state, e_force = ml_family(alpha, (1.0, alpha), np.array([-1.0]))
+    sub1 = float(wt @ (density * np.exp(-tau))) - float(e_state[0])
+    sub2 = alpha * float(wt @ (tau * density * np.exp(-tau))) - float(e_force[0])
     return float(wt @ density) - 1.0, sub1, sub2
 
 

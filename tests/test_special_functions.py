@@ -28,8 +28,7 @@ from scipy.integrate import quad
 
 import fracheat.fracops as fracops
 from fracheat.fracops import _CUT_EDGES, _CUT_W, _CUT_X, _PEAK_WIDTHS, _TAYLOR_S_MAX, \
-    _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, _ml_cut_integral, ml_family, \
-    ml_multipliers, row_blocks, wright_density
+    _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, _ml_cut_integral, ml_family, row_blocks, wright_density
 
 from conftest import ml_oracle, traced_peak
 
@@ -162,7 +161,7 @@ def seam_arguments(alpha: float) -> np.ndarray:
 def test_mittag_leffler_table_against_oracle_and_scalar_reference(alpha, beta_kind):
     beta = BETA[beta_kind](alpha)
     z = seam_arguments(alpha)
-    got = ml_multipliers(alpha, beta, z)
+    got = ml_family(alpha, (beta,), z)[0]
     oracle = np.array([ml_oracle(alpha, beta, float(v)) for v in z])
     scalar = np.array([reference_ml(alpha, beta, float(v)) for v in z])
     assert np.max(np.abs(got - oracle) / np.abs(oracle)) <= REL_TOL
@@ -172,10 +171,10 @@ def test_mittag_leffler_table_against_oracle_and_scalar_reference(alpha, beta_ki
 @pytest.mark.parametrize("alpha", [0.1, 0.3])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 1.3])
 def test_mittag_leffler_below_one_half(alpha, beta):
-    # outside FracOrder but inside mittag_leffler2's domain: the cut integral
+    # outside FracOrder but inside ml_family's domain: the cut integral
     # then needs more geometric panels toward r = 0 (r^alpha decays slowly)
     z = -(np.geomspace(5.01, 59.9, 8) ** alpha)
-    got = ml_multipliers(alpha, beta, z)
+    got = ml_family(alpha, (beta,), z)[0]
     want = np.array([ml_oracle(alpha, beta, float(v)) for v in z])
     assert np.max(np.abs(got - want) / np.abs(want)) <= REL_TOL
 
@@ -186,7 +185,7 @@ def test_mittag_leffler_below_one_half(alpha, beta):
 def test_mittag_leffler_across_branch_seams(alpha, beta_kind, seam, side):
     beta = BETA[beta_kind](alpha)
     z = -((seam * (1.0 + side * 1e-9)) ** alpha)
-    got = float(ml_multipliers(alpha, beta, np.array([z]))[0])
+    got = float(ml_family(alpha, (beta,), np.array([z]))[0][0])
     want = ml_oracle(alpha, beta, z)
     assert abs(got - want) <= REL_TOL * abs(want)
 
@@ -220,7 +219,7 @@ def test_table_evaluation_is_blocked():
     # the bundled model's table: 513 nodes x 8 modes, ~44 % on the cut
     # integral; evaluated in one block its temporaries peak near 48 MB
     z = -(np.arange(1.0, 9.0) ** 2) * np.linspace(0.0, 1.0, 513)[:, None] ** 0.75
-    table, peak = traced_peak(lambda: ml_multipliers(0.75, 0.75, z))
+    table, peak = traced_peak(lambda: ml_family(0.75, (0.75,), z)[0])
     assert table.shape == z.shape
     assert peak <= 4e6
 
@@ -238,9 +237,9 @@ def chain_length(alpha: float, beta: float) -> int:
 def test_pruned_cut_integral_matches_full_panel_reference(alpha, beta_kind, monkeypatch):
     beta = CUT_BETA[beta_kind](alpha)
     z = seam_arguments(alpha)
-    got = ml_multipliers(alpha, beta, z)
+    got = ml_family(alpha, (beta,), z)[0]
     monkeypatch.setattr(fracops, "_ml_cut_integral", reference_cut_integral)
-    want = ml_multipliers(alpha, beta, z)
+    want = ml_family(alpha, (beta,), z)[0]
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
@@ -282,12 +281,16 @@ def test_family_is_bitwise_separate_calls(alpha):
     assert {chain_length(alpha, b) for b in betas} >= {0, 1, 2}
     table = -(np.arange(1.0, 9.0) ** 2) * np.linspace(0.0, 1.0, 129)[:, None] ** alpha
     spread = np.concatenate([seam_arguments(alpha), -np.geomspace(1e-3, 1e3, 200), [0.0, 0.7]])
-    for z in (table, spread):
+    # `validate`'s arguments: E(-1) for the subordination checks, and -n^2 t^alpha
+    # at 200 random times for the family bounds
+    validate_times = np.random.default_rng(7).uniform(0.0, 1.0, (200, 1))
+    validate_table = -(np.arange(1.0, 9.0) ** 2) * validate_times**alpha
+    for z in (table, spread, np.array([-1.0]), validate_table):
         family = ml_family(alpha, betas, z)
         assert len(family) == len(betas)
         for beta, got in zip(betas, family):
             assert got.shape == z.shape
-            assert np.array_equal(got, ml_multipliers(alpha, beta, z))
+            assert np.array_equal(got, ml_family(alpha, (beta,), z)[0])
 
 
 def test_family_shares_one_cut_integral_per_base(monkeypatch):

@@ -30,7 +30,7 @@ from fracheat.fracops import (_ASYMPTOTIC_S_MIN, _BLOCK_BYTES, _CUT_EDGES, _CUT_
                               _KANTER_LEFT, _KANTER_RIGHT, _KANTER_W, _KANTER_X, _PEAK_WIDTHS,
                               _WRIGHT_TAU0, _canonical_base, _lgamma, _ml_cut_integral,
                               _ml_tail_series, _ml_taylor, _rgamma, _taylor_branch, _taylor_terms,
-                              _wright_kanter, _wright_log_a, ml_family, ml_multipliers, row_blocks,
+                              _wright_kanter, _wright_log_a, ml_family, row_blocks,
                               wright_density)
 from fracheat.gramian import assemble_gramian
 from fracheat.hvi import fixed_point_iterate
@@ -276,7 +276,7 @@ def test_bundled_table_working_set():
     # about three block arrays of at most 120 KiB per branch; 2.3 MB with
     # every cut integral and Taylor temporary of a 256 KiB block alive at once
     z = bundled_table()
-    table, peak = traced_peak(lambda: ml_multipliers(0.75, 0.75, z))
+    table, peak = traced_peak(lambda: ml_family(0.75, (0.75,), z)[0])
     assert table.shape == z.shape
     assert peak <= 1.6e6
 
