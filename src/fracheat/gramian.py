@@ -7,7 +7,10 @@ the nodes and terminal weights of the time grid's `evolve.Propagator`, the
 instance the closed loop reads on that grid.  Each quadrature term is
 symmetric positive semidefinite with a positive weight, so symmetry and
 positivity are structural, matching the operator's proven properties; the
-verification report re-derives them numerically anyway.
+verification report re-derives them numerically anyway.  One eigensolve of
+the symmetrized Gramian gives both its smallest eigenvalue (positivity) and
+its smallest |eigenvalue|, which for a symmetric matrix is its smallest
+singular value (injectivity of the truncated model, with that of B).
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ def gramian_norm_bound(model: SpectralModel) -> float:
 class GramianReport:
     symmetry_defect: float
     min_eigenvalue: float
+    sigma_min: float  # smallest |eigenvalue| of the same eigensolve: sigma_min(G)
+    sigma_min_b: float  # smallest |eigenvalue| of the symmetric B: sigma_min(B)
     quadratic_form_gap: float
     norm_bound: float
     norm_bound_slack: float
@@ -88,7 +93,8 @@ def verify_gramian(
     `terminal_weights` and `e_force` of `grid` per sample, so it checks the
     assembly's algebra and cannot see the Gramian's quadrature error."""
     defect = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
-    min_eig = float(np.linalg.eigvalsh(0.5 * (gram + gram.T)).min())
+    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    min_eig = float(eigs.min())
 
     prop = propagator(model, grid)
     weights, mults = prop.terminal_weights, prop.e_force
@@ -108,6 +114,8 @@ def verify_gramian(
     return GramianReport(
         symmetry_defect=defect,
         min_eigenvalue=min_eig,
+        sigma_min=float(np.min(np.abs(eigs))),
+        sigma_min_b=float(np.min(np.abs(np.linalg.eigvalsh(model.b_matrix)))),
         quadratic_form_gap=worst_gap,
         norm_bound=bound,
         norm_bound_slack=worst_slack,

@@ -2,8 +2,11 @@
 
 The generator is diagonal in the orthonormal sine basis with eigenvalues
 -n^2, so both operator families act as Mittag-Leffler multipliers on basis
-coefficients.  The input and coupling operators are kernel integral operators
-assembled into basis-coordinate matrices.
+coefficients: E_alpha(lambda_n t^alpha) for the state family and
+E_{alpha,alpha}(lambda_n t^alpha) for the Duhamel family, which callers take
+from `fracops.ml_family` on `eigenvalues * t^alpha`.  The input and coupling
+operators are kernel integral operators assembled into basis-coordinate
+matrices.  This module builds the model and nothing else.
 """
 
 from __future__ import annotations
@@ -13,19 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import FracOrder, gauss_legendre, ml_family, row_blocks
+from .fracops import FracOrder, gauss_legendre, row_blocks
 from .lpspace import basis_matrix, theta_grid
 
 __all__ = [
     "KernelSpec",
     "SpectralModel",
-    "InjectivityReport",
     "green_kernel",
     "min_kernel",
     "build_model",
-    "state_multipliers",
-    "forcing_multipliers",
-    "injectivity_diagnostic",
 ]
 
 _KERNEL_KINDS = ("green", "min", "custom")
@@ -243,51 +242,3 @@ def build_model(
         b_norm_bound=b_norm,
         h_norm_bound=h_norm,
     )
-
-
-def _check_time(model: SpectralModel, t) -> np.ndarray:
-    """t (a float or an array) clipped to [0, horizon], with a trailing mode axis."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((-1e-12 <= t) & (t <= model.horizon * (1.0 + 1e-12))):
-        raise ValueError(f"t={t} outside [0, {model.horizon}]")
-    return np.clip(t, 0.0, model.horizon)[..., None]
-
-
-def state_multipliers(model: SpectralModel, t) -> np.ndarray:
-    """Diagonal multipliers E_alpha(lambda_n t^alpha) of the homogeneous family;
-    an array of times gives one row per time."""
-    t = _check_time(model, t)
-    return ml_family(model.order.alpha, (1.0,), model.eigenvalues * t**model.order.alpha)[0]
-
-
-def forcing_multipliers(model: SpectralModel, t) -> np.ndarray:
-    """Diagonal multipliers E_{alpha,alpha}(lambda_n t^alpha) of the Duhamel family."""
-    t = _check_time(model, t)
-    a = model.order.alpha
-    return ml_family(a, (a,), model.eigenvalues * t**a)[0]
-
-
-@dataclass(frozen=True)
-class InjectivityReport:
-    sigma_min_b: float
-    sigma_min_gramian: float
-    controllable: bool
-
-    @property
-    def verdict(self) -> str:
-        return (
-            "approximately controllable (truncated)"
-            if self.controllable
-            else "degenerate (truncated)"
-        )
-
-
-def injectivity_diagnostic(model: SpectralModel, gramian_matrix: np.ndarray) -> InjectivityReport:
-    """Truncated-model controllability check: the smallest singular values of
-    the input matrix and of the Gramian, each against 1e-9.  Both are
-    symmetric (the Gramian up to rounding, so it is symmetrized first), so a
-    smallest singular value is the smallest |eigenvalue|."""
-    g = np.asarray(gramian_matrix, float)
-    sigma_b, sigma_g = (float(np.min(np.abs(np.linalg.eigvalsh(m))))
-                        for m in (model.b_matrix, 0.5 * (g + g.T)))
-    return InjectivityReport(sigma_b, sigma_g, sigma_b > 1e-9 and sigma_g > 1e-9)

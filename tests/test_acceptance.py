@@ -20,7 +20,6 @@ from fracheat.fracops import TimeGrid, caputo_derivative, ml_family, rl_integral
 from fracheat.gramian import assemble_gramian, verify_gramian
 from fracheat.hvi import abs_potential, epsilon_sweep, free_terminal_miss, hvi_residual
 from fracheat.lpspace import lp_norms
-from fracheat.spectral import forcing_multipliers, state_multipliers
 
 from conftest import bump_coefficients, density_on_gauss_grid, ml_oracle
 
@@ -111,14 +110,16 @@ def test_criterion_2_fractional_calculus():
 def test_criterion_3_operator_families(model_p2):
     rng = np.random.default_rng(2024)
     m = model_p2.m_bound
-    bound_t = m / math.gamma(model_p2.order.alpha)
+    alpha = model_p2.order.alpha
+    bound_t = m / math.gamma(alpha)
     worst_s = 0.0
     worst_t = 0.0
     for _ in range(1000):
         t = rng.uniform(0.0, model_p2.horizon)
         x = rng.standard_normal(model_p2.n_modes)
-        nx, ns, nt = lp_norms([x, state_multipliers(model_p2, t) * x,
-                               forcing_multipliers(model_p2, t) * x], 256, 2.0)
+        # state (beta = 1) and Duhamel (beta = alpha) multipliers at t
+        s, f = ml_family(alpha, (1.0, alpha), model_p2.eigenvalues * t**alpha)
+        nx, ns, nt = lp_norms([x, s * x, f * x], 256, 2.0)
         worst_s = max(worst_s, float(ns / nx))
         worst_t = max(worst_t, float(nt / nx))
     diag_defect = max(

@@ -338,6 +338,31 @@ class TestCommands:
         assert duality.shape == (20, 4) and audit.shape == (50, 4)
         assert not any(np.array_equal(a, d) for a in audit for d in duality)
 
+    def test_validate_makes_one_family_call_and_one_gramian_eigensolve(self, monkeypatch, capsys):
+        # on the bundled config with a cold propagator, as in a fresh process:
+        # ml_family once for the density checks, once for both family bounds
+        # and once for the Gramian's e_force; eigvalsh once on the symmetrized
+        # Gramian (positivity and injectivity) and once on B
+        import fracheat.evolve as evolve_module
+        from fracheat.fracops import ml_family
+
+        counts = {"eigvalsh": 0, "ml_family": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fracheat") and getattr(module, "ml_family", None) is ml_family:
+                monkeypatch.setattr(module, "ml_family", counting("ml_family", ml_family))
+        evolve_module._shared.cache_clear()
+        assert main(["validate", str(BUNDLED)]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        assert counts == {"eigvalsh": 2, "ml_family": 3}
+
     def test_validate_rejects_bad_alpha(self, config_file, capsys):
         rc = main(["validate", str(config_file), "--set", "model.alpha=0.4"])
         assert rc == 1

@@ -20,10 +20,10 @@ from fracheat.control import (
     theta_constant,
 )
 from fracheat.evolve import mild_solution
-from fracheat.fracops import TimeGrid
+from fracheat.fracops import TimeGrid, ml_family
 from fracheat.gramian import assemble_gramian
 from fracheat.lpspace import basis_matrix, duality_map, lp_norm, lp_norms
-from fracheat.spectral import build_model, forcing_multipliers
+from fracheat.spectral import build_model
 
 from conftest import ORDER, bump_coefficients
 
@@ -363,7 +363,7 @@ class TestControlSynthesis:
         b11 = model.b_matrix[0, 0]
         for j in (0, 128, 511):
             t = grid.nodes[j]
-            mult = forcing_multipliers(model, 1.0 - t)[0]
+            mult = ml_family(0.75, (0.75,), model.eigenvalues * (1.0 - t) ** 0.75)[0][0]
             want = b11 * mult * d[0] / (eps + g11)
             assert control[j, 0] == pytest.approx(want, rel=1e-10)
 

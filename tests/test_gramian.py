@@ -1,19 +1,80 @@
+import dataclasses
 import math
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from fracheat.fracops import TimeGrid
-from fracheat.cli import main
+from fracheat.cli import cmd_validate, main
 from fracheat.config import build_experiment, default_config_text, load_config
 from fracheat.gramian import assemble_gramian, gramian_norm_bound, verify_gramian
-from fracheat.lpspace import lp_norms
-from fracheat.spectral import build_model, injectivity_diagnostic
+from fracheat.lpspace import lp_norms, theta_grid
+from fracheat.spectral import KernelSpec, build_model, green_kernel
 
 from conftest import ORDER
 
+BUNDLED = Path(__file__).resolve().parents[1] / "configs" / "heat_default.cfg"
+
 # pi^2 * int_0^1 s^(-1/4) E_{3/4,3/4}(-s^(3/4))^2 ds, adaptive quadrature at 40 digits
 G11_EXACT = 3.08492157961024642
+
+
+class InjectivityReport(NamedTuple):
+    """The report of the earlier `spectral.injectivity_diagnostic`."""
+
+    sigma_min_b: float
+    sigma_min_gramian: float
+    controllable: bool
+
+    @property
+    def verdict(self) -> str:
+        return (
+            "approximately controllable (truncated)"
+            if self.controllable
+            else "degenerate (truncated)"
+        )
+
+
+def injectivity_diagnostic(model, gramian_matrix) -> InjectivityReport:
+    """The earlier injectivity check, which ran its own eigensolve of the
+    symmetrized Gramian next to `verify_gramian`'s: the smallest |eigenvalue|
+    of B and of the Gramian, each against 1e-9."""
+    g = np.asarray(gramian_matrix, float)
+    sigma_b, sigma_g = (float(np.min(np.abs(np.linalg.eigvalsh(m))))
+                        for m in (model.b_matrix, 0.5 * (g + g.T)))
+    return InjectivityReport(sigma_b, sigma_g, sigma_b > 1e-9 and sigma_g > 1e-9)
+
+
+@pytest.fixture(scope="module")
+def bundled_exp():
+    return build_experiment(load_config(BUNDLED), BUNDLED.parent)
+
+
+def validate_injectivity_line(exp, model, capsys) -> str:
+    """The injectivity line `validate` prints for `model` on the bundled
+    experiment's grid and seed."""
+    assert cmd_validate(dataclasses.replace(exp, model=model)) in (0, 1)
+    line, = (s for s in capsys.readouterr().out.splitlines() if "] injectivity: " in s)
+    return line
+
+
+def zeroed_mode_model(model):
+    crippled = np.array(model.b_matrix)
+    crippled[4, :] = 0.0
+    crippled[:, 4] = 0.0
+    return dataclasses.replace(model, b_matrix=crippled)
+
+
+def kernel_model(kind):
+    """An 8-mode model with a "green" or "min" input kernel, or "table": a
+    midpoint-sampled symmetric kernel."""
+    theta = theta_grid(64)[:, None]
+    table = green_kernel(theta, theta.T) + 0.5 * np.minimum(theta, theta.T) * np.minimum(
+        math.pi - theta, math.pi - theta.T)
+    spec = KernelSpec("custom", table) if kind == "table" else KernelSpec(kind)
+    return build_model(8, ORDER, 1.0, spec, None, 2.0, 256)
 
 
 @pytest.fixture(scope="module")
@@ -91,24 +152,91 @@ class TestVerification:
 
 
 class TestMinSingular:
-    """sigma_min(G) as `injectivity_diagnostic` reports it (and `gramian` prints it)."""
+    """sigma_min(G) as `verify_gramian` reports it (and `gramian` prints it)."""
 
-    def test_diagonal_case(self, model_p2, gram_p2):
-        assert injectivity_diagnostic(model_p2, gram_p2).sigma_min_gramian == pytest.approx(
+    def test_diagonal_case(self, model_p2, gram_p2, grid_512):
+        assert verify_gramian(gram_p2, model_p2, grid_512).sigma_min == pytest.approx(
             np.diag(gram_p2).min(), rel=1e-10
         )
 
-    def test_synthetic_zero_mode(self, model_p2, gram_p2):
+    def test_synthetic_zero_mode(self, model_p2, gram_p2, grid_512):
         g = np.array(gram_p2)
         g[5, :] = 0.0
         g[:, 5] = 0.0
-        assert injectivity_diagnostic(model_p2, g).sigma_min_gramian == pytest.approx(
+        assert verify_gramian(g, model_p2, grid_512).sigma_min == pytest.approx(
             0.0, abs=1e-14)
 
-    def test_against_eigendecomposition_oracle(self, model_p2, gram_p2):
+    def test_against_eigendecomposition_oracle(self, model_p2, gram_p2, grid_512):
         oracle = math.sqrt(min(np.linalg.eigvalsh(gram_p2.T @ gram_p2)))
-        assert injectivity_diagnostic(model_p2, gram_p2).sigma_min_gramian == pytest.approx(
+        assert verify_gramian(gram_p2, model_p2, grid_512).sigma_min == pytest.approx(
             oracle, rel=1e-8)
+
+
+class TestInjectivity:
+    """`verify_gramian`'s sigma_min(B) and sigma_min(G), and the verdict
+    `validate` prints from them.  Each check passes a Gramian assembled on the
+    test's own model, as the `validate` and `gramian` commands do."""
+
+    @pytest.mark.parametrize("name", ["bundled", "single-mode", "zeroed-mode", "min", "table"])
+    def test_matches_the_earlier_diagnostic(self, name, bundled_exp, model_p2, capsys):
+        model = {
+            "bundled": lambda: bundled_exp.model,
+            "single-mode": lambda: build_model(1, ORDER, 1.0, None, None, 2.0, 256),
+            "zeroed-mode": lambda: zeroed_mode_model(model_p2),
+            "min": lambda: kernel_model("min"),
+            "table": lambda: kernel_model("table"),
+        }[name]()
+        gram = assemble_gramian(model, bundled_exp.grid)
+        old = injectivity_diagnostic(model, gram)
+        rep = verify_gramian(gram, model, bundled_exp.grid)
+        assert rep.sigma_min == old.sigma_min_gramian  # bit for bit
+        assert rep.sigma_min_b == old.sigma_min_b
+        assert validate_injectivity_line(bundled_exp, model, capsys) == (
+            f"[{'PASS' if old.controllable else 'FAIL'}] injectivity: {old.verdict}: "
+            f"sigma_min(B)={old.sigma_min_b:.3e} sigma_min(G)={old.sigma_min_gramian:.3e}")
+        assert old.controllable == (name != "zeroed-mode")
+
+    def test_green_model_positive(self, model_p2, gram_p2, grid_512, bundled_exp, capsys):
+        rep = verify_gramian(gram_p2, model_p2, grid_512)
+        assert rep.sigma_min_b == pytest.approx(math.pi / 64.0, abs=1e-8)
+        assert validate_injectivity_line(bundled_exp, model_p2, capsys).startswith(
+            "[PASS] injectivity: approximately controllable (truncated): ")
+
+    def test_single_mode(self, bundled_exp, capsys):
+        model = build_model(1, ORDER, 1.0, None, None, 2.0, 256)
+        rep = verify_gramian(assemble_gramian(model, TimeGrid(1.0, 512)), model,
+                             TimeGrid(1.0, 512))
+        assert rep.sigma_min_b == pytest.approx(math.pi, rel=1e-10)
+        assert validate_injectivity_line(bundled_exp, model, capsys).startswith("[PASS] ")
+
+    def test_zeroed_mode_flagged(self, model_p2, bundled_exp, capsys):
+        model = zeroed_mode_model(model_p2)
+        # B B^T has a zero row and column, so the Gramian is singular too
+        rep = verify_gramian(assemble_gramian(model, TimeGrid(1.0, 512)), model,
+                             TimeGrid(1.0, 512))
+        assert rep.sigma_min <= 1e-9
+        assert validate_injectivity_line(bundled_exp, model, capsys).startswith(
+            "[FAIL] injectivity: degenerate (truncated): ")
+
+    def test_gramian_branch(self, model_p2, gram_p2, grid_512, bundled_exp, capsys):
+        rep = verify_gramian(gram_p2, model_p2, grid_512)
+        assert rep.sigma_min > 1e-9
+        assert validate_injectivity_line(bundled_exp, model_p2, capsys).startswith("[PASS] ")
+
+    @pytest.mark.parametrize("kind", ["green", "min", "table"])
+    def test_eigenvalues_match_the_svd(self, kind, model_p2, gram_p2, grid_512):
+        # sigma_min as the smallest |eigenvalue| of the symmetric B and the
+        # symmetrized Gramian, against the SVD it replaced; the bundled
+        # Gramian comes too
+        model = kernel_model(kind)
+        pairs = [(model, assemble_gramian(model, grid_512))]
+        if kind == "green":
+            pairs.append((model_p2, gram_p2))
+        for m, gram in pairs:
+            rep = verify_gramian(gram, m, grid_512)
+            for got, matrix in ((rep.sigma_min_b, m.b_matrix), (rep.sigma_min, gram)):
+                want = np.linalg.svd(matrix, compute_uv=False)[-1]
+                assert abs(got - want) <= 1e-12 * want
 
 
 def test_csv_export(tmp_path):

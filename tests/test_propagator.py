@@ -5,7 +5,7 @@ substance: the product-trapezoidal rule as the two builders it had,
 `singular_conv_weights` (row by row) and the propagator's lag weights from
 `pl_moment_arrays`; the mild solution as a Python loop over nodes k with one
 `singular_conv_weights` row per node, the Gramian as a per-sigma einsum over
-`forcing_multipliers`, the closed loop as two mild solutions (free run
+the Duhamel-family multipliers, the closed loop as two mild solutions (free run
 for the deficiency, then forcing plus the applied control), and the closed
 loop's control channel as the dense cross-kernel tensor
 C[k] = sum_j w_k[j] e(t_k - t_j) e(a - t_j)^T.  Agreement is required to
@@ -27,7 +27,6 @@ from fracheat.evolve import Propagator, mild_solution
 from fracheat.fracops import TimeGrid, ml_family, product_lag_weights, rl_integral
 from fracheat.gramian import assemble_gramian
 from fracheat.evolve import propagator
-from fracheat.spectral import forcing_multipliers
 
 from conftest import bump_coefficients
 
@@ -114,11 +113,15 @@ def reference_mild_solution(model, grid, x0, forcing=None, control=None):
     return states
 
 
-def reference_gramian(model, steps):
+def product_rule_gramian(model, steps):
+    """The Gramian by the same product-trapezoidal rule as `assemble_gramian`,
+    one sigma at a time: it shares that rule's quadrature error, so it checks
+    the assembly's algebra and not its accuracy."""
     h = model.horizon / steps
-    weights = singular_conv_weights(model.order.alpha, steps, h)[::-1]
+    alpha = model.order.alpha
+    weights = singular_conv_weights(alpha, steps, h)[::-1]
     sigmas = np.linspace(0.0, model.horizon, steps + 1)
-    mults = np.array([forcing_multipliers(model, s) for s in sigmas])
+    mults = np.array([ml_family(alpha, (alpha,), model.eigenvalues * s**alpha)[0] for s in sigmas])
     bb = model.b_matrix @ model.b_matrix.T
     return np.einsum("j,jm,mn,jn->mn", weights, mults, bb, mults, optimize=True)
 
@@ -158,7 +161,7 @@ def test_mild_solution_matches_per_node_loop(model_p2, steps):
 @pytest.mark.parametrize("steps", [64, 512])
 def test_gramian_matches_per_sigma_einsum(model_p2, steps):
     new = assemble_gramian(model_p2, TimeGrid(1.0, steps))
-    assert rel_gap(new, reference_gramian(model_p2, steps)) <= REL_TOL
+    assert rel_gap(new, product_rule_gramian(model_p2, steps)) <= REL_TOL
 
 
 @pytest.mark.parametrize("which", ["p2", "p4"])

@@ -17,6 +17,7 @@ and 1e-13 absolute below that, where relative error is meaningless.
 """
 
 import math
+import random
 import warnings
 
 import mpmath as mp
@@ -28,7 +29,8 @@ from scipy.integrate import quad
 
 import fracheat.fracops as fracops
 from fracheat.fracops import _CUT_EDGES, _CUT_W, _CUT_X, _PEAK_WIDTHS, _TAYLOR_S_MAX, \
-    _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, _ml_cut_integral, ml_family, row_blocks, wright_density
+    _ASYMPTOTIC_S_MIN, _WRIGHT_TAU0, _ml_cut_integral, gaussian_rows, ml_family, row_blocks, \
+    wright_density
 
 from conftest import ml_oracle, traced_peak
 
@@ -285,7 +287,13 @@ def test_family_is_bitwise_separate_calls(alpha):
     # at 200 random times for the family bounds
     validate_times = np.random.default_rng(7).uniform(0.0, 1.0, (200, 1))
     validate_table = -(np.arange(1.0, 9.0) ** 2) * validate_times**alpha
-    for z in (table, spread, np.array([-1.0]), validate_table):
+    # and `validate`'s own times on the bundled config (seed 0, 8 modes, horizon
+    # 1): the 200 uniform draws after its 20 duality-map rows
+    rng = random.Random(0)
+    gaussian_rows(rng, 20, 8)
+    own_times = np.array([rng.uniform(0.0, 1.0) for _ in range(200)])
+    own_table = -(np.arange(1.0, 9.0) ** 2) * own_times[:, None] ** alpha
+    for z in (table, spread, np.array([-1.0]), validate_table, own_table):
         family = ml_family(alpha, betas, z)
         assert len(family) == len(betas)
         for beta, got in zip(betas, family):

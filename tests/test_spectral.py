@@ -6,17 +6,13 @@ import pytest
 from scipy.integrate import quad
 
 import fracheat.spectral as spectral_module
-from fracheat.fracops import TimeGrid, gauss_legendre
-from fracheat.gramian import assemble_gramian
+from fracheat.fracops import gauss_legendre, ml_family
 from fracheat.spectral import (
     KernelSpec,
     _assemble_kernel_matrix,
     _kernel_norm_bounds,
     build_model,
-    forcing_multipliers,
     green_kernel,
-    injectivity_diagnostic,
-    state_multipliers,
 )
 from fracheat.lpspace import lp_norms, theta_grid
 
@@ -221,27 +217,34 @@ class TestKernelNormBounds:
 
 
 class TestOperatorFamilies:
+    """The state family E_alpha(lambda_n t^alpha) (beta = 1) and the Duhamel
+    family E_{alpha,alpha}(lambda_n t^alpha) (beta = alpha), each read from
+    `ml_family` on `eigenvalues * t^alpha` as every caller does."""
+
     def test_state_family_at_zero_is_identity(self, model_p2):
         x = np.arange(1.0, 9.0)
-        assert np.allclose(state_multipliers(model_p2, 0.0) * x, x, rtol=0, atol=1e-14)
+        s, = ml_family(0.75, (1.0,), model_p2.eigenvalues * 0.0)
+        assert np.allclose(s * x, x, rtol=0, atol=1e-14)
 
     def test_single_mode_coefficient(self, model_p2):
         x = np.zeros(8)
         x[0] = 1.0
-        out = state_multipliers(model_p2, 1.0) * x
+        out = ml_family(0.75, (1.0,), model_p2.eigenvalues * 1.0)[0] * x
         assert out[0] == pytest.approx(E_075_M1, rel=1e-12)
 
     def test_forcing_family_at_zero(self, model_p2):
         x = np.arange(1.0, 9.0)
         want = x / math.gamma(0.75)
-        assert np.allclose(forcing_multipliers(model_p2, 0.0) * x, want, rtol=1e-14)
+        f, = ml_family(0.75, (0.75,), model_p2.eigenvalues * 0.0)
+        assert np.allclose(f * x, want, rtol=1e-14)
 
     def test_state_bound(self, model_p2):
         rng = np.random.default_rng(2)
         for _ in range(200):
             t = rng.uniform(0.0, 1.0)
             x = rng.standard_normal(8)
-            nx, ns = lp_norms([x, state_multipliers(model_p2, t) * x], 256, 2.0)
+            s, = ml_family(0.75, (1.0,), model_p2.eigenvalues * t**0.75)
+            nx, ns = lp_norms([x, s * x], 256, 2.0)
             assert ns <= model_p2.m_bound * nx * (1.0 + 1e-12)
 
     def test_forcing_bound(self, model_p2):
@@ -250,7 +253,8 @@ class TestOperatorFamilies:
         for _ in range(200):
             t = rng.uniform(0.0, 1.0)
             x = rng.standard_normal(8)
-            nx, nt = lp_norms([x, forcing_multipliers(model_p2, t) * x], 256, 2.0)
+            f, = ml_family(0.75, (0.75,), model_p2.eigenvalues * t**0.75)
+            nx, nt = lp_norms([x, f * x], 256, 2.0)
             assert nt <= bound * nx * (1.0 + 1e-12)
 
     def test_multiplier_against_subordination_quadrature(self, model_p2):
@@ -258,52 +262,45 @@ class TestOperatorFamilies:
         tau, w, vals = density_on_gauss_grid(0.75)
         arg = -4.0 * 0.5**0.75
         want = 0.75 * float(w @ (tau * vals * np.exp(arg * tau)))
-        got = forcing_multipliers(model_p2, 0.5)[1]
+        got = ml_family(0.75, (0.75,), model_p2.eigenvalues * 0.5**0.75)[0][1]
         assert got == pytest.approx(want, abs=1e-6)
 
     def test_multipliers_in_expected_ranges(self, model_p2):
         for t in np.linspace(0.0, 1.0, 9):
-            s = state_multipliers(model_p2, t)
-            f = forcing_multipliers(model_p2, t)
+            s, f = ml_family(0.75, (1.0, 0.75), model_p2.eigenvalues * t**0.75)
             assert np.all((s > 0.0) & (s <= 1.0))
             assert np.all((f > 0.0) & (f <= 1.0 / math.gamma(0.75) + 1e-15))
 
     def test_array_of_times_gives_one_row_per_time(self, model_p2):
         ts = np.linspace(0.0, 1.0, 9)
         xs = np.random.default_rng(5).standard_normal((9, model_p2.n_modes))
-        rows = state_multipliers(model_p2, ts)
+        rows, forcing = ml_family(0.75, (1.0, 0.75), model_p2.eigenvalues * ts[:, None] ** 0.75)
         assert rows.shape == (9, model_p2.n_modes)
-        for t, x, row, out in zip(ts, xs, rows, forcing_multipliers(model_p2, ts) * xs):
-            np.testing.assert_allclose(row, state_multipliers(model_p2, t), rtol=1e-13)
-            np.testing.assert_allclose(out, forcing_multipliers(model_p2, t) * x, rtol=1e-13)
-        with pytest.raises(ValueError):
-            state_multipliers(model_p2, np.array([0.5, 1.5]))
+        for t, x, row, out in zip(ts, xs, rows, forcing * xs):
+            s, f = ml_family(0.75, (1.0, 0.75), model_p2.eigenvalues * t**0.75)
+            np.testing.assert_allclose(row, s, rtol=1e-13)
+            np.testing.assert_allclose(out, f * x, rtol=1e-13)
 
     def test_multiplier_continuity_under_refinement(self, model_p2):
         t0 = 0.437
+        s0, = ml_family(0.75, (1.0,), model_p2.eigenvalues * t0**0.75)
         gaps = []
         for dt in (1e-2, 1e-3, 1e-4):
-            gaps.append(
-                np.max(np.abs(state_multipliers(model_p2, t0 + dt) - state_multipliers(model_p2, t0)))
-            )
+            s, = ml_family(0.75, (1.0,), model_p2.eigenvalues * (t0 + dt) ** 0.75)
+            gaps.append(np.max(np.abs(s - s0)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] <= 1e-3
 
     def test_diagonal_multipliers_match_subordination(self, model_p2):
         tau, w, vals = density_on_gauss_grid(0.75)
         for t in (0.25, 1.0):
+            s, f = ml_family(0.75, (1.0, 0.75), model_p2.eigenvalues * t**0.75)
             for n in (1, 3):
                 lam = -float(n * n) * t**0.75
                 want_s = float(w @ (vals * np.exp(lam * tau)))
                 want_f = 0.75 * float(w @ (tau * vals * np.exp(lam * tau)))
-                assert state_multipliers(model_p2, t)[n - 1] == pytest.approx(want_s, abs=1e-6)
-                assert forcing_multipliers(model_p2, t)[n - 1] == pytest.approx(want_f, abs=1e-6)
-
-    def test_time_domain_guard(self, model_p2):
-        with pytest.raises(ValueError):
-            state_multipliers(model_p2, 1.5)
-        with pytest.raises(ValueError):
-            forcing_multipliers(model_p2, -0.1)
+                assert s[n - 1] == pytest.approx(want_s, abs=1e-6)
+                assert f[n - 1] == pytest.approx(want_f, abs=1e-6)
 
 
 class TestKernelOperators:
@@ -314,59 +311,6 @@ class TestKernelOperators:
         want = np.zeros(8)
         want[2] = math.pi / 9.0
         assert np.allclose(out, want, atol=1e-9)
-
-
-
-class TestInjectivityDiagnostic:
-    """Each check passes a Gramian assembled on the test's own model, as the
-    `validate` and `gramian` commands do."""
-
-    def test_green_model_positive(self, model_p2, gram_p2):
-        rep = injectivity_diagnostic(model_p2, gram_p2)
-        assert rep.sigma_min_b == pytest.approx(math.pi / 64.0, abs=1e-8)
-        assert rep.controllable
-        assert rep.verdict == "approximately controllable (truncated)"
-
-    def test_single_mode(self):
-        model = build_model(1, ORDER, 1.0, None, None, 2.0, 256)
-        rep = injectivity_diagnostic(model, assemble_gramian(model, TimeGrid(1.0, 512)))
-        assert rep.sigma_min_b == pytest.approx(math.pi, rel=1e-10)
-        assert rep.controllable
-
-    def test_zeroed_mode_flagged(self, model_p2):
-        crippled = np.array(model_p2.b_matrix)
-        crippled[4, :] = 0.0
-        crippled[:, 4] = 0.0
-        model = dataclasses.replace(model_p2, b_matrix=crippled)
-        # B B^T has a zero row and column, so the Gramian is singular too
-        rep = injectivity_diagnostic(model, assemble_gramian(model, TimeGrid(1.0, 512)))
-        assert rep.sigma_min_gramian <= 1e-9
-        assert not rep.controllable
-        assert rep.verdict == "degenerate (truncated)"
-
-    def test_gramian_branch(self, model_p2, gram_p2):
-        rep = injectivity_diagnostic(model_p2, gram_p2)
-        assert rep.sigma_min_gramian > 1e-9
-        assert rep.controllable
-
-    @pytest.mark.parametrize("kind", ["green", "min", "table"])
-    def test_eigenvalues_match_the_svd(self, kind, model_p2, gram_p2):
-        # sigma_min as the smallest |eigenvalue| of the symmetric B and the
-        # symmetrized Gramian, against the SVD it replaced; "table" is a
-        # midpoint-sampled symmetric kernel, and the bundled Gramian comes too
-        theta = theta_grid(64)[:, None]
-        table = green_kernel(theta, theta.T) + 0.5 * np.minimum(theta, theta.T) * np.minimum(
-            math.pi - theta, math.pi - theta.T)
-        spec = KernelSpec("custom", table) if kind == "table" else KernelSpec(kind)
-        model = build_model(8, ORDER, 1.0, spec, None, 2.0, 256)
-        pairs = [(model, assemble_gramian(model, TimeGrid(1.0, 512)))]
-        if kind == "green":
-            pairs.append((model_p2, gram_p2))
-        for m, gram in pairs:
-            rep = injectivity_diagnostic(m, gram)
-            for got, matrix in ((rep.sigma_min_b, m.b_matrix), (rep.sigma_min_gramian, gram)):
-                want = np.linalg.svd(matrix, compute_uv=False)[-1]
-                assert abs(got - want) <= 1e-12 * want
 
     def test_asymmetric_b_matrix_rejected(self, model_p2):
         b = np.array(model_p2.b_matrix)
