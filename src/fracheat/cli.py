@@ -105,7 +105,7 @@ def cmd_validate(exp: Experiment) -> int:
 
     worst_pair = 0.0
     worst_norm = 0.0
-    for f in basis_values(gaussian_rows(rng, 20, model.n_modes), model.n_theta):
+    for f in basis_values(gaussian_rows(rng, 20, model.n_modes), model.basis):
         jf = duality_map(f, model.p)
         nf = lp_norm(f, model.p)
         pair = float(f @ jf) * (math.pi / model.n_theta)
@@ -116,11 +116,11 @@ def cmd_validate(exp: Experiment) -> int:
 
     alpha = model.order.alpha
     bound_t = model.m_bound / math.gamma(alpha)
-    ts = np.array([rng.uniform(0.0, model.horizon) for _ in range(200)])
+    ts = np.array([rng.uniform(0.0, exp.grid.horizon) for _ in range(200)])
     xs = gaussian_rows(rng, 200, model.n_modes)
-    nx = lp_norms(xs, model.n_theta, model.p)
+    nx = lp_norms(xs, model.basis, model.p)
     # state (beta = 1) and Duhamel (beta = alpha) multipliers, one row per time
-    worst_s, worst_t = (float(np.max(lp_norms(mult * xs, model.n_theta, model.p) / nx))
+    worst_s, worst_t = (float(np.max(lp_norms(mult * xs, model.basis, model.p) / nx))
                         for mult in ml_family(alpha, (1.0, alpha),
                                               model.eigenvalues * ts[:, None] ** alpha))
     checks.append(("state-family bound M", worst_s <= model.m_bound * (1 + 1e-12),
@@ -147,7 +147,7 @@ def cmd_validate(exp: Experiment) -> int:
         for y in gaussian_rows(rng, 10, model.n_modes):
             solve = regularized_resolvent(gram, model, eps, y,
                                           tol=exp.resolvent_tol, max_iter=exp.resolvent_max_iter)
-            image, source = lp_norms([eps * solve.result, y], model.n_theta, model.p)
+            image, source = lp_norms([eps * solve.result, y], model.basis, model.p)
             worst_lemma = max(worst_lemma, float(image / source))
     checks.append(("resolvent contraction bound", worst_lemma <= 1.0 + 1e-8,
                    f"sup ratio {worst_lemma:.9f}"))
@@ -190,8 +190,8 @@ def cmd_simulate(exp: Experiment, forcing_coeffs: str | None, control_coeffs: st
         return _EXIT_VALIDATION
     states = mild_solution(model, grid, exp.x0, forcing=forcing, control=control)
     gaps = lp_norms(states - l1_reference(model, grid, exp.x0, forcing=forcing, control=control),
-                    model.n_theta, model.p)
-    scale = float(np.max(lp_norms(states, model.n_theta, model.p)))
+                    model.basis, model.p)
+    scale = float(np.max(lp_norms(states, model.basis, model.p)))
     exp.output_dir.mkdir(parents=True, exist_ok=True)
     path = exp.output_dir / "trajectory.csv"
     _write_node_table(path, _header_lines(exp), grid.nodes, "c", states, l1_gap=gaps)

@@ -8,9 +8,9 @@ solver modules take numbers.  `build_experiment` constructs the model and
 problem data, whose constructors check their own inputs, checks each
 tolerance (finite, >= 0) and iteration cap (an integer >= 1), and runs the
 range checks `gramian`, `hvi` keep for their own entry points, so a bad
-config fails before any work starts.  `solver.steps` sets the one
-`TimeGrid` of the experiment, which the Gramian, control synthesis and both
-trajectory channels share.
+config fails before any work starts.  `model.horizon` and `solver.steps` set
+the one `TimeGrid` of the experiment, built before the model, which the
+Gramian, control synthesis and both trajectory channels share.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ except ImportError:
 import numpy as np
 
 from .fracops import FracOrder, TimeGrid
-from .lpspace import basis_matrix, theta_grid
+from .lpspace import theta_grid
 from .spectral import KernelSpec, SpectralModel, build_model
 from .gramian import check_steps
 from .hvi import NonsmoothPotential, abs_potential, audit_potential, check_epsilons, \
@@ -193,22 +193,22 @@ def _parse_kernel(key: str, spec: str, base: Path) -> KernelSpec:
     raise ValueError(f"model.{key} must be green, min or table:<path>, got {spec!r}")
 
 
-def _parse_state(key: str, spec: str, n_modes: int, n_theta: int) -> np.ndarray:
+def _parse_state(key: str, spec: str, model: SpectralModel) -> np.ndarray:
     spec = spec.strip()
-    out = np.zeros(n_modes)
+    out = np.zeros(model.n_modes)
     if spec == "bump":
-        theta = theta_grid(n_theta)
-        out = basis_matrix(n_modes, n_theta).T @ (theta * (math.pi - theta)) * (math.pi / n_theta)
+        theta = theta_grid(model.n_theta)
+        out = model.basis.T @ (theta * (math.pi - theta)) * (math.pi / model.n_theta)
     elif spec.startswith("coeffs:"):
-        out = parse_coefficients(spec[len("coeffs:"):], f"problem.{key}", n_modes)
+        out = parse_coefficients(spec[len("coeffs:"):], f"problem.{key}", model.n_modes)
     elif spec.startswith("sine:"):
         parts = spec[len("sine:"):].split(":")
         if len(parts) > 2:
             raise ValueError(f"problem.{key} must be sine:n[:amp], got {spec!r}")
         n = _number(parts[0], f"problem.{key} sine mode")
         amp = _number(parts[1], f"problem.{key} amplitude", float) if len(parts) > 1 else 1.0
-        if not 1 <= n <= n_modes:
-            raise ValueError(f"problem.{key} sine mode {n} outside 1..{n_modes}")
+        if not 1 <= n <= model.n_modes:
+            raise ValueError(f"problem.{key} sine mode {n} outside 1..{model.n_modes}")
         if not math.isfinite(amp):
             raise ValueError(f"problem.{key} amplitude must be finite, got {amp}")
         out[n - 1] = amp
@@ -274,10 +274,10 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
     alpha, alpha1, horizon, p = (_number(model_cfg[key], f"model.{key}", float)
                                  for key in ("alpha", "alpha1", "horizon", "p"))
     n_theta = _number(solver["n_theta"], "solver.n_theta")
+    grid = TimeGrid(horizon, check_steps(_number(solver["steps"], "solver.steps")))
     model = build_model(
         n_modes,
         FracOrder(alpha, alpha1),
-        horizon,
         _parse_kernel("kernel_b", model_cfg["kernel_b"], base),
         _parse_kernel("kernel_h", model_cfg["kernel_h"], base),
         p,
@@ -294,9 +294,9 @@ def build_experiment(cfg: ExperimentConfig, base: Path | None = None) -> Experim
     return Experiment(
         config=cfg,
         model=model,
-        grid=TimeGrid(horizon, check_steps(_number(solver["steps"], "solver.steps"))),
-        x0=_parse_state("x0", cfg["problem"]["x0"], n_modes, n_theta),
-        target=_parse_state("target", cfg["problem"]["target"], n_modes, n_theta),
+        grid=grid,
+        x0=_parse_state("x0", cfg["problem"]["x0"], model),
+        target=_parse_state("target", cfg["problem"]["target"], model),
         potential=_parse_potential(cfg["problem"]["potential"], base),
         resolvent_tol=_tolerance(solver, "resolvent_tol"),
         resolvent_max_iter=_iteration_cap(solver, "resolvent_max_iter"),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fracops import TimeGrid
 from .evolve import mild_solution, propagator
-from .lpspace import basis_matrix, duality_map, lp_norm, lp_norms
+from .lpspace import duality_map, lp_norm, lp_norms
 from .spectral import SpectralModel
 
 __all__ = [
@@ -52,7 +52,7 @@ def coordinate_duality_map(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     """Duality map in basis coordinates: h W^T J(W x)."""
     if model.p == 2.0:
         return np.asarray(x, dtype=float)
-    w = basis_matrix(model.n_modes, model.n_theta)
+    w = model.basis
     return w.T @ duality_map(w @ np.asarray(x, dtype=float), model.p) * (math.pi / model.n_theta)
 
 
@@ -68,7 +68,7 @@ def _duality_map_jacobian(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     `sweep.csv`, `summary.json` and its eps = 1e-2..1e-4 trajectory and
     control files (the eps = 1e-1 ones keep their bits).
     """
-    w = basis_matrix(model.n_modes, model.n_theta)
+    w = model.basis
     u = w @ np.asarray(x, dtype=float)
     norm = lp_norm(u, model.p)
     if norm == 0.0:
@@ -217,7 +217,7 @@ def terminal_identity_residual(
     z = np.asarray(z, dtype=float)
     predicted = z - run.epsilon * run.solve.result
     gap, z_norm, d_norm = lp_norms([run.states[-1] - predicted, z, run.deficiency],
-                                   model.n_theta, model.p)
+                                   model.basis, model.p)
     return float(gap / max(z_norm, d_norm, 1e-30))
 
 
@@ -231,29 +231,30 @@ def control_l2_norm(control: np.ndarray, grid: TimeGrid) -> float:
     return float(math.sqrt(np.sum(w * sq)))
 
 
-def theta_constant(model: SpectralModel, eta: float) -> float:
+def theta_constant(model: SpectralModel, grid: TimeGrid, eta: float) -> float:
     """Hoelder constant of the forcing term:
     (a^(b(alpha-1)+1) / (b(alpha-1)+1))^(1-alpha1) ||eta||_{L^{1/alpha1}(0, a)},
-    with b = 1/(1-alpha1), an exponent > 0 as `FracOrder` keeps alpha1 < alpha;
-    the constant bound eta has the norm eta a^alpha1."""
-    alpha, alpha1, a = model.order.alpha, model.order.alpha1, model.horizon
+    a the grid's horizon and b = 1/(1-alpha1), an exponent > 0 as `FracOrder`
+    keeps alpha1 < alpha; the constant bound eta has the norm eta a^alpha1."""
+    alpha, alpha1, a = model.order.alpha, model.order.alpha1, grid.horizon
     expo = 1.0 / (1.0 - alpha1) * (alpha - 1.0) + 1.0
     return (a**expo / expo) ** (1.0 - alpha1) * eta * a**alpha1
 
 
-def _bound_terms(model: SpectralModel, epsilon: float, z: np.ndarray, x0: np.ndarray,
-                 eta: float) -> tuple[float, float]:
+def _bound_terms(model: SpectralModel, grid: TimeGrid, epsilon: float, z: np.ndarray,
+                 x0: np.ndarray, eta: float) -> tuple[float, float]:
     """The free part M||x0|| + (M/Gamma(alpha)) ||H|| Theta of both bounds, and
     the control bound's (1/eps) (M/Gamma(alpha)) ||B|| * deficiency scale,
     the scale ||z|| + M||x0|| + (M/Gamma(alpha)) ||H|| Theta."""
     gain = model.m_bound / math.gamma(model.order.alpha)
-    z_norm, x0_norm = lp_norms([z, x0], model.n_theta, model.p)
-    base = model.m_bound * x0_norm + gain * model.h_norm_bound * theta_constant(model, eta)
+    z_norm, x0_norm = lp_norms([z, x0], model.basis, model.p)
+    base = model.m_bound * x0_norm + gain * model.h_norm_bound * theta_constant(model, grid, eta)
     return base, gain * model.b_norm_bound * (z_norm + base) / epsilon
 
 
 def a_priori_state_bound(
     model: SpectralModel,
+    grid: TimeGrid,
     epsilon: float,
     z: np.ndarray,
     x0: np.ndarray,
@@ -263,13 +264,14 @@ def a_priori_state_bound(
     M||x0|| + (M/Gamma(alpha)) ||H|| Theta
     + (1/eps) (M ||B|| / Gamma(alpha))^2 (a^alpha / alpha) * deficiency scale."""
     alpha = model.order.alpha
-    base, control = _bound_terms(model, epsilon, z, x0, eta)
+    base, control = _bound_terms(model, grid, epsilon, z, x0, eta)
     return base + (control * model.m_bound * model.b_norm_bound / math.gamma(alpha)
-                   * model.horizon**alpha / alpha)
+                   * grid.horizon**alpha / alpha)
 
 
 def control_norm_bound(
     model: SpectralModel,
+    grid: TimeGrid,
     epsilon: float,
     z: np.ndarray,
     x0: np.ndarray,
@@ -277,4 +279,4 @@ def control_norm_bound(
 ) -> float:
     """L^2(I, U) bound for the synthesized control:
     (1/eps)(M/Gamma(alpha)) ||B|| * deficiency scale * sqrt(a)."""
-    return _bound_terms(model, epsilon, z, x0, eta)[1] * math.sqrt(model.horizon)
+    return _bound_terms(model, grid, epsilon, z, x0, eta)[1] * math.sqrt(grid.horizon)

@@ -1,9 +1,10 @@
 """The mild and L1 solvers of the mode-decoupled fractional evolution, and the
 one discretization of the Duhamel family t^(alpha-1) T_alpha(t) they share.
 
-A `Propagator` per (alpha, eigenvalues, horizon, steps) owns the
-Mittag-Leffler tables and the product-integration weights read by the mild
-solution, the Gramian and the closed loop.  The weights are
+A `Propagator` per (alpha, eigenvalues, grid) owns the Mittag-Leffler
+tables and the product-integration weights read by the mild solution, the
+Gramian and the closed loop; it reads the nodes, dt and steps of its
+`fracops.TimeGrid`, the one owner of the time discretization.  The weights are
 `fracops.product_lag_weights`: row k weighs node j >= 1 by c[k-j] and node 0
 by its own a[k], so each weakly singular integral against node data is a
 per-mode causal convolution with kernel c[m] E_{a,a}(lam t_m^a) (Lubich's
@@ -49,6 +50,13 @@ def _fast_len(n: int) -> int:
     return best
 
 
+# Size from which numpy's temporary elision turns `a * b`, b a temporary, into
+# `b *= a`: the operands swap, which moves the last bits of a complex product.
+# `convolve` writes its spectral product out in the order that rule gives
+# `kernel_spectrum * rfft(...)`, so its bits do not hang on the heuristic.
+_ELIDE_BYTES = 256 * 1024
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -56,7 +64,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Discretization data on the grid t_k = k horizon/steps.  Arrays are
+    """Discretization data on the nodes t_k of `grid`.  Arrays are
     read-only: one instance serves every caller with the same key.
 
     Each table is built on first use.  `e_state` (beta = 1) and `e_moment`
@@ -67,13 +75,12 @@ class Propagator:
 
     alpha: float
     eigenvalues: tuple
-    horizon: float
-    steps: int
+    grid: TimeGrid
 
     @cached_property
     def _t_alpha(self) -> np.ndarray:
         """Column of t_k^alpha."""
-        return np.linspace(0.0, self.horizon, self.steps + 1)[:, None] ** self.alpha
+        return self.grid.nodes[:, None] ** self.alpha
 
     @cached_property
     def _state_and_moment(self) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +109,7 @@ class Propagator:
     def lag_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """(c, a): c[m] weights the node at lag m = k - j when j >= 1, a[k]
         the node j = 0 of row k; m, k = 0..steps."""
-        c, a = product_lag_weights(self.alpha, self.steps, self.horizon / self.steps)
+        c, a = product_lag_weights(self.alpha, self.grid.steps, self.grid.dt)
         return _frozen(c), _frozen(a)
 
     @cached_property
@@ -116,7 +123,7 @@ class Propagator:
     def fft_size(self) -> int:
         """Real-FFT length of `convolve`: 5-smooth and >= 2 steps + 1, so the
         circular product has no wrap-around."""
-        return _fast_len(2 * self.steps + 1)
+        return _fast_len(2 * self.grid.steps + 1)
 
     @cached_property
     def kernel_spectrum(self) -> np.ndarray:
@@ -130,8 +137,12 @@ class Propagator:
         _, a = self.lag_weights
         tail = np.array(u, dtype=float)
         tail[0] = 0.0  # node j = 0 carries its own weight a[k]
-        out = np.fft.irfft(self.kernel_spectrum * np.fft.rfft(tail, self.fft_size, axis=0),
-                           self.fft_size, axis=0)[: self.steps + 1]
+        spectrum = np.fft.rfft(tail, self.fft_size, axis=0)
+        if spectrum.nbytes >= _ELIDE_BYTES:  # the order of the elided product
+            np.multiply(spectrum, self.kernel_spectrum, out=spectrum)
+        else:
+            np.multiply(self.kernel_spectrum, spectrum, out=spectrum)
+        out = np.fft.irfft(spectrum, self.fft_size, axis=0)[: self.grid.steps + 1]
         out[0] = 0.0  # row 0 integrates over an empty interval
         return out + a[:, None] * self.e_force * u[0]
 
@@ -150,9 +161,8 @@ _shared = lru_cache(maxsize=16)(Propagator)
 
 
 def propagator(model: SpectralModel, grid: TimeGrid) -> Propagator:
-    """The propagator of `model` on `grid`, shared per (alpha, eigenvalues,
-    horizon, steps)."""
-    return _shared(model.order.alpha, tuple(model.eigenvalues), grid.horizon, grid.steps)
+    """The propagator of `model` on `grid`, shared per (alpha, eigenvalues, grid)."""
+    return _shared(model.order.alpha, tuple(model.eigenvalues), grid)
 
 
 def _solver_inputs(model: SpectralModel, grid: TimeGrid, x0, forcing, control) -> tuple:

@@ -1,4 +1,4 @@
-"""Controllability Gramian over [0, horizon]: assembly and structural checks.
+"""Controllability Gramian over the time grid's [0, a]: assembly and structural checks.
 
 The Gramian is a plain read-only (n_modes, n_modes) array in basis
 coordinates: the product integration of sigma^(alpha-1) * diag(e(sigma)) B B^T
@@ -52,12 +52,12 @@ def assemble_gramian(model: SpectralModel, grid: TimeGrid) -> np.ndarray:
     return matrix
 
 
-def gramian_norm_bound(model: SpectralModel) -> float:
-    """Operator-norm bound (M/Gamma(alpha))^2 ||B||^2 horizon^alpha / alpha,
-    with the computable upper bound for ||B||."""
+def gramian_norm_bound(model: SpectralModel, grid: TimeGrid) -> float:
+    """Operator-norm bound (M/Gamma(alpha))^2 ||B||^2 a^alpha / alpha, a the
+    grid's horizon, with the computable upper bound for ||B||."""
     alpha = model.order.alpha
     factor = (model.m_bound / math.gamma(alpha)) ** 2 * model.b_norm_bound**2
-    return factor * model.horizon**alpha / alpha
+    return factor * grid.horizon**alpha / alpha
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def verify_gramian(
 
     prop = propagator(model, grid)
     weights, mults = prop.terminal_weights, prop.e_force
-    bound = gramian_norm_bound(model)
+    bound = gramian_norm_bound(model, grid)
     xstars = gaussian_rows(random.Random(seed), n_samples, model.n_modes)
     worst_gap = 0.0
     for xstar in xstars:
@@ -108,8 +108,8 @@ def verify_gramian(
         rhs = float(weights @ np.sum(images * images, axis=1))
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         worst_gap = max(worst_gap, gap)
-    slack = (lp_norms(xstars @ gram.T, model.n_theta, model.p)
-             / (bound * lp_norms(xstars, model.n_theta, model.dual_p)))
+    slack = (lp_norms(xstars @ gram.T, model.basis, model.p)
+             / (bound * lp_norms(xstars, model.basis, model.dual_p)))
     worst_slack = float(np.max(slack, initial=0.0))
     return GramianReport(
         symmetry_defect=defect,

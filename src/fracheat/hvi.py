@@ -144,7 +144,7 @@ def _map_step(pot: NonsmoothPotential, strategy: str, states: np.ndarray,
     coefficients = np.empty((states.shape[0], model.n_modes))
     same = True
     for rows in row_blocks(states.shape[0], model.n_theta):
-        block = basis_values(states[rows], model.n_theta)  # r, then the selection
+        block = basis_values(states[rows], model.basis)  # r, then the selection
         lo, hi = pot.interval(block)
         if strategy == "midpoint":
             np.multiply(0.5, lo + hi, out=block)
@@ -164,7 +164,7 @@ def _map_step(pot: NonsmoothPotential, strategy: str, states: np.ndarray,
             g[rows] *= 1.0 - omega
             block *= omega
             g[rows] += block
-        coefficients[rows] = basis_coefficients(g[rows], model.n_modes)
+        coefficients[rows] = basis_coefficients(g[rows], model.basis)
         del block  # before the next block's
     return coefficients @ model.h_matrix.T, same
 
@@ -195,7 +195,7 @@ class FixedPointResult:
 
 def _trajectory_gap(model: SpectralModel, a: np.ndarray, b: np.ndarray) -> float:
     """Sup over nodes of the state norm of a - b, for states of one grid."""
-    return float(np.max(lp_norms(a - b, model.n_theta, model.p)))
+    return float(np.max(lp_norms(a - b, model.basis, model.p)))
 
 
 def check_relaxation(relaxation: float) -> float:
@@ -307,7 +307,7 @@ class SweepEntry:
 def free_terminal_miss(model: SpectralModel, grid: TimeGrid, z: np.ndarray,
                        x0: np.ndarray) -> float:
     """Miss of the uncontrolled, unforced dynamics: ||z - S(a) x0||."""
-    return float(lp_norms(deficiency_vector(model, grid, z, x0), model.n_theta, model.p)[0])
+    return float(lp_norms(deficiency_vector(model, grid, z, x0), model.basis, model.p)[0])
 
 
 def check_epsilons(values) -> list[float]:
@@ -362,7 +362,7 @@ def epsilon_sweep(
                               residual_history=[float(r) for r in exc.residual_history]), None
         run = fp.run
         miss, predicted = lp_norms([run.states[-1] - np.asarray(z, float),
-                                    e * run.solve.result], model.n_theta, model.p)
+                                    e * run.solve.result], model.basis, model.p)
         return SweepEntry(
             epsilon=e,
             terminal_miss=float(miss),
@@ -394,10 +394,10 @@ def hvi_residual(
     test_directions = np.asarray(test_directions, dtype=float)
     if test_directions.ndim != 2 or test_directions.shape[1] != model.n_modes:
         raise ValueError("test_directions must be (m, n_modes) coefficient rows")
-    lo, hi = pot.interval(basis_values(states, model.n_theta))
-    lhs = basis_coefficients(g, model.n_modes) @ model.h_matrix.T @ test_directions.T
+    lo, hi = pot.interval(basis_values(states, model.basis))
+    lhs = basis_coefficients(g, model.basis) @ model.h_matrix.T @ test_directions.T
     # support function of [lo, hi] along d: hi d where d > 0, lo d where d < 0
-    direction = basis_values(test_directions @ model.h_matrix, model.n_theta)
+    direction = basis_values(test_directions @ model.h_matrix, model.basis)
     # contractions over the grid axis: as `@` products OpenBLAS would run them
     # on its thread pool (see `lpspace.basis_coefficients`)
     rhs = (np.einsum("kj,mj->km", hi, np.maximum(direction, 0.0))

@@ -6,13 +6,15 @@ coefficients: E_alpha(lambda_n t^alpha) for the state family and
 E_{alpha,alpha}(lambda_n t^alpha) for the Duhamel family, which callers take
 from `fracops.ml_family` on `eigenvalues * t^alpha`.  The input and coupling
 operators are kernel integral operators assembled into basis-coordinate
-matrices.  This module builds the model and nothing else.
+matrices, and the model owns its sine basis (`SpectralModel.basis`); the time
+horizon is the `fracops.TimeGrid`'s.  This module builds the model only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,11 +100,10 @@ def _bilinear_table(table: np.ndarray, theta: np.ndarray, omega: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Immutable bundle of mode data and assembled operator matrices."""
+    """Immutable bundle of mode data, operator matrices and their sine basis."""
 
     n_modes: int
     order: FracOrder
-    horizon: float
     p: float
     n_theta: int
     eigenvalues: np.ndarray
@@ -116,8 +117,6 @@ class SpectralModel:
     def __post_init__(self) -> None:
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 2.0 <= self.p < math.inf:  # L^inf is not reflexive
             raise ValueError(f"state exponent p must be finite and >= 2, got {self.p}")
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -135,6 +134,11 @@ class SpectralModel:
     @property
     def dual_p(self) -> float:
         return self.p / (self.p - 1.0)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The read-only (n_theta, n_modes) W of `lpspace.basis_matrix`."""
+        return basis_matrix(self.n_modes, self.n_theta)
 
 
 def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> np.ndarray:
@@ -209,7 +213,6 @@ def _same_kernel(a: KernelSpec, b: KernelSpec) -> bool:
 def build_model(
     n_modes: int,
     order: FracOrder,
-    horizon: float,
     kernel_b: KernelSpec | None = None,
     kernel_h: KernelSpec | None = None,
     p: float = 2.0,
@@ -233,7 +236,6 @@ def build_model(
     return SpectralModel(
         n_modes=n_modes,
         order=order,
-        horizon=horizon,
         p=p,
         n_theta=n_theta,
         eigenvalues=eigenvalues,

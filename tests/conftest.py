@@ -89,12 +89,12 @@ ORDER = FracOrder(0.75, 0.4)
 
 @pytest.fixture(scope="session")
 def model_p2():
-    return build_model(8, ORDER, 1.0, None, None, 2.0, 256)
+    return build_model(8, ORDER, None, None, 2.0, 256)
 
 
 @pytest.fixture(scope="session")
 def model_p4():
-    return build_model(8, ORDER, 1.0, None, None, 4.0, 256)
+    return build_model(8, ORDER, None, None, 4.0, 256)
 
 
 @pytest.fixture(scope="session")

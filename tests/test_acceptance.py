@@ -107,7 +107,7 @@ def test_criterion_2_fractional_calculus():
            f"integral defect {worst_int:.2e}, L1 defect {linear_err:.2e}, order {order:.2f}")
 
 
-def test_criterion_3_operator_families(model_p2):
+def test_criterion_3_operator_families(model_p2, grid_512):
     rng = np.random.default_rng(2024)
     m = model_p2.m_bound
     alpha = model_p2.order.alpha
@@ -115,11 +115,11 @@ def test_criterion_3_operator_families(model_p2):
     worst_s = 0.0
     worst_t = 0.0
     for _ in range(1000):
-        t = rng.uniform(0.0, model_p2.horizon)
+        t = rng.uniform(0.0, grid_512.horizon)
         x = rng.standard_normal(model_p2.n_modes)
         # state (beta = 1) and Duhamel (beta = alpha) multipliers at t
         s, f = ml_family(alpha, (1.0, alpha), model_p2.eigenvalues * t**alpha)
-        nx, ns, nt = lp_norms([x, s * x, f * x], 256, 2.0)
+        nx, ns, nt = lp_norms([x, s * x, f * x], model_p2.basis, 2.0)
         worst_s = max(worst_s, float(ns / nx))
         worst_t = max(worst_t, float(nt / nx))
     diag_defect = max(
@@ -158,7 +158,7 @@ def test_criterion_5_resolvent(model_p2, gram_p2, model_p4, gram_p4):
             for _ in range(25):
                 y = rng.standard_normal(8)
                 solve = regularized_resolvent(gram, model, eps, y)
-                image, source = lp_norms([eps * solve.result, y], 256, model.p)
+                image, source = lp_norms([eps * solve.result, y], model.basis, model.p)
                 worst_lemma = max(worst_lemma, float(image / source))
     from test_control import conjugate_gradient_resolvent, fd_newton_oracle
 
@@ -191,8 +191,8 @@ def test_criterion_6_cross_solver(model_p2):
     forcing = np.outer(np.sin(2.0 * grid.nodes) + 1.5, rng.standard_normal(8))
     mild = mild_solution(model, grid, np.zeros(8), forcing=forcing)
     ref = l1_reference(model, grid, np.zeros(8), forcing=forcing)
-    gap = float(np.max(lp_norms(mild - ref, 256, 2.0)))
-    scale = float(np.max(lp_norms(mild, 256, 2.0)))
+    gap = float(np.max(lp_norms(mild - ref, model.basis, 2.0)))
+    scale = float(np.max(lp_norms(mild, model.basis, 2.0)))
     rel_gap = gap / scale
     x0 = rng.standard_normal(8)
     f1 = rng.standard_normal((513, 8))

@@ -479,7 +479,7 @@ class TestCommands:
         d = exp.target - free[-1]
         for entry in summary["entries"]:
             w = np.linalg.solve(entry["epsilon"] * np.eye(4) + gram, d)
-            want, = lp_norms(entry["epsilon"] * w, 64, 2.0)
+            want, = lp_norms(entry["epsilon"] * w, exp.model.basis, 2.0)
             assert entry["terminal_miss"] == pytest.approx(want, rel=1e-8)
 
     def test_sweep_nonconvergence_exit_code(self, config_file):

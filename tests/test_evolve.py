@@ -17,7 +17,7 @@ from conftest import ORDER
 
 @pytest.fixture(scope="module")
 def model4():
-    return build_model(4, ORDER, 1.0, None, None, 2.0, 256)
+    return build_model(4, ORDER, None, None, 2.0, 256)
 
 
 def smooth_forcing(grid, amplitudes):
@@ -28,7 +28,6 @@ def synthetic_single_mode(eigenvalue: float) -> SpectralModel:
     return SpectralModel(
         n_modes=1,
         order=ORDER,
-        horizon=1.0,
         p=2.0,
         n_theta=256,
         eigenvalues=np.array([eigenvalue]),
@@ -116,7 +115,7 @@ class TestMildSolution:
 
 @lru_cache(maxsize=2)
 def green_model(n_modes):
-    return build_model(n_modes, ORDER, 1.0, None, None, 2.0, 256)
+    return build_model(n_modes, ORDER, None, None, 2.0, 256)
 
 
 def reference_l1_starting_weights(alpha, steps):
@@ -224,7 +223,7 @@ class TestL1Reference:
 
     def test_fine_grid_runs_in_well_under_a_second(self):
         # the node loop with the O(N^2) starting weights took 1.1-2.5 s cold on a 2-vCPU VM
-        model = build_model(8, ORDER, 1.0, None, None, 2.0, 256)
+        model = build_model(8, ORDER, None, None, 2.0, 256)
         grid = TimeGrid(1.0, 16384)
         forcing = smooth_forcing(grid, np.linspace(-1.0, 1.0, 8))
         started = time.perf_counter()
@@ -268,7 +267,7 @@ class TestL1Reference:
 
     def test_classical_limit(self):
         order = FracOrder(0.999, 0.4)
-        model = build_model(4, order, 1.0, None, None, 2.0, 256)
+        model = build_model(4, order, None, None, 2.0, 256)
         grid = TimeGrid(1.0, 512)
         x0 = np.array([1.0, -0.5, 0.25, 2.0])
         ref = l1_reference(model, grid, x0)

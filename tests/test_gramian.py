@@ -74,12 +74,12 @@ def kernel_model(kind):
     table = green_kernel(theta, theta.T) + 0.5 * np.minimum(theta, theta.T) * np.minimum(
         math.pi - theta, math.pi - theta.T)
     spec = KernelSpec("custom", table) if kind == "table" else KernelSpec(kind)
-    return build_model(8, ORDER, 1.0, spec, None, 2.0, 256)
+    return build_model(8, ORDER, spec, None, 2.0, 256)
 
 
 @pytest.fixture(scope="module")
 def model1():
-    return build_model(1, ORDER, 1.0, None, None, 2.0, 256)
+    return build_model(1, ORDER, None, None, 2.0, 256)
 
 
 class TestAssembly:
@@ -141,14 +141,28 @@ class TestVerification:
             assert val >= -1e-10
             assert val > 0.0  # strictly positive for the nondegenerate model
 
-    def test_norm_bound_paper_estimate(self, gram_p2, model_p2):
-        bound = gramian_norm_bound(model_p2)
+    def test_norm_bound_paper_estimate(self, gram_p2, model_p2, grid_512):
+        bound = gramian_norm_bound(model_p2, grid_512)
         rng = np.random.default_rng(2)
         for _ in range(100):
             x = rng.standard_normal(8)
-            img, = lp_norms(gram_p2 @ x, 256, 2.0)
-            src, = lp_norms(x, 256, model_p2.dual_p)
+            img, = lp_norms(gram_p2 @ x, model_p2.basis, 2.0)
+            src, = lp_norms(x, model_p2.basis, model_p2.dual_p)
             assert img <= bound * src
+
+
+    def test_norm_bound_reads_the_grids_horizon(self, model_p2):
+        # the model keeps no horizon of its own: on a 2.0 grid the bound and
+        # its slack are those of a = 2, as `gramian --set model.horizon=2.0`
+        # prints them (a model that kept horizon 1.0 reported slack 0.279)
+        grid = TimeGrid(2.0, 512)
+        report = verify_gramian(assemble_gramian(model_p2, grid), model_p2, grid)
+        alpha = model_p2.order.alpha
+        assert report.norm_bound == ((model_p2.m_bound / math.gamma(alpha)) ** 2
+                                     * model_p2.b_norm_bound**2 * 2.0**alpha / alpha)
+        assert report.norm_bound == gramian_norm_bound(model_p2, grid)
+        assert f"{report.norm_bound_slack:.3f}" == "0.166"
+        assert report.norm_bound_ok
 
 
 class TestMinSingular:
@@ -181,7 +195,7 @@ class TestInjectivity:
     def test_matches_the_earlier_diagnostic(self, name, bundled_exp, model_p2, capsys):
         model = {
             "bundled": lambda: bundled_exp.model,
-            "single-mode": lambda: build_model(1, ORDER, 1.0, None, None, 2.0, 256),
+            "single-mode": lambda: build_model(1, ORDER, None, None, 2.0, 256),
             "zeroed-mode": lambda: zeroed_mode_model(model_p2),
             "min": lambda: kernel_model("min"),
             "table": lambda: kernel_model("table"),
@@ -203,7 +217,7 @@ class TestInjectivity:
             "[PASS] injectivity: approximately controllable (truncated): ")
 
     def test_single_mode(self, bundled_exp, capsys):
-        model = build_model(1, ORDER, 1.0, None, None, 2.0, 256)
+        model = build_model(1, ORDER, None, None, 2.0, 256)
         rep = verify_gramian(assemble_gramian(model, TimeGrid(1.0, 512)), model,
                              TimeGrid(1.0, 512))
         assert rep.sigma_min_b == pytest.approx(math.pi, rel=1e-10)

@@ -167,7 +167,7 @@ def select(pot, strategy, grid, states, model, previous=None):
 
 def project(model, g):
     """Rows H ghat(t_k) of grid-valued forcing, over the whole grid at once."""
-    return basis_coefficients(g, model.n_modes) @ model.h_matrix.T
+    return basis_coefficients(g, model.basis) @ model.h_matrix.T
 
 
 class TestSelection:
@@ -315,7 +315,7 @@ def test_zero_spec_is_the_zero_potential_bit_for_bit(model_p2):
 
 def reference_select(pot, strategy, grid, states, model, previous=None):
     """The earlier selection over the whole grid, with eta checked once per node."""
-    lo, hi = pot.interval(basis_values(states, model.n_theta))
+    lo, hi = pot.interval(basis_values(states, model.basis))
     if strategy == "midpoint":
         g = 0.5 * (lo + hi)
     elif strategy == "sign_zero":
@@ -386,8 +386,8 @@ class TestFixedPoint:
         pot = abs_potential(0.3)
         fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
         dual_bound = math.pi ** (1.0 / model.dual_p) * pot.eta
-        n0 = a_priori_state_bound(model, 1e-2, z, x0, dual_bound)
-        sup = np.max(lp_norms(fp.run.states, 256, 2.0))
+        n0 = a_priori_state_bound(model, grid, 1e-2, z, x0, dual_bound)
+        sup = np.max(lp_norms(fp.run.states, model.basis, 2.0))
         assert sup <= n0
 
 
@@ -411,7 +411,7 @@ def reference_fixed_point(model, gram, grid, epsilon, pot, z, x0, relaxation=0.5
         g_new = (1.0 - omega) * g + omega * g_sel
         run_new = run_for(g_new)
         gaps.append(float(np.max(lp_norms(run_new.states - run.states,
-                                          model.n_theta, model.p))))
+                                          model.basis, model.p))))
         g, run = g_new, run_new
         if gaps[-1] <= tol:
             return run, gaps, True
@@ -419,7 +419,7 @@ def reference_fixed_point(model, gram, grid, epsilon, pot, z, x0, relaxation=0.5
 
 
 def terminal_miss(model, run, z):
-    return float(lp_norms(run.states[-1] - z, model.n_theta, model.p)[0])
+    return float(lp_norms(run.states[-1] - z, model.basis, model.p)[0])
 
 
 BUNDLED_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -483,7 +483,7 @@ def reference_fixed_point_iterate(model, gram, grid, epsilon, pot, z, x0, strate
 
     def gap(a, b):
         return float(np.max(lp_norms(a.states - b.states,
-                                     model.n_theta, model.p)))
+                                     model.basis, model.p)))
 
     g = np.zeros((grid.steps + 1, model.n_theta))
     g_sel = np.empty_like(g)
@@ -593,7 +593,7 @@ class TestSweep:
         d = z - free[-1]
         for entry in entries:
             w = np.linalg.solve(entry.epsilon * np.eye(8) + gram, d)
-            closed_form, = lp_norms(entry.epsilon * w, 256, 2.0)
+            closed_form, = lp_norms(entry.epsilon * w, model.basis, 2.0)
             assert entry.terminal_miss == pytest.approx(closed_form, rel=1e-8)
             assert entry.identity_residual <= 1e-10
 
@@ -613,7 +613,7 @@ class TestSweep:
         for steps, n_theta in ((256, 128), (128, 64)):
             from fracheat.spectral import build_model
 
-            model = build_model(4, ORDER, 1.0, None, None, 2.0, n_theta)
+            model = build_model(4, ORDER, None, None, 2.0, n_theta)
             grid = TimeGrid(1.0, steps)
             gram = assemble_gramian(model, grid)
             entries = [e for e, _ in epsilon_sweep(model, gram, grid, pot, z,
@@ -714,7 +714,7 @@ def test_free_terminal_miss_is_the_free_runs_terminal_miss(settings):
     # the deficiency's terminal sum against the full free trajectory, bit for bit
     exp = build_experiment(load_config(CONFIG_PATH, settings), CONFIG_PATH.parent)
     free = mild_solution(exp.model, exp.grid, exp.x0)
-    want, = lp_norms(exp.target - free[-1], exp.model.n_theta, exp.model.p)
+    want, = lp_norms(exp.target - free[-1], exp.model.basis, exp.model.p)
     assert free_terminal_miss(exp.model, exp.grid, exp.target, exp.x0) == float(want)
 
 
@@ -725,7 +725,7 @@ def test_pipeline_away_from_reference_order(alpha, p):
     from fracheat.spectral import build_model
 
     order = FracOrder(alpha, alpha / 2.0)
-    model = build_model(4, order, 1.0, None, None, p, 64)
+    model = build_model(4, order, None, None, p, 64)
     grid = TimeGrid(1.0, 96)
     gram = assemble_gramian(model, grid)
     x0 = bump_coefficients(4, 64)
@@ -735,5 +735,5 @@ def test_pipeline_away_from_reference_order(alpha, p):
     from fracheat.control import terminal_identity_residual
 
     assert terminal_identity_residual(fp.run, model, z) <= 1e-6
-    miss, = lp_norms(fp.run.states[-1] - z, 64, p)
+    miss, = lp_norms(fp.run.states[-1] - z, model.basis, p)
     assert miss < free_terminal_miss(model, grid, z, x0)

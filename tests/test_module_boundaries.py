@@ -6,7 +6,9 @@ that writes files.  No module imports scipy, at any depth: numpy is the one
 runtime dependency, and scipy serves the tests only.  Every public name, and
 every public method or property of a package class, has a caller in the
 package, or a stated reason to stay: a wrapper that only tests call is not
-kept."""
+kept.  Every `functools.lru_cache` or `functools.cache` is on an allowlist
+with the reason it stays: a discretization fact has one owner, not a cache
+keyed on its sizes."""
 
 import ast
 from pathlib import Path
@@ -124,6 +126,68 @@ def test_checker_flags_each_file_write(tmp_path):
         "sample.py:1 imports csv", "sample.py:5 opens a file for writing",
         "sample.py:6 opens a file for writing", "sample.py:7 calls write_text",
         "sample.py:8 calls write_bytes", "sample.py:9 calls json.dump"]
+
+
+CACHE_FACTORIES = {"lru_cache", "cache"}
+
+# The functools caches of the package, each with the reason it stays.
+CACHES_ALLOWED = {
+    "evolve._shared": "one Propagator per (alpha, eigenvalues, grid): the Mittag-Leffler "
+                      "tables and weights that the Gramian, the closed loop and both "
+                      "trajectory channels read, built once per grid",
+}
+
+
+def functools_caches(path: Path) -> list[str]:
+    """Each use of `functools.lru_cache` or `functools.cache`, as a decorator
+    or a call, under any import name: module.name of the function or class it
+    decorates or of the name it is assigned to, else module:line."""
+    tree = ast.parse(path.read_text(), str(path))
+    factories = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 for alias in node.names if alias.name in CACHE_FACTORIES}
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    uses = [node for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in factories)
+            or (isinstance(node, ast.Attribute) and node.attr in CACHE_FACTORIES
+                and isinstance(node.value, ast.Name) and node.value.id in modules)]
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            parts, name = node.decorator_list, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            parts, name = [node.value], ", ".join(ast.unparse(t) for t in targets)
+        else:
+            continue
+        owners.update({id(sub): name for part in parts for sub in ast.walk(part)})
+    return [f"{path.stem}.{owners[id(use)]}" if id(use) in owners
+            else f"{path.stem}:{use.lineno}"
+            for use in sorted(uses, key=lambda use: (use.lineno, use.col_offset))]
+
+
+def test_every_cache_is_allowlisted():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [hit for path in modules for hit in functools_caches(path)]
+    assert sorted(found) == sorted(CACHES_ALLOWED)
+
+
+def test_checker_flags_each_cache(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import functools\nimport functools as ft\n"
+                      "from functools import cache, cached_property, lru_cache as memo\n"
+                      "from mylib import lru_cache\n\n\n"
+                      "@memo(maxsize=64)\ndef a():\n    pass\n\n\n"
+                      "@functools.cache\ndef b():\n    pass\n\n\n"
+                      "class C:\n    @cached_property\n    def d(self):\n        pass\n\n\n"
+                      "shared = memo(maxsize=16)(C)\nother: object = ft.lru_cache()(C)\n"
+                      "local = lru_cache(C)\n\n\n"
+                      "def e(f):\n    return cache(f)\n")
+    assert functools_caches(sample) == [
+        "sample.a", "sample.b", "sample.shared", "sample.other", "sample:29"]
 
 
 def unlisted_definitions(path: Path) -> list[str]:

@@ -113,14 +113,14 @@ def reference_mild_solution(model, grid, x0, forcing=None, control=None):
     return states
 
 
-def product_rule_gramian(model, steps):
+def product_rule_gramian(model, horizon, steps):
     """The Gramian by the same product-trapezoidal rule as `assemble_gramian`,
     one sigma at a time: it shares that rule's quadrature error, so it checks
     the assembly's algebra and not its accuracy."""
-    h = model.horizon / steps
+    h = horizon / steps
     alpha = model.order.alpha
     weights = singular_conv_weights(alpha, steps, h)[::-1]
-    sigmas = np.linspace(0.0, model.horizon, steps + 1)
+    sigmas = np.linspace(0.0, horizon, steps + 1)
     mults = np.array([ml_family(alpha, (alpha,), model.eigenvalues * s**alpha)[0] for s in sigmas])
     bb = model.b_matrix @ model.b_matrix.T
     return np.einsum("j,jm,mn,jn->mn", weights, mults, bb, mults, optimize=True)
@@ -161,7 +161,7 @@ def test_mild_solution_matches_per_node_loop(model_p2, steps):
 @pytest.mark.parametrize("steps", [64, 512])
 def test_gramian_matches_per_sigma_einsum(model_p2, steps):
     new = assemble_gramian(model_p2, TimeGrid(1.0, steps))
-    assert rel_gap(new, product_rule_gramian(model_p2, steps)) <= REL_TOL
+    assert rel_gap(new, product_rule_gramian(model_p2, 1.0, steps)) <= REL_TOL
 
 
 @pytest.mark.parametrize("which", ["p2", "p4"])
@@ -251,7 +251,7 @@ def uncached_convolve(prop, u):
     tail = np.array(u, dtype=float)
     tail[0] = 0.0
     kernel = rfft((c[:, None] * prop.e_force).reshape(shape), size, axis=0)
-    out = irfft(kernel * rfft(tail, size, axis=0), size, axis=0)[: prop.steps + 1]
+    out = irfft(kernel * rfft(tail, size, axis=0), size, axis=0)[: prop.grid.steps + 1]
     out[0] = 0.0
     return out + (a[:, None] * prop.e_force).reshape(shape) * u[0]
 
@@ -364,7 +364,7 @@ def test_state_and_moment_tables_share_one_cut_integral(alpha, model_p2, monkeyp
     for name in ("_ml_tail_series", "_ml_cut_integral"):
         monkeypatch.setattr(fracops, name, counting(name))
     lam = tuple(model_p2.eigenvalues)
-    prop = Propagator(alpha, lam, 1.0, 512)  # not the shared one
+    prop = Propagator(alpha, lam, TimeGrid(1.0, 512))  # not the shared one
     e_state, e_moment = prop.e_state, prop.e_moment
     assert calls == [("_ml_tail_series", 1.0), ("_ml_cut_integral", 1.0)]
     e_force = prop.e_force
@@ -375,3 +375,38 @@ def test_state_and_moment_tables_share_one_cut_integral(alpha, model_p2, monkeyp
             t_alpha * ml_family(alpha, (alpha + 1.0,), args)[0])
     for got, ref in zip((e_state, e_force, e_moment), want):
         assert np.array_equal(got, ref) and not got.flags.writeable
+
+
+@pytest.mark.parametrize("modes,steps", [(8, 512), (16, 512), (24, 512), (32, 512),
+                                         (64, 512), (8, 4096)])
+def test_convolve_keeps_its_product_order_in_named_arrays(modes, steps):
+    # from 256 KiB on, numpy's temporary elision turned an unnamed
+    # `kernel_spectrum * rfft(...)` into `rfft(...) *= kernel_spectrum`, and
+    # the swapped complex product rounds differently; with both operands named
+    # nothing is elided, so `convolve` must be kernel * spectrum below that
+    # size and spectrum * kernel from it on, bit for bit
+    lam = tuple(-np.arange(1.0, modes + 1) ** 2)
+    prop = Propagator(0.75, lam, TimeGrid(1.0, steps))  # not the shared one
+    u = np.random.default_rng(modes + steps).standard_normal((steps + 1, modes))
+    tail = u.copy()
+    tail[0] = 0.0
+    kernel = prop.kernel_spectrum
+    spectrum = np.fft.rfft(tail, prop.fft_size, axis=0)
+    assert not np.array_equal(kernel * spectrum, spectrum * kernel)  # the order shows
+    product = spectrum * kernel if spectrum.nbytes >= 256 * 1024 else kernel * spectrum
+    _, a = prop.lag_weights
+    want = np.fft.irfft(product, prop.fft_size, axis=0)[: steps + 1]
+    want[0] = 0.0
+    assert np.array_equal(prop.convolve(u), want + a[:, None] * prop.e_force * u[0])
+
+
+def test_propagator_is_keyed_on_the_grid(model_p2):
+    # the grid is the one owner of the nodes and dt: equal grids share one
+    # propagator, and its tables sit on that grid's nodes
+    grid = TimeGrid(1.0, 64)
+    prop = propagator(model_p2, grid)
+    assert propagator(model_p2, TimeGrid(1, 64)) is prop and prop.grid == grid
+    want = ml_family(0.75, (0.75,), model_p2.eigenvalues * grid.nodes[:, None] ** 0.75)[0]
+    assert np.array_equal(prop.e_force, want)
+    c, a = product_lag_weights(0.75, grid.steps, grid.dt)
+    assert np.array_equal(prop.lag_weights[0], c) and np.array_equal(prop.lag_weights[1], a)

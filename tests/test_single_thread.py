@@ -68,20 +68,21 @@ class TestGridTransforms:
     def test_basis_values_match_blas_product(self, n_rows, n_modes, n_theta):
         rng = np.random.default_rng(n_rows + n_modes)
         rows = rng.standard_normal((n_rows, n_modes))
-        old = rows @ basis_matrix(n_modes, n_theta).T
-        assert_rows_close(basis_values(rows, n_theta), old)
+        w = basis_matrix(n_modes, n_theta)
+        assert_rows_close(basis_values(rows, w), rows @ w.T)
 
     @pytest.mark.parametrize("n_rows", [1, 200, 513, 4097])
     @pytest.mark.parametrize("n_modes,n_theta", [(8, 256), (128, 256)])
     def test_basis_coefficients_match_blas_product(self, n_rows, n_modes, n_theta):
         rng = np.random.default_rng(n_rows + n_theta)
         values = rng.standard_normal((n_rows, n_theta))
-        old = values @ basis_matrix(n_modes, n_theta) * (math.pi / n_theta)
-        assert_rows_close(basis_coefficients(values, n_modes), old)
+        w = basis_matrix(n_modes, n_theta)
+        assert_rows_close(basis_coefficients(values, w), values @ w * (math.pi / n_theta))
 
     def test_coefficients_invert_values(self):
         rows = np.random.default_rng(1).standard_normal((33, 8))
-        back = basis_coefficients(basis_values(rows, 256), 8)
+        w = basis_matrix(8, 256)
+        back = basis_coefficients(basis_values(rows, w), w)
         assert np.max(np.abs(back - rows)) <= 1e-14 * np.max(np.abs(rows))
 
     def test_step_forcing_matches_blas_product(self, problem_p2):
@@ -159,7 +160,7 @@ class TestAuditRun:
                 assert fp.fixed_point_residual == 0.0
                 # the skipped run would have reproduced `run` bit for bit
                 again = original(model, gram, grid, eps, z, x0,
-                                 forcing=basis_coefficients(fp.g, model.n_modes)
+                                 forcing=basis_coefficients(fp.g, model.basis)
                                  @ model.h_matrix.T)
                 assert np.array_equal(again.states, fp.run.states)
             else:
@@ -419,8 +420,8 @@ def test_cli_pins_one_blas_thread_only_before_numpy(prelude, env, want):
 
 def old_hvi_rhs(model, states, pot, directions):
     """The support-function side of `hvi_residual` as BLAS products."""
-    lo, hi = pot.interval(basis_values(states, model.n_theta))
-    direction = basis_values(directions @ model.h_matrix, model.n_theta)
+    lo, hi = pot.interval(basis_values(states, model.basis))
+    direction = basis_values(directions @ model.h_matrix, model.basis)
     h = math.pi / model.n_theta
     return (hi @ np.maximum(direction, 0.0).T + lo @ np.minimum(direction, 0.0).T) * h, \
         (np.abs(hi) @ np.abs(direction).T) * h
@@ -432,7 +433,7 @@ def test_hvi_residual_matches_blas_products(problem_p2):
     fp = fixed_point_iterate(model, gram, grid, 1e-2, pot, z, x0)
     dirs = np.random.default_rng(9).standard_normal((16, model.n_modes))
     rhs, scale = old_hvi_rhs(model, fp.run.states, pot, dirs)
-    lhs = basis_coefficients(fp.g, model.n_modes) @ model.h_matrix.T @ dirs.T
+    lhs = basis_coefficients(fp.g, model.basis) @ model.h_matrix.T @ dirs.T
     got = hvi_residual(model, fp.run.states, fp.g, pot, dirs)
     # the einsum sums the grid axis in another order: 1e-14 of the sum of
     # the terms' magnitudes

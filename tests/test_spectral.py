@@ -139,15 +139,15 @@ class TestKernelAssembly:
             original = getattr(spectral_module, name)
             monkeypatch.setattr(spectral_module, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-        same = build_model(8, ORDER, 1.0, KernelSpec("green"), KernelSpec("green"), 4.0, 256)
+        same = build_model(8, ORDER, KernelSpec("green"), KernelSpec("green"), 4.0, 256)
         assert calls == ["_assemble_kernel_matrix", "_kernel_norm_bounds"]
         calls.clear()
         table = np.minimum.outer(np.arange(32.0), np.arange(32.0))
-        tabled = build_model(4, ORDER, 1.0, KernelSpec("custom", table),
+        tabled = build_model(4, ORDER, KernelSpec("custom", table),
                              KernelSpec("custom", table.copy()), 4.0, 256)
         assert len(calls) == 2
         calls.clear()
-        mixed = build_model(8, ORDER, 1.0, KernelSpec("green"), KernelSpec("min"), 4.0, 256)
+        mixed = build_model(8, ORDER, KernelSpec("green"), KernelSpec("min"), 4.0, 256)
         assert len(calls) == 4
         # the shared build gives what two separate builds give
         for model, kb, kh in ((same, KernelSpec("green"), KernelSpec("green")),
@@ -173,14 +173,14 @@ class TestKernelAssembly:
         assert brute_force_entry(green_kernel, 1, 3) == pytest.approx(0.0, abs=1e-8)
 
     def test_min_kernel_against_analytic(self):
-        model = build_model(6, ORDER, 1.0, KernelSpec("min"), None, 2.0, 256)
+        model = build_model(6, ORDER, KernelSpec("min"), None, 2.0, 256)
         n = np.arange(1, 7)
         nn, mm = np.meshgrid(n, n, indexing="ij")
         want = np.where(nn == mm, 1.0 / nn**2, 0.0) + (-1.0) ** (nn + mm) * 2.0 / (nn * mm)
         assert np.max(np.abs(model.b_matrix - want)) <= 1e-10
 
     def test_single_mode_model(self):
-        model = build_model(1, ORDER, 1.0, None, None, 2.0, 256)
+        model = build_model(1, ORDER, None, None, 2.0, 256)
         assert model.b_matrix.shape == (1, 1)
         assert model.b_matrix[0, 0] == pytest.approx(math.pi, rel=1e-12)
 
@@ -188,7 +188,7 @@ class TestKernelAssembly:
         table = np.ones((32, 32))
         table[3, 7] = 5.0
         with pytest.raises(ValueError, match="asymmetric"):
-            build_model(4, ORDER, 1.0, KernelSpec("custom", table), None, 2.0, 64)
+            build_model(4, ORDER, KernelSpec("custom", table), None, 2.0, 64)
 
     def test_kernel_spec_guards(self):
         with pytest.raises(ValueError):
@@ -244,7 +244,7 @@ class TestOperatorFamilies:
             t = rng.uniform(0.0, 1.0)
             x = rng.standard_normal(8)
             s, = ml_family(0.75, (1.0,), model_p2.eigenvalues * t**0.75)
-            nx, ns = lp_norms([x, s * x], 256, 2.0)
+            nx, ns = lp_norms([x, s * x], model_p2.basis, 2.0)
             assert ns <= model_p2.m_bound * nx * (1.0 + 1e-12)
 
     def test_forcing_bound(self, model_p2):
@@ -254,7 +254,7 @@ class TestOperatorFamilies:
             t = rng.uniform(0.0, 1.0)
             x = rng.standard_normal(8)
             f, = ml_family(0.75, (0.75,), model_p2.eigenvalues * t**0.75)
-            nx, nt = lp_norms([x, f * x], 256, 2.0)
+            nx, nt = lp_norms([x, f * x], model_p2.basis, 2.0)
             assert nt <= bound * nx * (1.0 + 1e-12)
 
     def test_multiplier_against_subordination_quadrature(self, model_p2):
