@@ -25,8 +25,9 @@ L_a(tau^(-1/a)) with the one-sided stable density L_a (Mainardi, Mura &
 Pagnini, Int. J. Differ. Equ. 2010).
 
 `product_lag_weights` owns the one quadrature rule for the weakly singular
-kernel: exact against piecewise-linear data (product trapezoidal), by lag.
-`rl_integral` reads one row of it and `evolve.Propagator` the whole table.
+kernel: exact against piecewise-linear data (product trapezoidal), by lag;
+`evolve.Propagator` reads the whole table.  `l1_coefficients` are the L1
+scheme's Caputo weights, which `evolve.l1_reference` reads.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ __all__ = [
     "TimeGrid",
     "ml_family",
     "wright_density",
-    "rl_integral",
-    "caputo_derivative",
     "product_lag_weights",
     "l1_coefficients",
     "row_blocks",
@@ -169,13 +168,6 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
-
-    def node_index(self, t: float) -> int:
-        """Index of the node equal to t; raises if t is not a grid node."""
-        k = round(t / self.dt)
-        if k < 0 or k > self.steps or abs(k * self.dt - t) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"t={t} is not a node of the grid (dt={self.dt})")
-        return int(k)
 
 
 # ---------------------------------------------------------------------------
@@ -532,37 +524,7 @@ def product_lag_weights(alpha: float, steps: int, dt: float) -> tuple[np.ndarray
     return (far + (m[1:] * p0 - p1)) * scale, far * scale
 
 
-def rl_integral(values: np.ndarray, grid: TimeGrid, alpha: float, t: float) -> float:
-    """Fractional integral of order alpha of grid-sampled f, evaluated at node t:
-    row k of `product_lag_weights`, the propagator's rule with no multiplier."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.steps + 1,):
-        raise ValueError(f"values must have shape ({grid.steps + 1},), got {values.shape}")
-    k = grid.node_index(t)
-    if k == 0:
-        return 0.0
-    c, a = product_lag_weights(alpha, k, grid.dt)
-    return float(np.append(a[k], c[k - 1 :: -1]) @ values[: k + 1]) / math.gamma(alpha)
-
-
 def l1_coefficients(alpha: float, n: int) -> np.ndarray:
     """L1-scheme kernel weights b_j = (j+1)^(1-alpha) - j^(1-alpha), j = 0..n-1."""
     j = np.arange(0, n, dtype=float)
     return (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
-
-
-def caputo_derivative(values: np.ndarray, grid: TimeGrid, alpha: float, t: float) -> float:
-    """L1-scheme Caputo derivative of order alpha in (0, 1) at node t > 0."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.steps + 1,):
-        raise ValueError(f"values must have shape ({grid.steps + 1},), got {values.shape}")
-    k = grid.node_index(t)
-    if k == 0:
-        raise ValueError("Caputo derivative is defined for t > 0 only")
-    b = l1_coefficients(alpha, k)
-    increments = values[1 : k + 1] - values[:k]
-    # b[0] pairs with the newest increment.
-    hist = float(b @ increments[::-1])
-    return hist / (grid.dt**alpha * math.gamma(2.0 - alpha))

@@ -8,7 +8,8 @@ of its n_theta grid values (a batch of them: one row each), a state or a dual
 element alike; the exponent of its space is passed to each function, and
 the transforms take the sine basis W of `basis_matrix`, which each
 `spectral.SpectralModel` builds once as its `basis`.  Norms and the duality
-map scale by max|values| where a plain power overflows (p >= ~100).
+map scale by max|values| where a plain power sum overflows (p >= ~100), or
+underflows below the smallest normal float from values not all 0.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import math
 import numpy as np
 
 from .fracops import row_blocks
+
+# Below this a power sum is subnormal or 0: digits, or the whole norm, lost.
+_TINY = float(np.finfo(float).tiny)
 
 __all__ = [
     "theta_grid",
@@ -42,15 +46,16 @@ def lp_norm(values: np.ndarray, p: float) -> float:
     values = np.asarray(values, dtype=float)
     with np.errstate(over="ignore"):
         total = np.sum(np.abs(values) ** p)
-    if total == math.inf and np.all(np.isfinite(values)):
+    if (total == math.inf or total < _TINY and np.any(values)) and np.all(np.isfinite(values)):
         return float(_scaled_norms(values, p))
     return float((total * (math.pi / values.size)) ** (1.0 / p))
 
 
 def _scaled_norms(values: np.ndarray, p: float) -> np.ndarray:
-    """L^p norms along the last axis of finite values whose power sum
-    overflows: max|v| (h sum |v / max|v||^p)^(1/p), each term at most 1.
-    Only such rows take this form, since it rounds differently."""
+    """L^p norms along the last axis of finite values, not all 0, whose power
+    sum overflows or underflows: max|v| (h sum |v / max|v||^p)^(1/p),
+    each term at most 1 and the largest 1.  Only such rows take this form,
+    since it rounds differently."""
     top = np.max(np.abs(values), axis=-1, keepdims=True)
     sums = np.sum((np.abs(values) / top) ** p, axis=-1) * (math.pi / values.shape[-1])
     return top[..., 0] * sums ** (1.0 / p)
@@ -118,7 +123,8 @@ def lp_norms(coeff_rows: np.ndarray, basis: np.ndarray, p: float) -> np.ndarray:
     coefficient row; rows go in row blocks (`fracops.row_blocks`: 120 KiB of
     grid values, under glibc's mmap threshold), one block array at a time:
     |values|^p in place, released before the next.  A row whose power sum
-    overflows is redone scaled by its max|value|."""
+    overflows, or underflows from coefficients not all 0, is redone
+    scaled by its max|value|."""
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
     n_theta = basis.shape[0]
     sums = np.empty(rows.shape[0])
@@ -128,7 +134,8 @@ def lp_norms(coeff_rows: np.ndarray, basis: np.ndarray, p: float) -> np.ndarray:
             sums[block] = np.sum(np.power(np.abs(values, out=values), p, out=values), axis=1)
             del values  # before the next block's values
     norms = (sums * (math.pi / n_theta)) ** (1.0 / p)
-    overflowed = sums == math.inf  # values are finite: `basis_values` refuses others
-    if np.any(overflowed):
-        norms[overflowed] = _scaled_norms(basis_values(rows[overflowed], basis), p)
+    # values are finite: `basis_values` refuses others
+    redo = (sums == math.inf) | (sums < _TINY) & np.any(rows, axis=1)
+    if np.any(redo):
+        norms[redo] = _scaled_norms(basis_values(rows[redo], basis), p)
     return norms

@@ -189,17 +189,35 @@ def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> n
 def _kernel_norm_bounds(kernel: KernelSpec, p: float, n_theta: int) -> tuple[float, float]:
     """Computable upper bounds for the operator norms of the kernel operator:
     L^2 -> L^p (Cauchy-Schwarz in the inner variable) and L^p' -> L^p
-    (Hoelder in the inner variable)."""
+    (Hoelder in the inner variable).  A power sum that overflows (p >= ~700)
+    is redone with the largest value pulled out of the power, as `lpspace`
+    scales its norms; only such sums take that form, since it rounds
+    differently."""
     theta = theta_grid(n_theta)
     h = math.pi / n_theta
-    row_l2, row_lp = np.empty(n_theta), np.empty(n_theta)
-    for rows in row_blocks(n_theta, n_theta):
-        k = kernel.values(theta[rows, None], theta[None, :])
-        row_l2[rows] = np.sum(k * k, axis=1) * h
-        row_lp[rows] = np.sum(np.power(np.abs(k, out=k), p, out=k), axis=1) * h
-        del k  # before the next block's values
-    bound_l2_lp = (np.sum(row_l2 ** (p / 2.0)) * h) ** (1.0 / p)
-    bound_lq_lp = (np.sum(row_lp) * h) ** (1.0 / p)
+
+    def row_sums(top: float) -> np.ndarray:
+        """h sum k^2, h sum |k / top|^p and max |k| along each row."""
+        sums = np.empty((3, n_theta))
+        for rows in row_blocks(n_theta, n_theta):
+            k = kernel.values(theta[rows, None], theta[None, :])
+            sums[0, rows] = np.sum(k * k, axis=1) * h
+            sums[2, rows] = np.max(np.abs(k, out=k), axis=1)
+            k /= top
+            sums[1, rows] = np.sum(np.power(k, p, out=k), axis=1) * h
+            del k  # before the next block's values
+        return sums
+
+    with np.errstate(over="ignore"):
+        row_l2, row_lp, row_top = row_sums(1.0)
+        bound_l2_lp = (np.sum(row_l2 ** (p / 2.0)) * h) ** (1.0 / p)
+        bound_lq_lp = (np.sum(row_lp) * h) ** (1.0 / p)
+    if not math.isfinite(bound_l2_lp):
+        top = np.max(row_l2)
+        bound_l2_lp = math.sqrt(top) * (np.sum((row_l2 / top) ** (p / 2.0)) * h) ** (1.0 / p)
+    if not math.isfinite(bound_lq_lp):
+        top = np.max(row_top)
+        bound_lq_lp = top * (np.sum(row_sums(top)[1]) * h) ** (1.0 / p)
     return float(bound_l2_lp) * (1.0 + 1e-9), float(bound_lq_lp) * (1.0 + 1e-9)
 
 

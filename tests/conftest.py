@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fracheat.fracops import FracOrder, TimeGrid, wright_density
+from fracheat.fracops import FracOrder, TimeGrid, l1_coefficients, product_lag_weights, wright_density
 from fracheat.gramian import assemble_gramian
 from fracheat.lpspace import basis_matrix, theta_grid
 from fracheat.spectral import build_model
@@ -77,6 +77,21 @@ def density_on_gauss_grid(alpha: float, n_nodes: int = 500):
     weights = 0.5 * tau_cut * w
     values = wright_density(alpha, tau)
     return tau, weights, values
+
+
+def rl_integral_at(values: np.ndarray, dt: float, alpha: float, k: int) -> float:
+    """Fractional integral of order alpha of node values at node k: row k of
+    `product_lag_weights` over Gamma(alpha), the propagator's rule."""
+    c, a = product_lag_weights(alpha, k, dt)
+    return float(np.append(a[k], c[:k][::-1]) @ values[: k + 1]) / math.gamma(alpha)
+
+
+def caputo_at(values: np.ndarray, dt: float, alpha: float, k: int) -> float:
+    """L1-scheme Caputo derivative of order alpha of node values at node k >= 1:
+    `l1_coefficients`, b[0] paired with the newest increment."""
+    increments = values[1 : k + 1] - values[:k]
+    hist = float(l1_coefficients(alpha, k) @ increments[::-1])
+    return hist / (dt**alpha * math.gamma(2.0 - alpha))
 
 
 def bump_coefficients(n_modes: int, n_theta: int = 256) -> np.ndarray:

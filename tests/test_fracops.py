@@ -6,14 +6,14 @@ import pytest
 from fracheat.fracops import (
     FracOrder,
     TimeGrid,
-    caputo_derivative,
     gauss_legendre,
+    l1_coefficients,
     ml_family,
-    rl_integral,
+    product_lag_weights,
     wright_density,
 )
 
-from conftest import density_on_gauss_grid, ml_oracle
+from conftest import caputo_at, density_on_gauss_grid, ml_oracle, rl_integral_at
 
 # frozen from the arbitrary-precision series oracle (terms summed to 1e-35)
 E_075_M1 = 0.393108302815754062
@@ -121,44 +121,38 @@ class TestFractionalIntegral:
     def test_constant_moment(self, alpha):
         grid = TimeGrid(1.0, 64)
         ones = np.ones(grid.steps + 1)
-        for t in (grid.dt, 0.5, 1.0):
+        for k in (1, 32, 64):
+            t = grid.nodes[k]
             want = t**alpha / math.gamma(alpha + 1.0)
-            assert rl_integral(ones, grid, alpha, t) == pytest.approx(want, rel=1e-10)
+            assert rl_integral_at(ones, grid.dt, alpha, k) == pytest.approx(want, rel=1e-10)
 
     def test_plain_integral_alpha_one(self):
         grid = TimeGrid(2.0, 128)
         vals = grid.nodes.copy()
-        assert rl_integral(vals, grid, 1.0, 2.0) == pytest.approx(2.0, rel=1e-12)
+        assert rl_integral_at(vals, grid.dt, 1.0, 128) == pytest.approx(2.0, rel=1e-12)
 
     def test_sin_against_quadrature_oracle(self):
         errs = []
         for steps in (256, 512, 1024):
             grid = TimeGrid(1.0, steps)
-            errs.append(abs(rl_integral(np.sin(grid.nodes), grid, 0.6, 1.0) - RL_06_SIN_1))
+            errs.append(abs(rl_integral_at(np.sin(grid.nodes), grid.dt, 0.6, steps) - RL_06_SIN_1))
         assert errs[1] <= 1e-4
         order = math.log2(errs[0] / errs[2]) / 2.0
         assert order >= 1.0
-
-    def test_grid_mismatch(self):
-        grid = TimeGrid(1.0, 64)
-        with pytest.raises(ValueError):
-            rl_integral(np.ones(65), grid, 0.6, 0.3456)
-        with pytest.raises(ValueError):
-            rl_integral(np.ones(12), grid, 0.6, 0.5)
 
 
 class TestCaputoDerivative:
     def test_constants_vanish(self):
         grid = TimeGrid(1.0, 32)
         const = np.full(33, 3.7)
-        for t in grid.nodes[1:]:
-            assert abs(caputo_derivative(const, grid, 0.7, float(t))) <= 1e-13
+        for k in range(1, 33):
+            assert abs(caputo_at(const, grid.dt, 0.7, k)) <= 1e-13
 
     def test_linear_is_exact(self):
         grid = TimeGrid(1.0, 128)
         vals = grid.nodes.copy()
         want = 1.0 / math.gamma(1.3)
-        assert caputo_derivative(vals, grid, 0.7, 1.0) == pytest.approx(want, rel=1e-12)
+        assert caputo_at(vals, grid.dt, 0.7, 128) == pytest.approx(want, rel=1e-12)
 
     def test_quadratic_on_refined_grids(self):
         alpha, t = 0.6, 0.5
@@ -166,15 +160,10 @@ class TestCaputoDerivative:
         errs = []
         for steps in (128, 256, 512):
             grid = TimeGrid(1.0, steps)
-            got = caputo_derivative(grid.nodes**2, grid, alpha, t)
+            got = caputo_at(grid.nodes**2, grid.dt, alpha, steps // 2)
             errs.append(abs(got - want))
         assert errs[-1] <= 1e-4
         assert math.log2(errs[0] / errs[2]) / 2.0 >= 1.0
-
-    def test_zero_time_rejected(self):
-        grid = TimeGrid(1.0, 32)
-        with pytest.raises(ValueError):
-            caputo_derivative(np.ones(33), grid, 0.7, 0.0)
 
     def test_round_trip_with_integral(self):
         # Caputo of the fractional integral recovers f, order >= 1 under refinement
@@ -183,8 +172,9 @@ class TestCaputoDerivative:
         errs = []
         for steps in (128, 256, 512):
             grid = TimeGrid(1.0, steps)
-            integ = np.array([rl_integral(f(grid.nodes), grid, alpha, float(t)) for t in grid.nodes])
-            got = caputo_derivative(integ, grid, alpha, 1.0)
+            integ = np.array([rl_integral_at(f(grid.nodes), grid.dt, alpha, k)
+                              for k in range(steps + 1)])
+            got = caputo_at(integ, grid.dt, alpha, steps)
             errs.append(abs(got - f(np.array([1.0]))[0]))
         assert math.log2(errs[0] / errs[2]) / 2.0 >= 1.0
 
@@ -235,10 +225,79 @@ class TestDomainTypes:
         assert nodes[0] == 0.0
         assert nodes[-1] == 2.0
         assert np.all(np.diff(nodes) > 0.0)
-        assert grid.node_index(0.6) == 3
         with pytest.raises(ValueError):
             TimeGrid(0.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 1)
-        with pytest.raises(ValueError):
-            grid.node_index(0.31)
+
+
+# Every (alpha, grid, node values) at which criterion 2, TestFractionalIntegral
+# and TestCaputoDerivative take a fractional integral or an L1 derivative.
+def _ones(s):
+    return np.ones_like(s)
+
+
+def _exp_plus_linear(s):
+    return np.exp(-s) + s
+
+
+RL_CASES = [(alpha, 1.0, 64, _ones) for alpha in (0.6, 0.75, 0.9, 1.0)] + [
+    (1.0, 2.0, 128, lambda s: s.copy()),
+    *[(0.6, 1.0, steps, np.sin) for steps in (256, 512, 1024)],
+    *[(0.75, 1.0, steps, _exp_plus_linear) for steps in (128, 256, 512)],
+]
+CAPUTO_CASES = [
+    (0.75, 1.0, 512, lambda s: s.copy()),
+    *[(0.75, 1.0, steps, lambda s: s**2) for steps in (128, 256, 512)],
+    (0.7, 1.0, 32, lambda s: np.full_like(s, 3.7)),
+    (0.7, 1.0, 128, lambda s: s.copy()),
+    *[(0.6, 1.0, steps, lambda s: s**2) for steps in (128, 256, 512)],
+    *[(0.75, 1.0, steps, "integral") for steps in (128, 256, 512)],
+]
+
+
+def former_rl_integral(values, grid, alpha, t):
+    """`fracops.rl_integral` as it was, its node lookup inlined and its input
+    checks left out."""
+    k = int(round(t / grid.dt))
+    if k == 0:
+        return 0.0
+    c, a = product_lag_weights(alpha, k, grid.dt)
+    return float(np.append(a[k], c[k - 1 :: -1]) @ values[: k + 1]) / math.gamma(alpha)
+
+
+def former_caputo_derivative(values, grid, alpha, t):
+    """`fracops.caputo_derivative` as it was, its node lookup inlined and its
+    input checks left out."""
+    k = int(round(t / grid.dt))
+    b = l1_coefficients(alpha, k)
+    increments = values[1 : k + 1] - values[:k]
+    # b[0] pairs with the newest increment.
+    hist = float(b @ increments[::-1])
+    return hist / (grid.dt**alpha * math.gamma(2.0 - alpha))
+
+
+class TestHelpersAreTheFormerWrappers:
+    """The test-side helpers against `fracops.rl_integral` and
+    `fracops.caputo_derivative` as they were before they left the package, bit
+    for bit at every node of every grid the fractional-calculus tests use."""
+
+    @pytest.mark.parametrize("alpha,horizon,steps,f", RL_CASES)
+    def test_rl_integral(self, alpha, horizon, steps, f):
+        grid = TimeGrid(horizon, steps)
+        values = f(grid.nodes)
+        for k, t in enumerate(grid.nodes):
+            assert rl_integral_at(values, grid.dt, alpha, k) == \
+                former_rl_integral(values, grid, alpha, float(t))
+
+    @pytest.mark.parametrize("alpha,horizon,steps,f", CAPUTO_CASES)
+    def test_caputo_derivative(self, alpha, horizon, steps, f):
+        grid = TimeGrid(horizon, steps)
+        if f == "integral":  # the round trip: the derivative of the integral
+            values = np.array([former_rl_integral(_exp_plus_linear(grid.nodes), grid, alpha,
+                                                  float(t)) for t in grid.nodes])
+        else:
+            values = f(grid.nodes)
+        for k, t in enumerate(grid.nodes[1:], start=1):
+            assert caputo_at(values, grid.dt, alpha, k) == \
+                former_caputo_derivative(values, grid, alpha, float(t))

@@ -164,6 +164,15 @@ class TestVerification:
         assert f"{report.norm_bound_slack:.3f}" == "0.166"
         assert report.norm_bound_ok
 
+    def test_norm_bound_is_finite_past_the_power_overflow(self, gram_p2, grid_512):
+        # the kernel norm bound overflowed to inf from p ~ 800, and the check
+        # then passed with slack 0 whatever the Gramian; the Gramian itself does
+        # not depend on p
+        model = build_model(8, ORDER, None, None, 800.0, 256)
+        report = verify_gramian(gram_p2, model, grid_512)
+        assert math.isfinite(report.norm_bound) and report.norm_bound_slack > 0.0
+        assert report.norm_bound_ok
+
 
 class TestMinSingular:
     """sigma_min(G) as `verify_gramian` reports it (and `gramian` prints it)."""

@@ -277,3 +277,39 @@ class TestPowerOverflow:
             assert abs(lp_norm(jf, p / (p - 1.0)) - nf) <= 1e-8 * nf
             np.testing.assert_allclose(jf, scale * duality_map(f / scale, p),
                                        rtol=1e-12, atol=1e-12 * np.max(np.abs(jf)))
+
+
+class TestPowerUnderflow:
+    """7e-3 sin(theta) at p = 150: every |f|^p is subnormal or 0, so the plain
+    power sum times h is 0, a zero norm for a nonzero function."""
+
+    P = 150.0
+
+    def test_the_plain_sum_reads_zero(self):
+        f = 7e-3 * np.sin(theta_grid(N_THETA))
+        with np.errstate(under="ignore"):
+            assert np.sum(np.abs(f) ** self.P) * (math.pi / N_THETA) == 0.0
+
+    def test_norms_keep_the_function(self):
+        sine = np.sin(theta_grid(N_THETA))
+        f = 7e-3 * sine
+        nf = lp_norm(f, self.P)
+        assert nf == pytest.approx(7e-3 * lp_norm(sine, self.P), rel=1e-13)
+        assert nf == pytest.approx(0.7 * lp_norm(1e-2 * sine, self.P), rel=1e-13)
+        w = basis(8)
+        np.testing.assert_allclose(lp_norms(basis_coefficients(f, w), w, self.P), [nf],
+                                   rtol=1e-13)
+
+    def test_duality_map_identity(self):
+        f = 7e-3 * np.sin(theta_grid(N_THETA))
+        jf = duality_map(f, self.P)
+        nf = lp_norm(f, self.P)
+        assert np.all(np.isfinite(jf)) and np.any(jf != 0.0)
+        assert abs(pairing(f, jf) - nf**2) <= 1e-12 * nf**2
+        assert abs(lp_norm(jf, self.P / (self.P - 1.0)) - nf) <= 1e-12 * nf
+
+    def test_zero_keeps_a_zero_norm(self):
+        w = basis(8)
+        assert lp_norm(np.zeros(N_THETA), self.P) == 0.0
+        assert np.array_equal(lp_norms(np.zeros((2, 8)), w, self.P), [0.0, 0.0])
+        assert np.array_equal(duality_map(np.zeros(N_THETA), self.P), np.zeros(N_THETA))

@@ -4,9 +4,9 @@ No module imports an underscore-prefixed name from a sibling module: private
 helpers stay private to the module that owns them.  `cli` is the one module
 that writes files.  No module imports scipy, at any depth: numpy is the one
 runtime dependency, and scipy serves the tests only.  Every public name, and
-every public method or property of a package class, has a caller in the
-package, or a stated reason to stay: a wrapper that only tests call is not
-kept.  Every `functools.lru_cache` or `functools.cache` is on an allowlist
+every public method or property of a package class, has a caller in code the
+commands can reach, or a stated reason to stay: a wrapper that only tests
+call is not kept, nor a helper that only such a wrapper calls.  Every `functools.lru_cache` or `functools.cache` is on an allowlist
 with the reason it stays: a discretization fact has one owner, not a cache
 keyed on its sizes."""
 
@@ -225,13 +225,13 @@ def test_checker_flags_an_unlisted_definition(tmp_path):
     assert unlisted_definitions(bare) == []
 
 
-# Public names that no code in the package calls, each with the reason it stays.
+# Public names that no code the commands reach calls, each with the reason it
+# stays.
 UNREFERENCED_ALLOWED = {
-    "rl_integral": "the scalar face of the propagator's rule, checked by criterion 2",
-    "caputo_derivative": "checked by tests/test_acceptance.py",
     "hvi_residual": "acceptance criterion 9, the variational-inequality residual",
     "a_priori_state_bound": "the paper's state estimate, due in summary.json (ROADMAP item 4)",
     "control_norm_bound": "the paper's control estimate, due in summary.json (ROADMAP item 4)",
+    "theta_constant": "read only by the two bounds above, due in summary.json (ROADMAP item 4)",
 }
 
 
@@ -249,34 +249,50 @@ def public_names(path: Path) -> list[str]:
     return names
 
 
-def referenced_names(paths: list[Path]) -> set[str]:
-    """Names loaded, bare or as an attribute, anywhere in the modules except
-    inside a definition of the same name."""
-    found = set()
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def visit(node: ast.AST, own: frozenset) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, own | {child.name})
+
+def loaded_names(node: ast.AST) -> set[str]:
+    """Names loaded, bare or as an attribute, in the code that runs once the
+    definition or statement is reached: a class's decorators, bases, body
+    statements and dunder methods, but not its other methods, which are
+    reached by their own names."""
+    if isinstance(node, ast.ClassDef):
+        parts = node.decorator_list + node.bases + node.keywords + [
+            item for item in node.body if not isinstance(item, FUNCTIONS)
+            or (item.name.startswith("__") and item.name.endswith("__"))]
+        return set().union(*map(loaded_names, parts))
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            or isinstance(sub, ast.Attribute)}
+
+
+def reached_names(modules: list[Path]) -> set[str]:
+    """Names loaded in code the commands can reach: module-level code,
+    `cli.main`, and, for each name loaded there, every top-level function,
+    class or method of that name, repeatedly."""
+    by_name, todo = {}, []
+    for path in modules:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                todo.append(node)
                 continue
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                name = child.id
-            elif isinstance(child, ast.Attribute):
-                name = child.attr
-            else:
-                name = None
-            if name is not None and name not in own:
-                found.add(name)
-            visit(child, own)
-
-    for path in paths:
-        visit(ast.parse(path.read_text(), str(path)), frozenset())
-    return found
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node] + [m for m in members if isinstance(m, FUNCTIONS)]:
+                by_name.setdefault(item.name, []).append(item)
+            if path.name == "cli.py" and node.name == "main":
+                todo.append(node)
+    reached = set()
+    while todo:
+        for name in loaded_names(todo.pop()) - reached:
+            reached.add(name)
+            todo += by_name.get(name, [])
+    return reached
 
 
 def unreferenced_exports(package: Path) -> list[str]:
     modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
-    used = referenced_names(modules)
+    used = reached_names(modules)
     return [f"{path.stem}.{name}" for path in modules for name in public_names(path)
             if name.split(".")[-1] not in used]
 
@@ -295,6 +311,7 @@ def test_allowlisted_names_are_still_unreferenced():
 
 def test_checker_flags_a_test_only_wrapper(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import wrapper\n")
+    (tmp_path / "cli.py").write_text("from .b import run\n\n\ndef main():\n    return run(1)\n")
     (tmp_path / "a.py").write_text(
         '__all__ = ["helper", "wrapper", "Kind"]\n\n\n'
         "class Kind:\n    pass\n\n\n"
@@ -313,4 +330,26 @@ def test_checker_flags_an_unread_member(tmp_path):
         "    @property\n    def read(self):\n        return 1\n\n"
         "    @property\n    def unread(self):\n        return self.unread\n\n\n"
         "def make():\n    return Kind()\n")
+    (tmp_path / "cli.py").write_text("from .a import make\n\n\ndef main():\n    return make()\n")
     assert unreferenced_exports(tmp_path) == ["a.Kind.unread"]
+
+
+def test_checker_counts_only_what_the_commands_reach(tmp_path):
+    # `index` and `check` have callers, but only in code no command reaches:
+    # a test-only wrapper, and a command module's function that `main` never
+    # calls; `build` is reached from module-level code, `Grid.valid` through
+    # the dunder method of a class that `main` reaches
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["Grid", "build", "check", "wrapper"]\n\n\n'
+        "class Grid:\n"
+        "    def __post_init__(self):\n        self.valid()\n\n"
+        "    def valid(self):\n        return True\n\n"
+        "    def index(self, t):\n        return t\n\n\n"
+        "def build():\n    return Grid()\n\n\n"
+        "def check(x):\n    return x\n\n\n"
+        "def wrapper(grid, t):\n    return grid.index(t)\n")
+    (tmp_path / "cli.py").write_text(
+        "from .a import Grid, build, check\n\nTABLE = build()\n\n\n"
+        "def unused():\n    return check(1)\n\n\n"
+        "def main():\n    return Grid()\n")
+    assert unreferenced_exports(tmp_path) == ["a.check", "a.wrapper", "a.Grid.index"]

@@ -24,11 +24,11 @@ import fracheat.fracops as fracops
 from fracheat.control import closed_loop_trajectory, coordinate_duality_map, \
     deficiency_vector, regularized_resolvent
 from fracheat.evolve import Propagator, mild_solution
-from fracheat.fracops import TimeGrid, ml_family, product_lag_weights, rl_integral
+from fracheat.fracops import TimeGrid, ml_family, product_lag_weights
 from fracheat.gramian import assemble_gramian
 from fracheat.evolve import propagator
 
-from conftest import bump_coefficients
+from conftest import bump_coefficients, rl_integral_at
 
 REL_TOL = 1e-12
 TENSOR_TOL = 1e-14
@@ -76,12 +76,12 @@ def reference_lag_weights(alpha, horizon, steps):
     return (left[:-1] + right[1:]) * scale, left[:-1] * scale
 
 
-def reference_rl_integral(values, grid, alpha, t):
-    """`fracops.rl_integral` as it was, on one `singular_conv_weights` row."""
-    k = grid.node_index(t)
+def reference_rl_integral(values, dt, alpha, k):
+    """The fractional integral at node k as it was, on one
+    `singular_conv_weights` row."""
     if k == 0:
         return 0.0
-    return float(singular_conv_weights(alpha, k, grid.dt) @ values[: k + 1]) / math.gamma(alpha)
+    return float(singular_conv_weights(alpha, k, dt) @ values[: k + 1]) / math.gamma(alpha)
 
 
 def reference_tables(model, grid):
@@ -215,9 +215,9 @@ def test_propagator_reads_the_one_rule(model_p2, steps):
 def test_rl_integral_is_the_former_row_rule_bitwise(alpha):
     grid = TimeGrid(1.3, 256)
     values = np.exp(-grid.nodes) * np.sin(5.0 * grid.nodes) + grid.nodes
-    for t in grid.nodes[[0, 1, 2, 97, 256]]:
-        t = float(t)
-        assert rl_integral(values, grid, alpha, t) == reference_rl_integral(values, grid, alpha, t)
+    for k in (0, 1, 2, 97, 256):
+        assert rl_integral_at(values, grid.dt, alpha, k) == \
+            reference_rl_integral(values, grid.dt, alpha, k)
 
 
 def test_lag_weights_reject_alpha_outside_the_unit_interval():

@@ -209,6 +209,23 @@ class TestKernelNormBounds:
             assert _kernel_norm_bounds(kernel, p, n_theta) == \
                 reference_kernel_norm_bounds(kernel, p, n_theta)
 
+    @pytest.mark.parametrize("p", [800.0, 1000.0])
+    def test_finite_past_the_power_overflow(self, p):
+        # |k|^p overflows for the named kernels at both p and for the table at
+        # p = 1000; the bounds are the meshgrid formula summed in log space
+        theta = theta_grid(64)
+        log_h = math.log(math.pi / 64)
+        for kernel in norm_bound_kernels():
+            k = np.abs(kernel.values(*np.meshgrid(theta, theta, indexing="ij")))
+            with np.errstate(over="ignore"):
+                overflows = np.max(k) ** p == math.inf
+            assert overflows == (kernel.kind != "custom" or p == 1000.0)
+            log_l2 = np.log(np.sum(k * k, axis=1)) + log_h
+            want = (math.exp((np.logaddexp.reduce(0.5 * p * log_l2) + log_h) / p),
+                    math.exp((np.logaddexp.reduce(p * np.log(k).ravel()) + 2.0 * log_h) / p))
+            got = _kernel_norm_bounds(kernel, p, 64)
+            assert got == pytest.approx(tuple(w * (1.0 + 1e-9) for w in want), rel=1e-12)
+
     def test_holds_no_full_grid(self):
         # one (1024, 1024) float64 grid is 8.4 MB; the row blocks peak near 1.2 MB
         for kernel in norm_bound_kernels():
