@@ -1,8 +1,8 @@
 """Regularized control synthesis and the closed-loop trajectory map.
 
 The regularized equation eps*x + G J(x) = y is solved directly in the Hilbert
-case and otherwise by Newton's method, backtracking on the residual norm.
-The synthesized control is one more input of the mild solution, and the
+case and otherwise by Newton's method, backtracking on the simplified Newton
+step.  The synthesized control is one more input of the mild solution, and the
 closed loop's control channel reads the same `evolve.Propagator` as the
 Gramian assembled on its grid, which makes the identity
 
@@ -113,11 +113,12 @@ def regularized_resolvent(
     """Solve (eps I + G J) x = y in basis coordinates to ||r|| <= tol ||y||.
 
     Hilbert case: one dense linear solve.  p > 2: Newton from the Hilbert
-    solution.  The step solves (eps I + G DJ(x)) s = -r; DJ is the Hessian of
-    1/2 ||W x||^2, positive semidefinite, so the matrix G (eps G^-1 + DJ) is
-    nonsingular.  As s is the exact Newton step, d/dlam 1/2 ||r(x + lam s)||^2
-    = -||r||^2 at lam = 0, and lam halves from 1 until
-    ||r(x + lam s)|| <= (1 - 1e-4 lam) ||r||.
+    solution.  The step solves A s = -r, A = eps I + G DJ(x); DJ is the
+    Hessian of 1/2 ||W x||^2, positive semidefinite, so A = G (eps G^-1 + DJ)
+    is nonsingular.  lam halves from 1 until the simplified Newton step
+    shrinks, ||A^-1 r(x + lam s)|| <= (1 - 1e-4 lam) ||s|| (Deuflhard's natural
+    monotonicity test).  Where no lam down to 1e-10 passes, s is rounding in
+    r (~2e-11 ||y|| at p = 1000): an s within tol of x then ends the solve.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -143,11 +144,15 @@ def regularized_resolvent(
                                    f"(eps={epsilon}, p={model.p})", history)
         if it == max_iter:
             break
-        step = np.linalg.solve(epsilon * identity + gram @ _duality_map_jacobian(model, x), -res_vec)
+        jac = epsilon * identity + gram @ _duality_map_jacobian(model, x)
+        step = np.linalg.solve(jac, -res_vec)
         lam, cand_vec = 1.0, _residual(gram, model, epsilon, x + step, y)
-        while not np.linalg.norm(cand_vec) <= (1.0 - 1e-4 * lam) * res and lam > 1e-10:
+        while not (np.linalg.norm(np.linalg.solve(jac, cand_vec))
+                   <= (1.0 - 1e-4 * lam) * np.linalg.norm(step)) and lam > 1e-10:
             lam *= 0.5
             cand_vec = _residual(gram, model, epsilon, x + lam * step, y)
+        if lam <= 1e-10 and np.linalg.norm(step) <= tol * np.linalg.norm(x):  # rounding floor
+            return ResolventSolve(x, history, it, True, "newton")
         x, res_vec = x + lam * step, cand_vec
         res = float(np.linalg.norm(res_vec))
         history.append(res)

@@ -7,8 +7,8 @@ orthogonal under the discrete inner product.  A function is the plain array
 of its n_theta grid values (a batch of them: one row each), a state or a dual
 element alike; the exponent of its space is passed to each function, and
 the transforms take the sine basis W of `basis_matrix`, which each
-`spectral.SpectralModel` builds once as its `basis`.  Norms and the duality
-map scale by max|values| where a plain power sum overflows (p >= ~100), or
+`spectral.SpectralModel` builds once as its `basis`.  `lp_norm` alone forms
+power sums |v|^p, rescaled by max|v| where one overflows (p >= ~100) or
 underflows below the smallest normal float from values not all 0.
 """
 
@@ -41,24 +41,27 @@ def theta_grid(n_theta: int) -> np.ndarray:
     return (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
 
 
-def lp_norm(values: np.ndarray, p: float) -> float:
-    """Midpoint-rule L^p norm on [0, pi] of one grid function's values."""
+def lp_norm(values: np.ndarray, p: float) -> float | np.ndarray:
+    """Midpoint-rule L^p norm on [0, pi] of one grid function's values (a
+    float), or of each row of them (an array, one norm per row).
+
+    A function whose power sum overflows, or underflows from finite values
+    not all 0, takes max|v| ||v / max|v|||_p: each term at most 1 and the
+    largest 1.  Only such functions take that form, since it rounds
+    differently.  One function's final root is scalar arithmetic, rows' is
+    numpy's array power; the two can differ in the last bit.
+    """
     values = np.asarray(values, dtype=float)
     with np.errstate(over="ignore"):
-        total = np.sum(np.abs(values) ** p)
-    if (total == math.inf or total < _TINY and np.any(values)) and np.all(np.isfinite(values)):
-        return float(_scaled_norms(values, p))
-    return float((total * (math.pi / values.size)) ** (1.0 / p))
-
-
-def _scaled_norms(values: np.ndarray, p: float) -> np.ndarray:
-    """L^p norms along the last axis of finite values, not all 0, whose power
-    sum overflows or underflows: max|v| (h sum |v / max|v||^p)^(1/p),
-    each term at most 1 and the largest 1.  Only such rows take this form,
-    since it rounds differently."""
-    top = np.max(np.abs(values), axis=-1, keepdims=True)
-    sums = np.sum((np.abs(values) / top) ** p, axis=-1) * (math.pi / values.shape[-1])
-    return top[..., 0] * sums ** (1.0 / p)
+        sums = np.sum(np.abs(values) ** p, axis=-1)
+    norms = np.atleast_1d((sums * (math.pi / values.shape[-1])) ** (1.0 / p))
+    redo = np.flatnonzero((sums == math.inf) | (sums < _TINY))
+    if redo.size:
+        flagged = values.reshape(-1, values.shape[-1])[redo]
+        top = np.max(np.abs(flagged), axis=1, keepdims=True)
+        keep = (0.0 < top[:, 0]) & (top[:, 0] < math.inf)  # not all 0, and finite
+        norms[redo[keep]] = top[keep, 0] * lp_norm(flagged[keep] / top[keep], p)
+    return norms if values.ndim > 1 else float(norms[0])
 
 
 def duality_map(values: np.ndarray, p: float) -> np.ndarray:
@@ -119,23 +122,10 @@ def basis_coefficients(values: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def lp_norms(coeff_rows: np.ndarray, basis: np.ndarray, p: float) -> np.ndarray:
-    """Midpoint-rule L^p norm of the reconstruction in `basis` of each
-    coefficient row; rows go in row blocks (`fracops.row_blocks`: 120 KiB of
-    grid values, under glibc's mmap threshold), one block array at a time:
-    |values|^p in place, released before the next.  A row whose power sum
-    overflows, or underflows from coefficients not all 0, is redone
-    scaled by its max|value|."""
+    """`lp_norm` of the reconstruction in `basis` of each coefficient row.
+    Rows go in row blocks (`fracops.row_blocks`: 120 KiB of grid values,
+    under glibc's mmap threshold), one block's arrays at a time: its values,
+    |values| and |values|^p, released before the next block's."""
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
-    n_theta = basis.shape[0]
-    sums = np.empty(rows.shape[0])
-    with np.errstate(over="ignore"):
-        for block in row_blocks(rows.shape[0], n_theta):
-            values = basis_values(rows[block], basis)
-            sums[block] = np.sum(np.power(np.abs(values, out=values), p, out=values), axis=1)
-            del values  # before the next block's values
-    norms = (sums * (math.pi / n_theta)) ** (1.0 / p)
-    # values are finite: `basis_values` refuses others
-    redo = (sums == math.inf) | (sums < _TINY) & np.any(rows, axis=1)
-    if np.any(redo):
-        norms[redo] = _scaled_norms(basis_values(rows[redo], basis), p)
-    return norms
+    return np.concatenate([lp_norm(basis_values(rows[block], basis), p)
+                           for block in row_blocks(rows.shape[0], basis.shape[0])])

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .fracops import FracOrder, gauss_legendre, row_blocks
-from .lpspace import basis_matrix, theta_grid
+from .lpspace import basis_matrix, lp_norm, theta_grid
 
 __all__ = [
     "KernelSpec",
@@ -189,35 +189,15 @@ def _assemble_kernel_matrix(kernel: KernelSpec, n_modes: int, n_theta: int) -> n
 def _kernel_norm_bounds(kernel: KernelSpec, p: float, n_theta: int) -> tuple[float, float]:
     """Computable upper bounds for the operator norms of the kernel operator:
     L^2 -> L^p (Cauchy-Schwarz in the inner variable) and L^p' -> L^p
-    (Hoelder in the inner variable).  A power sum that overflows (p >= ~700)
-    is redone with the largest value pulled out of the power, as `lpspace`
-    scales its norms; only such sums take that form, since it rounds
-    differently."""
+    (Hoelder in the inner variable), the `lp_norm` over the outer variable
+    of each kernel row's L^2 and L^p norm."""
     theta = theta_grid(n_theta)
-    h = math.pi / n_theta
-
-    def row_sums(top: float) -> np.ndarray:
-        """h sum k^2, h sum |k / top|^p and max |k| along each row."""
-        sums = np.empty((3, n_theta))
-        for rows in row_blocks(n_theta, n_theta):
-            k = kernel.values(theta[rows, None], theta[None, :])
-            sums[0, rows] = np.sum(k * k, axis=1) * h
-            sums[2, rows] = np.max(np.abs(k, out=k), axis=1)
-            k /= top
-            sums[1, rows] = np.sum(np.power(k, p, out=k), axis=1) * h
-            del k  # before the next block's values
-        return sums
-
-    with np.errstate(over="ignore"):
-        row_l2, row_lp, row_top = row_sums(1.0)
-        bound_l2_lp = (np.sum(row_l2 ** (p / 2.0)) * h) ** (1.0 / p)
-        bound_lq_lp = (np.sum(row_lp) * h) ** (1.0 / p)
-    if not math.isfinite(bound_l2_lp):
-        top = np.max(row_l2)
-        bound_l2_lp = math.sqrt(top) * (np.sum((row_l2 / top) ** (p / 2.0)) * h) ** (1.0 / p)
-    if not math.isfinite(bound_lq_lp):
-        top = np.max(row_top)
-        bound_lq_lp = top * (np.sum(row_sums(top)[1]) * h) ** (1.0 / p)
+    row_norms = np.empty((2, n_theta))
+    for rows in row_blocks(n_theta, n_theta):
+        k = kernel.values(theta[rows, None], theta[None, :])
+        row_norms[:, rows] = lp_norm(k, 2.0), lp_norm(k, p)
+        del k  # before the next block's values
+    bound_l2_lp, bound_lq_lp = lp_norm(row_norms, p)
     return float(bound_l2_lp) * (1.0 + 1e-9), float(bound_lq_lp) * (1.0 + 1e-9)
 
 

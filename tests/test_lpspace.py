@@ -1,9 +1,12 @@
+import csv
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fracheat.cli import main
 from fracheat.fracops import row_blocks
 from fracheat.lpspace import (
     basis_coefficients,
@@ -313,3 +316,86 @@ class TestPowerUnderflow:
         assert lp_norm(np.zeros(N_THETA), self.P) == 0.0
         assert np.array_equal(lp_norms(np.zeros((2, 8)), w, self.P), [0.0, 0.0])
         assert np.array_equal(duality_map(np.zeros(N_THETA), self.P), np.zeros(N_THETA))
+
+
+def parent_lp_norms(coeff_rows, basis, p):
+    """`lp_norms` before it was built on `lp_norm`: |values|^p in place per
+    row block, then rows whose sum overflows or underflows redone scaled."""
+    rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
+    n_theta = basis.shape[0]
+    sums = np.empty(rows.shape[0])
+    with np.errstate(over="ignore"):
+        for block in row_blocks(rows.shape[0], n_theta):
+            values = basis_values(rows[block], basis)
+            sums[block] = np.sum(np.power(np.abs(values, out=values), p, out=values), axis=1)
+    norms = (sums * (math.pi / n_theta)) ** (1.0 / p)
+    redo = (sums == math.inf) | (sums < np.finfo(float).tiny) & np.any(rows, axis=1)
+    if np.any(redo):
+        values = basis_values(rows[redo], basis)
+        top = np.max(np.abs(values), axis=-1, keepdims=True)
+        scaled = np.sum((np.abs(values) / top) ** p, axis=-1) * (math.pi / n_theta)
+        norms[redo] = top[..., 0] * scaled ** (1.0 / p)
+    return norms
+
+
+class TestRowsContract:
+    """`lp_norm` takes one grid function (a float back) or rows of them (one
+    norm per row).  A row takes every step of the one-function call up to the
+    final root, which is numpy's array power for rows and scalar arithmetic
+    for one function: those differ in the last bit for 0.15 % of random rows
+    at p = 2 and 8 % at p = 4, so rows are bitwise the one-function power
+    sums and within 1 ulp of its norms, and rescaled rows, whose root is an
+    array power both ways, are bitwise its norms."""
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_plain_rows_share_the_one_function_sums(self, p):
+        rows = basis_values(np.random.default_rng(int(p)).standard_normal((300, 8)), basis(8))
+        got = lp_norm(rows, p)
+        assert got.shape == (300,)
+        sums = np.array([np.sum(np.abs(row) ** p) for row in rows])
+        assert np.array_equal(bits(got), bits((sums * (math.pi / N_THETA)) ** (1.0 / p)))
+        np.testing.assert_array_max_ulp(got, [lp_norm(row, p) for row in rows], maxulp=1)
+
+    @pytest.mark.parametrize("p, over, under", [(800.0, 3.0, 1e-2), (150.0, 1e3, 7e-3)])
+    def test_rescaled_rows_are_bitwise_the_one_function_call(self, p, over, under):
+        sine = np.sin(theta_grid(N_THETA))
+        rows = np.array([over * sine, under * sine, np.zeros(N_THETA), -over * sine[::-1]])
+        with np.errstate(over="ignore", under="ignore"):
+            sums = np.sum(np.abs(rows) ** p, axis=1)
+        assert sums[0] == math.inf and 0.0 <= sums[1] < np.finfo(float).tiny
+        got = lp_norm(rows, p)
+        assert np.array_equal(bits(got), bits([lp_norm(row, p) for row in rows]))
+        assert got[2] == 0.0 and np.all(got[[0, 1, 3]] > 0.0) and np.all(np.isfinite(got))
+        np.testing.assert_allclose(got[:2], np.array([over, under]) * lp_norm(sine, p),
+                                   rtol=1e-13)
+
+    def test_one_function_gives_a_float(self):
+        for p in (2.0, 4.0, 800.0):
+            assert type(lp_norm(np.ones(N_THETA), p)) is float
+            assert type(lp_norm(3.0 * np.ones(N_THETA), p)) is float
+        assert lp_norm(np.full(N_THETA, np.inf), 800.0) == math.inf
+
+    @pytest.fixture(scope="class")
+    def sweep_trajectories(self, tmp_path_factory):
+        """The state coefficient rows of the bundled sweep's trajectory files,
+        at p = 2 and p = 4."""
+        config = Path(__file__).resolve().parents[1] / "configs" / "heat_default.cfg"
+        out = {}
+        for p in (2.0, 4.0):
+            directory = tmp_path_factory.mktemp(f"sweep_p{p:g}")
+            assert main(["sweep", str(config), "--set", f"model.p={p}",
+                         "--set", f"output.directory={directory}"]) == 0
+            files = sorted(directory.glob("trajectory_eps_*.csv"))
+            assert len(files) == 4
+            out[p] = np.array([[float(v) for v in row[2:]] for path in files
+                               for row in csv.reader(path.read_text().splitlines()[2:])])
+        return out
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_lp_norms_is_the_parent_code_bit_for_bit(self, sweep_trajectories, p, capsys):
+        rows = sweep_trajectories[p]
+        assert rows.shape == (4 * 513, 8)
+        w = basis(8)
+        assert np.array_equal(bits(lp_norms(rows, w, p)), bits(parent_lp_norms(rows, w, p)))
+        for step in (rows[1:] - rows[:-1], 1e-120 * rows):  # gaps; underflows at p = 4
+            assert np.array_equal(bits(lp_norms(step, w, p)), bits(parent_lp_norms(step, w, p)))

@@ -8,7 +8,8 @@ every public method or property of a package class, has a caller in code the
 commands can reach, or a stated reason to stay: a wrapper that only tests
 call is not kept, nor a helper that only such a wrapper calls.  Every `functools.lru_cache` or `functools.cache` is on an allowlist
 with the reason it stays: a discretization fact has one owner, not a cache
-keyed on its sizes."""
+keyed on its sizes.  `lpspace` is the one module that reads `numpy.finfo`:
+it owns the rule that rescales a power sum which over- or underflows."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,34 @@ def test_checker_flags_each_scipy_import(tmp_path):
     assert scipy_imports(sample) == [
         "sample.py:1 imports scipy", "sample.py:7 imports scipy.special",
         "sample.py:8 imports scipy.fft", "sample.py:9 imports scipy"]
+
+
+def finfo_reads(path: Path) -> list[str]:
+    """Each read of `finfo`, as an attribute (`np.finfo`) or a bare name
+    (`from numpy import finfo`)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr == "finfo"
+                or isinstance(node, ast.Name) and node.id == "finfo"
+                or isinstance(node, ast.ImportFrom) and any(a.name == "finfo" for a in node.names)):
+            found.append(f"{path.name}:{node.lineno} reads finfo")
+    return found
+
+
+def test_only_lpspace_reads_finfo():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "lpspace.py")
+    assert modules
+    assert [hit for path in modules for hit in finfo_reads(path)] == []
+    assert finfo_reads(PACKAGE / "lpspace.py")  # the check still sees the owner
+
+
+def test_checker_flags_each_finfo_read(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import numpy as np\nfrom numpy import finfo\n\n"
+                      "TINY = np.finfo(float).tiny\nEPS = finfo(float).eps\n"
+                      "iinfo = np.iinfo(int)\nfinfo_text = 'np.finfo'\n")
+    assert finfo_reads(sample) == [
+        "sample.py:2 reads finfo", "sample.py:4 reads finfo", "sample.py:5 reads finfo"]
 
 
 WRITE_MODES = set("wax+")

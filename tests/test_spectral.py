@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import fracheat.spectral as spectral_module
+from fracheat.cli import main
 from fracheat.fracops import gauss_legendre, ml_family
 from fracheat.spectral import (
     KernelSpec,
@@ -19,6 +21,7 @@ from fracheat.lpspace import lp_norms, theta_grid
 from conftest import ORDER, density_on_gauss_grid, traced_peak
 
 E_075_M1 = 0.393108302815754062
+BUNDLED = Path(__file__).resolve().parents[1] / "configs" / "heat_default.cfg"
 
 
 def brute_force_entry(kernel, m, n):
@@ -90,12 +93,29 @@ def reference_kernel_norm_bounds(kernel, p, n_theta):
     return float(bound_l2_lp) * (1.0 + 1e-9), float(bound_lq_lp) * (1.0 + 1e-9)
 
 
+def green_table():
+    """min(x, y) (pi - max(x, y)) on the 24-point midpoint grid."""
+    x = (np.arange(24) + 0.5) * math.pi / 24
+    return np.minimum.outer(x, x) * (math.pi - np.maximum.outer(x, x))
+
+
 def norm_bound_kernels():
     """The named kernels and a symmetric, non-separable 24 x 24 table."""
     x = (np.arange(24) + 0.5) * math.pi / 24
-    table = (np.minimum.outer(x, x) * (math.pi - np.maximum.outer(x, x))
-             + 0.1 * np.cos(np.add.outer(x, x)))
+    table = green_table() + 0.1 * np.cos(np.add.outer(x, x))
     return [KernelSpec("green"), KernelSpec("min"), KernelSpec("custom", table)]
+
+
+def log_space_kernel_norm_bounds(kernel, p, n_theta):
+    """The meshgrid formula summed in log space, where no power over- or
+    underflows; the bounds' factor 1 + 1e-9 included."""
+    theta = theta_grid(n_theta)
+    log_h = math.log(math.pi / n_theta)
+    k = np.abs(kernel.values(*np.meshgrid(theta, theta, indexing="ij")))
+    log_l2 = np.log(np.sum(k * k, axis=1)) + log_h
+    return (math.exp((np.logaddexp.reduce(0.5 * p * log_l2) + log_h) / p) * (1.0 + 1e-9),
+            math.exp((np.logaddexp.reduce(p * np.log(k).ravel()) + 2.0 * log_h) / p)
+            * (1.0 + 1e-9))
 
 
 class TestKernelAssembly:
@@ -200,31 +220,51 @@ class TestKernelAssembly:
 
 
 class TestKernelNormBounds:
-    # n_theta = 4096 (1.3 GB for the meshgrid reference of the table kernel)
-    # was checked bitwise once, outside the suite
+    # the bounds are `lp_norm` of row norms, (h sum ||k_i||_2^p)^(1/p), where
+    # the meshgrid formula raises the row sums h sum k^2 to p/2: the same
+    # quantity, rounded differently, so old and new agree to 2 ulp, not bitwise
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.5])
     @pytest.mark.parametrize("n_theta", [16, 64, 256, 1024])
     def test_row_blocks_match_the_meshgrid_formula(self, n_theta, p):
         for kernel in norm_bound_kernels():
-            assert _kernel_norm_bounds(kernel, p, n_theta) == \
-                reference_kernel_norm_bounds(kernel, p, n_theta)
+            np.testing.assert_array_max_ulp(_kernel_norm_bounds(kernel, p, n_theta),
+                                            reference_kernel_norm_bounds(kernel, p, n_theta),
+                                            maxulp=2)
 
     @pytest.mark.parametrize("p", [800.0, 1000.0])
     def test_finite_past_the_power_overflow(self, p):
         # |k|^p overflows for the named kernels at both p and for the table at
-        # p = 1000; the bounds are the meshgrid formula summed in log space
+        # p = 1000
         theta = theta_grid(64)
-        log_h = math.log(math.pi / 64)
         for kernel in norm_bound_kernels():
             k = np.abs(kernel.values(*np.meshgrid(theta, theta, indexing="ij")))
             with np.errstate(over="ignore"):
                 overflows = np.max(k) ** p == math.inf
             assert overflows == (kernel.kind != "custom" or p == 1000.0)
-            log_l2 = np.log(np.sum(k * k, axis=1)) + log_h
-            want = (math.exp((np.logaddexp.reduce(0.5 * p * log_l2) + log_h) / p),
-                    math.exp((np.logaddexp.reduce(p * np.log(k).ravel()) + 2.0 * log_h) / p))
-            got = _kernel_norm_bounds(kernel, p, 64)
-            assert got == pytest.approx(tuple(w * (1.0 + 1e-9) for w in want), rel=1e-12)
+            assert _kernel_norm_bounds(kernel, p, 64) == pytest.approx(
+                log_space_kernel_norm_bounds(kernel, p, 64), rel=1e-12)
+
+    @pytest.mark.parametrize("scale, p", [(1e-3, 150.0), (1e-2, 800.0)])
+    def test_finite_past_the_power_underflow(self, scale, p):
+        # every |k|^p is 0 or subnormal, so the plain sums read 0 and the
+        # bounds were 0 (`validate` printed slack inf)
+        kernel = KernelSpec("custom", scale * green_table())
+        assert np.max(np.abs(kernel.table)) ** p < 2.3e-308
+        got = _kernel_norm_bounds(kernel, p, 64)
+        assert all(0.0 < b < math.inf for b in got)
+        assert got == pytest.approx(log_space_kernel_norm_bounds(kernel, p, 64), rel=1e-12)
+
+    @pytest.mark.parametrize("p", ["150", "800"])
+    def test_validate_passes_the_norm_bound_past_the_underflow(self, tmp_path, capsys, p):
+        np.savetxt(tmp_path / "kernel.csv", 1e-3 * green_table(), delimiter=",")
+        config = tmp_path / "exp.cfg"
+        config.write_text(BUNDLED.read_text().replace("= green", "= table:kernel.csv"))
+        main(["validate", str(config), "--set", f"model.p={p}"])
+        # the one check asserted: the run also fails injectivity, as
+        # sigma_min(G) = 1.994e-11 is under the verdict's absolute 1e-9
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "gramian norm bound" in line]
+        assert len(lines) == 1 and lines[0].startswith("[PASS] gramian norm bound: slack 0.")
 
     def test_holds_no_full_grid(self):
         # one (1024, 1024) float64 grid is 8.4 MB; the row blocks peak near 1.2 MB
