@@ -137,9 +137,8 @@ def cmd_validate(exp: Experiment) -> int:
                    f"gap {report.quadratic_form_gap:.2e}"))
     checks.append(("gramian norm bound", report.norm_bound_ok, f"slack {report.norm_bound_slack:.3f}"))
 
-    controllable = report.sigma_min_b > 1e-9 and report.sigma_min > 1e-9
-    verdict = "approximately controllable" if controllable else "degenerate"
-    checks.append((f"injectivity: {verdict} (truncated)", controllable,
+    verdict = "approximately controllable" if report.injective else "degenerate"
+    checks.append((f"injectivity: {verdict} (truncated)", report.injective,
                    f"sigma_min(B)={report.sigma_min_b:.3e} sigma_min(G)={report.sigma_min:.3e}"))
 
     worst_lemma = 0.0

@@ -34,8 +34,8 @@ from .fracops import FracOrder, TimeGrid
 from .lpspace import theta_grid
 from .spectral import KernelSpec, SpectralModel, build_model
 from .gramian import check_steps
-from .hvi import NonsmoothPotential, abs_potential, audit_potential, check_epsilons, \
-    check_relaxation, check_strategy, saturating_potential, tabulated_potential
+from .hvi import NonsmoothPotential, abs_potential, check_epsilons, check_relaxation, \
+    check_strategy, saturating_potential, tabulated_potential
 
 __all__ = ["ExperimentConfig", "Experiment", "load_config", "build_experiment",
            "default_config_text", "parse_coefficients"]
@@ -235,9 +235,7 @@ def _parse_potential(spec: str, base: Path) -> NonsmoothPotential:
         if data.shape[0] < 2 or data.shape[1] != 2:
             raise ValueError(f"problem.potential table must have n >= 2 rows of (r, F), "
                              f"got shape {data.shape}")
-        pot = tabulated_potential(data[:, 0], data[:, 1])
-        audit_potential(pot, np.linspace(-3.0, 3.0, 201))
-        return pot
+        return tabulated_potential(data[:, 0], data[:, 1])
     raise ValueError(f"problem.potential must be zero, abs:c, sat:c[:cap] or table:<path>, "
                      f"got {spec!r}")
 

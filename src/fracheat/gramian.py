@@ -10,13 +10,15 @@ positivity are structural, matching the operator's proven properties; the
 verification report re-derives them numerically anyway.  One eigensolve of
 the symmetrized Gramian gives both its smallest eigenvalue (positivity) and
 its smallest |eigenvalue|, which for a symmetric matrix is its smallest
-singular value (injectivity of the truncated model, with that of B).
+singular value (injectivity of the truncated model, with that of B, against
+`numpy.linalg.matrix_rank`'s tolerance, so the verdict does not move with B's scale).
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,7 @@ class GramianReport:
     min_eigenvalue: float
     sigma_min: float  # smallest |eigenvalue| of the same eigensolve: sigma_min(G)
     sigma_min_b: float  # smallest |eigenvalue| of the symmetric B: sigma_min(B)
+    injective: bool  # B and G of full numerical rank: sigma_min > n eps sigma_max for each
     quadratic_form_gap: float
     norm_bound: float
     norm_bound_slack: float
@@ -95,6 +98,7 @@ def verify_gramian(
     defect = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     min_eig = float(eigs.min())
+    sigmas, sigmas_b = (np.sort(np.abs(e)) for e in (eigs, np.linalg.eigvalsh(model.b_matrix)))
 
     prop = propagator(model, grid)
     weights, mults = prop.terminal_weights, prop.e_force
@@ -114,8 +118,9 @@ def verify_gramian(
     return GramianReport(
         symmetry_defect=defect,
         min_eigenvalue=min_eig,
-        sigma_min=float(np.min(np.abs(eigs))),
-        sigma_min_b=float(np.min(np.abs(np.linalg.eigvalsh(model.b_matrix)))),
+        sigma_min=float(sigmas[0]),
+        sigma_min_b=float(sigmas_b[0]),
+        injective=all(s[0] > s.size * sys.float_info.epsilon * s[-1] for s in (sigmas, sigmas_b)),
         quadratic_form_gap=worst_gap,
         norm_bound=bound,
         norm_bound_slack=worst_slack,

@@ -1,8 +1,8 @@
 """Nonsmooth potentials, measurable selections and the regularized fixed point.
 
-A potential is a scalar, locally Lipschitz function of the state value r
-alone, whose interval-valued generalized derivative a constant eta bounds;
-selections turn the interval into one forcing value per (node, grid point).
+A potential is piecewise linear in the state value r, held as its kinks and
+slopes, which fix its interval-valued generalized derivative and the bound
+eta on it; selections turn the interval into one forcing value per (node, grid point).
 The composite map g -> selection(closed-loop trajectory of g) is iterated
 with full steps while the trajectory gap shrinks and with Krasnoselskii
 averaging in forcing space, where convex combinations stay admissible, from
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
     "abs_potential",
     "saturating_potential",
     "tabulated_potential",
-    "audit_potential",
     "SELECTION_STRATEGIES",
     "check_strategy",
     "FixedPointResult",
@@ -58,27 +58,38 @@ SELECTION_STRATEGIES = ("minimal_norm", "midpoint", "sign_zero", "sticky")
 
 @dataclass(frozen=True)
 class NonsmoothPotential:
-    """Scalar potential F(r), held only through its interval generalized
-    derivative (no command evaluates F): `interval(r)` maps an array of r to
-    arrays (lo, hi) of its shape, and the constant `eta` bounds |dF|, so it
-    lies in L^{1/alpha1}(0, a) for any alpha1, as the hypotheses assume."""
+    """Piecewise-linear F(r) as its strictly increasing `kinks` and `slopes`, one
+    more: `slopes[i]` holds between `kinks[i-1]` and `kinks[i]`, the end slopes
+    past the ends.  `interval` returns stored slopes only, so lo <= hi and `eta`,
+    the largest |slope|, bounds |dF|: it lies in L^{1/alpha1}(0, a) for any alpha1."""
 
-    interval: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    eta: float
+    kinks: tuple[float, ...]
+    slopes: tuple[float, ...]
+
+    @property
+    def eta(self) -> float:
+        return max(map(abs, self.slopes))
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        s = np.repeat(self.slopes, 2)  # (s[m], s[m + 1]): piece i at m = 2i, kink j at 2j + 1
+        return np.minimum(s[:-1], s[1:]), np.maximum(s[:-1], s[1:])
+
+    def interval(self, r):
+        """(lo, hi) of r's shape: the slope of r's piece off a kink, the smaller
+        and the larger adjacent slope on one; NaN r takes the first slope."""
+        m = np.zeros(np.shape(r), np.intp)
+        for k in self.kinks:  # entry m = sum over kinks of (r > k) + (r >= k)
+            m += r > k
+            m += r >= k
+        return tuple(bound.take(m) for bound in self._bounds)
 
 
 def abs_potential(c: float) -> NonsmoothPotential:
     """F = c |r|: derivative interval c sign(r), [-c, c] at the kink."""
     if not 0.0 <= c < math.inf:
         raise ValueError(f"abs potential coefficient must be finite and >= 0, got {c}")
-
-    def ival(r):
-        # (r > 0) 2c - c is where(r > 0, c, -c) bit for bit when c > 0 (2c - c
-        # = c exactly; NaN r gives -c in both), without np.where's slower
-        # broadcast of two scalars; at c = 0 only the sign of zero can differ
-        return (r > 0.0) * (2.0 * c) - c, (r >= 0.0) * (2.0 * c) - c
-
-    return NonsmoothPotential(ival, c)
+    return NonsmoothPotential((0.0,), (0.0 - c, c))  # 0.0 - c: +0.0, not -0.0, at c = 0
 
 
 def saturating_potential(c: float, cap: float) -> NonsmoothPotential:
@@ -86,17 +97,12 @@ def saturating_potential(c: float, cap: float) -> NonsmoothPotential:
     if not (0.0 <= c < math.inf and cap > 0.0):
         raise ValueError(f"sat potential needs a finite c >= 0 and cap > 0, "
                          f"got c={c}, cap={cap}")
-
-    def ival(r):
-        return (np.where((r > 0.0) & (r < cap), c, np.where((r >= -cap) & (r <= 0.0), -c, 0.0)),
-                np.where((r >= 0.0) & (r <= cap), c, np.where((r > -cap) & (r < 0.0), -c, 0.0)))
-
-    return NonsmoothPotential(ival, c)
+    return NonsmoothPotential((-cap, 0.0, cap), (0.0, 0.0 - c, c, 0.0))
 
 
 def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPotential:
-    """Piecewise-linear potential in r given by (breaks, values); beyond the
-    table the end slopes hold (F continues linearly)."""
+    """Piecewise-linear potential in r given by (breaks, values), kinked at the
+    interior breaks; beyond the table the end slopes hold (F continues linearly)."""
     breaks = np.asarray(breaks, dtype=float)
     values = np.asarray(values, dtype=float)
     if not (np.all(np.isfinite(breaks)) and np.all(np.isfinite(values))):
@@ -105,25 +111,11 @@ def tabulated_potential(breaks: np.ndarray, values: np.ndarray) -> NonsmoothPote
         raise ValueError("breaks must be strictly increasing with at least 2 entries")
     if values.shape != breaks.shape:
         raise ValueError("values must match breaks")
-    slopes = np.diff(values) / np.diff(breaks)
-
-    def ival(r):
-        # the segment whose slope holds at r, the end ones beyond the table
-        idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
-        # interval at interior break points spans the adjacent slopes
-        left = slopes[np.where(np.isin(r, breaks[1:-1]), idx - 1, idx)]
-        return np.minimum(left, slopes[idx]), np.maximum(left, slopes[idx])
-
-    return NonsmoothPotential(ival, float(np.max(np.abs(slopes))))
-
-
-def audit_potential(pot: NonsmoothPotential, r_samples: np.ndarray) -> None:
-    """Runtime admissibility audit on `r_samples`: lo <= hi and |lo|, |hi| <= eta."""
-    lo, hi = pot.interval(r_samples)
-    if np.any(lo > hi + 1e-14):
-        raise ValueError("potential interval inverted")
-    if max(np.max(np.abs(lo)), np.max(np.abs(hi))) > pot.eta + 1e-12:
-        raise ValueError(f"potential bound eta={pot.eta} violated")
+    with np.errstate(over="ignore"):
+        slopes = np.diff(values) / np.diff(breaks)
+    if not np.all(np.isfinite(slopes)):
+        raise ValueError("potential table slopes must be finite")
+    return NonsmoothPotential(tuple(breaks[1:-1].tolist()), tuple(slopes.tolist()))
 
 
 def check_strategy(strategy: str) -> str:

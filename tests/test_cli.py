@@ -209,9 +209,11 @@ class TestConfig:
         ("problem.potential", "-1,1,0\n0,0,0\n1,1,0\n",
          "problem.potential table must have n >= 2 rows of (r, F), got shape (3, 3)"),
         ("problem.potential", "-1,1\n0,nan\n1,1\n", "potential table entries must be finite"),
+        ("problem.potential", "-1e-300,0\n1e-300,1e10\n", "potential table slopes must be finite"),
         ("model.kernel_b", "\n".join(",".join("nan" if i == j == 3 else "1.0" for j in range(16))
                                       for i in range(16)), "kernel table entries must be finite"),
-    ], ids=["one-row", "one-column", "three-columns", "nan-potential", "nan-kernel"])
+    ], ids=["one-row", "one-column", "three-columns", "nan-potential", "overflowing-slope",
+            "nan-kernel"])
     def test_table_input_exits_1_before_any_output(self, config_file, capsys, setting, table,
                                                     message):
         """A table file that cannot describe its input fails at load, through

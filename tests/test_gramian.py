@@ -241,6 +241,23 @@ class TestInjectivity:
         assert validate_injectivity_line(bundled_exp, model, capsys).startswith(
             "[FAIL] injectivity: degenerate (truncated): ")
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_verdict_is_scale_free(self, scale, model_p2, grid_512):
+        # B -> cB scales G by c^2 and changes no controllability: the verdict
+        # is numpy.linalg.matrix_rank's tolerance, relative to sigma_max
+        for model, injective in ((model_p2, True), (zeroed_mode_model(model_p2), False)):
+            scaled = dataclasses.replace(model, b_matrix=scale * model.b_matrix)
+            rep = verify_gramian(assemble_gramian(scaled, grid_512), scaled, grid_512)
+            assert rep.injective == injective
+
+    def test_validate_passes_at_64_modes_and_4096_steps(self, capsys):
+        # sigma_min(G) = 5.83e-10 is small, but sigma_min / sigma_max = 1.9e-10
+        # is far above the rank tolerance 64 eps = 1.4e-14
+        assert main(["validate", str(BUNDLED), "--set", "model.modes=64",
+                     "--set", "solver.steps=4096"]) == 0
+        assert ("[PASS] injectivity: approximately controllable (truncated): "
+                "sigma_min(B)=7.670e-04 sigma_min(G)=5.830e-10") in capsys.readouterr().out
+
     def test_gramian_branch(self, model_p2, gram_p2, grid_512, bundled_exp, capsys):
         rep = verify_gramian(gram_p2, model_p2, grid_512)
         assert rep.sigma_min > 1e-9

@@ -1,8 +1,11 @@
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracheat.cli import main
 from fracheat.config import build_experiment, default_config_text, load_config
@@ -21,7 +24,6 @@ from fracheat.hvi import (
     NonsmoothPotential,
     _map_step,
     abs_potential,
-    audit_potential,
     check_epsilons,
     epsilon_sweep,
     fixed_point_iterate,
@@ -66,12 +68,6 @@ class TestPotentials:
         assert np.allclose(hi, [-1.0, 2.0, 2.0])
         assert pot.eta == pytest.approx(2.0)
 
-    def test_audit_rejects_inverted_bound(self):
-        pot = abs_potential(1.0)
-        bad = NonsmoothPotential(pot.interval, 0.5)
-        with pytest.raises(ValueError):
-            audit_potential(bad, np.linspace(-2, 2, 41))
-
     def test_guards(self):
         with pytest.raises(ValueError):
             abs_potential(-1.0)
@@ -79,6 +75,8 @@ class TestPotentials:
             saturating_potential(1.0, cap=0.0)
         with pytest.raises(ValueError):
             tabulated_potential([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="potential table slopes must be finite"):
+            tabulated_potential([-1e-300, 1e-300], [0.0, 1e10])  # slope 5e309
 
 
 def abs_value(c):
@@ -280,16 +278,20 @@ def test_interval_matches_reference(case):
     for arg in (r, r.reshape(3, 5), 0.0, 0.9, -1.0):
         for new, old in zip(pot.interval(arg), ref(arg)):
             assert np.shape(new) == np.shape(old) and np.result_type(new) == np.result_type(old)
+            if case == 2:  # NaN r compares false with every kink and takes the
+                # first slope; the table's search put it past the end, on the last
+                old = np.where(np.isnan(arg), pot.slopes[0], old)
             assert np.array_equal(new, old, equal_nan=True)
 
 
 def reference_zero_potential():
-    """The earlier zero potential, a closure of its own: zeros of r's shape."""
+    """The earlier zero potential, a closure of its own: zeros of r's shape.
+    A stand-in with the two members a selection reads, `interval` and `eta`."""
     def ival(r):
         z = np.zeros_like(np.asarray(r, dtype=float))
         return z, z.copy()
 
-    return NonsmoothPotential(ival, 0.0)
+    return SimpleNamespace(interval=ival, eta=0.0)
 
 
 def test_zero_spec_is_the_zero_potential_bit_for_bit(model_p2):
@@ -341,12 +343,141 @@ def test_selection_matches_reference(model_p2, strategy, steps):
     states = rng.standard_normal((steps + 1, 8))
     states[0] = 0.0  # a zero row puts every grid point on the kink r = 0
     previous = rng.uniform(-1.0, 1.0, (steps + 1, model_p2.n_theta))
-    cases = [(pot, NonsmoothPotential(ref, pot.eta)) for pot, ref in REFERENCE_INTERVALS]
+    cases = [(pot, SimpleNamespace(interval=ref, eta=pot.eta)) for pot, ref in REFERENCE_INTERVALS]
     for pot, ref in cases + [(abs_potential(0.0), reference_zero_potential())]:
         for prev in (None, previous):
             new = select(pot, strategy, grid, states, model_p2, previous=prev)
             old = reference_select(ref, strategy, grid, states, model_p2, previous=prev)
             assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
+def closure_abs_interval(c):
+    """The interval closure `abs_potential` returned before potentials were
+    kinks and slopes, verbatim."""
+    def ival(r):
+        # (r > 0) 2c - c is where(r > 0, c, -c) bit for bit when c > 0 (2c - c
+        # = c exactly; NaN r gives -c in both), without np.where's slower
+        # broadcast of two scalars; at c = 0 only the sign of zero can differ
+        return (r > 0.0) * (2.0 * c) - c, (r >= 0.0) * (2.0 * c) - c
+
+    return ival
+
+
+def closure_saturating_interval(c, cap):
+    """The interval closure `saturating_potential` returned before potentials
+    were kinks and slopes, verbatim."""
+    def ival(r):
+        return (np.where((r > 0.0) & (r < cap), c, np.where((r >= -cap) & (r <= 0.0), -c, 0.0)),
+                np.where((r >= 0.0) & (r <= cap), c, np.where((r > -cap) & (r < 0.0), -c, 0.0)))
+
+    return ival
+
+
+def closure_tabulated_interval(breaks, values):
+    """The interval closure `tabulated_potential` returned before potentials
+    were kinks and slopes, verbatim (after its input checks)."""
+    breaks = np.asarray(breaks, dtype=float)
+    values = np.asarray(values, dtype=float)
+    slopes = np.diff(values) / np.diff(breaks)
+
+    def ival(r):
+        # the segment whose slope holds at r, the end ones beyond the table
+        idx = np.clip(np.searchsorted(breaks, r, side="right") - 1, 0, slopes.size - 1)
+        # interval at interior break points spans the adjacent slopes
+        left = slopes[np.where(np.isin(r, breaks[1:-1]), idx - 1, idx)]
+        return np.minimum(left, slopes[idx]), np.maximum(left, slopes[idx])
+
+    return ival
+
+
+CLOSURE_CASES = {
+    **{f"abs:{c}": (abs_potential(c), closure_abs_interval(c)) for c in (0.3, 0.8, 1.0)},
+    **{f"sat:{c}:{cap}": (saturating_potential(c, cap), closure_saturating_interval(c, cap))
+       for c in (0.3, 0.8, 1.0) for cap in (0.2, 0.5, 0.9, 1.0)},
+    "table-4": (tabulated_potential(BREAKS, VALUES), closure_tabulated_interval(BREAKS, VALUES)),
+    "table-random": (tabulated_potential(TABLE_BREAKS, TABLE_VALUES),
+                     closure_tabulated_interval(TABLE_BREAKS, TABLE_VALUES)),
+}
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_CASES))
+def test_interval_is_the_closure_bit_for_bit(name):
+    """(lo, hi), shape and dtype as the closure gave them, at random r, on and
+    one ulp either side of every kink, at signed zeros, +-1e-300 and +-inf."""
+    pot, closure = CLOSURE_CASES[name]
+    kinks = np.array(pot.kinks)
+    r = np.concatenate([np.random.default_rng(33).uniform(-3.0, 3.0, 256), kinks,
+                        np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf),
+                        [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf]])
+    for arg in (r, np.tile(r, (3, 1))):
+        for new, old in zip(pot.interval(arg), closure(arg)):
+            assert new.shape == old.shape and new.dtype == old.dtype
+            assert np.array_equal(bits(new), bits(old))
+
+
+def test_the_two_deviations_from_the_closures():
+    # NaN r takes the first slope for every potential (the table's closure
+    # gave the last); `sat` at c = 0 is +0.0 everywhere, the zero potential's
+    # bits, where its closure gave -0.0 on [-cap, 0]
+    for pot, _ in CLOSURE_CASES.values():
+        for bound in pot.interval(np.array([np.nan])):
+            assert bits(bound) == bits(pot.slopes[0])
+    r = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, np.inf, -np.inf])
+    old_lo, old_hi = closure_saturating_interval(0.0, 1.0)(r)
+    assert np.array_equal(np.signbit(old_lo), (r >= -1.0) & (r <= 0.0))
+    assert np.array_equal(np.signbit(old_hi), (r > -1.0) & (r < 0.0))
+    for new, zero in zip(saturating_potential(0.0, 1.0).interval(r), abs_potential(0.0).interval(r)):
+        assert np.array_equal(bits(new), bits(zero)) and np.array_equal(bits(new), bits(np.zeros_like(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=8, unique=True),
+       st.lists(st.floats(-100.0, 100.0), min_size=8, max_size=8),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
+def test_tables_keep_the_interval_invariants(breaks, values, points):
+    """lo <= hi and |lo|, |hi| <= eta everywhere, and eta is the largest
+    |slope|: what the 201-point audit sampled now holds by construction."""
+    breaks = np.sort(breaks)
+    values = np.array(values[:breaks.size])
+    with np.errstate(over="ignore"):
+        slopes = np.diff(values) / np.diff(breaks)
+    if not np.all(np.isfinite(slopes)):
+        with pytest.raises(ValueError, match="slopes must be finite"):
+            tabulated_potential(breaks, values)
+        return
+    pot = tabulated_potential(breaks, values)
+    assert pot.kinks == tuple(breaks[1:-1]) and pot.slopes == tuple(slopes)
+    assert pot.eta == np.max(np.abs(slopes))
+    r = np.concatenate([points, breaks, [np.inf, -np.inf]])
+    lo, hi = pot.interval(r)
+    assert np.all(lo <= hi)
+    assert np.all(np.abs(lo) <= pot.eta) and np.all(np.abs(hi) <= pot.eta)
+
+
+@pytest.mark.parametrize("spec,kinks,slopes", [
+    ("zero", (0.0,), (0.0, 0.0)),
+    ("abs:0.3", (0.0,), (-0.3, 0.3)),
+    ("sat:0.3", (-1.0, 0.0, 1.0), (0.0, -0.3, 0.3, 0.0)),
+    ("sat:0.3:0.5", (-0.5, 0.0, 0.5), (0.0, -0.3, 0.3, 0.0)),
+    ("sat:1.0:0.2", (-0.2, 0.0, 0.2), (0.0, -1.0, 1.0, 0.0)),
+    ("table:potential.csv", (0.0, 0.5), (-1.0, 1.5, 2.5)),
+])
+def test_config_specs_build_their_kinks_and_slopes(tmp_path, spec, kinks, slopes):
+    # the data a switching-set solver reads: where each kink is, and the
+    # one-sided slopes around it, for every potential a config can name
+    (tmp_path / "potential.csv").write_text(
+        "".join(f"{b},{v}\n" for b, v in zip(BREAKS, VALUES)))
+    exp = build_experiment(load_config(CONFIG_PATH, [f"problem.potential={spec}"]), tmp_path)
+    pot = exp.potential
+    assert pot == NonsmoothPotential(kinks, slopes)
+    # bit for bit: each zero is +0.0
+    assert np.array_equal(bits(pot.kinks), bits(kinks))
+    assert np.array_equal(bits(pot.slopes), bits(slopes))
+    assert pot.eta == max(map(abs, slopes))
 
 
 class TestFixedPoint:
